@@ -1,16 +1,17 @@
-"""E5 — skyline algorithm ablation (cmp. the paper's section 3.3 outlook).
+"""E5 — winnow evaluation ablation (cmp. the paper's section 3.3 outlook).
 
 The paper computes Pareto sets through the NOT EXISTS rewrite and notes
 that dedicated skyline algorithms "hold much promise for additional
-speed-ups".  This bench compares the paper's abstract nested-loop method,
-BNL [BKS01], sort-filter-skyline and divide & conquer on BKS01-style data,
-plus the production sqlite-rewrite path.
+speed-ups".  This bench compares the paper's abstract nested-loop method
+and the engine's winnow kernel on BKS01-style data, plus the production
+sqlite-rewrite path.
 """
 
 import pytest
 
 import repro
-from repro.engine.algorithms import ALGORITHMS
+from repro.engine.algorithms import nested_loop_maximal
+from repro.engine.bmo import bmo_filter
 from repro.model.builder import build_preference
 from repro.sql.parser import parse_preferring
 from repro.workloads.distributions import (
@@ -40,14 +41,11 @@ def get_preference():
 
 
 @pytest.mark.parametrize("distribution", sorted(DISTRIBUTIONS))
-@pytest.mark.parametrize("algorithm", ["bnl", "sfs", "dnc"])
-def test_skyline_algorithm(benchmark, distribution, algorithm):
+def test_winnow_kernel(benchmark, distribution):
     vectors = make_vectors(distribution)
     preference = get_preference()
-    indices = benchmark(lambda: ALGORITHMS[algorithm](preference, vectors))
+    indices = benchmark(lambda: bmo_filter(preference, vectors))
     benchmark.extra_info["skyline_size"] = len(indices)
-    # All algorithms must agree with BNL on the skyline size.
-    assert len(indices) == len(ALGORITHMS["bnl"](preference, vectors))
 
 
 @pytest.mark.parametrize("distribution", sorted(DISTRIBUTIONS))
@@ -55,8 +53,8 @@ def test_nested_loop_reference(benchmark, distribution):
     # The paper's quadratic selection method, on a smaller slice.
     vectors = make_vectors(distribution)[:800]
     preference = get_preference()
-    indices = benchmark(lambda: ALGORITHMS["nested_loop"](preference, vectors))
-    assert indices == ALGORITHMS["bnl"](preference, vectors[: len(vectors)])
+    indices = benchmark(lambda: nested_loop_maximal(preference, vectors))
+    assert indices == bmo_filter(preference, vectors)
 
 
 @pytest.mark.parametrize("distribution", sorted(DISTRIBUTIONS))
@@ -69,5 +67,5 @@ def test_sqlite_rewrite_path(benchmark, distribution):
     rows = benchmark(lambda: con.execute(sql).fetchall())
     preference = get_preference()
     vectors = [row[1:] for row in relation.rows]
-    assert len(rows) == len(ALGORITHMS["bnl"](preference, vectors))
+    assert len(rows) == len(bmo_filter(preference, vectors))
     con.close()

@@ -9,7 +9,7 @@ the worst case.
 
 import pytest
 
-from repro.engine.algorithms import sort_filter_skyline
+from repro.engine.bmo import bmo_filter
 from repro.model.builder import build_preference
 from repro.sql.parser import parse_preferring
 from repro.workloads.distributions import DISTRIBUTIONS, lowest_preference_sql
@@ -25,7 +25,7 @@ def test_bmo_size(benchmark, distribution, dimensions):
     preference = build_preference(
         parse_preferring(lowest_preference_sql(dimensions))
     )
-    indices = benchmark(lambda: sort_filter_skyline(preference, vectors))
+    indices = benchmark(lambda: bmo_filter(preference, vectors))
     size = len(indices)
     benchmark.extra_info["bmo_size"] = size
     benchmark.extra_info["share"] = round(size / N, 4)
@@ -41,5 +41,5 @@ def test_correlated_2d_is_paper_regime():
     matrix = DISTRIBUTIONS["correlated"](N, 2, seed=11)
     vectors = [tuple(float(x) for x in row) for row in matrix]
     preference = build_preference(parse_preferring(lowest_preference_sql(2)))
-    size = len(sort_filter_skyline(preference, vectors))
+    size = len(bmo_filter(preference, vectors))
     assert 1 <= size <= 60

@@ -9,7 +9,7 @@ skyline with and without compilation.
 
 import pytest
 
-from repro.engine.algorithms import block_nested_loops
+from repro.engine.bmo import bmo_filter
 from repro.engine.compiled import compile_better, generic_better
 from repro.model.builder import build_preference
 from repro.sql.parser import parse_preferring
@@ -48,11 +48,11 @@ def test_bnl_compiled(benchmark):
     better = compile_better(preference, vectors)
     assert better is not None
     indices = benchmark(lambda: bnl_with(better, len(vectors)))
-    assert indices == block_nested_loops(preference, vectors)
+    assert indices == bmo_filter(preference, vectors)
 
 
 def test_bnl_generic(benchmark):
     preference, vectors = setup()
     better = generic_better(preference, vectors)
     indices = benchmark(lambda: bnl_with(better, len(vectors)))
-    assert indices == block_nested_loops(preference, vectors)
+    assert indices == bmo_filter(preference, vectors)

@@ -36,7 +36,7 @@ def _insert(connection, box):
 
 def _assert_fresh(connection):
     materialized = sorted(connection.execute("SELECT * FROM best").fetchall())
-    oracle = sorted(connection.execute(VIEW_SQL, algorithm="sfs").fetchall())
+    oracle = sorted(connection.execute(VIEW_SQL, algorithm="bnl").fetchall())
     assert materialized == oracle
 
 

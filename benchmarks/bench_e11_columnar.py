@@ -1,7 +1,7 @@
 """E11 — columnar rank-vector kernels vs the row-at-a-time seed core.
 
 Benchmarks the skyline stage of a grouped rank-based query through the
-columnar core (shared rank columns + tuple kernels) and through the SQL
+columnar core (shared rank columns + the rank shape's kernel) and through the SQL
 rank pushdown end to end, asserting winner parity with the closure-based
 evaluation the seed shipped — the timing claim of the E11 experiment in
 miniature.
@@ -32,18 +32,9 @@ def _grouped_inputs():
 def test_columnar_grouped_skyline(benchmark):
     _relation, preference, vectors, keys = _grouped_inputs()
     winners = benchmark(
-        lambda: bmo_filter(preference, vectors, group_keys=keys, algorithm="sfs")
+        lambda: bmo_filter(preference, vectors, group_keys=keys)
     )
     assert winners
-
-
-def test_columnar_flavors_agree(benchmark):
-    _relation, preference, vectors, keys = _grouped_inputs()
-    sfs = bmo_filter(preference, vectors, group_keys=keys, algorithm="sfs")
-    bnl = benchmark(
-        lambda: bmo_filter(preference, vectors, group_keys=keys, algorithm="bnl")
-    )
-    assert bnl == sfs
 
 
 def test_sql_rank_pushdown_end_to_end(benchmark):
@@ -55,7 +46,7 @@ def test_sql_rank_pushdown_end_to_end(benchmark):
         f"SELECT * FROM jobs PREFERRING {preferring} "
         "GROUPING region, profession"
     )
-    plan = connection.plan(query, force="sfs")
+    plan = connection.plan(query, force="bnl")
     assert plan.rank_source == "sql" and plan.rank_width
     oracle = sorted(
         connection.execute(query, algorithm="rewrite").fetchall(), key=repr

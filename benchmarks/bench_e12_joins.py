@@ -39,7 +39,7 @@ def test_join_in_memory(benchmark):
         connection.execute(QUERY, algorithm="rewrite").fetchall(), key=repr
     )
     rows = benchmark(
-        lambda: connection.execute(QUERY, algorithm="sfs").fetchall()
+        lambda: connection.execute(QUERY, algorithm="bnl").fetchall()
     )
     assert sorted(rows, key=repr) == oracle
     connection.close()

@@ -45,7 +45,7 @@ def _connection():
 
 def _oracle(connection, query):
     return sorted(
-        connection.execute(query, algorithm="sfs").fetchall(), key=repr
+        connection.execute(query, algorithm="bnl").fetchall(), key=repr
     )
 
 
@@ -64,7 +64,7 @@ def test_cascade_columnar_in_memory(benchmark):
     connection = _connection()
     oracle = _oracle(connection, CASCADE)
     rows = benchmark(
-        lambda: connection.execute(CASCADE, algorithm="sfs").fetchall()
+        lambda: connection.execute(CASCADE, algorithm="bnl").fetchall()
     )
     assert sorted(rows, key=repr) == oracle
     connection.close()

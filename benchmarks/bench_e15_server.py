@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.bench.conftest import *  # noqa: F401,F403 - benchmark fixtures
-from repro.engine.columns import columnar_skyline, compute_rank_columns
+from repro.engine import columnar_skyline, compute_rank_columns
 from repro.engine.parallel import ParallelExecutor
 from repro.model.builder import build_preference
 from repro.sql.parser import parse_preferring
@@ -44,15 +44,13 @@ def _ranked_workload():
 
 def test_serial_columnar_kernel(benchmark):
     _preference, _vectors, ranks = _ranked_workload()
-    winners = benchmark(
-        lambda: columnar_skyline(ranks, range(ROWS), flavor="sfs")
-    )
+    winners = benchmark(lambda: columnar_skyline(ranks, range(ROWS)))
     assert winners
 
 
 def test_process_pool_offload(benchmark):
     preference, vectors, ranks = _ranked_workload()
-    serial = sorted(columnar_skyline(ranks, range(ROWS), flavor="sfs"))
+    serial = sorted(columnar_skyline(ranks, range(ROWS)))
     with ParallelExecutor(max_workers=2, backend="process") as executor:
         winners = benchmark(
             lambda: executor.maximal_indices(preference, vectors, ranks=ranks)

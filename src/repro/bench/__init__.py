@@ -9,7 +9,7 @@ Experiment registry (see DESIGN.md section 4 for the full index):
 ``e3``    section 3.2 Cars rewrite — paper-style script vs planner
 ``e4``    section 4.3 COSIMA observations — Pareto set sizes and
           latency breakdown
-``e5``    ablation: skyline algorithms (NL/BNL/SFS/D&C vs rewrite)
+``e5``    ablation: nested-loop oracle vs the winnow kernel vs rewrite
 ``e6``    ablation: BMO result sizes vs dimensionality/distribution
 ``e7``    ablation: rewrite-on-sqlite vs in-memory engine crossover
 ========  ==========================================================

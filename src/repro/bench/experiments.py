@@ -13,8 +13,8 @@ import time
 
 import repro
 from repro.bench.harness import Report, Table, time_call
-from repro.engine.algorithms import ALGORITHMS
-from repro.engine.bmo import PreferenceEngine
+from repro.engine.algorithms import nested_loop_maximal
+from repro.engine.bmo import PreferenceEngine, bmo_filter
 from repro.model.builder import build_preference
 from repro.sql.parser import parse_preferring, parse_statement
 from repro.workloads.cosima import MetaSearch, make_catalog, make_shops
@@ -231,7 +231,7 @@ def e4_cosima(quick: bool = False, sessions: int | None = None) -> Report:
 
 
 def e5_algorithms(quick: bool = False) -> Report:
-    """Ablation: skyline algorithms vs the NOT EXISTS rewrite on sqlite."""
+    """Ablation: oracle and winnow kernel vs the NOT EXISTS rewrite on sqlite."""
     if quick:
         cells = [(500, 2), (500, 4), (2000, 2), (2000, 4)]
     else:
@@ -253,11 +253,14 @@ def e5_algorithms(quick: bool = False) -> Report:
                 parse_preferring(lowest_preference_sql(d))
             )
             vectors = [row[1:] for row in relation.rows]
-            for algorithm in ALGORITHMS:
+            for algorithm, maximal in (
+                ("nested_loop", nested_loop_maximal),
+                ("winnow kernel", bmo_filter),
+            ):
                 if algorithm == "nested_loop" and n > 4000:
                     continue  # quadratic, pointless at scale
                 (indices, timing) = time_call(
-                    lambda a=algorithm: ALGORITHMS[a](preference, vectors),
+                    lambda: maximal(preference, vectors),
                     repeats=1 if n >= 8000 else 2,
                 )
                 table.add(name, n, d, algorithm, len(indices), timing.ms())
@@ -288,7 +291,7 @@ def e5_algorithms(quick: bool = False) -> Report:
             connection.close()
     report.add_table("maximal-set computation", table)
     report.note(
-        "all algorithms must report identical skyline sizes per cell; "
+        "every path must report identical skyline sizes per cell; "
         "anti-correlated data grows the skyline (and the cost) with d."
     )
     report.data = raw
@@ -312,7 +315,7 @@ def e6_bmo_sizes(quick: bool = False) -> Report:
                 parse_preferring(lowest_preference_sql(d))
             )
             vectors = [tuple(float(x) for x in row) for row in matrix]
-            size = len(ALGORITHMS["sfs"](preference, vectors))
+            size = len(bmo_filter(preference, vectors))
             table.add(name, d, size, f"{size / n:.2%}")
             raw[(name, d)] = size
     report.add_table("Pareto-optimal set sizes", table)
@@ -493,7 +496,7 @@ def e9_parallel(quick: bool = False) -> Report:
     For each workload the candidate operand vectors and GROUPING keys are
     built once (the part both execution paths share — fetch and expression
     evaluation), then the skyline stage is timed through
-    :func:`~repro.engine.bmo.bmo_filter` with the serial algorithms and
+    :func:`~repro.engine.bmo.bmo_filter` serially and
     with the partitioned parallel executor, asserting identical winner
     sets per cell.  Jobs, shop and cosima run grouped (GROUPING partitions
     are the natural tasks); points runs ungrouped through the
@@ -501,7 +504,6 @@ def e9_parallel(quick: bool = False) -> Report:
     pass pins ``rewrite`` vs ``parallel`` end to end on the shop workload,
     and EXPLAIN PREFERENCE on a small input must decline to parallelize.
     """
-    from repro.engine.bmo import bmo_filter
     from repro.sql import ast as _ast
     from repro.workloads.fixtures import relation_to_sqlite
     from repro.workloads.jobs import CONDITION_SETS, jobs_relation
@@ -588,7 +590,7 @@ def e9_parallel(quick: bool = False) -> Report:
         group_count = len(set(keys)) if keys is not None else 1
         baseline: list | None = None
         cell: dict = {"rows": len(vectors), "groups": group_count}
-        for path in ("bnl", "sfs", "parallel"):
+        for path in ("bnl", "parallel"):
             winners, timing = time_call(
                 lambda p=path: bmo_filter(
                     preference, vectors, group_keys=keys, algorithm=p
@@ -602,7 +604,7 @@ def e9_parallel(quick: bool = False) -> Report:
                     f"{path} disagrees on {workload} n={n}: "
                     f"{len(winners)} vs {len(baseline)} winners"
                 )
-            label = "parallel" if path == "parallel" else f"serial {path}"
+            label = "parallel" if path == "parallel" else "serial"
             table.add(workload, len(vectors), group_count, label, len(winners), timing.ms())
             cell[path] = timing.best
         cell["speedup_vs_bnl"] = cell["bnl"] / cell["parallel"]
@@ -640,7 +642,7 @@ def e9_parallel(quick: bool = False) -> Report:
         "all paths must report identical winner sets; the partitioned "
         "executor compiles ranks once globally and wins on grouped "
         "workloads even at worker degree 1 "
-        f"(largest jobs speedup vs serial BNL: "
+        f"(largest jobs speedup vs serial: "
         f"{raw['largest_jobs_speedup']:.2f}x); the cost model declines to "
         f"parallelize small inputs (chose {raw['small_input_strategy']!r})."
     )
@@ -746,7 +748,7 @@ def e10_views(quick: bool = False) -> Report:
             # The oracle bypasses the view: pinned strategies always
             # recompute from the base table.
             oracle = sorted(
-                connection.execute(view_sql, algorithm="sfs").fetchall(),
+                connection.execute(view_sql, algorithm="bnl").fetchall(),
                 key=repr,
             )
             if materialized != oracle:
@@ -798,10 +800,10 @@ def e11_columnar(quick: bool = False) -> Report:
     scale, the skyline stage is timed through (a) the **seed core** —
     per-group comparator recompilation and per-pair closure loops, which
     is what every strategy funnelled through before the columnar rework
-    (reproduced via ``use_columns=False`` plus per-group slicing) — and
+    (reproduced here, with per-group slicing) — and
     (b) the **columnar core** — one shared rank-column object and the
-    tuple-key kernels.  Winner sets must be identical across the seed
-    core, every columnar algorithm, the partitioned executor *and* (at
+    kernel its rank shape selects.  Winner sets must be identical across
+    the seed core, the serial winnow, the partitioned executor *and* (at
     oracle-sized inputs) the quadratic nested-loop oracle.  A driver pass
     decomposes one SQL-rank-pushdown execution into parse / plan / scan /
     evaluate phases and checks the pushdown returns the same rows as
@@ -810,8 +812,7 @@ def e11_columnar(quick: bool = False) -> Report:
     """
     from dataclasses import replace as _replace
 
-    from repro.engine.algorithms import dominance_key, nested_loop_maximal
-    from repro.engine.bmo import bmo_filter, run_in_memory_plan
+    from repro.engine.bmo import run_in_memory_plan
     from repro.model.categorical import LayeredPreference
     from repro.model.composite import PrioritizationPreference
     from repro.plan.planner import in_memory_parts
@@ -841,10 +842,9 @@ def e11_columnar(quick: bool = False) -> Report:
     # ------------------------------------------------------------------
     # The seed core, reproduced verbatim: per-group vector slices, rank
     # lists re-derived per group in scalar Python (the old
-    # ``compiled._leaf_ranks``), per-pair closure loops, and SFS sorting
-    # by a per-row Python ``dominance_key``.  ``use_columns=False`` on
-    # the live algorithms is NOT an honest baseline — it still benefits
-    # from the shared vectorized rank columns.
+    # ``compiled._leaf_ranks``) and the per-pair closure BNL window.  It
+    # is the only honest baseline — anything built on the live engine
+    # would still benefit from the shared vectorized rank columns.
 
     def seed_better(preference, vectors):
         """The seed's compiled comparator: rank lists + tuple closures."""
@@ -869,7 +869,7 @@ def e11_columnar(quick: bool = False) -> Report:
 
         return better
 
-    def seed_core(preference, vectors, group_keys, algorithm):
+    def seed_core(preference, vectors, group_keys):
         """The pre-columnar evaluator: slice per group, recompile, loop."""
         if group_keys is None:
             groups = {None: list(range(len(vectors)))}
@@ -881,33 +881,20 @@ def e11_columnar(quick: bool = False) -> Report:
         for members in groups.values():
             local = [vectors[i] for i in members]
             better = seed_better(preference, local)
-            if algorithm == "sfs":
-                order = sorted(
-                    range(len(local)),
-                    key=lambda i: dominance_key(preference, local[i]),
-                )
-                skyline = []
-                for i in order:
-                    if not any(better(j, i) for j in skyline):
-                        skyline.append(i)
-                kept = sorted(skyline)
-            else:  # bnl window
-                window = []
-                for i in range(len(local)):
-                    dominated = False
-                    survivors = []
-                    for j in window:
-                        if better(j, i):
-                            dominated = True
-                            break
-                        if not better(i, j):
-                            survivors.append(j)
-                    if not dominated:
-                        survivors.append(i)
-                        window = survivors
-                kept = sorted(window)
-            for position in kept:
-                winners.append(members[position])
+            window = []
+            for i in range(len(local)):
+                dominated = False
+                survivors = []
+                for j in window:
+                    if better(j, i):
+                        dominated = True
+                        break
+                    if not better(i, j):
+                        survivors.append(j)
+                if not dominated:
+                    survivors.append(i)
+                    window = survivors
+            winners.extend(members[position] for position in window)
         return sorted(winners)
 
     jobs_soft = " AND ".join(soft for _hard, soft in CONDITION_SETS["A"])
@@ -950,45 +937,23 @@ def e11_columnar(quick: bool = False) -> Report:
         group_count = len(set(keys)) if keys is not None else 1
         cell: dict = {"rows": len(vectors), "groups": group_count}
 
-        seed_best = None
-        baseline = None
-        for algorithm in ("bnl", "sfs"):
-            winners, timing = time_call(
-                lambda a=algorithm: seed_core(preference, vectors, keys, a),
-                repeats=repeats,
+        baseline, timing = time_call(
+            lambda: seed_core(preference, vectors, keys), repeats=repeats
+        )
+        table.add(workload, n, group_count, "seed bnl",
+                  len(baseline), timing.ms())
+        cell["seed_bnl_seconds"] = timing.best
+        winners, timing = time_call(
+            lambda: bmo_filter(preference, vectors, group_keys=keys),
+            repeats=repeats,
+        )
+        if winners != baseline:
+            raise AssertionError(
+                f"the columnar winnow diverges from the seed core on "
+                f"{workload} n={n}"
             )
-            if baseline is None:
-                baseline = winners
-            elif winners != baseline:
-                raise AssertionError(
-                    f"seed {algorithm} disagrees with seed bnl on "
-                    f"{workload} n={n}"
-                )
-            table.add(workload, n, group_count, f"seed {algorithm}",
-                      len(winners), timing.ms())
-            cell[f"seed_{algorithm}_seconds"] = timing.best
-            seed_best = timing.best if seed_best is None else min(seed_best, timing.best)
-        columnar_best = None
-        for algorithm in ("bnl", "sfs", "dnc"):
-            winners, timing = time_call(
-                lambda a=algorithm: bmo_filter(
-                    preference, vectors, group_keys=keys, algorithm=a
-                ),
-                repeats=repeats,
-            )
-            if winners != baseline:
-                raise AssertionError(
-                    f"columnar {algorithm} diverges from the seed core on "
-                    f"{workload} n={n}"
-                )
-            table.add(workload, n, group_count, f"columnar {algorithm}",
-                      len(winners), timing.ms())
-            cell[f"columnar_{algorithm}_seconds"] = timing.best
-            columnar_best = (
-                timing.best
-                if columnar_best is None
-                else min(columnar_best, timing.best)
-            )
+        table.add(workload, n, group_count, "columnar", len(winners), timing.ms())
+        cell["columnar_seconds"] = timing.best
         winners, timing = time_call(
             lambda: bmo_filter(
                 preference, vectors, group_keys=keys, algorithm="parallel"
@@ -1010,7 +975,9 @@ def e11_columnar(quick: bool = False) -> Report:
                     f"winner set differs from the nested-loop oracle on "
                     f"{workload} n={n}"
                 )
-        cell["speedup_vs_seed"] = seed_best / columnar_best
+        cell["speedup_vs_seed"] = (
+            cell["seed_bnl_seconds"] / cell["columnar_seconds"]
+        )
         raw["cases"][f"{workload}:{n}"] = cell
     report.add_table("skyline stage: seed core vs columnar kernels", table)
 
@@ -1035,7 +1002,7 @@ def e11_columnar(quick: bool = False) -> Report:
                 preference, [vectors[i] for i in members]
             )
         )
-        for algorithm in ("bnl", "sfs", "dnc", "parallel"):
+        for algorithm in ("bnl", "parallel"):
             winners = bmo_filter(
                 preference, vectors, group_keys=keys, algorithm=algorithm
             )
@@ -1056,7 +1023,7 @@ def e11_columnar(quick: bool = False) -> Report:
     # and operand over per-row environments, derived GROUPING keys the
     # same way, compared through closures and projected winners through
     # fresh environments; the columnar core adopts the host-computed
-    # rank columns and runs the tuple kernels — the Evaluator never sees
+    # rank columns and runs the shape's kernel — the Evaluator never sees
     # a candidate row.
     from repro.engine.expressions import Evaluator, RowEnvironment
     from repro.sql import ast as _ast
@@ -1088,7 +1055,7 @@ def e11_columnar(quick: bool = False) -> Report:
                 tuple(evaluator.evaluate(g, env) for g in grouping_exprs)
                 for env in environments
             ]
-        winners = seed_core(preference, vectors, keys, "bnl")
+        winners = seed_core(preference, vectors, keys)
         # Seed projection: one fresh environment per winner, values read
         # back out of it (the pre-columnar ``_project`` discipline).
         projected = []
@@ -1122,7 +1089,7 @@ def e11_columnar(quick: bool = False) -> Report:
             lambda: parse_statement(query), repeats=repeats
         )
         plan, plan_timing = time_call(
-            lambda: connection.plan(query, force="sfs"), repeats=repeats
+            lambda: connection.plan(query, force="bnl"), repeats=repeats
         )
         if plan.rank_source != "sql" or not plan.rank_width:
             raise AssertionError(
@@ -1243,8 +1210,8 @@ def e11_columnar(quick: bool = False) -> Report:
             f"{worst} at {gated[worst]:.2f}x"
         )
     report.note(
-        "identical winner sets asserted between the seed core, every "
-        "columnar kernel, the partitioned executor and the nested-loop "
+        "identical winner sets asserted between the seed core, the "
+        "columnar winnow, the partitioned executor and the nested-loop "
         "oracle (at oracle-sized inputs); kernel-stage speedup vs seed "
         "core — "
         + ", ".join(
@@ -1252,7 +1219,7 @@ def e11_columnar(quick: bool = False) -> Report:
             for key, cell in raw["cases"].items()
         )
         + "; evaluate-stage speedup over prefetched scans (pushed rank "
-        "columns + tuple kernels vs per-row Evaluator + closures; the "
+        "columns + rank-shape kernel vs per-row Evaluator + closures; the "
         "rank-augmented scan itself stays within noise of the plain "
         "scan, see scan_*_seconds) — "
         + ", ".join(
@@ -1331,7 +1298,7 @@ def e12_joins(quick: bool = False) -> Report:
     for name, query in cases:
         cell: dict = {}
         baseline: list | None = None
-        strategies = ["rewrite", "sfs", "parallel", PREJOIN_STRATEGY, None]
+        strategies = ["rewrite", "bnl", "parallel", PREJOIN_STRATEGY, None]
         for strategy in strategies:
             chosen: dict = {}
 
@@ -1385,7 +1352,7 @@ def e12_joins(quick: bool = False) -> Report:
     best_join_aware = min(
         seconds
         for key, seconds in selective.items()
-        if key in ("sfs", "parallel", PREJOIN_STRATEGY)
+        if key in ("bnl", "parallel", PREJOIN_STRATEGY)
         and isinstance(seconds, float)
     )
     speedup = selective["rewrite"] / best_join_aware
@@ -1437,7 +1404,6 @@ def e13_semantic(quick: bool = False) -> Report:
     The acceptance gate requires the semantic single pass to beat the
     best in-memory columnar plan ≥10x on the cascade.
     """
-    from repro.engine.bmo import bmo_filter
     from repro.plan.cost import IN_MEMORY_STRATEGIES
     from repro.workloads.shop import washing_machines_relation
 
@@ -1819,7 +1785,7 @@ def e15_server(quick: bool = False) -> Report:
     import shutil
     import tempfile
 
-    from repro.engine.columns import columnar_skyline, compute_rank_columns
+    from repro.engine import columnar_skyline, compute_rank_columns
     from repro.engine.parallel import ParallelExecutor
     from repro.server import PreferenceClient, PreferenceServer
     from repro.workloads.traffic import (
@@ -1854,7 +1820,7 @@ def e15_server(quick: bool = False) -> Report:
     workers = max(2, cores)
 
     serial, serial_timing = time_call(
-        lambda: sorted(columnar_skyline(ranks, range(n), flavor="sfs")),
+        lambda: sorted(columnar_skyline(ranks, range(n))),
         repeats=repeats,
     )
     offload = Table(("path", "workers", "winners", "time [ms]", "speedup"))

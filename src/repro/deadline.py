@@ -9,10 +9,10 @@ every execution path interruptible:
 
 * the driver arms it per statement (``execute(..., timeout_ms=...)``)
   and publishes it thread-locally via :func:`deadline_scope`, so the
-  in-memory kernels — BNL/SFS/DNC loops, the blocked numpy Pareto
-  kernel, the partitioned executor's tasks — can poll it *amortized*
-  (every N comparisons / once per block) without threading a parameter
-  through every signature,
+  in-memory kernels — the window BNL and sort-filter loops, the blocked
+  numpy Pareto kernel, the partitioned executor's tasks — can poll it
+  *amortized* (every N comparisons / once per block) without threading
+  a parameter through every signature,
 * host-side scans (the NOT EXISTS rewrite, rank pushdown SQL) cannot
   poll Python code, so :func:`sqlite_interrupt` arms a watchdog timer
   that calls :meth:`sqlite3.Connection.interrupt` at expiry — sqlite

@@ -587,8 +587,7 @@ class Connection:
         conservatively (no restore — we cannot know here which version
         the transaction started from relative to the raw statement).
         """
-        head = sql.lstrip().split(None, 1)
-        keyword = head[0].upper() if head else ""
+        keyword = _next_word(sql, 0)[0].upper()
         if keyword in ("COMMIT", "END"):
             self._committed_catalog_version = self.catalog_version
         elif keyword == "ROLLBACK":
@@ -1089,9 +1088,11 @@ class Cursor:
     ) -> "Cursor":
         """Execute one statement (preference-extended or plain SQL).
 
-        ``algorithm`` pins the execution strategy (``rewrite``, ``bnl``,
-        ``sfs``, ``dnc``, ``parallel``) instead of letting the cost model
-        choose; pinned executions bypass the plan cache.
+        ``algorithm`` pins the execution strategy — ``rewrite`` (host
+        NOT EXISTS), ``bnl`` (serial in-memory winnow; the kernel follows
+        the rank shape), ``parallel`` (the same kernels over partitions)
+        or ``prejoin`` — instead of letting the cost model choose; pinned
+        executions bypass the plan cache.
 
         ``timeout_ms`` (or a pre-armed ``deadline``) bounds wall clock.
         The deadline is installed as the thread's active scope — the
@@ -1401,7 +1402,7 @@ class Cursor:
         )
         residual = plan.residual
         name = residual.sources[0].name
-        engine = PreferenceEngine({name: pool}, algorithm="auto")
+        engine = PreferenceEngine({name: pool})
         stage_one = replace(
             residual,
             items=(ast.Star(),),

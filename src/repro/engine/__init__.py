@@ -7,9 +7,9 @@ over in-memory relations.  It serves as
 
 * the semantics oracle — differential tests assert the rewriter and this
   engine agree on every query,
-* the substrate for the skyline algorithm baselines
-  (:mod:`repro.engine.algorithms`: the paper's abstract nested-loop
-  selection method, BNL [BKS01], sort-filter-skyline, divide & conquer),
+* the home of the winnow kernels (:mod:`repro.engine.algorithms`: the
+  paper's abstract nested-loop selection method as the oracle, plus one
+  kernel per rank shape chosen in one place),
 * the evaluator used by the COSIMA-style meta-search simulation, which in
   the paper ran Preference SQL over a temporary database.
 """
@@ -18,19 +18,14 @@ from repro.engine.relation import Relation, column_index_map
 from repro.engine.expressions import Evaluator, RowEnvironment
 from repro.engine.columns import (
     RankColumns,
-    columnar_skyline,
     compute_rank_columns,
     rank_columns_from_values,
-    rank_row_skyline,
     rank_shape,
 )
 from repro.engine.algorithms import (
-    ALGORITHMS,
-    block_nested_loops,
-    divide_and_conquer,
-    maximal_indices,
+    columnar_skyline,
     nested_loop_maximal,
-    sort_filter_skyline,
+    winnow_kernel,
 )
 from repro.engine.bmo import (
     BmoResult,
@@ -60,14 +55,9 @@ __all__ = [
     "columnar_skyline",
     "compute_rank_columns",
     "rank_columns_from_values",
-    "rank_row_skyline",
     "rank_shape",
-    "ALGORITHMS",
-    "maximal_indices",
     "nested_loop_maximal",
-    "block_nested_loops",
-    "sort_filter_skyline",
-    "divide_and_conquer",
+    "winnow_kernel",
     "PreferenceEngine",
     "BmoResult",
     "bmo_filter",

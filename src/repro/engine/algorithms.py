@@ -1,77 +1,65 @@
-"""Skyline / maximal-set algorithms over arbitrary preferences.
+"""Winnow evaluation: the oracle, and one kernel per rank shape.
 
 The paper computes Pareto-optimal sets by rewriting to a correlated
 ``NOT EXISTS`` anti-join executed by the host database (section 3.2) and
 notes that dedicated skyline algorithms "clearly hold much promise for
-additional speed-ups" (section 3.3, citing [BKS01] and [TEO01]).  This
-module provides those baselines as in-memory algorithms, all generic over
-:class:`~repro.model.preference.Preference`:
+additional speed-ups" (section 3.3, citing [BKS01] and [TEO01]).  Winnow
+is *one* operator (Chomicki); how its maximal set is found is an
+implementation detail decided here, in one place:
 
 * :func:`nested_loop_maximal` — the paper's own *abstract selection method*
-  (section 3.2): keep a tuple iff no other tuple is better,
-* :func:`block_nested_loops` — BNL with a self-cleaning window [BKS01],
-* :func:`sort_filter_skyline` — presort by a dominance-compatible key, then
-  filter (SFS; the key construction is described below),
-* :func:`divide_and_conquer` — recursive halving with cross-filtering.
+  (section 3.2): keep a tuple iff no other tuple is better.  Quadratic;
+  it stays on the per-pair comparator as the independent oracle every
+  other path is tested against.
+* :func:`winnow_kernel` — maps a query's rank shape to its kernel, once
+  per query:
 
-All algorithms take the list of per-row operand vectors (one flat vector
-per tuple, see :class:`~repro.model.preference.Preference`) and return the
-*indices* of maximal rows in their original order, so ties and duplicates
-are preserved exactly the way the NOT EXISTS rewrite preserves them.
+  ================================  =====================================
+  rank shape                        kernel
+  ================================  =====================================
+  flat Pareto, ≥ 150 candidates     blocked sort-filter over the rank
+                                    matrix (numpy)
+  flat Pareto, fewer (or no numpy)  sort-filter over distinct rank tuples
+  flat cascade (incl. single base)  minimum-bucket scan
+  mixed nesting, EXPLICIT, custom   window BNL [BKS01] over
+  partial orders                    :func:`~repro.engine.compiled.best_better`
+  ================================  =====================================
 
-Execution cores, fastest first:
-
-* **columnar** — rank-based trees with a flat comparison structure
-  compare precomputed rank tuples directly through the shared kernel
-  (:func:`repro.engine.columns.rank_row_skyline`): duplicate rows
-  collapse into buckets, dominance is C-level tuple arithmetic with
-  short-circuits, and each algorithm keeps its own loop shape (window /
-  sort-filter / cross-filter),
-* **compiled closures** — mixed-nested rank trees compare through
-  closures over the same shared rank columns
-  (:func:`repro.engine.compiled.compile_better`) — ranks are still
-  computed once per query,
-* **generic closures** — EXPLICIT members and custom partial orders fall
-  back to :meth:`~repro.model.preference.Preference.is_better` per pair.
-
-Callers that already hold the query's rank columns (the BMO evaluator,
-the SQL rank pushdown path) pass them via ``ranks``; ``use_columns=False``
-disables the columnar kernels and reproduces the seed's row-at-a-time
-closure loops — the benchmarks use it as the speedup baseline.
+Everything above it — :func:`repro.engine.bmo.bmo_filter`'s serial path,
+the thread partitions of :mod:`repro.engine.parallel` and the process
+workers of :mod:`repro.engine.shm` — only *schedules* index subsets
+(GROUPING partitions, hash partitions, strided slices) through the
+evaluator it returns.  Evaluators return the *indices* of maximal rows,
+so ties and duplicates are preserved exactly the way the NOT EXISTS
+rewrite preserves them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.deadline import CHECK_EVERY, active_deadline
 from repro.engine.columns import (
     RankColumns,
-    columnar_skyline,
     compute_rank_columns,
+    minimum_bucket,
+    sort_filter_blocked,
+    sort_filter_rows,
 )
-from repro.engine.compiled import best_better
+from repro.engine.compiled import BetterFn, best_better
 from repro.errors import EvaluationError
-from repro.model.categorical import ExplicitPreference, LayeredPreference
-from repro.model.composite import _Composite
-from repro.model.preference import Preference, WeakOrderBase
+from repro.model.preference import Preference
 
 Vector = tuple
 
+#: A chosen kernel: BMO winners among one index subset, unsorted.
+Kernel = Callable[[Sequence[int]], list[int]]
 
-def _resolve_ranks(
-    preference: Preference,
-    vectors: Sequence[Vector] | None,
-    ranks: RankColumns | None,
-) -> RankColumns | None:
-    if ranks is not None:
-        return ranks
-    if vectors is None:
-        raise EvaluationError(
-            "skyline algorithms need operand vectors or precomputed rank "
-            "columns"
-        )
-    return compute_rank_columns(preference, vectors)
+#: Below this many candidates the tuple sort-filter beats numpy's
+#: per-call overhead (tuned on the E11 workloads).  The selector is the
+#: observable input size: the benchmark's ``skyline_scan`` windows sit
+#: above the line, the ``serve_*`` session re-winnows below it.
+_NUMPY_MIN_ROWS = 150
 
 
 def nested_loop_maximal(
@@ -101,29 +89,19 @@ def nested_loop_maximal(
     return result
 
 
-def block_nested_loops(
-    preference: Preference,
-    vectors: Sequence[Vector] | None,
-    ranks: RankColumns | None = None,
-    use_columns: bool = True,
-) -> list[int]:
+def window_bnl(better: BetterFn, indices: Sequence[int]) -> list[int]:
     """Block-Nested-Loops [BKS01] with an unbounded in-memory window.
 
-    Each incoming tuple is compared against the window: dominated tuples
-    are dropped, and window members dominated by the newcomer are evicted.
-    With the window fully in memory there is a single pass.  Flat rank
-    trees run the same window discipline over distinct rank tuples in the
-    columnar kernel instead of per-pair closure calls.
+    Each incoming row is compared against the window: dominated rows are
+    dropped, and window members dominated by the newcomer are evicted.
+    With the window fully in memory there is a single pass.  ``better``
+    is indexed by the same row positions ``indices`` holds, so partitions
+    share one compiled comparator instead of each recompiling a slice.
     """
-    ranks = _resolve_ranks(preference, vectors, ranks)
-    if use_columns and ranks is not None and ranks.mode is not None:
-        return sorted(columnar_skyline(ranks, range(len(ranks)), "bnl"))
-    better = best_better(preference, vectors, ranks=ranks)
     deadline = active_deadline()
-    count = len(vectors) if vectors is not None else len(ranks)
     window: list[int] = []
-    for i in range(count):
-        if deadline is not None and not i % CHECK_EVERY:
+    for position, i in enumerate(indices):
+        if deadline is not None and not position % CHECK_EVERY:
             deadline.check()
         dominated = False
         survivors: list[int] = []
@@ -138,184 +116,83 @@ def block_nested_loops(
             survivors.append(i)
             window = survivors
         # when dominated, the window is unchanged
-    return sorted(window)
+    return window
 
 
-def dominance_key(preference: Preference, vector: Vector) -> tuple[float, ...]:
-    """A total-order key compatible with dominance: if ``v`` is better than
-    ``w`` then ``key(v) < key(w)`` lexicographically.
-
-    The key is the flat tuple of per-base rank proxies in tree order:
-    weak-order bases contribute their rank, EXPLICIT bases their DAG depth,
-    layered bases their level.  Compatibility holds because substitutable
-    values share the same proxy and strictly better values a strictly
-    smaller one, for every constructor (see tests/test_algorithms.py).
-    For rank-based trees this key *is* the per-row rank tuple, so
-    :func:`sort_filter_skyline` reads it from the shared rank columns
-    instead of re-deriving ranks per row.
-    """
-    key: list[float] = []
-    _append_key(preference, vector, key)
-    return tuple(key)
-
-
-# prefcheck: disable=deadline-poll -- recursion over the preference tree: bounded by query width, not row count; per-row callers poll
-def _append_key(preference: Preference, vector: Sequence, key: list[float]) -> None:
-    if isinstance(preference, _Composite):
-        for part, sub in zip(
-            preference.children(), preference.component_vectors(vector)
-        ):
-            _append_key(part, sub, key)
-    elif isinstance(preference, LayeredPreference):
-        key.append(float(preference.level(vector)))
-    elif isinstance(preference, ExplicitPreference):
-        key.append(float(preference.level(vector[0])))
-    elif isinstance(preference, WeakOrderBase):
-        key.append(preference.rank(vector[0]))
-    else:
-        raise EvaluationError(
-            f"cannot derive a sorting key for {preference.kind} preferences"
-        )
-
-
-def sort_filter_skyline(
-    preference: Preference,
+def winnow_kernel(
+    preference: Preference | None,
     vectors: Sequence[Vector] | None,
+    candidates: Sequence[int],
     ranks: RankColumns | None = None,
-    use_columns: bool = True,
-) -> list[int]:
-    """Sort-Filter-Skyline: presort by :func:`dominance_key`, then filter.
+) -> tuple[Kernel, RankColumns | None, dict[int, int] | None]:
+    """The one place a rank shape picks its kernel, once per query.
 
-    After sorting, no tuple can be dominated by a later one, so a single
-    forward pass comparing against the skyline-so-far suffices.  Rank
-    trees sort by the shared rank rows (one C-level tuple sort) — the
-    seed recomputed a ``dominance_key`` per row on top of the comparator's
-    own rank lists; flat trees run the whole filter in the columnar
-    kernel.
+    Returns ``(evaluate, shared, position)``.  ``evaluate(indices)``
+    yields the BMO winners among any subset of ``candidates`` and always
+    addresses rows by their *global* index, so callers pass partitions
+    around untranslated.  ``shared`` is the query's rank columns (None
+    for trees without ranks) and ``position`` the global index → column
+    row map when they differ — the process backend ships both.
+
+    Caller-supplied ``ranks`` (the SQL rank pushdown, a process worker's
+    slice of the shared matrix) are globally indexed and adopted as-is;
+    ``preference`` and ``vectors`` are then only consulted for trees
+    without a flat shape.  Otherwise only the ``candidates`` rows are
+    ranked — a row a BUT ONLY threshold discarded must never reach a
+    ``rank()`` implementation.
     """
-    ranks = _resolve_ranks(preference, vectors, ranks)
-    if use_columns and ranks is not None and ranks.mode is not None:
-        return sorted(columnar_skyline(ranks, range(len(ranks)), "sfs"))
-    better = best_better(preference, vectors, ranks=ranks)
-    if ranks is not None:
-        rows = ranks.rows
-        order = sorted(range(len(rows)), key=rows.__getitem__)
-    else:
-        order = sorted(
-            range(len(vectors)),
-            key=lambda i: dominance_key(preference, vectors[i]),
-        )
-    deadline = active_deadline()
-    skyline: list[int] = []
-    for position, i in enumerate(order):
-        if deadline is not None and not position % CHECK_EVERY:
-            deadline.check()
-        if not any(better(j, i) for j in skyline):
-            skyline.append(i)
-    return sorted(skyline)
-
-
-def divide_and_conquer(
-    preference: Preference,
-    vectors: Sequence[Vector] | None,
-    ranks: RankColumns | None = None,
-    use_columns: bool = True,
-) -> list[int]:
-    """Divide & conquer: split, recurse, then cross-filter the halves.
-
-    A tuple dominated by anything in the other half is dominated by a
-    *maximal* tuple of that half (finite strict orders have maximal
-    dominators), so filtering against the other half's skyline is enough.
-    Flat rank trees recurse over distinct rank tuples in the columnar
-    kernel.
-    """
-    ranks = _resolve_ranks(preference, vectors, ranks)
-    if use_columns and ranks is not None and ranks.mode is not None:
-        return sorted(columnar_skyline(ranks, range(len(ranks)), "dnc"))
-    better = best_better(preference, vectors, ranks=ranks)
-    deadline = active_deadline()
-    count = len(vectors) if vectors is not None else len(ranks)
-
-    def recurse(indices: list[int]) -> list[int]:
-        if deadline is not None:
-            deadline.check()
-        if len(indices) <= 16:
-            return [
-                i
-                for i in indices
-                if not any(better(j, i) for j in indices if j != i)
-            ]
-        mid = len(indices) // 2
-        left = recurse(indices[:mid])
-        right = recurse(indices[mid:])
-        # The cross filters carry the quadratic worst case: poll the
-        # deadline per outer row, one clock read against an inner scan.
-        surviving_left = []
-        for i in left:
-            if deadline is not None:
-                deadline.check()
-            if not any(better(j, i) for j in right):
-                surviving_left.append(i)
-        surviving_right = []
-        for i in right:
-            if deadline is not None:
-                deadline.check()
-            if not any(better(j, i) for j in left):
-                surviving_right.append(i)
-        return surviving_left + surviving_right
-
-    return sorted(recurse(list(range(count))))
-
-
-ALGORITHMS = {
-    "nested_loop": nested_loop_maximal,
-    "bnl": block_nested_loops,
-    "sfs": sort_filter_skyline,
-    "dnc": divide_and_conquer,
-}
-
-
-def maximal_indices(
-    preference: Preference,
-    vectors: Sequence[Vector] | None,
-    algorithm: str = "bnl",
-    ranks: RankColumns | None = None,
-) -> list[int]:
-    """Compute the maximal (BMO) row indices with the chosen algorithm.
-
-    ``ranks`` passes precomputed rank columns (the BMO evaluator computes
-    them once per query and shares them across GROUPING partitions; the
-    SQL rank pushdown path adopts them from the host database).
-    ``algorithm="auto"`` asks the plan cost model
-    (:func:`repro.plan.cost.choose_algorithm`) to pick among the serial
-    in-memory algorithms from the input size and preference
-    dimensionality; ``algorithm="parallel"`` routes to the partitioned
-    executor of :mod:`repro.engine.parallel` on the process-wide shared
-    worker pool (hold a :class:`~repro.engine.parallel.ParallelExecutor`
-    to control the worker degree per connection).
-    """
-    count = len(vectors) if vectors is not None else len(ranks or ())
-    if algorithm == "auto":
-        from repro.plan.cost import choose_algorithm
-
-        algorithm = choose_algorithm(
-            count, len(list(preference.iter_base()))
-        )
-    if algorithm == "parallel":
-        from repro.engine.parallel import parallel_maximal_indices
-
-        return parallel_maximal_indices(preference, vectors, ranks=ranks)
-    if algorithm == "nested_loop":
+    shared, position, ranked = ranks, None, vectors
+    if shared is None:
         if vectors is None:
             raise EvaluationError(
-                "the nested-loop oracle needs operand vectors"
+                "winnow needs operand vectors or precomputed rank columns"
             )
-        return nested_loop_maximal(preference, vectors, ranks=ranks)
-    try:
-        implementation = ALGORITHMS[algorithm]
-    except KeyError:
-        raise EvaluationError(
-            f"unknown skyline algorithm {algorithm!r}; "
-            f"choose from auto, parallel, {', '.join(sorted(ALGORITHMS))}"
+        if len(candidates) != len(vectors):
+            ranked = [vectors[i] for i in candidates]
+            position = {index: row for row, index in enumerate(candidates)}
+        shared = compute_rank_columns(preference, ranked)
+
+    mode = shared.mode if shared is not None else None
+    if mode is None:
+        compact = best_better(preference, ranked, ranks=shared)
+        better = (
+            compact
+            if position is None
+            else lambda i, j: compact(position[i], position[j])
         )
-    return implementation(preference, vectors, ranks=ranks)
+        return (lambda indices: window_bnl(better, indices)), shared, position
+
+    def rank_rows(indices: Sequence[int]):
+        rows = shared.rows
+        if position is None:
+            return rows
+        return {i: rows[position[i]] for i in indices}
+
+    if mode == "cascade":
+
+        def evaluate(indices: Sequence[int]) -> list[int]:
+            return minimum_bucket(
+                rank_rows(indices), indices, nan_free=not shared.has_nan
+            )
+
+    else:
+
+        def evaluate(indices: Sequence[int]) -> list[int]:
+            if len(indices) >= _NUMPY_MIN_ROWS:
+                matrix = shared.matrix()  # None without numpy
+                if matrix is not None:
+                    return sort_filter_blocked(matrix, indices, position)
+            return sort_filter_rows(
+                rank_rows(indices), indices, nan_free=not shared.has_nan
+            )
+
+    return evaluate, shared, position
+
+
+def columnar_skyline(
+    ranks: RankColumns, indices: Sequence[int], flavor: object = None
+) -> list[int]:
+    """BMO winners among ``indices`` over precomputed rank columns, unsorted."""
+    # ``flavor`` is ignored: it named the retired bnl/sfs/dnc loop variants,
+    # and benchmark/tracing.py (frozen) still passes one positionally.
+    return winnow_kernel(None, None, indices, ranks)[0](indices)

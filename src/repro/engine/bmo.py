@@ -14,7 +14,7 @@ Answer semantics per paper section 2.2.5:
 
 Because every perfect match dominates every non-perfect candidate, the
 "perfect matches first" rule of the BMO model coincides with maximality —
-computed here by the algorithms in :mod:`repro.engine.algorithms`.
+computed here by the kernels of :mod:`repro.engine.algorithms`.
 """
 
 from __future__ import annotations
@@ -23,12 +23,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.deadline import CHECK_EVERY, active_deadline
-from repro.engine.algorithms import maximal_indices
-from repro.engine.columns import (
-    RankColumns,
-    columnar_skyline,
-    compute_rank_columns,
-)
+from repro.engine.algorithms import nested_loop_maximal, winnow_kernel
+from repro.engine.columns import RankColumns
 from repro.engine.expressions import Evaluator, RowEnvironment
 from repro.errors import EvaluationError, PreferenceConstructionError
 
@@ -58,13 +54,15 @@ def bmo_filter(
     ``threshold(i)`` is the BUT ONLY test.  Winners are reported in their
     original input order.  ``ranks`` supplies precomputed rank columns
     (the SQL rank pushdown path); ``vectors`` may then be None for
-    rank-based trees.  Without them, the ranks are computed here **once**
-    and shared across every GROUPING partition — the seed recompiled a
-    comparator (and re-derived every rank) per group.
-    ``algorithm="parallel"`` evaluates through the partitioned executor
-    (``executor`` shares a worker pool across queries; without one the
-    process-wide shared executor of
-    :func:`repro.engine.parallel.shared_executor` is reused).
+    rank-based trees.  Without them, the ranks are computed **once** and
+    shared across every GROUPING partition.  ``algorithm`` only picks the
+    *scheduler*: ``"bnl"`` (the planner's name for the serial in-memory
+    winnow) runs the partitions in this thread, ``"parallel"`` through
+    the partitioned executor (``executor`` shares a worker pool across
+    queries; without one the process-wide shared executor of
+    :func:`repro.engine.parallel.shared_executor` is reused) — the kernel
+    is :func:`~repro.engine.algorithms.winnow_kernel`'s choice either
+    way.  ``"nested_loop"`` is the quadratic oracle.
     """
     deadline = active_deadline()
     if deadline is not None:
@@ -94,72 +92,35 @@ def bmo_filter(
             preference, vectors, group_keys, candidates=indices, ranks=ranks
         )
 
-    # Shared rank columns: caller-provided ones are indexed by global row
-    # position; ones computed here cover only the threshold survivors (a
-    # BUT ONLY-discarded row must never reach a rank() implementation),
-    # with `rank_position` translating global index -> column position.
-    shared_ranks = ranks
-    rank_position: dict[int, int] | None = None
-    if shared_ranks is None and vectors is not None and algorithm != "nested_loop":
-        if len(indices) == count:
-            shared_ranks = compute_rank_columns(preference, vectors)
-        else:
-            shared_ranks = compute_rank_columns(
-                preference, [vectors[i] for i in indices]
-            )
-            if shared_ranks is not None:
-                rank_position = {
-                    index: pos for pos, index in enumerate(indices)
-                }
-
     if group_keys is None:
-        groups = {None: indices}
+        groups = [indices]
     else:
-        groups: dict[object, list[int]] = {}
+        by_key: dict[object, list[int]] = {}
         for i in indices:
-            groups.setdefault(group_keys[i], []).append(i)
+            by_key.setdefault(group_keys[i], []).append(i)
+        groups = list(by_key.values())
 
-    if (
-        shared_ranks is not None
-        and shared_ranks.mode is not None
-        and algorithm in ("bnl", "sfs", "dnc", "auto")
-    ):
-        # Flat rank tree: every partition indexes the *global* rank
-        # columns directly — no per-group slicing, no recompilation.
-        flavor = "sfs" if algorithm == "auto" else algorithm
-        winners = []
-        for members in groups.values():
-            winners.extend(
-                columnar_skyline(
-                    shared_ranks, members, flavor, position=rank_position
-                )
+    if algorithm == "nested_loop":
+        # The oracle stays on per-group operand slices and its own
+        # comparator, independent of the kernels it checks.
+        if vectors is None:
+            raise EvaluationError("the nested-loop oracle needs operand vectors")
+        return sorted(
+            members[local]
+            for members in groups
+            for local in nested_loop_maximal(
+                preference, [vectors[i] for i in members]
             )
-        return sorted(winners)
-
-    winners: list[int] = []
-    for members in groups.values():
-        local_vectors = (
-            [vectors[i] for i in members] if vectors is not None else None
         )
-        if shared_ranks is None:
-            local_ranks = None
-        elif rank_position is not None:
-            local_ranks = (
-                shared_ranks
-                if members is indices
-                else shared_ranks.select(
-                    [rank_position[i] for i in members]
-                )
-            )
-        elif len(members) == count:
-            local_ranks = shared_ranks
-        else:
-            local_ranks = shared_ranks.select(members)
-        for local in maximal_indices(
-            preference, local_vectors, algorithm, ranks=local_ranks
-        ):
-            winners.append(members[local])
-    return sorted(winners)
+    if algorithm != "bnl":
+        raise EvaluationError(
+            f"unknown skyline algorithm {algorithm!r}; "
+            "choose from bnl, nested_loop, parallel"
+        )
+    # One kernel per query; every GROUPING partition indexes the shared
+    # rank columns through it — no per-group slicing, no recompilation.
+    evaluate = winnow_kernel(preference, vectors, indices, ranks)[0]
+    return sorted(i for members in groups for i in evaluate(members))
 
 
 def _fetch_with_ranks(execute, scan_sql: str, residual, rank_width: int):
@@ -299,7 +260,6 @@ def run_prejoin_plan(execute, plan, on_fallback=None) -> Relation:
         )
     engine = PreferenceEngine(
         {plan.prejoin_residual.sources[0].name: candidates},
-        algorithm="auto",
         rank_columns=ranks,
     )
     winners = engine.execute_select(plan.prejoin_residual)

@@ -10,20 +10,19 @@ in-memory half of that idea:
 
 * :class:`RankColumns` holds one contiguous ``array('d')`` per base
   preference, computed **once per query** and shared by every consumer —
-  the compiled dominance comparator, the SFS sort key, the serial skyline
-  kernels and the partitioned parallel executor.  The seed core re-derived
-  these ranks three times per query (``dominance_key`` per row,
-  ``compile_better`` per group, ``flat_rank_rows`` per executor).
+  the compiled dominance comparator, the serial winnow and the
+  partitioned parallel executor.
 * :func:`compute_rank_columns` fills the columns from operand vectors
   (one tight Python loop per leaf);
   :func:`rank_columns_from_values` adopts rank values the **host
   database** already computed — the SQL rank pushdown path, where the
   driver appends the rewrite's rank expressions to the scan SELECT and
   Python never evaluates an operand per row.
-* :func:`rank_row_skyline` is the shared flat-tree skyline kernel:
-  dominance over rank tuples with duplicate-bucket collapsing and
-  domination short-circuits, in BNL / SFS / D&C flavours.  The serial
-  algorithms and the parallel partition tasks all funnel through it.
+* One kernel per flat rank shape — :func:`sort_filter_blocked` (numpy)
+  and :func:`sort_filter_rows` (tuples) for flat Pareto,
+  :func:`minimum_bucket` for flat cascades — all with duplicate-bucket
+  collapsing.  :func:`repro.engine.algorithms.winnow_kernel` is the one
+  place that maps a query's rank shape and input size to its kernel.
 
 Tree shapes: Pareto and prioritisation are associative, and over weak
 orders a Pareto of Paretos equals the flat Pareto of all constituents
@@ -36,9 +35,9 @@ rank columns but compare through compiled closures
 NaN ranks cannot occur with built-in preference types (unparseable
 operand text ranks as :data:`~repro.model.preference.NULL_RANK`), but
 custom ``rank()`` implementations may produce them; NaN-bearing rank rows
-make the tuple order partial, so the kernel routes them through slower
+make the tuple order partial, so the kernels route them through slower
 paths that replicate the compiled-closure semantics exactly (see
-:func:`rank_row_skyline`).
+:func:`minimum_bucket` and :func:`sort_filter_rows`).
 """
 
 from __future__ import annotations
@@ -152,8 +151,7 @@ class RankColumns:
 
     ``columns[k][i]`` is the rank of row ``i`` under leaf ``k`` (smaller
     is better); :attr:`rows` materialises the per-row rank tuples lazily
-    (C-level ``zip``), which is what the flat kernels and the SFS sort
-    key consume.
+    (C-level ``zip``), which is what the tuple kernels consume.
     """
 
     __slots__ = ("shape", "columns", "_rows", "_matrix", "_has_nan")
@@ -218,17 +216,6 @@ class RankColumns:
                     for value in column
                 )
         return self._has_nan
-
-    def select(self, indices: Sequence[int]) -> "RankColumns":
-        """The rank columns restricted to a row subset (e.g. one GROUPING
-        partition), positions renumbered to ``0..len(indices)-1``."""
-        return RankColumns(
-            self.shape,
-            [
-                array("d", (column[i] for i in indices))
-                for column in self.columns
-            ],
-        )
 
 
 #: Built-in numeric leaves whose rank is plain arithmetic — these
@@ -371,58 +358,85 @@ def rank_columns_from_values(
 
 
 # ----------------------------------------------------------------------
-# The shared flat-tree skyline kernel
+# The flat-tree kernels over rank rows.  Each answers one rank shape;
+# :func:`repro.engine.algorithms.winnow_kernel` picks among them.
+#
+# ``rows`` maps row index → rank tuple (a list when every row is a
+# candidate, a dict when a BUT ONLY threshold discarded some).  Duplicate
+# rank rows are substitutable — they win or lose together — so every
+# kernel collapses them into one bucket first.  The linear bucketing
+# passes stay poll-free on purpose: they are the hottest per-row loops in
+# serving queries and bounded by one dict pass; the deadline work lives
+# in the comparison loops behind them.  ``nan_free=True`` (the caller
+# checked the whole columns once) skips the per-row NaN tests.  Winners
+# come back unsorted — callers order them.
 
 
 def _has_nan(row: tuple) -> bool:
     return any(value != value for value in row)
 
 
-# prefcheck: disable=deadline-poll -- per-pair comparator over one rank tuple (query width); every calling kernel loop polls
-def _dominates(a: tuple, b: tuple) -> bool:
-    """Componentwise ``<=`` between *distinct* NaN-free rank tuples."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+def minimum_bucket(
+    rows, indices: Sequence[int], nan_free: bool = False
+) -> list[int]:
+    """Flat cascade: the rows sharing the minimal rank tuple win.
 
-
-def _bnl_keys(keys: Sequence[tuple]) -> list[tuple]:
-    """BNL over distinct rank tuples: self-cleaning window, short-circuit."""
-    deadline = active_deadline()
-    window: list[tuple] = []
-    for position, row in enumerate(keys):
-        if deadline is not None and not position % CHECK_EVERY:
-            deadline.check()
-        dominated = False
-        survivors: list[tuple] = []
-        for kept in window:
-            if _dominates(kept, row):
-                dominated = True
-                break
-            if not _dominates(row, kept):
-                survivors.append(kept)
-            # else: the window member is dominated by the newcomer.
-        if not dominated:
-            survivors.append(row)
-            window = survivors
-    return window
-
-
-def _sfs_keys(keys: Sequence[tuple]) -> list[tuple]:
-    """Sort-filter over distinct rank tuples.
-
-    A dominator sorts lexicographically before everything it dominates
-    (componentwise ``<=`` plus distinctness), so after sorting a single
-    forward pass against the skyline-so-far suffices.  The dominance
-    test is inlined (no function call) — this is the hottest loop of the
-    pure-Python kernel.
+    Lexicographic ``<`` on rank tuples is a total order, so one O(n) scan
+    finds the winners.  NaN ranks (custom ``rank()`` only) make ``<``
+    partial while staying meaningful on the NaN-free prefix, so NaN-bearing
+    inputs fall back to a BNL pass over the distinct keys with the same
+    comparator the compiled closures use.
     """
     deadline = active_deadline()
-    skyline: list[tuple] = []
-    for position, row in enumerate(sorted(keys)):
+    buckets: dict[tuple, list[int]] = {}
+    for i in indices:
+        buckets.setdefault(rows[i], []).append(i)
+    if not buckets:
+        return []
+    if nan_free or not any(map(_has_nan, buckets)):
+        return buckets[min(buckets)]
+    # Quadratic in distinct keys, so it polls like the other kernels.
+    keys = list(buckets)
+    winners: list[int] = []
+    for position, key in enumerate(keys):
         if deadline is not None and not position % CHECK_EVERY:
             deadline.check()
+        if not any(other < key for other in keys if other is not key):
+            winners.extend(buckets[key])
+    return winners
+
+
+def sort_filter_rows(
+    rows, indices: Sequence[int], nan_free: bool = False
+) -> list[int]:
+    """Flat Pareto below the numpy floor: sort-filter over rank tuples.
+
+    A dominator sorts lexicographically before everything it dominates
+    (componentwise ``<=`` plus distinctness), so after sorting the
+    distinct keys a single forward pass against the skyline-so-far
+    suffices.  A NaN-bearing row can neither dominate nor be dominated
+    (any comparison against NaN is false) and is a winner outright —
+    exactly the compiled-closure semantics.
+    """
+    deadline = active_deadline()
+    buckets: dict[tuple, list[int]] = {}
+    winners: list[int] = []
+    if nan_free:
+        for i in indices:
+            buckets.setdefault(rows[i], []).append(i)
+    else:
+        for i in indices:
+            row = rows[i]
+            if _has_nan(row):
+                winners.append(i)
+            else:
+                buckets.setdefault(row, []).append(i)
+    skyline: list[tuple] = []
+    for position, row in enumerate(sorted(buckets)):
+        if deadline is not None and not position % CHECK_EVERY:
+            deadline.check()
+        # The dominance test is inlined (no function call) — this is the
+        # hottest loop of the pure-Python kernel.
         for kept in skyline:
             for x, y in zip(kept, row):
                 if x > y:
@@ -431,124 +445,13 @@ def _sfs_keys(keys: Sequence[tuple]) -> list[tuple]:
                 break
         else:
             skyline.append(row)
-    return skyline
-
-
-def _dnc_keys(keys: list[tuple]) -> list[tuple]:
-    """Divide & conquer over distinct rank tuples with cross-filtering."""
-    deadline = active_deadline()
-    if deadline is not None:
-        deadline.check()
-    if len(keys) <= 16:
-        return [
-            a
-            for i, a in enumerate(keys)
-            if not any(
-                j != i and _dominates(keys[j], a) for j in range(len(keys))
-            )
-        ]
-    mid = len(keys) // 2
-    left = _dnc_keys(keys[:mid])
-    right = _dnc_keys(keys[mid:])
-    # The cross filters are the quadratic part (O(|left|·|right|) with
-    # anti-correlated data), so they poll the deadline per outer row —
-    # one clock read against a whole inner scan.
-    surviving_left = []
-    for a in left:
-        if deadline is not None:
-            deadline.check()
-        if not any(_dominates(b, a) for b in right):
-            surviving_left.append(a)
-    surviving_right = []
-    for b in right:
-        if deadline is not None:
-            deadline.check()
-        if not any(_dominates(a, b) for a in left):
-            surviving_right.append(b)
-    return surviving_left + surviving_right
-
-
-_PARETO_KERNELS = {"bnl": _bnl_keys, "sfs": _sfs_keys, "dnc": _dnc_keys}
-
-
-def rank_row_skyline(
-    rows,
-    mode: str,
-    indices: Sequence[int],
-    flavor: str = "sfs",
-    nan_free: bool = False,
-) -> list[int]:
-    """BMO winners among ``indices`` over precomputed rank rows.
-
-    ``rows`` maps row index → rank tuple (a list when every row is a
-    candidate, a dict when a BUT ONLY threshold discarded some — the
-    partitioned executor passes global-index dicts).  ``flavor`` picks
-    the Pareto kernel loop (``bnl`` / ``sfs`` / ``dnc``); all flavours
-    return the same unique maximal set, unsorted — callers order it.
-
-    Duplicate rank rows are substitutable — they win or lose together —
-    so they collapse into one bucket each before the kernel runs; under a
-    total order (``mode == "cascade"``) only the minimal bucket wins, a
-    single O(n) scan.
-
-    NaN handling replicates the compiled-closure semantics exactly:
-    under Pareto a NaN-bearing row can neither dominate nor be dominated
-    (any comparison against NaN is false) and is a winner outright; under
-    cascade the lexicographic ``<`` is still meaningful on the NaN-free
-    prefix, so the buckets fall back to a BNL pass over the keys instead
-    of the single-minimum shortcut.  ``nan_free=True`` (the caller
-    checked the whole columns once) skips the per-row NaN test.
-    """
-    # The linear bucketing passes below stay poll-free on purpose: they
-    # are the hottest per-row loops in serving queries and bounded by one
-    # dict pass; the deadline work lives in the kernels they feed and in
-    # the quadratic NaN-cascade path.
-    deadline = active_deadline()
-    buckets: dict[tuple, list[int]] = {}
-    winners: list[int] = []
-    nan_rows = False
-    if nan_free:
-        for i in indices:
-            buckets.setdefault(rows[i], []).append(i)
-    else:
-        for i in indices:
-            row = rows[i]
-            if _has_nan(row):
-                nan_rows = True
-                if mode != "cascade":
-                    winners.append(i)
-                    continue
-            buckets.setdefault(row, []).append(i)
-    if not buckets:
-        return winners
-    if mode == "cascade":
-        if nan_rows:
-            # NaN makes ``<`` non-total: BNL over the bucket keys with the
-            # same lexicographic comparator the compiled closures use.
-            # Quadratic in distinct keys, so it polls like the kernels.
-            keys = list(buckets)
-            for position, key in enumerate(keys):
-                if deadline is not None and not position % CHECK_EVERY:
-                    deadline.check()
-                if any(other < key for other in keys if other is not key):
-                    continue
-                winners.extend(buckets[key])
-            return winners
-        winners.extend(buckets[min(buckets)])
-        return winners
-    kernel = _PARETO_KERNELS.get(flavor, _sfs_keys)
-    for row in kernel(list(buckets)):
-        winners.extend(buckets[row])
+            winners.extend(buckets[row])
     return winners
 
 
 # ----------------------------------------------------------------------
 # Vectorized Pareto kernel (numpy): dedup + blocked sort-filter
 
-
-#: Below this partition size the pure-Python kernel beats numpy's
-#: per-call overhead (tuned on the E11 workloads).
-_NUMPY_MIN_ROWS = 150
 
 #: Block schedule for the vectorized sort-filter: small blocks while the
 #: skyline forms (sequential work dominates), growing once most incoming
@@ -558,8 +461,14 @@ _NUMPY_FIRST_BLOCK = 128
 _NUMPY_MAX_BLOCK = 4096
 
 
-def _pareto_winner_offsets(matrix, positions) -> list[int]:
-    """Offsets (into ``positions``) of Pareto-maximal rows, vectorized.
+def sort_filter_blocked(
+    matrix, indices: Sequence[int], position=None
+) -> list[int]:
+    """Flat Pareto at or above the numpy floor: blocked sort-filter.
+
+    ``matrix`` is :meth:`RankColumns.matrix`; ``position`` maps a global
+    row index to its matrix row when they differ (BUT ONLY survivors),
+    None means indices address the matrix directly.
 
     Collapses duplicate rows (``np.unique``, which also sorts
     lexicographically — a dominator always sorts before everything it
@@ -575,9 +484,17 @@ def _pareto_winner_offsets(matrix, positions) -> list[int]:
     false, so NaN-bearing rows neither dominate nor get dominated —
     exactly the closure semantics.
     """
-    rows = matrix[positions]
-    if not len(rows):
+    if not isinstance(indices, list):
+        indices = list(indices)
+    if not indices:
         return []
+    rows = matrix[
+        _np.fromiter(
+            indices if position is None else map(position.__getitem__, indices),
+            dtype=_np.intp,
+            count=len(indices),
+        )
+    ]
     order = _np.lexsort(rows.T[::-1])
     ordered = rows[order]
     total = len(ordered)
@@ -650,53 +567,7 @@ def _pareto_winner_offsets(matrix, positions) -> list[int]:
             skyline = _np.concatenate([skyline, block[new_offsets]])
         start += len(block)
         block_size = min(block_size * 2, _NUMPY_MAX_BLOCK)
-    return order[_np.flatnonzero(maximal[bucket_of])].tolist()
-
-
-def columnar_skyline(
-    ranks: RankColumns,
-    indices: Sequence[int],
-    flavor: str = "sfs",
-    position=None,
-) -> list[int]:
-    """BMO winners among ``indices`` over shared rank columns, unsorted.
-
-    The front door of the columnar core: flat cascades take the
-    single-minimum scan, flat Paretos run the vectorized blocked kernel
-    when numpy is available and the partition is big enough, and
-    everything else (small partitions, no numpy) goes through the
-    pure-Python tuple kernels of :func:`rank_row_skyline` in the
-    requested ``flavor``.  ``position`` maps a global row index to its
-    row inside ``ranks`` when they differ (BUT ONLY survivors, partition
-    remaps); None means indices address the columns directly.
-    """
-    mode = ranks.mode
-    if (
-        mode == "pareto"
-        and _np is not None
-        and len(indices) >= _NUMPY_MIN_ROWS
-        and len(ranks)
-    ):
-        matrix = ranks.matrix()
-        if position is None:
-            positions = _np.fromiter(
-                indices, dtype=_np.intp, count=len(indices)
-            )
-        else:
-            positions = _np.fromiter(
-                (position[i] for i in indices),
-                dtype=_np.intp,
-                count=len(indices),
-            )
-        if not isinstance(indices, list):
-            indices = list(indices)
-        return [
-            indices[offset]
-            for offset in _pareto_winner_offsets(matrix, positions)
-        ]
-    rows = ranks.rows
-    if position is not None:
-        rows = {i: rows[position[i]] for i in indices}
-    return rank_row_skyline(
-        rows, mode, indices, flavor, nan_free=not ranks.has_nan
-    )
+    return [
+        indices[offset]
+        for offset in order[_np.flatnonzero(maximal[bucket_of])].tolist()
+    ]

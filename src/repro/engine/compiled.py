@@ -13,7 +13,7 @@ equivalent to ``preference.is_better(vectors[i], vectors[j])``, or
 ``None`` when the tree contains an EXPLICIT preference (a genuine partial
 order without a rank) — callers then fall back to the generic path.
 Callers that already hold a :class:`~repro.engine.columns.RankColumns`
-(the skyline algorithms, the partitioned executor, the SQL rank pushdown
+(:func:`~repro.engine.algorithms.winnow_kernel`, the SQL rank pushdown
 path) pass it in so the ranks are computed exactly once per query.
 Equivalence with the generic semantics is property-tested in
 ``tests/test_compiled.py``.
@@ -71,7 +71,7 @@ def _make(node: tuple, ranks: RankColumns) -> tuple[BetterFn, EqualFn]:
     parts = [_make(child, ranks) for child in children]
     if kind == "pareto":
 
-        # prefcheck: disable=deadline-poll -- per-pair comparator over the tree's components (query width); the BNL/SFS loops that call it poll
+        # prefcheck: disable=deadline-poll -- per-pair comparator over the tree's components (query width); the BNL loops that call it poll
         def better(i: int, j: int) -> bool:
             strict = False
             for child_better, child_equal in parts:
@@ -87,7 +87,7 @@ def _make(node: tuple, ranks: RankColumns) -> tuple[BetterFn, EqualFn]:
         return better, equal
 
     # cascade
-    # prefcheck: disable=deadline-poll -- per-pair comparator over the tree's components (query width); the BNL/SFS loops that call it poll
+    # prefcheck: disable=deadline-poll -- per-pair comparator over the tree's components (query width); the BNL loops that call it poll
     def better(i: int, j: int) -> bool:
         for child_better, child_equal in parts:
             if child_better(i, j):
@@ -100,33 +100,6 @@ def _make(node: tuple, ranks: RankColumns) -> tuple[BetterFn, EqualFn]:
         return all(child_equal(i, j) for _b, child_equal in parts)
 
     return better, equal
-
-
-def flat_rank_rows(
-    preference: Preference,
-    vectors: Sequence[tuple],
-    ranks: RankColumns | None = None,
-) -> tuple[list[tuple[float, ...]], str] | None:
-    """Per-row rank tuples for *flat* rank-based trees, or None.
-
-    When the preference is a single rank-based base, or a Pareto/cascade
-    combination of rank-based bases (after the associativity flattening
-    of :func:`~repro.engine.columns.rank_shape`, which turns
-    same-constructor nesting like ``(P1 AND P2) AND P3`` into a flat
-    tree), dominance reduces to tuple arithmetic on one precomputed rank
-    row per input row: componentwise ``<=`` plus inequality for
-    ``mode == "pareto"``, plain lexicographic ``<`` for
-    ``mode == "cascade"`` — the exact comparisons the compiled closures
-    perform, so consumers inherit their semantics (including for NaN
-    ranks, which only custom rank implementations can produce).  Mixed
-    nesting (a Pareto inside a cascade) and EXPLICIT bases return None —
-    callers fall back to :func:`best_better` closures.
-    """
-    if ranks is None:
-        ranks = compute_rank_columns(preference, vectors)
-    if ranks is None or ranks.mode is None:
-        return None
-    return ranks.rows, ranks.mode
 
 
 def compile_better(

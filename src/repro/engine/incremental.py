@@ -60,11 +60,6 @@ from repro.sql.printer import to_sql
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.driver.dbapi import Connection
 
-#: Serial skyline algorithm used for the (small) incremental unions and
-#: the bounded re-derivations; one of the differentially-tested paths.
-_MAINTENANCE_ALGORITHM = "sfs"
-
-
 # ----------------------------------------------------------------------
 # CREATE-time analysis
 
@@ -680,9 +675,7 @@ class ViewMaintainer:
             )
         inlined = replace(query, where=None, preferring=term)
         relation = Relation(columns=columns, rows=rows)
-        engine = PreferenceEngine(
-            {source.name: relation}, algorithm=_MAINTENANCE_ALGORITHM
-        )
+        engine = PreferenceEngine({source.name: relation})
         return engine.execute_select(inlined)
 
     def _group_key_fn(

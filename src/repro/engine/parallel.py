@@ -1,11 +1,8 @@
 """Partitioned parallel skyline execution.
 
-The serial evaluator (:func:`repro.engine.bmo.bmo_filter`) computes one
-skyline per GROUPING partition by slicing out the partition's vectors and
-recompiling a dominance comparator for each slice.  Preference evaluation
-decomposes cleanly over partitions (Chomicki's winnow-operator work makes
-the same observation for relational algebra), so this module turns that
-structure into an execution strategy:
+Preference evaluation decomposes cleanly over partitions (Chomicki's
+winnow-operator work makes the same observation for relational algebra),
+so this module turns that structure into an execution strategy:
 
 * **grouped queries** — the GROUPING partitions are evaluated as
   independent tasks on a shared worker pool, one task per batch of groups,
@@ -23,27 +20,13 @@ dominated by some ``z`` is, by transitivity and finiteness, dominated by a
 property test in ``tests/test_parallel.py`` exercises the lemma on random
 vectors and arbitrary partitionings.
 
-Two evaluation cores back the partition tasks, chosen per query:
-
-* the **columnar core** — for rank-based trees with a flat comparison
-  structure, :class:`~repro.engine.columns.RankColumns` materialises one
-  rank tuple per row *once, globally* (or adopts the ones the SQL rank
-  pushdown already fetched from the host database); each partition then
-  runs the shared skyline kernel
-  (:func:`repro.engine.columns.rank_row_skyline`) — duplicate rank rows
-  collapse, distinct ones compare at C level.  This is why the
-  partitioned path wins even at worker degree 1: the seed's serial path
-  recompiled ranks per group and compared through Python closures,
-* the **closure core** — EXPLICIT members and mixed-nested composites
-  fall back to a BNL pass per partition over the shared
-  :func:`~repro.engine.compiled.best_better` predicate, which still pays
-  the comparator compilation only once per query.
-
-Rank rows containing NaN cannot occur with the built-in preference types
-(unparseable operand text ranks as ``NULL_RANK``), but custom rank
-implementations may produce them; the kernel detects NaN rows and routes
-them through slower paths that replicate the serial closure semantics
-exactly (see :func:`~repro.engine.columns.rank_row_skyline`).
+Every partition task, and the merge filter, runs the query's one
+kernel — :func:`repro.engine.algorithms.winnow_kernel` picks it by rank
+shape once per query, over rank columns materialised *once, globally*
+(or adopted from the SQL rank pushdown) — so this module only schedules
+index subsets: hash partitions on threads, strided slices of a
+shared-memory rank matrix on worker processes (:mod:`repro.engine.shm`,
+flat rank shapes only), GROUPING batches on threads.
 """
 
 from __future__ import annotations
@@ -55,13 +38,9 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
-from repro.deadline import CHECK_EVERY, active_deadline, run_with_deadline
-from repro.engine.columns import (
-    RankColumns,
-    columnar_skyline,
-    compute_rank_columns,
-)
-from repro.engine.compiled import best_better
+from repro.deadline import active_deadline, run_with_deadline
+from repro.engine.algorithms import winnow_kernel
+from repro.engine.columns import RankColumns
 from repro.engine.shm import RankTransport, skyline_worker, transport_available
 from repro.errors import EvaluationError
 from repro.model.preference import Preference
@@ -140,33 +119,6 @@ def hash_partitions(indices: Sequence[int], count: int) -> list[list[int]]:
     for position, index in enumerate(indices):
         parts[position % count].append(index)
     return [part for part in parts if part]
-
-
-def local_skyline(
-    better: Callable[[int, int], bool], indices: Sequence[int]
-) -> list[int]:
-    """BNL over a subset of rows, comparing through a *global* predicate.
-
-    ``better`` is indexed by global row position, so partitions share one
-    compiled comparator instead of each recompiling over a vector slice.
-    """
-    deadline = active_deadline()
-    window: list[int] = []
-    for position, i in enumerate(indices):
-        if deadline is not None and not position % CHECK_EVERY:
-            deadline.check()
-        dominated = False
-        survivors: list[int] = []
-        for j in window:
-            if better(j, i):
-                dominated = True
-                break
-            if not better(i, j):
-                survivors.append(j)
-        if not dominated:
-            survivors.append(i)
-            window = survivors
-    return window
 
 
 #: Process-wide shared executor for callers that pass none — repeated
@@ -350,9 +302,8 @@ class ParallelExecutor:
             if candidates is None
             else list(candidates)
         )
-        resolved = self._resolve_ranks(preference, vectors, indices, ranks)
-        evaluate = self._partition_evaluator(
-            preference, vectors, indices, ranks, resolved
+        evaluate, shared, remap = winnow_kernel(
+            preference, vectors, indices, ranks
         )
         if len(indices) <= self.min_partition_rows and self.backend != "process":
             self.last_backend = "serial"
@@ -361,7 +312,6 @@ class ParallelExecutor:
             len(indices), self.max_workers, self.min_partition_rows
         )
         local: list[list[int]] | None = None
-        shared, remap = resolved
         if count > 1 and self._process_eligible(shared, len(indices)):
             if remap is None:
                 local = self._run_process(shared, indices, count)
@@ -414,7 +364,7 @@ class ParallelExecutor:
         groups: dict[object, list[int]] = {}
         for i in indices:
             groups.setdefault(group_keys[i], []).append(i)
-        evaluate = self._partition_evaluator(preference, vectors, indices, ranks)
+        evaluate = winnow_kernel(preference, vectors, indices, ranks)[0]
         batches = hash_partitions(
             list(range(len(groups))), min(self.max_workers * 2, len(groups) or 1)
         )
@@ -442,65 +392,6 @@ class ParallelExecutor:
         return process_backend_eligible(
             ranks.mode, candidates, self.max_workers, self.backend
         )
-
-    def _resolve_ranks(
-        self,
-        preference: Preference,
-        vectors: Sequence[tuple] | None,
-        candidates: Sequence[int],
-        ranks: RankColumns | None,
-    ) -> tuple[RankColumns | None, dict[int, int] | None]:
-        """The query's shared rank columns plus the global→row remap.
-
-        Caller-supplied ``ranks`` (the SQL rank pushdown path) are
-        globally indexed and adopted as-is (remap None).  Otherwise only
-        the ``candidates`` rows are ranked — rows a BUT ONLY threshold
-        already discarded never reach a rank() implementation, matching
-        the serial algorithms (which slice survivors first) — and the
-        remap translates a global index to its matrix row.
-        """
-        if ranks is not None:
-            return ranks, None
-        if len(candidates) == len(vectors):
-            return compute_rank_columns(preference, vectors), None
-        subset = [vectors[i] for i in candidates]
-        remap = {index: position for position, index in enumerate(candidates)}
-        return compute_rank_columns(preference, subset), remap
-
-    def _partition_evaluator(
-        self,
-        preference: Preference,
-        vectors: Sequence[tuple] | None,
-        candidates: Sequence[int],
-        ranks: RankColumns | None = None,
-        resolved: tuple[RankColumns | None, dict[int, int] | None] | None = None,
-    ) -> Callable[[Sequence[int]], list[int]]:
-        """The per-partition skyline core, compiled once per query.
-
-        The returned evaluator always addresses rows by their *global*
-        index, so partitions can be passed around untranslated;
-        ``resolved`` reuses a :meth:`_resolve_ranks` outcome the caller
-        already has (the process backend shares the same rank columns).
-        """
-        if resolved is None:
-            resolved = self._resolve_ranks(preference, vectors, candidates, ranks)
-        shared, remap = resolved
-        if shared is not None and shared.mode is not None:
-            return lambda indices: columnar_skyline(
-                shared, indices, position=remap
-            )
-        if ranks is not None:
-            better = best_better(preference, vectors, ranks=ranks)
-            return lambda indices: local_skyline(better, indices)
-        subset = (
-            vectors if remap is None else [vectors[i] for i in candidates]
-        )
-        compact = best_better(preference, subset, ranks=shared)
-        if remap is None:
-            better = compact
-        else:
-            better = lambda i, j: compact(remap[i], remap[j])
-        return lambda indices: local_skyline(better, indices)
 
 
 def parallel_maximal_indices(

@@ -14,11 +14,12 @@ the comparisons save; instead the parent publishes a single read-only
 * **region B** — the candidate row indices as int64.
 
 Each worker task is then a tiny picklable tuple — segment name, matrix
-geometry, comparison mode, and a ``(partition, stride)`` pair.  Workers
+geometry, rank-shape tree, and a ``(partition, stride)`` pair.  Workers
 map the segment, take their partition as the strided slice
 ``candidates[partition::stride]`` (the same round-robin assignment
-:func:`repro.engine.parallel.hash_partitions` produces), run the shared
-columnar kernel over it, and return winner indices.  The parent closes
+:func:`repro.engine.parallel.hash_partitions` produces), run the kernel
+:func:`repro.engine.algorithms.winnow_kernel` picks for that shape over
+it, and return winner indices.  The parent closes
 and unlinks the segment once every local skyline has come back.
 
 Python 3.11's :class:`SharedMemory` registers the segment with the
@@ -36,6 +37,7 @@ with trackers of their own, which never happens on this executor.
 from __future__ import annotations
 
 import threading
+from array import array
 from multiprocessing import shared_memory
 from typing import Sequence
 
@@ -45,8 +47,8 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
 from repro.deadline import Deadline, deadline_scope
-from repro.engine import columns as _columns
-from repro.engine.columns import RankColumns, rank_row_skyline
+from repro.engine.algorithms import winnow_kernel
+from repro.engine.columns import RankColumns, RankShape
 from repro.testing import faults
 
 _FLOAT_BYTES = 8  # float64 rank cells
@@ -97,8 +99,7 @@ class RankTransport:
         )
         self.rows, self.width = matrix.shape
         self.count = len(indices)
-        self.mode = ranks.mode
-        self.nan_free = not ranks.has_nan
+        self.tree = ranks.shape.tree
         self._matrix_bytes = self.rows * self.width * _FLOAT_BYTES
         total = self._matrix_bytes + self.count * _INDEX_BYTES
         self._shm = shared_memory.SharedMemory(create=True, size=max(1, total))
@@ -117,11 +118,7 @@ class RankTransport:
         )[...] = indices
 
     def task(
-        self,
-        partition: int,
-        stride: int,
-        flavor: str = "sfs",
-        deadline_ts: float | None = None,
+        self, partition: int, stride: int, deadline_ts: float | None = None
     ) -> tuple:
         """The picklable descriptor for one worker-side local skyline.
 
@@ -135,11 +132,9 @@ class RankTransport:
             self.rows,
             self.width,
             self.count,
-            self.mode,
-            self.nan_free,
+            self.tree,
             partition,
             stride,
-            flavor,
             deadline_ts,
         )
 
@@ -161,14 +156,14 @@ class RankTransport:
         self.close()
 
 
-def _local_skyline_from_buffer(buf, task: tuple) -> list[int]:
+def _partition_winners(buf, task: tuple) -> list[int]:
     """The worker-side local skyline over a mapped segment.
 
     Kept separate from :func:`skyline_worker` so every numpy view over
     the shared buffer dies with this frame — :meth:`SharedMemory.close`
     raises ``BufferError`` while exported views are still alive.
     """
-    (_, rows, width, count, mode, nan_free, partition, stride, flavor, _ts) = task
+    (_, rows, width, count, tree, partition, stride, _ts) = task
     matrix = _np.ndarray((rows, width), dtype=_np.float64, buffer=buf)
     candidates = _np.ndarray(
         (count,),
@@ -177,15 +172,15 @@ def _local_skyline_from_buffer(buf, task: tuple) -> list[int]:
         offset=rows * width * _FLOAT_BYTES,
     )
     part = candidates[partition::stride]
-    if (
-        mode == "pareto"
-        and len(part) >= _columns._NUMPY_MIN_ROWS
-    ):
-        offsets = _columns._pareto_winner_offsets(matrix, part)
-        return part[_np.asarray(offsets, dtype=_np.intp)].tolist()
-    indices = part.tolist()
-    row_map = {i: tuple(matrix[i]) for i in indices}
-    return rank_row_skyline(row_map, mode, indices, flavor, nan_free=nan_free)
+    # The partition's rows become private rank columns (row k is
+    # ``part[k]``), so the same kernel choice runs here as in the parent.
+    ranks = RankColumns(
+        RankShape((), (), tree),
+        [array("d", column.tobytes()) for column in matrix[part].T],
+    )
+    local = range(len(part))
+    evaluate = winnow_kernel(None, None, local, ranks)[0]
+    return part[evaluate(local)].tolist()
 
 
 def skyline_worker(task: tuple) -> list[int]:
@@ -200,13 +195,13 @@ def skyline_worker(task: tuple) -> list[int]:
     past the deadline raises :class:`~repro.errors.QueryTimeout`, which
     pickles back and cancels the whole map.
     """
-    deadline_ts = task[9]
+    deadline_ts = task[-1]
     deadline = Deadline(deadline_ts) if deadline_ts is not None else None
     if deadline is not None:
         deadline.check()
     shm = shared_memory.SharedMemory(name=task[0])
     try:
         with deadline_scope(deadline):
-            return _local_skyline_from_buffer(shm.buf, task)
+            return _partition_winners(shm.buf, task)
     finally:
         shm.close()

@@ -7,9 +7,10 @@ that choice automatic, per query, from cheap table statistics:
 * :mod:`repro.plan.statistics` — row counts and per-column distinct
   counts, cached per connection and invalidated on DML,
 * :mod:`repro.plan.cost` — the calibrated cost model pricing the
-  ``NOT EXISTS`` rewrite against the in-memory ``bnl``/``sfs``/``dnc``
-  skylines (with a System-R-style WHERE selectivity and the classical
-  ``(ln n)^(d-1)/(d-1)!`` skyline-size estimate),
+  ``NOT EXISTS`` rewrite against the in-memory winnow — serial
+  (``bnl``) or partitioned (``parallel``) — with a System-R-style WHERE
+  selectivity and the classical ``(ln n)^(d-1)/(d-1)!`` skyline-size
+  estimate,
 * :mod:`repro.plan.planner` — :func:`~repro.plan.planner.plan_statement`,
   producing a :class:`~repro.plan.planner.Plan` with the chosen strategy,
   the rewritten SQL and (for in-memory strategies) the hard-condition
@@ -29,12 +30,10 @@ from repro.plan.cost import (
     DEFAULT_COST_MODEL,
     IN_MEMORY_STRATEGIES,
     PREJOIN_STRATEGY,
-    SERIAL_IN_MEMORY,
     STRATEGIES,
     CostEstimate,
     CostModel,
     PrejoinShape,
-    choose_algorithm,
     choose_rank_source,
     choose_strategy,
     estimate_costs,
@@ -76,7 +75,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "STRATEGIES",
     "IN_MEMORY_STRATEGIES",
-    "SERIAL_IN_MEMORY",
     "PREJOIN_STRATEGY",
     "PrejoinShape",
     "JOIN_RELATION",
@@ -90,5 +88,4 @@ __all__ = [
     "estimate_selectivity",
     "estimate_skyline_size",
     "choose_strategy",
-    "choose_algorithm",
 ]

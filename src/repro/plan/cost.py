@@ -1,15 +1,17 @@
 """The calibrated cost model behind plan selection.
 
-Five candidate strategies compete for every preference SELECT:
+Three candidate strategies compete for every preference SELECT:
 
 * ``rewrite`` — the paper's selection method (section 3.2): a correlated
   ``NOT EXISTS`` anti-join executed entirely by the host database,
-* ``bnl`` / ``sfs`` / ``dnc`` — a hard-condition pushdown fetches the
-  WHERE-surviving candidates, then one of the in-memory skyline algorithms
-  of :mod:`repro.engine.algorithms` computes the BMO set,
-* ``parallel`` — the same pushdown, evaluated by the partitioned executor
-  of :mod:`repro.engine.parallel` (per-group tasks for GROUPING queries,
-  hash-partition → local skylines → merge filter otherwise).
+* ``bnl`` — a hard-condition pushdown fetches the WHERE-surviving
+  candidates, then the serial in-memory winnow computes the BMO set with
+  the kernel :func:`repro.engine.algorithms.winnow_kernel` picks for the
+  rank shape (the name is historical: it is the strategy, not the loop),
+* ``parallel`` — the same pushdown and kernels, scheduled by the
+  partitioned executor of :mod:`repro.engine.parallel` (per-group tasks
+  for GROUPING queries, hash-partition → local skylines → merge filter
+  otherwise).
 
 The model prices each strategy in seconds from three inputs: the estimated
 candidate count ``n`` (row count × System-R-style WHERE selectivity), the
@@ -26,7 +28,7 @@ quadratic anti-join versus the linear fetch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.engine.parallel import (
@@ -36,12 +38,8 @@ from repro.engine.parallel import (
 from repro.errors import PlanError
 from repro.sql import ast
 
-#: Serial in-memory skyline algorithms (the choices of ``algorithm="auto"``
-#: once the data is already fetched).
-SERIAL_IN_MEMORY: tuple[str, ...] = ("bnl", "sfs", "dnc")
-
 #: Strategies that evaluate the BMO set in Python after a pushdown.
-IN_MEMORY_STRATEGIES: tuple[str, ...] = SERIAL_IN_MEMORY + ("parallel",)
+IN_MEMORY_STRATEGIES: tuple[str, ...] = ("bnl", "parallel")
 
 #: All selectable execution strategies, in tie-breaking order.
 STRATEGIES: tuple[str, ...] = ("rewrite",) + IN_MEMORY_STRATEGIES
@@ -80,10 +78,9 @@ class CostModel:
     sqlite's VM is ~50 ns, a dominance test through the compiled
     comparator ~0.25 µs, moving one (8-column) row across the
     sqlite→Python boundary and into an engine bundle ~3 µs, and one
-    ``dominance_key`` computation for the SFS presort ~0.9 µs amortised
-    per ``n·log n``.  Setup constants capture the fixed overhead of,
-    respectively, preparing a host statement and standing up the in-memory
-    engine for one query.
+    closure-path presort key ~0.9 µs amortised per ``n·log n``.  Setup
+    constants capture the fixed overhead of, respectively, preparing a
+    host statement and standing up the in-memory engine for one query.
     """
 
     sql_probe: float = 0.05e-6
@@ -464,17 +461,14 @@ def estimate_costs(
                 ("fetch winners", model.row_fetch * s),
             )
         elif strategy == "bnl":
-            # Window scans plus evictions: grows with the skyline size.
-            steps = (
-                ("engine setup", model.py_setup),
-                ("fetch candidates", row_fetch * n),
-                *((rank_step,) if rank_step else ()),
-                ("window scan", dominance * n * s * 0.35),
-            )
-        elif strategy == "sfs":
-            # The presort guarantees no later tuple dominates an earlier
-            # one, so the filter pass compares less than BNL's window scan
-            # — SFS overtakes BNL once the skyline outgrows the sort cost.
+            # One price for the serial winnow: a window scan (grows with
+            # the skyline) or presort + filter pass (the presort
+            # guarantees no later tuple dominates an earlier one, so it
+            # overtakes once the skyline outgrows the sort cost),
+            # whichever is cheaper.  Recalibrating against the kernels
+            # that actually run belongs to the cost audit; until then
+            # this holds every rewrite / in-memory / parallel crossover
+            # where the three-formula model put it.
             sort_cost = (
                 model.flat_dominance if columnar else model.sort_key
             ) * n * log_n
@@ -483,19 +477,12 @@ def estimate_costs(
                 ("fetch candidates", row_fetch * n),
                 *((rank_step,) if rank_step else ()),
                 (
-                    "presort by rank rows"
-                    if columnar
-                    else "presort by dominance key",
-                    sort_cost,
+                    "winnow",
+                    min(
+                        dominance * n * s * 0.35,
+                        sort_cost + dominance * n * s * 0.2,
+                    ),
                 ),
-                ("filter pass", dominance * n * s * 0.2),
-            )
-        elif strategy == "dnc":
-            steps = (
-                ("engine setup", model.py_setup),
-                ("fetch candidates", row_fetch * n),
-                *((rank_step,) if rank_step else ()),
-                ("recursive cross-filter", dominance * n * (log_n + s) * 0.35),
             )
         elif strategy == "parallel":
             partitions = float(planned_partitions(n, workers, groups))
@@ -607,29 +594,6 @@ def choose_strategy(estimates: Mapping[str, CostEstimate]) -> str:
         estimates,
         key=lambda name: (estimates[name].seconds, _TIE_ORDER.index(name)),
     )
-
-
-def choose_algorithm(
-    candidates: int,
-    dimensions: int,
-    distinct_counts: Sequence[int | None] = (),
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> str:
-    """Pick an in-memory skyline algorithm for already-fetched vectors.
-
-    Used by ``maximal_indices(..., algorithm="auto")``: the data is in
-    memory already, so fetch and setup constants are zeroed and only the
-    comparison structure of the three algorithms matters.
-    """
-    in_memory_model = replace(model, row_fetch=0.0, py_setup=0.0, sql_setup=0.0)
-    estimates = estimate_costs(
-        candidates,
-        dimensions,
-        distinct_counts,
-        model=in_memory_model,
-        include=SERIAL_IN_MEMORY,
-    )
-    return choose_strategy(estimates)
 
 
 def semantic_pass_estimate(

@@ -24,10 +24,11 @@ _RANK_SOURCE_LABELS = {
 _STRATEGY_LABELS = {
     "passthrough": "pass-through (no PREFERRING clause)",
     "rewrite": "NOT EXISTS rewrite on the host database",
-    "bnl": "in-memory block-nested-loops after hard-condition pushdown",
-    "sfs": "in-memory sort-filter-skyline after hard-condition pushdown",
-    "dnc": "in-memory divide & conquer after hard-condition pushdown",
-    "parallel": "partitioned parallel skylines after hard-condition pushdown",
+    "bnl": "in-memory winnow after hard-condition pushdown — sort-filter "
+    "on flat Pareto ranks, minimum-bucket scan on flat cascades, window "
+    "BNL otherwise",
+    "parallel": "the same winnow kernels per partition, then a merge "
+    "filter, after hard-condition pushdown",
     "view": "materialized preference view scan",
     "prejoin": "winnow pushdown — BMO on the preference table, then join "
     "only the winners",

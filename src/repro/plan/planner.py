@@ -113,7 +113,7 @@ class Plan:
     """One fully-described execution of a preference statement."""
 
     statement: ast.Statement
-    strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'sfs' | 'dnc' | 'parallel'
+    strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'parallel' | 'prejoin' | 'session' | 'view'
     rewritten_sql: str | None = None
     pushdown_sql: str | None = None
     residual: ast.Select | None = None

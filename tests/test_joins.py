@@ -91,7 +91,7 @@ class TestJoinExecution:
             car_dealer.execute(COMMA_QUERY, algorithm="rewrite").fetchall(),
             key=repr,
         )
-        for strategy in ("sfs", PREJOIN_STRATEGY):
+        for strategy in ("bnl", PREJOIN_STRATEGY):
             rows = car_dealer.execute(JOIN_QUERY, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -124,7 +124,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        rows = car_dealer.execute(sql, algorithm="sfs").fetchall()
+        rows = car_dealer.execute(sql, algorithm="bnl").fetchall()
         assert sorted(rows, key=repr) == oracle
         with pytest.raises(PlanError):
             car_dealer.execute(sql, algorithm=PREJOIN_STRATEGY)
@@ -137,7 +137,7 @@ class TestJoinExecution:
             "ORDER BY c.price, c.car_id LIMIT 3"
         )
         oracle = car_dealer.execute(sql, algorithm="rewrite").fetchall()
-        for strategy in ("sfs", PREJOIN_STRATEGY):
+        for strategy in ("bnl", PREJOIN_STRATEGY):
             assert car_dealer.execute(sql, algorithm=strategy).fetchall() == oracle
 
     def test_order_by_select_list_alias(self, car_dealer):
@@ -189,7 +189,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        rows = car_dealer.execute(sql, algorithm="sfs").fetchall()
+        rows = car_dealer.execute(sql, algorithm="bnl").fetchall()
         assert sorted(rows, key=repr) == oracle
         plan = car_dealer.plan(sql)
         assert plan.winnow_pushdown.startswith("no")
@@ -234,7 +234,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("sfs", PREJOIN_STRATEGY):
+        for strategy in ("bnl", PREJOIN_STRATEGY):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -393,7 +393,7 @@ class TestJoinPlanning:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        rows = car_dealer.execute(sql, algorithm="sfs").fetchall()
+        rows = car_dealer.execute(sql, algorithm="bnl").fetchall()
         assert sorted(rows, key=repr) == oracle
 
     def test_prejoin_is_not_part_of_generic_strategies(self):

@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings
 
 import repro
-from repro.engine.algorithms import maximal_indices, nested_loop_maximal
+from repro.engine.algorithms import nested_loop_maximal, window_bnl
 from repro.engine.bmo import bmo_filter
-from repro.engine.compiled import best_better, flat_rank_rows
+from repro.engine.compiled import best_better
 from repro.engine.parallel import (
     ParallelExecutor,
     default_worker_count,
     hash_partitions,
-    local_skyline,
     parallel_maximal_indices,
     partition_count,
 )
@@ -73,9 +72,9 @@ class TestPartitionMergeLemma:
         union = sorted(
             i
             for members in partitions.values()
-            for i in local_skyline(better, members)
+            for i in window_bnl(better, members)
         )
-        merged = sorted(local_skyline(better, union))
+        merged = sorted(window_bnl(better, union))
         oracle = sorted(nested_loop_maximal(preference, vectors))
         assert merged == oracle, clause
 
@@ -101,31 +100,7 @@ class TestPartitionMergeLemma:
         assert parallel == serial, clause
 
 
-class TestFlatRankRows:
-    def test_flat_pareto_compiles(self):
-        preference = build_preference(parse_preferring("LOWEST(a) AND HIGHEST(b)"))
-        rows, mode = flat_rank_rows(preference, [(1, 2), (3, 4)])
-        assert mode == "pareto"
-        assert len(rows) == 2 and len(rows[0]) == 2
-
-    def test_single_base_is_cascade(self):
-        preference = build_preference(parse_preferring("LOWEST(a)"))
-        rows, mode = flat_rank_rows(preference, [(5,), (1,)])
-        assert mode == "cascade"
-        assert rows[1] < rows[0]
-
-    def test_nested_tree_returns_none(self):
-        preference = build_preference(
-            parse_preferring("(LOWEST(a) AND LOWEST(b)) CASCADE HIGHEST(a)")
-        )
-        assert flat_rank_rows(preference, [(1, 2, 3), (4, 5, 6)]) is None
-
-    def test_explicit_returns_none(self):
-        preference = build_preference(
-            parse_preferring("EXPLICIT(c, 'x' > 'y')")
-        )
-        assert flat_rank_rows(preference, [("x",), ("y",)]) is None
-
+class TestRankEdgeValues:
     def test_unparseable_text_ranks_as_null_rank_on_both_paths(self):
         # Built-ins never rank to NaN: unparseable text maps to NULL_RANK,
         # which is totally ordered (worst) — both paths agree.
@@ -222,15 +197,16 @@ class TestExecutorLifecycle:
 
 
 class TestEngineIntegration:
-    def test_maximal_indices_accepts_parallel(self):
+    def test_bmo_filter_accepts_parallel(self):
         preference = build_preference(parse_preferring("LOWEST(a)"))
         vectors = [(3,), (1,), (1,), (2,)]
-        assert maximal_indices(preference, vectors, "parallel") == [1, 2]
+        assert bmo_filter(preference, vectors, algorithm="parallel") == [1, 2]
 
-    def test_unknown_algorithm_mentions_parallel(self):
+    @pytest.mark.parametrize("retired", ["quantum", "sfs", "dnc", "auto"])
+    def test_unknown_algorithm_mentions_parallel(self, retired):
         preference = build_preference(parse_preferring("LOWEST(a)"))
         with pytest.raises(EvaluationError, match="parallel"):
-            maximal_indices(preference, [(1,)], "quantum")
+            bmo_filter(preference, [(1,)], algorithm=retired)
 
     def test_engine_parallel_algorithm(self, fixture_engine):
         sql = (
@@ -270,7 +246,6 @@ class TestProcessBackend:
     """The process-pool path: shared-memory transport, parity, fallback."""
 
     PARETO = "LOWEST(d0) AND HIGHEST(d1)"
-    CASCADE = "LOWEST(d0) CASCADE LOWEST(d1)"
 
     @staticmethod
     def _vectors(n=700):
@@ -281,7 +256,7 @@ class TestProcessBackend:
             ParallelExecutor(backend="quantum")
 
     def test_transport_roundtrip_in_process(self):
-        from repro.engine.columns import columnar_skyline, compute_rank_columns
+        from repro.engine import columnar_skyline, compute_rank_columns
         from repro.engine.shm import RankTransport, skyline_worker
 
         preference = build_preference(parse_preferring(self.PARETO))
@@ -297,17 +272,6 @@ class TestProcessBackend:
         union = sorted(i for part in local for i in part)
         survivors = sorted(columnar_skyline(ranks, union))
         assert survivors == sorted(columnar_skyline(ranks, candidates))
-
-    @pytest.mark.parametrize("clause", [PARETO, CASCADE])
-    def test_forced_process_backend_matches_oracle(self, clause):
-        preference = build_preference(parse_preferring(clause))
-        vectors = self._vectors()
-        oracle = sorted(nested_loop_maximal(preference, vectors))
-        with ParallelExecutor(
-            max_workers=2, min_partition_rows=32, backend="process"
-        ) as executor:
-            assert executor.maximal_indices(preference, vectors) == oracle
-            assert executor.last_backend == "process"
 
     def test_process_backend_on_candidate_subset(self):
         preference = build_preference(parse_preferring(self.PARETO))
@@ -342,30 +306,6 @@ class TestProcessBackend:
             )
             assert executor.last_backend == "process"
 
-    def test_process_backend_nan_ranks(self):
-        from repro.model.composite import ParetoPreference
-        from repro.model.preference import WeakOrderBase
-        from repro.sql import ast as _ast
-
-        class NanLowest(WeakOrderBase):
-            kind = "NAN-LOWEST"
-
-            def rank(self, value):
-                return float("nan") if value is None else float(value)
-
-        preference = ParetoPreference(
-            [NanLowest(_ast.Column(name=c)) for c in ("a", "b")]
-        )
-        vectors = [
-            ((i % 7) if i % 11 else None, (i * 3) % 5) for i in range(600)
-        ]
-        oracle = sorted(nested_loop_maximal(preference, vectors))
-        with ParallelExecutor(
-            max_workers=2, min_partition_rows=32, backend="process"
-        ) as executor:
-            assert executor.maximal_indices(preference, vectors) == oracle
-            assert executor.last_backend == "process"
-
     def test_auto_backend_needs_scale_and_mode(self):
         from repro.engine.parallel import (
             PROCESS_MIN_ROWS,
@@ -386,20 +326,6 @@ class TestProcessBackend:
         with ParallelExecutor(max_workers=2) as executor:
             executor.maximal_indices(preference, self._vectors(50))
             assert executor.last_backend == "serial"
-
-    def test_explicit_preferences_never_take_process_path(self):
-        # EXPLICIT trees have no rank columns (mode None): even a forced
-        # process backend must fall back to the thread/closure core.
-        preference = build_preference(
-            parse_preferring("EXPLICIT(d0, 'a' > 'b') AND LOWEST(d1)")
-        )
-        vectors = [("a" if i % 2 else "b", i % 17) for i in range(500)]
-        oracle = sorted(nested_loop_maximal(preference, vectors))
-        with ParallelExecutor(
-            max_workers=2, min_partition_rows=32, backend="process"
-        ) as executor:
-            assert executor.maximal_indices(preference, vectors) == oracle
-            assert executor.last_backend != "process"
 
     def test_broken_transport_falls_back_to_threads(self, monkeypatch):
         import repro.engine.parallel as parallel_module

@@ -10,21 +10,18 @@ cosima and shop workloads.
 import pytest
 
 import repro
-from repro.engine.algorithms import ALGORITHMS, maximal_indices, nested_loop_maximal
 from repro.errors import ParseError, PlanError
-from repro.model.builder import build_preference
 from repro.plan import (
     IN_MEMORY_STRATEGIES,
     STRATEGIES,
     PlanCache,
-    choose_algorithm,
     choose_strategy,
     estimate_costs,
     estimate_selectivity,
     estimate_skyline_size,
 )
 from repro.sql import ast
-from repro.sql.parser import parse_expression, parse_preferring, parse_statement
+from repro.sql.parser import parse_expression, parse_statement
 from repro.sql.printer import to_sql
 from repro.workloads.cosima import MetaSearch, make_catalog, make_shops
 from repro.workloads.fixtures import relation_to_sqlite
@@ -108,11 +105,11 @@ class TestExplainExecution:
     def test_explain_honours_pinned_algorithm(self, fixture_connection):
         cursor = fixture_connection.execute(
             "EXPLAIN PREFERENCE SELECT * FROM car PREFERRING LOWEST(price)",
-            algorithm="sfs",
+            algorithm="bnl",
         )
         report = dict(cursor.fetchall())
-        assert cursor.plan.strategy == "sfs"
-        assert report["strategy"].startswith("sfs")
+        assert cursor.plan.strategy == "bnl"
+        assert report["strategy"].startswith("bnl")
         assert "[forced]" in report["strategy"]
 
     def test_result_cleared_by_later_statements(self, fixture_connection):
@@ -275,7 +272,11 @@ class TestPlanCache:
         # bumped the data version, so the strategy is re-costed.
         assert connection.execute(sql).plan.strategy in IN_MEMORY_STRATEGIES
 
-    def test_rollback_orphans_catalog_plans(self, fixture_connection):
+    @pytest.mark.parametrize(
+        "undo",
+        [None, "ROLLBACK", "rollback ;", "ROLLBACK;", "/* undo */ ROLLBACK"],
+    )
+    def test_rollback_orphans_catalog_plans(self, fixture_connection, undo):
         from repro.errors import CatalogError
 
         fixture_connection.commit()
@@ -284,7 +285,12 @@ class TestPlanCache:
         )
         sql = "SELECT * FROM trips PREFERRING PREFERENCE fleeting"
         assert fixture_connection.execute(sql).fetchall()
-        fixture_connection.rollback()  # CREATE PREFERENCE is transactional
+        # CREATE PREFERENCE is transactional; a raw ROLLBACK in any
+        # spelling must orphan the plan exactly like rollback() does.
+        if undo is None:
+            fixture_connection.rollback()
+        else:
+            fixture_connection.execute(undo)
         with pytest.raises(CatalogError):
             fixture_connection.execute(sql)
 
@@ -355,7 +361,8 @@ class TestPlanCache:
         connection.rollback()
         assert connection.execute(sql).fetchall() == [(3,)]
 
-    def test_raw_commit_passthrough_tracked(self, connection):
+    @pytest.mark.parametrize("commit", ["COMMIT", "COMMIT;", "END;"])
+    def test_raw_commit_passthrough_tracked(self, connection, commit):
         # COMMIT issued as plain SQL makes the catalog durable exactly
         # like Connection.commit(); rollback() must respect that.
         connection.execute("CREATE TABLE t (price INTEGER)")
@@ -363,7 +370,7 @@ class TestPlanCache:
             "INSERT INTO t VALUES (?)", [(i,) for i in range(4)]
         )
         connection.execute("CREATE PREFERENCE p ON t AS HIGHEST(price)")
-        connection.execute("COMMIT")
+        connection.execute(commit)
         sql = "SELECT * FROM t PREFERRING PREFERENCE p"
         connection.execute("DROP PREFERENCE p")
         connection.rollback()  # DROP reverted; committed HIGHEST restored
@@ -465,9 +472,12 @@ class TestCostModel:
         estimates = estimate_costs(16_000, 3)
         assert choose_strategy(estimates) in IN_MEMORY_STRATEGIES
 
-    def test_choose_algorithm_is_executable(self):
-        for n in (10, 1000, 50_000):
-            assert choose_algorithm(n, 3) in ALGORITHMS
+    def test_strategy_set_is_rewrite_serial_parallel(self):
+        # One serial in-memory strategy: the kernel is the engine's
+        # choice by rank shape, not a planner-visible name.
+        assert STRATEGIES == ("rewrite", "bnl", "parallel")
+        assert IN_MEMORY_STRATEGIES == ("bnl", "parallel")
+        assert set(estimate_costs(5_000, 3)) == set(STRATEGIES)
 
     def test_wide_rows_penalise_in_memory(self):
         narrow = estimate_costs(600, 4, row_width=7)
@@ -505,17 +515,6 @@ class TestCostModel:
             assert degree == 1.0  # parallel_efficiency is zero on CPython
 
 
-class TestAutoAlgorithm:
-    def test_auto_matches_the_oracle(self):
-        preference = build_preference(
-            parse_preferring("LOWEST(x) AND HIGHEST(y)")
-        )
-        vectors = [(i % 13, (i * 7) % 11) for i in range(200)]
-        assert maximal_indices(preference, vectors, "auto") == sorted(
-            nested_loop_maximal(preference, vectors)
-        )
-
-
 # ----------------------------------------------------------------------
 # Strategy execution through the driver
 
@@ -547,7 +546,7 @@ class TestStrategyExecution:
             "AND HIGHEST(power) ORDER BY price DESC LIMIT 3"
         )
         rewrite = fixture_connection.execute(sql, algorithm="rewrite").fetchall()
-        bnl = fixture_connection.execute(sql, algorithm="sfs").fetchall()
+        bnl = fixture_connection.execute(sql, algorithm="bnl").fetchall()
         assert rewrite == bnl
 
     def test_but_only_threshold_in_memory(self, fixture_connection):
@@ -557,8 +556,8 @@ class TestStrategyExecution:
             "BUT ONLY LEVEL(color) <= 2"
         )
         rewrite = fixture_connection.execute(sql, algorithm="rewrite").fetchall()
-        dnc = fixture_connection.execute(sql, algorithm="dnc").fetchall()
-        assert rewrite == dnc
+        bnl = fixture_connection.execute(sql, algorithm="bnl").fetchall()
+        assert rewrite == bnl
 
     def test_named_preference_inlined_for_engine(self, fixture_connection):
         fixture_connection.execute(
@@ -596,11 +595,12 @@ class TestStrategyExecution:
             fixture_connection.execute(sql, algorithm="bnl")
         assert fixture_connection.execute(sql).plan.strategy == "rewrite"
 
-    def test_unknown_strategy_rejected(self, fixture_connection):
-        with pytest.raises(PlanError):
+    @pytest.mark.parametrize("retired", ["quantum", "sfs", "dnc", "auto"])
+    def test_unknown_strategy_rejected(self, fixture_connection, retired):
+        with pytest.raises(PlanError, match="unknown strategy"):
             fixture_connection.execute(
                 "SELECT * FROM oldtimer PREFERRING LOWEST(age)",
-                algorithm="quantum",
+                algorithm=retired,
             )
 
     def test_auto_picks_in_memory_at_scale(self, connection):

@@ -219,5 +219,7 @@ class TestLiveTree:
         assert result.returncode == 0, payload["findings"]
         assert payload["findings"] == []
         # Every suppression that made the tree clean carries its reason
-        # by construction (reasonless ones surface as findings).
-        assert payload["suppressed"]
+        # by construction (reasonless ones surface as findings).  The
+        # count is a ceiling: lower it when suppressions go, never raise
+        # it to admit a new one.
+        assert 0 < len(payload["suppressed"]) <= 26

@@ -353,7 +353,7 @@ def test_explain_reports_keyed_elimination(keyed_connection):
 
 def test_forced_strategies_bypass_semantic_rewrite(keyed_connection):
     query = "SELECT id FROM car PREFERRING LOWEST(price)"
-    for strategy in ("rewrite", "bnl", "sfs", "dnc", "parallel"):
+    for strategy in ("rewrite", "bnl", "parallel"):
         cursor = keyed_connection.execute(query, algorithm=strategy)
         assert cursor.plan is not None
         assert cursor.plan.semantic_rule is None, strategy

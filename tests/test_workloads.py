@@ -142,7 +142,7 @@ class TestDistributions:
 
     def test_skyline_size_ordering(self):
         # At fixed n and d: correlated < independent < anticorrelated.
-        from repro.engine.algorithms import sort_filter_skyline
+        from repro.engine.bmo import bmo_filter
         from repro.model.builder import build_preference
         from repro.sql.parser import parse_preferring
 
@@ -155,7 +155,7 @@ class TestDistributions:
         ):
             matrix = generator(1500, 3, seed=4)
             vectors = [tuple(map(float, row)) for row in matrix]
-            sizes[name] = len(sort_filter_skyline(preference, vectors))
+            sizes[name] = len(bmo_filter(preference, vectors))
         assert sizes["correlated"] < sizes["independent"] < sizes["anticorrelated"]
 
 
