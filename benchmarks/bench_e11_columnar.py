@@ -8,7 +8,7 @@ miniature.
 """
 
 import repro
-from repro.engine.bmo import bmo_filter, run_in_memory_plan
+from repro.engine.bmo import bmo_filter, run_plan
 from repro.model.builder import build_preference
 from repro.sql.parser import parse_preferring
 from repro.workloads.fixtures import relation_to_sqlite
@@ -52,7 +52,7 @@ def test_sql_rank_pushdown_end_to_end(benchmark):
         connection.execute(query, algorithm="rewrite").fetchall(), key=repr
     )
     result = benchmark(
-        lambda: run_in_memory_plan(connection.raw.execute, plan)
+        lambda: run_plan(connection.raw.execute, plan)
     )
     assert sorted(result.rows, key=repr) == oracle
     connection.close()

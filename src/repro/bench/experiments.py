@@ -812,7 +812,7 @@ def e11_columnar(quick: bool = False) -> Report:
     """
     from dataclasses import replace as _replace
 
-    from repro.engine.bmo import run_in_memory_plan
+    from repro.engine.bmo import run_plan
     from repro.model.categorical import LayeredPreference
     from repro.model.composite import PrioritizationPreference
     from repro.plan.planner import in_memory_parts
@@ -1118,7 +1118,7 @@ def e11_columnar(quick: bool = False) -> Report:
             repeats=repeats,
         )
         columnar_result, columnar_timing = time_call(
-            lambda: run_in_memory_plan(
+            lambda: run_plan(
                 lambda _sql: _Prefetched(ranked_description, ranked_rows),
                 plan,
             ),
@@ -1132,7 +1132,7 @@ def e11_columnar(quick: bool = False) -> Report:
             rank_source="python",
         )
         python_result, python_timing = time_call(
-            lambda: run_in_memory_plan(
+            lambda: run_plan(
                 lambda _sql: _Prefetched(plain_description, plain_rows),
                 python_plan,
             ),

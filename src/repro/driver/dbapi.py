@@ -1,37 +1,38 @@
 """PEP 249-style driver wrapping sqlite3 with Preference SQL support.
 
 Layering (paper section 3.1, figure — extended with the cost-based plan
-selector of :mod:`repro.plan`):
+selector of :mod:`repro.plan` and the plan runner of
+:mod:`repro.engine.bmo`):
 
     application → Preference driver → parse+plan cache
                 → Preference SQL Optimizer (rewrite)
-                → cost-based plan selector ─┬→ standard driver (sqlite3)
-                                            └→ pushdown + in-memory engine
+                → cost-based plan selector
+                → plan runner ─┬→ standard driver (sqlite3)
+                               └→ Scan → Winnow → Surface | JoinBack
 
 Behaviour:
 
-* statements without preference keywords pass straight through (native
-  parameter binding, zero parsing overhead),
-* ``CREATE/DROP PREFERENCE`` maintain the persistent catalog and bump the
-  *catalog version*, orphaning cached plans that resolved named
-  preferences,
+* statements without preference constructs pass straight through (native
+  parameter binding; no parsing unless the text mentions a hint word),
+* ``CREATE/DROP PREFERENCE [CONSTRAINT]`` maintain the persistent catalog
+  and bump the *catalog version*, orphaning cached plans that resolved
+  named preferences,
 * preference SELECT/INSERT statements are parsed, planned (or served from
   the LRU parse+plan cache keyed on statement text, catalog version and
-  worker degree), their parameters bound, and executed on the strategy the
-  cost model selected: the ``NOT EXISTS`` rewrite on the host database, a
-  hard-condition pushdown followed by an in-memory skyline algorithm, or
-  the partitioned parallel executor (``max_workers`` caps its worker
-  pool; changing it orphans the affected cached plans),
+  worker degree), their parameters bound, and handed — whatever strategy
+  the cost model selected — to the one plan runner,
+  :func:`repro.engine.bmo.run`; :meth:`Cursor._run` is the single place
+  that turns its outcome into cursor state,
 * ``EXPLAIN PREFERENCE <select>`` returns the chosen plan, per-step cost
   estimates and the rewritten SQL as a result relation without executing
   the query,
 * ``CREATE/DROP PREFERENCE VIEW`` materialize a preference query's BMO
   result into a backing table; INSERT/DELETE/UPDATE on a base table is
-  intercepted (seeing through leading comments and CTE prologues) and the
-  materialization is maintained incrementally where the dominance
-  structure allows it, by flagged full recompute otherwise
-  (:mod:`repro.engine.incremental`); a SELECT that matches a view
-  definition is answered from the backing table,
+  intercepted (:func:`repro.sql.scan.dml_target` sees through leading
+  comments and CTE prologues) and the materialization is maintained
+  incrementally where the dominance structure allows it, by flagged full
+  recompute otherwise (:mod:`repro.engine.incremental`); a SELECT that
+  matches a view definition is answered from the backing table,
 * every statement that may change table contents bumps the *data version*,
   invalidating the per-connection statistics cache (and, per view, the
   backing table's statistics after maintenance writes).
@@ -41,7 +42,9 @@ from __future__ import annotations
 
 import re
 import sqlite3
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from repro.deadline import (
@@ -49,12 +52,7 @@ from repro.deadline import (
     deadline_scope,
     sqlite_interrupt,
 )
-from repro.engine.bmo import (
-    PreferenceEngine,
-    run_in_memory_plan,
-    run_in_memory_plan_capturing,
-    run_prejoin_plan,
-)
+from repro.engine.bmo import host_relation, run
 from repro.engine.incremental import ViewMaintainer
 from repro.engine.parallel import ParallelExecutor, default_worker_count
 from repro.engine.relation import Relation
@@ -66,7 +64,7 @@ from repro.errors import (
     PreferenceSQLError,
     QueryTimeout,
 )
-from repro.model.algebra import normalize
+from repro.model.algebra import describe, normalize
 from repro.pdl.catalog import PreferenceCatalog, ViewEntry
 from repro.plan.cache import CacheStats, PlanCache
 from repro.plan.constraints import ConstraintCache
@@ -78,13 +76,14 @@ from repro.plan.planner import (
     plan_statement,
     rebind_plan,
 )
-from repro.plan.session import SessionCache, SessionEntry, conjoin
+from repro.plan.session import SessionCache, SessionEntry
 from repro.plan.statistics import StatisticsCache, TableStatistics
 from repro.sql import ast
 from repro.sql.params import bind_parameters
 from repro.sql.parser import parse_statement
 from repro.sql.printer import quote_identifier as _quote
 from repro.sql.printer import to_sql
+from repro.sql.scan import dml_target, first_keyword
 from repro.testing import faults
 
 #: Cheap detector for statements that *may* use Preference SQL constructs.
@@ -118,301 +117,11 @@ _DML_HINT = re.compile(
     r"\b(INSERT|UPDATE|DELETE|REPLACE|CREATE|DROP|ALTER)\b", re.IGNORECASE
 )
 
-#: Cheap detector for statements that may require preference-view
-#: maintenance (or must be refused while views depend on the table).
-#: Like :data:`_DML_HINT` this may over-match (word inside a string
-#: literal); the :func:`_preference_dml_target` scanner then decides
-#: precisely.  Under-matching is impossible: every maintained operation
-#: starts (possibly after comments or a CTE prologue) with one of these
-#: keywords.
-_PREFERENCE_DML = re.compile(
-    r"\b(INSERT|UPDATE|DELETE|REPLACE|DROP|ALTER)\b", re.IGNORECASE
-)
 
-
-@dataclass(frozen=True)
-class _DmlTarget:
-    """One intercepted statement, resolved to its target table.
-
-    ``select_sql`` is the pre-image SELECT — for DELETE the statement
-    with its DELETE keyword spliced to ``SELECT *`` (parameters
-    untouched), for UPDATE a rowid-targeted ``SELECT rowid, * … WHERE``
-    built from the statement's own top-level WHERE tail (None when the
-    tail cannot be reused, e.g. exotic parameter styles or an UPDATE …
-    FROM); ``param_offset`` counts the ``?`` markers consumed by the SET
-    clause, i.e. how many leading parameters the pre-image SELECT must
-    skip; ``conflict`` marks conflict clauses (``INSERT OR REPLACE`` /
-    ``REPLACE INTO`` / ``UPDATE OR …``), whose side-deletions delta
-    capture cannot see.  ``op`` may also be ``drop_table`` /
-    ``alter_rename`` (refused while views depend on the table) or
-    ``alter`` (full recompute after execution).
-    """
-
-    op: str
-    table: str  # lowercase, unquoted
-    select_sql: str | None = None
-    conflict: bool = False
-    param_offset: int = 0
-
-
-def _skip_trivia(sql: str, pos: int) -> int:
-    """Skip whitespace, ``--`` line comments and ``/* */`` comments."""
-    length = len(sql)
-    while pos < length:
-        char = sql[pos]
-        if char.isspace():
-            pos += 1
-        elif sql.startswith("--", pos):
-            newline = sql.find("\n", pos)
-            pos = length if newline == -1 else newline + 1
-        elif sql.startswith("/*", pos):
-            end = sql.find("*/", pos + 2)
-            pos = length if end == -1 else end + 2
-        else:
-            break
-    return pos
-
-
-def _read_word(sql: str, pos: int) -> tuple[str, int]:
-    start = pos
-    while pos < len(sql) and (sql[pos].isalnum() or sql[pos] == "_"):
-        pos += 1
-    return sql[start:pos], pos
-
-
-def _next_word(sql: str, pos: int) -> tuple[str, int]:
-    return _read_word(sql, _skip_trivia(sql, pos))
-
-
-def _read_table_name(sql: str, pos: int) -> tuple[str, int]:
-    """Read a possibly quoted, possibly schema-qualified table name."""
-    pos = _skip_trivia(sql, pos)
-    if pos < len(sql) and sql[pos] in "\"`[":
-        quote = sql[pos]
-        close = "]" if quote == "[" else quote
-        pos += 1
-        parts: list[str] = []
-        while pos < len(sql):
-            if sql[pos] == close:
-                if close in "\"`" and sql.startswith(close * 2, pos):
-                    parts.append(close)
-                    pos += 2
-                    continue
-                pos += 1
-                break
-            parts.append(sql[pos])
-            pos += 1
-        name = "".join(parts)
-    else:
-        name, pos = _read_word(sql, pos)
-    after = _skip_trivia(sql, pos)
-    if after < len(sql) and sql[after] == ".":
-        # Schema qualification (``main.t``): the table is the last part.
-        return _read_table_name(sql, after + 1)
-    return name, pos
-
-
-def _top_level_keyword(sql: str, pos: int) -> tuple[str | None, int, int]:
-    """First INSERT/DELETE/UPDATE/REPLACE/SELECT at parenthesis depth 0.
-
-    Used to step over a CTE prologue (``WITH ... AS (...), ...``);
-    strings, quoted identifiers and comments are skipped so keywords
-    inside them cannot fool the scan.  Returns (keyword, start, end).
-    """
-    depth = 0
-    length = len(sql)
-    while pos < length:
-        char = sql[pos]
-        if char.isspace():
-            pos += 1
-        elif sql.startswith("--", pos) or sql.startswith("/*", pos):
-            pos = _skip_trivia(sql, pos)
-        elif char == "'":
-            pos += 1
-            while pos < length:
-                if sql[pos] == "'":
-                    if sql.startswith("''", pos):
-                        pos += 2
-                        continue
-                    pos += 1
-                    break
-                pos += 1
-        elif char in "\"`":
-            close = char
-            pos += 1
-            while pos < length and sql[pos] != close:
-                pos += 1
-            pos += 1
-        elif char == "[":
-            end = sql.find("]", pos)
-            pos = length if end == -1 else end + 1
-        elif char == "(":
-            depth += 1
-            pos += 1
-        elif char == ")":
-            depth -= 1
-            pos += 1
-        elif char.isalpha() or char == "_":
-            word, end = _read_word(sql, pos)
-            if depth == 0 and word.upper() in (
-                "INSERT",
-                "DELETE",
-                "UPDATE",
-                "REPLACE",
-                "SELECT",
-            ):
-                return word.upper(), pos, end
-            pos = end
-        else:
-            pos += 1
-    return None, length, length
-
-
-def _scan_update_tail(sql: str, pos: int) -> tuple[int | None, int, bool]:
-    """Scan an UPDATE statement's SET clause for its top-level WHERE.
-
-    Returns ``(where_start, placeholders_before, supported)`` —
-    ``where_start`` is None when the statement has no top-level WHERE,
-    ``placeholders_before`` counts the plain ``?`` markers the SET clause
-    consumes, and ``supported`` turns False when the tail cannot be
-    reused as a pre-image SELECT (numbered/named parameter styles, or an
-    ``UPDATE … FROM`` join whose WHERE references other tables).
-    """
-    depth = 0
-    placeholders = 0
-    length = len(sql)
-    while pos < length:
-        char = sql[pos]
-        if char.isspace():
-            pos += 1
-        elif sql.startswith("--", pos) or sql.startswith("/*", pos):
-            pos = _skip_trivia(sql, pos)
-        elif char == "'":
-            pos += 1
-            while pos < length:
-                if sql[pos] == "'":
-                    if sql.startswith("''", pos):
-                        pos += 2
-                        continue
-                    pos += 1
-                    break
-                pos += 1
-        elif char in "\"`":
-            close = char
-            pos += 1
-            while pos < length and sql[pos] != close:
-                pos += 1
-            pos += 1
-        elif char == "[":
-            end = sql.find("]", pos)
-            pos = length if end == -1 else end + 1
-        elif char == "(":
-            depth += 1
-            pos += 1
-        elif char == ")":
-            depth -= 1
-            pos += 1
-        elif char == "?":
-            if pos + 1 < length and sql[pos + 1].isdigit():
-                return None, 0, False  # ?N numbered style
-            placeholders += 1
-            pos += 1
-        elif char in ":@$":
-            if pos + 1 < length and (sql[pos + 1].isalnum() or sql[pos + 1] == "_"):
-                return None, 0, False  # named parameter style
-            pos += 1
-        elif char.isalpha() or char == "_":
-            word, end = _read_word(sql, pos)
-            if depth == 0:
-                upper = word.upper()
-                if upper == "WHERE":
-                    return pos, placeholders, True
-                if upper == "FROM":
-                    return None, 0, False  # UPDATE … FROM join
-            pos = end
-        else:
-            pos += 1
-    return None, placeholders, True
-
-
-def _preference_dml_target(sql: str) -> _DmlTarget | None:
-    """Resolve one statement to the DML operation and table it targets.
-
-    Robust against the ways a statement's *leading token* can hide the
-    operation: ``--`` and ``/* */`` comments before the keyword, and CTE
-    prologues (``WITH ... INSERT/UPDATE/DELETE``) — either would
-    otherwise silently skip preference-view maintenance.  Returns None
-    for anything that is not INSERT/DELETE/UPDATE (including plain
-    SELECT behind a CTE).
-    """
-    pos = _skip_trivia(sql, 0)
-    word, end = _read_word(sql, pos)
-    keyword = word.upper()
-    if keyword == "WITH":
-        keyword, pos, end = _top_level_keyword(sql, end)
-        if keyword is None or keyword == "SELECT":
-            return None
-    if keyword in ("INSERT", "REPLACE"):
-        conflict = keyword == "REPLACE"
-        word, cursor = _next_word(sql, end)
-        if word.upper() == "OR":
-            conflict = True
-            _action, cursor = _next_word(sql, cursor)
-            word, cursor = _next_word(sql, cursor)
-        if word.upper() != "INTO":
-            return None
-        table, _after = _read_table_name(sql, cursor)
-        return _DmlTarget(op="insert", table=table.lower(), conflict=conflict)
-    if keyword == "DELETE":
-        word, cursor = _next_word(sql, end)
-        if word.upper() != "FROM":
-            return None
-        table, _after = _read_table_name(sql, cursor)
-        # Pre-image query: the same statement with DELETE spliced to
-        # SELECT * — WHERE clause and parameter markers are untouched.
-        select_sql = sql[:pos] + "SELECT *" + sql[end:]
-        return _DmlTarget(op="delete", table=table.lower(), select_sql=select_sql)
-    if keyword == "UPDATE":
-        conflict = False
-        word, cursor = _next_word(sql, end)
-        if word.upper() == "OR":
-            # UPDATE OR REPLACE may delete conflicting rows the snapshot
-            # of the WHERE-matching set cannot see.
-            action, cursor = _next_word(sql, cursor)
-            conflict = action.upper() == "REPLACE"
-        else:
-            cursor = _skip_trivia(sql, end)
-        table, after = _read_table_name(sql, cursor)
-        where_start, placeholders, supported = _scan_update_tail(sql, after)
-        select_sql = None
-        if supported:
-            tail = sql[where_start:] if where_start is not None else ""
-            select_sql = f"SELECT rowid, * FROM {_quote(table)} {tail}".rstrip()
-        return _DmlTarget(
-            op="update",
-            table=table.lower(),
-            select_sql=select_sql,
-            conflict=conflict,
-            param_offset=placeholders if supported else 0,
-        )
-    if keyword == "DROP":
-        word, cursor = _next_word(sql, end)
-        if word.upper() != "TABLE":
-            return None
-        probe, after = _next_word(sql, cursor)
-        if probe.upper() == "IF":
-            _exists, cursor = _next_word(sql, after)
-        table, _after = _read_table_name(sql, cursor)
-        return _DmlTarget(op="drop_table", table=table.lower())
-    if keyword == "ALTER":
-        word, cursor = _next_word(sql, end)
-        if word.upper() != "TABLE":
-            return None
-        table, after = _read_table_name(sql, cursor)
-        action, _after = _next_word(sql, after)
-        op = "alter_rename" if action.upper() == "RENAME" else "alter"
-        return _DmlTarget(op=op, table=table.lower())
-    return None
+#: How many ``(original, executed)`` statement pairs
+#: :attr:`Connection.trace` remembers; older ones fall off the front, so a
+#: long-lived connection's trace cannot grow without bound.
+TRACE_LIMIT = 256
 
 
 @dataclass
@@ -471,9 +180,10 @@ class Connection:
         #: standalone connection with private caches.
         self._shared = shared
         self._catalog: PreferenceCatalog | None = None
-        #: (original, executed) statement pairs, newest last; for tests
-        #: and the answer-explanation examples.
-        self.trace: list[tuple[str, str]] = []
+        #: The last :data:`TRACE_LIMIT` (original, executed) statement
+        #: pairs, newest last; for tests and the answer-explanation
+        #: examples.
+        self.trace: deque[tuple[str, str]] = deque(maxlen=TRACE_LIMIT)
         self._data_version = 0
         self._catalog_version = 0
         #: Catalog version at the last commit — rollback restores it, so
@@ -561,9 +271,6 @@ class Connection:
             self._parallel = ParallelExecutor(max_workers=self._max_workers)
         return self._parallel
 
-    def _effective_workers(self) -> int:
-        return self._max_workers or default_worker_count()
-
     def _plan_version(self) -> tuple[int, int | None]:
         """The plan-cache version key: catalog version + worker degree."""
         return (self.catalog_version, self._max_workers)
@@ -587,7 +294,7 @@ class Connection:
         conservatively (no restore — we cannot know here which version
         the transaction started from relative to the raw statement).
         """
-        keyword = _next_word(sql, 0)[0].upper()
+        keyword = first_keyword(sql)
         if keyword in ("COMMIT", "END"):
             self._committed_catalog_version = self.catalog_version
         elif keyword == "ROLLBACK":
@@ -786,21 +493,15 @@ class Connection:
         self.view_maintainer.refresh(self.catalog.get_view(name))
         self._note_data_change()
 
-    def _view_matcher(self):
-        """Planner hook answering matching queries from materialized views."""
-        return self.view_maintainer.match
-
     def _prepare_maintenance(self, sql: str, params: Sequence[object]):
         """Pre-DML delta capture for view maintenance (None when inert).
 
-        The :data:`_PREFERENCE_DML` hint is a fast over-approximation;
-        :func:`_preference_dml_target` then resolves the actual operation
+        Callers filter on the :data:`_DML_HINT` over-approximation;
+        :func:`~repro.sql.scan.dml_target` resolves the actual operation
         and target table, seeing through leading comments and CTE
         prologues so maintenance cannot be silently skipped.
         """
-        if not _PREFERENCE_DML.search(sql):
-            return None
-        target = _preference_dml_target(sql)
+        target = dml_target(sql)
         if target is None:
             return None
         maintainer = self.view_maintainer
@@ -824,16 +525,11 @@ class Connection:
             return None
         # The UPDATE pre-image SELECT reuses only the statement's WHERE
         # tail, so the SET clause's leading parameters are skipped.
-        capture_params = (
-            tuple(params)[target.param_offset :]
-            if target.param_offset
-            else params
-        )
         return maintainer.prepare(
             target.op,
             target.table,
             target.select_sql,
-            capture_params,
+            tuple(params)[target.param_offset :],
             conflict=target.conflict,
         )
 
@@ -956,22 +652,36 @@ class Connection:
             statement = statement.statement
         if params:
             statement = bind_parameters(statement, params)
+        return self._plan_statement(statement, force, views=not params)
+
+    def _plan_statement(
+        self,
+        statement: ast.Statement,
+        force: str | None = None,
+        views: bool = True,
+        session: bool = True,
+    ) -> Plan:
+        """Plan one parameter-bound statement against this connection.
+
+        ``views`` must be off for a parameterized execution, which must
+        never be answered from a view: the bound literals can make one
+        binding match the definition while the cached plan is reused for
+        others.  Session matching is safe under parameters — it runs on
+        the *bound* statement, so every binding is judged on its own
+        literal WHERE conjuncts.  The view maintainer turns both off so
+        a refresh always computes from the base tables.  (A forced
+        strategy consults neither.)
+        """
         return plan_statement(
             statement,
             schema=self.schema(),
             resolver=self.catalog.resolve,
             statistics=self.statistics.for_table,
             force=force,
-            workers=self._effective_workers(),
-            # A parameterized execution must never be answered from a
-            # view: the bound literals can make one binding match the
-            # definition while the cached plan is reused for others.
-            views=self._view_matcher() if not params else None,
+            workers=self._max_workers or default_worker_count(),
+            views=self.view_maintainer.match if views else None,
             constraints=self.constraints,
-            # Session matching is safe under parameters — it runs on the
-            # *bound* statement, so every binding is judged on its own
-            # literal WHERE conjuncts.
-            session=self._session_matcher() if force is None else None,
+            session=self._session_matcher() if session else None,
         )
 
     def explain(self, sql: str) -> str:
@@ -983,23 +693,13 @@ class Connection:
         standard SQL and the host database's own query plan.  Plain SQL
         reports the pass-through path.
         """
-        from repro.model.algebra import describe, normalize
-
         if not _PREFERENCE_HINT.search(sql):
             return "pass-through: no preference constructs, executed as-is"
         try:
             statement = parse_statement(sql)
         except PreferenceSQLError as error:
             return f"pass-through: not parseable as Preference SQL ({error})"
-        if isinstance(
-            statement,
-            (
-                ast.CreatePreference,
-                ast.DropPreference,
-                ast.CreatePreferenceConstraint,
-                ast.DropPreferenceConstraint,
-            ),
-        ):
+        if type(statement) in _CATALOG_STATEMENTS:
             return "catalog statement: maintains the persistent preference catalog"
         if isinstance(statement, ast.ExplainPreference):
             statement = statement.statement
@@ -1024,36 +724,52 @@ class Connection:
         return "\n".join(lines)
 
 
+def _drop_preference(connection: Connection, statement: ast.DropPreference) -> None:
+    dependents = connection.view_maintainer.views_using_preference(statement.name)
+    if dependents:
+        raise CatalogError(
+            f"preference {statement.name!r} is used by materialized "
+            f"view(s) {', '.join(sorted(dependents))}; drop them first"
+        )
+    connection.catalog.drop(statement.name)
+
+
+#: The PDL statements: how each maintains the persistent catalog, and
+#: whether it makes a table appear or disappear (a view's backing table).
+#: Every one of them bumps the catalog version and leaves no result set.
+_CATALOG_STATEMENTS = {
+    ast.CreatePreference: (lambda con, stmt: con.catalog.create(stmt), False),
+    ast.DropPreference: (_drop_preference, False),
+    ast.CreatePreferenceConstraint: (lambda con, stmt: con.catalog.create_constraint(stmt), False),
+    ast.DropPreferenceConstraint: (lambda con, stmt: con.catalog.drop_constraint(stmt.name), False),
+    ast.CreatePreferenceView: (lambda con, stmt: con.view_maintainer.create(stmt), True),
+    ast.DropPreferenceView: (lambda con, stmt: con.view_maintainer.drop(stmt.name), True),
+}
+
+
 class _LocalResult:
-    """A locally-materialised result set (in-memory engine or EXPLAIN)."""
+    """A locally-materialised result set (in-memory engine or EXPLAIN),
+    read through the same methods as a host cursor."""
+
+    rowcount = -1
 
     def __init__(self, relation: Relation):
-        self.relation = relation
-        self._position = 0
-
-    @property
-    def description(self):
-        return tuple(
-            (name, None, None, None, None, None, None)
-            for name in self.relation.columns
+        self.description = tuple(
+            (name, None, None, None, None, None, None) for name in relation.columns
         )
+        self._rows = iter(relation.rows)
 
     def fetchone(self):
-        if self._position >= len(self.relation.rows):
-            return None
-        row = self.relation.rows[self._position]
-        self._position += 1
-        return row
+        return next(self._rows, None)
 
     def fetchmany(self, size: int):
-        rows = self.relation.rows[self._position : self._position + size]
-        self._position += len(rows)
-        return rows
+        return list(islice(self._rows, size))
 
     def fetchall(self):
-        rows = self.relation.rows[self._position :]
-        self._position = len(self.relation.rows)
-        return rows
+        return list(self._rows)
+
+    def __iter__(self):
+        return self._rows
 
 
 class Cursor:
@@ -1119,14 +835,7 @@ class Cursor:
                 # time).  A timed statement therefore materialises here,
                 # while the watchdog is still armed.
                 if self._result is None and self._raw.description is not None:
-                    self._result = _LocalResult(
-                        Relation(
-                            columns=[
-                                entry[0] for entry in self._raw.description
-                            ],
-                            rows=self._raw.fetchall(),
-                        )
-                    )
+                    self._result = _LocalResult(host_relation(self._raw))
                 return self
         except QueryTimeout:
             raise
@@ -1138,6 +847,35 @@ class Cursor:
                 raise QueryTimeout() from exc
             raise
 
+    def _parse(
+        self, sql: str, use_cache: bool = True
+    ) -> tuple["_CachedStatement | None", ast.Statement | None]:
+        """The plan-cache entry of ``sql`` (None on a miss) and its dialect
+        parse — None when the text is plain SQL for the host database."""
+        if not _PREFERENCE_HINT.search(sql):
+            return None, None
+        connection = self._connection
+        entry = (
+            connection._plan_cache.get(sql, connection._plan_version())
+            if use_cache
+            else None
+        )
+        if entry is not None:
+            return entry, entry.statement
+        try:
+            return None, parse_statement(sql)
+        except PreferenceSQLError:
+            # Keyword was a column/table name in plain SQL the dialect
+            # parser does not fully cover — let the host database
+            # decide (and remember the verdict).
+            if use_cache:
+                self._remember(sql, _CachedStatement(None, None, param_free=True))
+            return None, None
+
+    def _remember(self, sql: str, entry: "_CachedStatement") -> None:
+        connection = self._connection
+        connection._plan_cache.put(sql, connection._plan_version(), entry)
+
     def _execute_inner(
         self,
         sql: str,
@@ -1146,88 +884,28 @@ class Cursor:
     ) -> "Cursor":
         self.plan = None
         self._result = None
-        if not _PREFERENCE_HINT.search(sql):
-            return self._passthrough(sql, params)
-
         connection = self._connection
         use_cache = algorithm is None
-        entry = (
-            connection._plan_cache.get(sql, connection._plan_version())
-            if use_cache
-            else None
-        )
-        if entry is not None:
-            if entry.statement is None:
-                return self._passthrough(sql, params)
-            statement = entry.statement
-        else:
-            try:
-                statement = parse_statement(sql)
-            except PreferenceSQLError:
-                # Keyword was a column/table name in plain SQL the dialect
-                # parser does not fully cover — let the host database
-                # decide (and remember the verdict).
-                if use_cache:
-                    connection._plan_cache.put(
-                        sql,
-                        connection._plan_version(),
-                        _CachedStatement(statement=None, plan=None, param_free=True),
-                    )
-                return self._passthrough(sql, params)
+        entry, statement = self._parse(sql, use_cache)
+        if statement is None:
+            return self._passthrough(sql, params)
 
-        if isinstance(statement, ast.CreatePreference):
-            connection.catalog.create(statement)
+        catalog_statement = _CATALOG_STATEMENTS.get(type(statement))
+        if catalog_statement is not None:
+            apply, changes_tables = catalog_statement
+            apply(connection, statement)
             connection._bump_catalog_version()
-            self.executed_sql = None
-            self.was_rewritten = False
-            return self
-        if isinstance(statement, ast.DropPreference):
-            dependents = connection.view_maintainer.views_using_preference(
-                statement.name
-            )
-            if dependents:
-                raise CatalogError(
-                    f"preference {statement.name!r} is used by materialized "
-                    f"view(s) {', '.join(sorted(dependents))}; drop them first"
-                )
-            connection.catalog.drop(statement.name)
-            connection._bump_catalog_version()
-            self.executed_sql = None
-            self.was_rewritten = False
-            return self
-        if isinstance(statement, ast.CreatePreferenceConstraint):
-            connection.catalog.create_constraint(statement)
-            connection._bump_catalog_version()
-            self.executed_sql = None
-            self.was_rewritten = False
-            return self
-        if isinstance(statement, ast.DropPreferenceConstraint):
-            connection.catalog.drop_constraint(statement.name)
-            connection._bump_catalog_version()
-            self.executed_sql = None
-            self.was_rewritten = False
-            return self
-        if isinstance(statement, ast.CreatePreferenceView):
-            connection.view_maintainer.create(statement)
-            connection._bump_catalog_version()
-            connection._note_data_change()  # the backing table appeared
-            self.executed_sql = None
-            self.was_rewritten = False
-            return self
-        if isinstance(statement, ast.DropPreferenceView):
-            connection.view_maintainer.drop(statement.name)
-            connection._bump_catalog_version()
-            connection._note_data_change()  # the backing table is gone
+            if changes_tables:
+                connection._note_data_change()
+            # A reused cursor must not keep describing its previous
+            # statement's rows: a fresh host cursor has none.
+            self._raw = connection.raw.cursor()
             self.executed_sql = None
             self.was_rewritten = False
             return self
         if isinstance(statement, ast.ExplainPreference):
             if entry is None and use_cache:
-                connection._plan_cache.put(
-                    sql,
-                    connection._plan_version(),
-                    _CachedStatement(statement=statement, plan=None, param_free=True),
-                )
+                self._remember(sql, _CachedStatement(statement, None, param_free=True))
             return self._execute_explain(statement, params, algorithm)
 
         bound = bind_parameters(statement, params) if params else statement
@@ -1250,8 +928,6 @@ class Cursor:
                     )
         if (
             plan is not None
-            and use_cache
-            and algorithm is None
             and isinstance(bound, ast.Select)
             and bound.preferring is not None
         ):
@@ -1267,21 +943,10 @@ class Cursor:
             # First sighting, or the data version moved under a cached
             # plan: re-plan so the strategy tracks the current statistics
             # (parsing was still skipped on the stale-hit path).
-            plan = plan_statement(
-                bound,
-                schema=connection.schema(),
-                resolver=connection.catalog.resolve,
-                statistics=connection.statistics.for_table,
-                force=algorithm,
-                workers=connection._effective_workers(),
-                views=connection._view_matcher() if not params else None,
-                constraints=connection.constraints,
-                session=connection._session_matcher() if use_cache else None,
-            )
+            plan = connection._plan_statement(bound, algorithm, views=not params)
             if use_cache:
-                connection._plan_cache.put(
+                self._remember(
                     sql,
-                    connection._plan_version(),
                     _CachedStatement(
                         statement=statement,
                         # A session plan is valid only against the exact
@@ -1297,164 +962,58 @@ class Cursor:
 
         if plan.strategy == "passthrough":
             return self._passthrough(sql, params)
-        self.plan = plan
-        if plan.strategy == SESSION_STRATEGY:
-            return self._execute_session(sql, plan)
-        if plan.uses_engine:
-            capture = (
-                use_cache
-                and connection._session_enabled
-                and isinstance(plan.statement, ast.Select)
-                and plan.statement.preferring is not None
-                and plan.statement.but_only is None
-                and not plan.statement.group_by
-                and plan.statement.having is None
-                and plan.table is not None
-            )
-            return self._execute_in_memory(sql, plan, capture=capture)
-        if plan.is_prejoin:
-            return self._execute_prejoin(sql, plan)
-        return self._execute_rewrite(sql, bound, plan)
+        return self._run(sql, bound, plan, capture=use_cache)
 
-    def _execute_rewrite(
-        self, sql: str, bound: ast.Statement, plan: Plan
+    def _run(
+        self, sql: str, bound: ast.Statement, plan: Plan, capture: bool
     ) -> "Cursor":
-        rewritten_sql = plan.rewritten_sql
-        self._connection.trace.append((sql, rewritten_sql))
-        self.executed_sql = rewritten_sql
-        self.was_rewritten = True
+        """Execute one planned statement through the plan runner.
+
+        ``capture`` — the execution came through the plan cache (no
+        pinned strategy) — lets the runner hand back the winner base for
+        the session cache when reuse is enabled.  A rewrite's rows stay
+        on this cursor's host cursor and are fetched lazily.
+        """
+        connection = self._connection
+        self.plan = plan
         pending = None
         if isinstance(bound, ast.Insert):
-            pending = self._connection.view_maintainer.prepare(
+            pending = connection.view_maintainer.prepare(
                 "insert", bound.table.lower(), None, ()
             )
         try:
-            self._raw.execute(rewritten_sql)
+            outcome = run(
+                self._raw.execute,
+                plan,
+                executor=connection.parallel_executor,
+                capture=capture and connection._session_enabled,
+            )
         except sqlite3.Error as error:
+            host_sql = (
+                plan.prejoin_scan_sql
+                or plan.pushdown_sql
+                or plan.session_delta_sql
+                or plan.rewritten_sql
+            )
             raise DriverError(
-                f"host database rejected rewritten SQL: {error}\n{rewritten_sql}"
+                f"host database rejected the {plan.strategy} strategy's "
+                f"SQL: {error}\n{host_sql}"
             ) from error
         if isinstance(bound, ast.Insert):
-            self._connection._note_data_change()
+            connection._note_data_change()
             if pending is not None:
-                self._connection.view_maintainer.finish(
+                connection.view_maintainer.finish(
                     pending, rowcount=self._raw.rowcount
                 )
-        return self
-
-    def _execute_in_memory(
-        self, sql: str, plan: Plan, capture: bool = False
-    ) -> "Cursor":
-        connection = self._connection
-        executor = (
-            connection.parallel_executor if plan.strategy == "parallel" else None
-        )
-        try:
-            if capture:
-                result, winner_base = run_in_memory_plan_capturing(
-                    connection.raw.execute, plan, executor=executor
-                )
-            else:
-                result = run_in_memory_plan(
-                    connection.raw.execute, plan, executor=executor
-                )
-        except sqlite3.Error as error:
-            raise DriverError(
-                f"host database rejected pushdown SQL: {error}\n{plan.pushdown_sql}"
-            ) from error
-        if capture:
-            connection._store_session(plan.statement, winner_base)
-        self._result = _LocalResult(result)
-        self.executed_sql = plan.pushdown_sql
+        if outcome.winner_base is not None:
+            connection._store_session(plan.statement, outcome.winner_base)
+        if plan.strategy == SESSION_STRATEGY:
+            connection.session_cache.served += 1
+        if outcome.relation is not None:
+            self._result = _LocalResult(outcome.relation)
+        self.executed_sql = outcome.host_sql
         self.was_rewritten = True
-        connection.trace.append(
-            (sql, f"{plan.pushdown_sql} /* + in-memory {plan.strategy} */")
-        )
-        return self
-
-    def _execute_session(self, sql: str, plan: Plan) -> "Cursor":
-        """Answer a provably-refined query from the session cache.
-
-        No base-table rescan: the cached winner base (filtered by any
-        added grouping-column conjuncts via the residual's first pass) is
-        unioned with the bounded delta rows — fetched by
-        ``session_delta_sql`` only when the WHERE was weakened — and
-        re-winnowed under the *new* preference.  The resulting winner
-        base replaces the served entry, so a whole drill-down chain keeps
-        re-winnowing ever-smaller sets.
-        """
-        connection = self._connection
-        match = plan.session_match
-        winners = match.entry.winners
-        delta_rows: list[tuple] = []
-        if plan.session_delta_sql is not None:
-            try:
-                cursor = connection.raw.execute(plan.session_delta_sql)
-            except sqlite3.Error as error:
-                raise DriverError(
-                    f"host database rejected session delta SQL: {error}\n"
-                    f"{plan.session_delta_sql}"
-                ) from error
-            delta_rows = cursor.fetchall()
-        pool = Relation(
-            columns=winners.columns,
-            rows=list(winners.rows) + [tuple(row) for row in delta_rows],
-        )
-        residual = plan.residual
-        name = residual.sources[0].name
-        engine = PreferenceEngine({name: pool})
-        stage_one = replace(
-            residual,
-            items=(ast.Star(),),
-            where=conjoin(match.added),
-            order_by=(),
-            limit=None,
-            offset=None,
-            distinct=False,
-        )
-        winner_base = engine.execute_select(stage_one)
-        engine.register(name, winner_base)
-        result = engine.execute_select(residual)
-        connection._store_session(plan.statement, winner_base)
-        connection.session_cache.served += 1
-        self._result = _LocalResult(result)
-        self.executed_sql = plan.session_delta_sql
-        self.was_rewritten = True
-        delta_note = plan.session_delta_sql or "/* no delta scan */"
-        connection.trace.append(
-            (sql, f"{delta_note} /* + session reuse: {', '.join(match.rules)} */")
-        )
-        return self
-
-    def _execute_prejoin(self, sql: str, plan: Plan) -> "Cursor":
-        """The winnow-over-join pushdown: BMO first, then join winners."""
-        connection = self._connection
-        fallback: dict = {}
-        try:
-            result = run_prejoin_plan(
-                connection.raw.execute,
-                plan,
-                on_fallback=lambda: fallback.setdefault("rewrite", True),
-            )
-        except sqlite3.Error as error:
-            raise DriverError(
-                f"host database rejected winnow pushdown SQL: {error}\n"
-                f"{plan.prejoin_scan_sql}"
-            ) from error
-        self._result = _LocalResult(result)
-        self.was_rewritten = True
-        if fallback:
-            # The preference table had no rowid to scan; the rewrite ran
-            # instead, and the trace must say so.
-            self.executed_sql = plan.rewritten_sql
-            connection.trace.append(
-                (sql, f"{plan.rewritten_sql} /* winnow scan lacked rowid */")
-            )
-        else:
-            self.executed_sql = plan.prejoin_scan_sql
-            connection.trace.append(
-                (sql, f"{plan.prejoin_scan_sql} /* + winnow pushdown join-back */")
-            )
+        connection.trace.append((sql, outcome.note))
         return self
 
     def _execute_explain(
@@ -1466,17 +1025,7 @@ class Cursor:
         connection = self._connection
         inner = statement.statement
         bound = bind_parameters(inner, params) if params else inner
-        plan = plan_statement(
-            bound,
-            schema=connection.schema(),
-            resolver=connection.catalog.resolve,
-            statistics=connection.statistics.for_table,
-            force=algorithm,
-            workers=connection._effective_workers(),
-            views=connection._view_matcher() if not params else None,
-            constraints=connection.constraints,
-            session=connection._session_matcher() if algorithm is None else None,
-        )
+        plan = connection._plan_statement(bound, algorithm, views=not params)
         stats = connection.plan_cache_stats()
         cache_note = (
             f"{stats.hits} hits / {stats.misses} misses, "
@@ -1490,17 +1039,32 @@ class Cursor:
         self.plan = plan
         return self
 
-    def _passthrough(self, sql: str, params: Sequence[object]) -> "Cursor":
+    def _passthrough(
+        self, sql: str, params: Sequence[object], batch: bool = False
+    ) -> "Cursor":
+        """Hand plain SQL to the host database, keeping dependent views fresh.
+
+        ``batch`` treats ``params`` as executemany's rows.  They stay
+        with sqlite's bulk path; delta captures that need them (a
+        parameterized DELETE pre-image) fail to bind and degrade to a
+        flagged full recompute inside prepare(), while INSERT's rowid
+        high-water mark and the UPDATE snapshot span the whole batch.
+        """
+        connection = self._connection
         self.executed_sql = sql
         self.was_rewritten = False
-        self._connection.trace.append((sql, sql))
+        connection.trace.append((sql, sql))
+        changes_data = _DML_HINT.search(sql) is not None
         pending = (
-            self._connection._prepare_maintenance(sql, params)
-            if _DML_HINT.search(sql)
+            connection._prepare_maintenance(sql, () if batch else params)
+            if changes_data
             else None
         )
         try:
-            self._raw.execute(sql, tuple(params))
+            if batch:
+                self._raw.executemany(sql, [tuple(row) for row in params])
+            else:
+                self._raw.execute(sql, tuple(params))
         except sqlite3.Error as error:
             message = str(error)
             if _PREFERENCE_HINT.search(sql):
@@ -1517,13 +1081,11 @@ class Cursor:
                         f"either: {dialect_error})"
                     )
             raise DriverError(message) from error
-        if _DML_HINT.search(sql):
-            self._connection._note_data_change()
+        if changes_data:
+            connection._note_data_change()
         if pending is not None:
-            self._connection.view_maintainer.finish(
-                pending, rowcount=self._raw.rowcount
-            )
-        self._connection._note_transaction_statement(sql)
+            connection.view_maintainer.finish(pending, rowcount=self._raw.rowcount)
+        connection._note_transaction_statement(sql)
         return self
 
     def executemany(self, sql: str, rows: Iterable[Sequence[object]]) -> "Cursor":
@@ -1533,34 +1095,18 @@ class Cursor:
         bulk fast path and maintain the views from one combined delta
         (rowid high-water mark / snapshot diff); a batched DELETE falls
         back to a flagged full recompute, since its pre-image SELECT
-        cannot be bound once per batch.
+        cannot be bound once per batch.  What counts as plain is the
+        dialect parse's verdict (cached), not the keyword hint: a column
+        that is merely *named* ``preference`` keeps the bulk path.
         """
-        if not _PREFERENCE_HINT.search(sql):
-            self.executed_sql = sql
-            self.was_rewritten = False
+        statement = self._parse(sql)[1]
+        if statement is None or (
+            isinstance(statement, (ast.Select, ast.Insert))
+            and not statement.is_preference_query
+        ):
             self.plan = None
             self._result = None
-            # The per-statement parameters stay with sqlite's fast path;
-            # captures that need them (a parameterized DELETE pre-image)
-            # fail to bind and degrade to a flagged full recompute inside
-            # prepare(), while INSERT's rowid high-water mark and the
-            # UPDATE snapshot span the whole batch.
-            pending = (
-                self._connection._prepare_maintenance(sql, ())
-                if _DML_HINT.search(sql)
-                else None
-            )
-            try:
-                self._raw.executemany(sql, [tuple(row) for row in rows])
-            except sqlite3.Error as error:
-                raise DriverError(str(error)) from error
-            if _DML_HINT.search(sql):
-                self._connection._note_data_change()
-            if pending is not None:
-                self._connection.view_maintainer.finish(
-                    pending, rowcount=self._raw.rowcount
-                )
-            return self
+            return self._passthrough(sql, rows, batch=True)
         for row in rows:
             self.execute(sql, row)
         return self
@@ -1587,44 +1133,37 @@ class Cursor:
         return self
 
     # ------------------------------------------------------------------
-    # Results (delegated, or served from a local relation)
+    # Results
+
+    @property
+    def _rows(self):
+        """Where the last statement's rows are: a local relation, or —
+        rewrite and pass-through — still on the host cursor."""
+        return self._raw if self._result is None else self._result
 
     @property
     def description(self):
-        if self._result is not None:
-            return self._result.description
-        return self._raw.description
+        return self._rows.description
 
     @property
     def rowcount(self) -> int:
-        if self._result is not None:
-            return -1
-        return self._raw.rowcount
+        return self._rows.rowcount
 
     @property
     def lastrowid(self):
         return self._raw.lastrowid
 
     def fetchone(self):
-        if self._result is not None:
-            return self._result.fetchone()
-        return self._raw.fetchone()
+        return self._rows.fetchone()
 
     def fetchall(self):
-        if self._result is not None:
-            return self._result.fetchall()
-        return self._raw.fetchall()
+        return self._rows.fetchall()
 
     def fetchmany(self, size: int | None = None):
-        count = size if size is not None else self.arraysize
-        if self._result is not None:
-            return self._result.fetchmany(count)
-        return self._raw.fetchmany(count)
+        return self._rows.fetchmany(size if size is not None else self.arraysize)
 
     def __iter__(self):
-        if self._result is not None:
-            return iter(self._result.fetchall())
-        return iter(self._raw)
+        return iter(self._rows)
 
     def close(self) -> None:
         self._raw.close()

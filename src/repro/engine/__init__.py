@@ -28,10 +28,9 @@ from repro.engine.algorithms import (
     winnow_kernel,
 )
 from repro.engine.bmo import (
-    BmoResult,
     PreferenceEngine,
+    Winners,
     bmo_filter,
-    run_in_memory_plan,
 )
 from repro.engine.parallel import (
     ParallelExecutor,
@@ -59,7 +58,6 @@ __all__ = [
     "nested_loop_maximal",
     "winnow_kernel",
     "PreferenceEngine",
-    "BmoResult",
+    "Winners",
     "bmo_filter",
-    "run_in_memory_plan",
 ]

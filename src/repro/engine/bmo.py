@@ -1,4 +1,13 @@
-"""The BMO ("Best Matches Only") evaluator and the in-memory query engine.
+"""The BMO ("Best Matches Only") evaluator, the in-memory query engine
+and the plan runner.
+
+One path leads from a :class:`~repro.plan.planner.Plan` to its rows:
+:func:`run` assembles every strategy out of three stages — :func:`scan`
+(candidates from the host database, a session winner base or a caller's
+own list), :func:`winnow` (:meth:`PreferenceEngine.winnow`, once) and
+:meth:`Winners.surface` (the select list, or the winners' rowids for a
+join-back) — and the driver, the view maintainer and the benchmark's
+:func:`run_plan` all go through it.
 
 Answer semantics per paper section 2.2.5:
 
@@ -19,12 +28,13 @@ computed here by the kernels of :mod:`repro.engine.algorithms`.
 
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.deadline import CHECK_EVERY, active_deadline
 from repro.engine.algorithms import nested_loop_maximal, winnow_kernel
-from repro.engine.columns import RankColumns
+from repro.engine.columns import RankColumns, rank_columns_from_values
 from repro.engine.expressions import Evaluator, RowEnvironment
 from repro.errors import EvaluationError, PreferenceConstructionError
 
@@ -123,19 +133,28 @@ def bmo_filter(
     return sorted(i for members in groups for i in evaluate(members))
 
 
-def _fetch_with_ranks(execute, scan_sql: str, residual, rank_width: int):
-    """Run one pushdown scan, splitting appended rank columns off.
+# ----------------------------------------------------------------------
+# The plan runner: Scan → Winnow → Surface | JoinBack
+#
+# Every strategy a :class:`~repro.plan.planner.Plan` can name is a
+# composition of the stages below, assembled in :func:`run` and nowhere
+# else; the view maintainer composes the same Winnow and Surface stages
+# over a candidate list of its own.
 
-    Returns ``(relation, ranks)`` — when the scan SELECT appended rank
-    columns (``rank_width``), they are split off the fetched rows and
-    adopted as precomputed rank columns so the expression evaluator
-    never touches a candidate row.  If any rank cell comes back
-    non-numeric (host-affinity corner), the adoption is dropped and the
-    engine recomputes the ranks in Python, so winner sets never depend
-    on host coercion.
+
+def scan(execute, scan_sql: str, residual, rank_width: int):
+    """Scan stage: run one pushdown scan, splitting appended rank columns off.
+
+    ``execute`` runs SQL on the host database and returns a cursor
+    (``sqlite3.Connection.execute``-shaped).  Returns ``(relation,
+    ranks)`` — when the scan SELECT appended rank columns
+    (``rank_width``), they are split off the fetched rows and adopted as
+    precomputed rank columns so the expression evaluator never touches a
+    candidate row.  If any rank cell comes back non-numeric
+    (host-affinity corner), the adoption is dropped and the engine
+    recomputes the ranks in Python, so winner sets never depend on host
+    coercion.
     """
-    from repro.engine.columns import rank_columns_from_values
-
     cursor = execute(scan_sql)
     columns = [description[0] for description in cursor.description]
     rows = cursor.fetchall()
@@ -152,124 +171,155 @@ def _fetch_with_ranks(execute, scan_sql: str, residual, rank_width: int):
     return Relation(columns=columns, rows=rows), ranks
 
 
-def run_in_memory_plan(
-    execute,
-    plan,
-    executor: "ParallelExecutor | None" = None,
-) -> Relation:
-    """Execute an in-memory :class:`~repro.plan.planner.Plan` end to end.
+def host_relation(cursor) -> Relation:
+    """What a host cursor still holds, as a relation.
 
-    ``execute`` runs SQL on the host database and returns a cursor
-    (``sqlite3.Connection.execute``-shaped).  Shared by the driver and
-    the view maintainer so both honour the plan's SQL rank pushdown.
-    The candidate relation registers under the residual's FROM name —
-    the base table for single-table plans, the synthetic
-    :data:`~repro.plan.joins.JOIN_RELATION` when the scan executed a
-    multi-table join on the host database.
+    The relation merely carries the host's result — a ``SELECT *`` over
+    a join reports the same column name once per table — so duplicate
+    names are allowed.
     """
-    candidates, ranks = _fetch_with_ranks(
-        execute, plan.pushdown_sql, plan.residual, plan.rank_width
-    )
-    engine = PreferenceEngine(
-        {plan.residual.sources[0].name: candidates},
-        algorithm=plan.strategy,
-        executor=executor,
-        rank_columns=ranks,
-    )
-    return engine.execute_select(plan.residual)
-
-
-def run_in_memory_plan_capturing(
-    execute,
-    plan,
-    executor: "ParallelExecutor | None" = None,
-) -> tuple[Relation, Relation]:
-    """Like :func:`run_in_memory_plan`, but also capture the winner base.
-
-    Returns ``(result, winner_base)`` from a **single** pushdown scan.
-    The winner base is the full BMO set with the scan's complete column
-    set — computed by a first pass whose query block strips projection,
-    ORDER BY, LIMIT, OFFSET and DISTINCT (the residual's WHERE is already
-    consumed by the pushdown).  The second pass then runs the true
-    residual over the winner base: winnowing is idempotent per GROUPING
-    partition, so the winners are unchanged and only the query surface
-    (projection, ordering, quotas) is applied.  The session cache stores
-    the winner base so a later *refined* query — possibly with a
-    different surface — can be answered from it.
-    """
-    candidates, ranks = _fetch_with_ranks(
-        execute, plan.pushdown_sql, plan.residual, plan.rank_width
-    )
-    name = plan.residual.sources[0].name
-    engine = PreferenceEngine(
-        {name: candidates},
-        algorithm=plan.strategy,
-        executor=executor,
-        rank_columns=ranks,
-    )
-    base_select = replace(
-        plan.residual,
-        items=(ast.Star(),),
-        order_by=(),
-        limit=None,
-        offset=None,
-        distinct=False,
-    )
-    winner_base = engine.execute_select(base_select)
-    engine.register(name, winner_base)
-    result = engine.execute_select(plan.residual)
-    return result, winner_base
-
-
-def run_prejoin_plan(execute, plan, on_fallback=None) -> Relation:
-    """Execute a winnow-over-join :class:`~repro.plan.planner.Plan`.
-
-    Three phases (see :mod:`repro.plan.joins`): the host database scans
-    the semijoin-reduced preference table (rowids, columns and any
-    pushed rank expressions), the engine computes the BMO set of those
-    rows and projects the winners' rowids, and one final host query —
-    the original join restricted to ``rowid IN (winners)`` — produces
-    the result with exact host semantics for projection, ORDER BY,
-    LIMIT and DISTINCT.
-
-    If the preference table has no ``rowid`` to scan (a WITHOUT ROWID
-    table or a view in the preference position), execution falls back
-    to the plan's NOT EXISTS rewrite — correctness never depends on the
-    rowid shortcut; ``on_fallback`` (when given) is called so the
-    caller can report what actually executed.  Every other host error
-    propagates unchanged.
-    """
-    import sqlite3
-
-    from repro.plan.joins import join_back_sql
-
-    try:
-        candidates, ranks = _fetch_with_ranks(
-            execute, plan.prejoin_scan_sql, plan.prejoin_residual, plan.rank_width
-        )
-    except sqlite3.OperationalError as error:
-        message = str(error).lower()
-        if not ("no such column" in message and "rowid" in message):
-            raise
-        if on_fallback is not None:
-            on_fallback()
-        cursor = execute(plan.rewritten_sql)
-        columns = [description[0] for description in cursor.description]
-        return Relation(
-            columns=columns, rows=cursor.fetchall(), allow_duplicates=True
-        )
-    engine = PreferenceEngine(
-        {plan.prejoin_residual.sources[0].name: candidates},
-        rank_columns=ranks,
-    )
-    winners = engine.execute_select(plan.prejoin_residual)
-    rowids = [row[0] for row in winners.rows]
-    final_sql = join_back_sql(plan.prejoin_join, plan.prejoin_binding, rowids)
-    cursor = execute(final_sql)
     columns = [description[0] for description in cursor.description]
-    return Relation(
-        columns=columns, rows=cursor.fetchall(), allow_duplicates=True
+    return Relation(columns=columns, rows=cursor.fetchall(), allow_duplicates=True)
+
+
+def winnow(
+    select: ast.Select,
+    candidates: Relation,
+    algorithm: str = "bnl",
+    executor: "ParallelExecutor | None" = None,
+    ranks: RankColumns | None = None,
+) -> "Winners":
+    """Winnow stage: the BMO winners of ``select`` over ``candidates``.
+
+    The candidates register under the block's FROM name — the base table
+    for single-table plans, the synthetic
+    :data:`~repro.plan.joins.JOIN_RELATION` when the scan executed a
+    multi-table join on the host database.  The returned
+    :class:`Winners` can be surfaced any number of times.
+    """
+    engine = PreferenceEngine(
+        {select.sources[0].name: candidates},
+        algorithm=algorithm,
+        executor=executor,
+        rank_columns=ranks,
     )
+    return engine.winnow(select)
+
+
+@dataclass(frozen=True)
+class PlanRun:
+    """What running one plan produced.
+
+    ``relation`` is None when the rows were left on ``cursor`` (a host
+    rewrite: nothing is fetched until the caller asks); ``host_sql`` is
+    the first statement sent to the host database (None when a session
+    hit needed no delta scan), ``note`` the full trace text, and
+    ``winner_base`` every BMO row with the scan's complete column list —
+    what the session cache answers later refinements from.
+    """
+
+    relation: Relation | None
+    cursor: object
+    host_sql: str | None
+    note: str
+    winner_base: Relation | None = None
+
+
+def _host_only(execute, plan, note: str = "") -> PlanRun:
+    cursor = execute(plan.rewritten_sql)
+    return PlanRun(None, cursor, plan.rewritten_sql, plan.rewritten_sql + note)
+
+
+def run(
+    execute,
+    plan,
+    executor: "ParallelExecutor | None" = None,
+    capture: bool = False,
+) -> PlanRun:
+    """Execute any planned statement — the one path from a plan to rows.
+
+    ``bnl``/``parallel`` scan ``pushdown_sql``, ``session`` takes the
+    cached winner base plus the ``session_delta_sql`` rows, ``prejoin``
+    scans ``prejoin_scan_sql``; each winnows once and surfaces the
+    residual's select list (``prejoin``: the winners' rowids, joined
+    back on the host).  ``rewrite`` and ``view`` plans have no stage to
+    run here: their one statement goes to the host and its rows stay on
+    the cursor.  ``capture`` asks for the session winner base as well —
+    ``*`` over the *same* winners.
+    """
+    from repro.plan.cost import SESSION_STRATEGY
+    from repro.plan.joins import join_back_sql
+    from repro.plan.session import conjoin
+
+    if plan.is_prejoin:
+        try:
+            candidates, ranks = scan(
+                execute, plan.prejoin_scan_sql, plan.prejoin_residual, plan.rank_width
+            )
+        except sqlite3.OperationalError as error:
+            # The preference table has no rowid to scan (WITHOUT ROWID,
+            # or a view in the preference position): fall back to the
+            # NOT EXISTS rewrite — correctness never depends on the
+            # rowid shortcut.  Every other host error propagates.
+            message = str(error).lower()
+            if not ("no such column" in message and "rowid" in message):
+                raise
+            return _host_only(execute, plan, " /* winnow scan lacked rowid */")
+        winners = winnow(plan.prejoin_residual, candidates, ranks=ranks)
+        rowids = [row[0] for row in winners.surface(plan.prejoin_residual).rows]
+        # JoinBack: the original join restricted to the winners, so
+        # projection, ORDER BY, LIMIT and DISTINCT keep host semantics.
+        cursor = execute(join_back_sql(plan.prejoin_join, plan.prejoin_binding, rowids))
+        return PlanRun(
+            host_relation(cursor),
+            None,
+            plan.prejoin_scan_sql,
+            f"{plan.prejoin_scan_sql} /* + winnow pushdown join-back */",
+        )
+    select = plan.residual
+    if plan.uses_engine:
+        host_sql = plan.pushdown_sql
+        candidates, ranks = scan(execute, host_sql, select, plan.rank_width)
+        winners = winnow(select, candidates, plan.strategy, executor, ranks)
+        note = f"{host_sql} /* + in-memory {plan.strategy} */"
+    elif plan.strategy == SESSION_STRATEGY:
+        # No base-table rescan: the cached winner base, filtered by any
+        # added grouping-column conjuncts, is unioned with the bounded
+        # delta rows — fetched only when the WHERE was weakened — and
+        # re-winnowed under the *new* preference.  The new winner base
+        # replaces the served entry, so a whole drill-down chain keeps
+        # re-winnowing ever-smaller sets.
+        match = plan.session_match
+        cached = match.entry.winners
+        rows = list(cached.rows)
+        host_sql = plan.session_delta_sql
+        if host_sql is not None:
+            rows += execute(host_sql).fetchall()
+        winners = winnow(
+            replace(select, where=conjoin(match.added)),
+            Relation(columns=cached.columns, rows=rows),
+        )
+        note = (
+            f"{host_sql or '/* no delta scan */'} "
+            f"/* + session reuse: {', '.join(match.rules)} */"
+        )
+    else:
+        return _host_only(execute, plan)
+    winner_base = None
+    # The session cache serves single-table preference SELECTs without
+    # BUT ONLY (aggregation never reaches an in-memory plan).
+    if capture and select.but_only is None and plan.table is not None:
+        winner_base = winners.surface(
+            replace(
+                select,
+                items=(ast.Star(),),
+                order_by=(),
+                limit=None,
+                offset=None,
+                distinct=False,
+            )
+        )
+    return PlanRun(winners.surface(select), None, host_sql, note, winner_base)
 
 
 def run_plan(
@@ -277,31 +327,54 @@ def run_plan(
     plan,
     executor: "ParallelExecutor | None" = None,
 ) -> Relation:
-    """Execute any SELECT plan the way the driver would.
-
-    Dispatches to the in-memory pushdown, the winnow-over-join
-    pushdown, or the host-side rewrite; shared by the view maintainer
-    so every full recompute honours the planner's choice.
-    """
-    if plan.is_prejoin:
-        return run_prejoin_plan(execute, plan)
-    if plan.uses_engine:
-        return run_in_memory_plan(execute, plan, executor=executor)
-    cursor = execute(plan.rewritten_sql)
-    columns = [description[0] for description in cursor.description]
-    return Relation(
-        columns=columns, rows=cursor.fetchall(), allow_duplicates=True
-    )
+    """Execute any SELECT plan and materialise its rows."""
+    outcome = run(execute, plan, executor=executor)
+    if outcome.relation is None:
+        return host_relation(outcome.cursor)
+    return outcome.relation
 
 
 @dataclass
-class BmoResult:
-    """A preference query result plus evaluation diagnostics."""
+class Winners:
+    """The Winnow stage's output: the winner rows of one query block.
 
-    relation: Relation
+    Still in bundle form — every column of every FROM binding — so the
+    Surface stage can run over the same winners more than once (the
+    query's own select list, and ``*`` for the session winner base).
+    """
+
+    engine: "PreferenceEngine"
+    bundles: Sequence["_Bundle"]
+    quality_values: Sequence[dict[str, object]]
+    quality_columns: dict[ast.Expr, ast.Expr]
+    evaluator: Evaluator
+    outer: RowEnvironment | None
     candidate_count: int
-    winner_count: int
     group_count: int
+
+    def surface(self, select: ast.Select) -> Relation:
+        """Surface stage: ``select``'s ORDER BY, select list, DISTINCT and
+        LIMIT/OFFSET over these winners.
+
+        ``select`` is the winnowed block or differs from it only in
+        those clauses (quality functions resolve against the block that
+        was winnowed).
+        """
+        engine = self.engine
+        ordered = engine._sort_bundles(select, self) if select.order_by else self
+        rows, columns = engine._project(select, ordered)
+        if select.distinct:
+            rows = list(dict.fromkeys(rows))
+        if select.limit is not None:
+            env = RowEnvironment({})
+            limit = int(self.evaluator.evaluate(select.limit, env))
+            offset = (
+                int(self.evaluator.evaluate(select.offset, env))
+                if select.offset is not None
+                else 0
+            )
+            rows = rows[offset : offset + limit]
+        return Relation(columns=columns, rows=rows)
 
 
 # ----------------------------------------------------------------------
@@ -515,15 +588,16 @@ class PreferenceEngine:
         outer: RowEnvironment | None = None,
     ) -> Relation:
         """Run one (possibly preference-extended) SELECT block."""
-        return self.execute_select_diagnosed(select, params, outer).relation
+        return self.winnow(select, params, outer).surface(select)
 
-    def execute_select_diagnosed(
+    def winnow(
         self,
         select: ast.Select,
         params: Sequence[object] = (),
         outer: RowEnvironment | None = None,
-    ) -> BmoResult:
-        """Like :meth:`execute_select` but reporting BMO diagnostics."""
+    ) -> Winners:
+        """FROM, WHERE, PREFERRING, GROUPING and BUT ONLY of one block:
+        everything up to, and excluding, its result surface."""
         if select.group_by or select.having:
             raise EvaluationError(
                 "the in-memory engine does not aggregate; GROUP BY/HAVING "
@@ -642,37 +716,14 @@ class PreferenceEngine:
             bundles = [bundles[i] for i in winners]
             quality_values = [quality_values[i] for i in winners]
 
-        if select.order_by:
-            bundles, quality_values = self._sort_bundles(
-                select, bundles, quality_values, quality_columns, evaluator, outer
-            )
-
-        rows, columns = self._project(
-            select, bundles, quality_values, quality_columns, evaluator, outer
-        )
-        if select.distinct:
-            seen = set()
-            unique = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            rows = unique
-        if select.limit is not None:
-            env = RowEnvironment({})
-            limit = int(evaluator.evaluate(select.limit, env))
-            offset = (
-                int(evaluator.evaluate(select.offset, env))
-                if select.offset is not None
-                else 0
-            )
-            rows = rows[offset : offset + limit]
-
-        relation = Relation(columns=columns, rows=rows)
-        return BmoResult(
-            relation=relation,
+        return Winners(
+            engine=self,
+            bundles=bundles,
+            quality_values=quality_values,
+            quality_columns=quality_columns,
+            evaluator=evaluator,
+            outer=outer,
             candidate_count=candidate_count,
-            winner_count=len(relation),
             group_count=group_count,
         )
 
@@ -938,14 +989,9 @@ class PreferenceEngine:
     # Projection and ordering
 
     def _project(
-        self,
-        select: ast.Select,
-        bundles: Sequence[_Bundle],
-        quality_values: Sequence[dict[str, object]],
-        quality_columns: dict[ast.Expr, ast.Expr],
-        evaluator: Evaluator,
-        outer: RowEnvironment | None,
+        self, select: ast.Select, winners: Winners
     ) -> tuple[list[tuple], list[str]]:
+        bundles, quality_values = winners.bundles, winners.quality_values
         plain_star = (
             len(select.items) == 1
             and isinstance(select.items[0], ast.Star)
@@ -981,7 +1027,7 @@ class PreferenceEngine:
                 columns.extend(names)
                 evaluators.append(item)
                 continue
-            expr = ast.substitute(item.expr, quality_columns)
+            expr = ast.substitute(item.expr, winners.quality_columns)
             columns.append(item.alias or to_sql(item.expr))
             evaluators.append(expr)
 
@@ -990,13 +1036,15 @@ class PreferenceEngine:
         for i, bundle in enumerate(bundles):
             if deadline is not None and not i % CHECK_EVERY:
                 deadline.check()
-            env = self._with_quality(bundle.environment(outer), quality_values[i])
+            env = self._with_quality(
+                bundle.environment(winners.outer), quality_values[i]
+            )
             values: list[object] = []
             for expr in evaluators:
                 if isinstance(expr, ast.Star):
                     values.extend(v for _n, v in bundle.star_columns(expr.table))
                 else:
-                    values.append(evaluator.evaluate(expr, env))
+                    values.append(winners.evaluator.evaluate(expr, env))
             rows.append(tuple(values))
         return rows, columns
 
@@ -1024,17 +1072,10 @@ class PreferenceEngine:
         return names
 
     # prefcheck: disable=deadline-poll -- explicit loops are over select/ORDER BY terms (query width); the row-scale work happens inside host sorted(), which cannot be polled mid-sort
-    def _sort_bundles(
-        self,
-        select: ast.Select,
-        bundles: Sequence[_Bundle],
-        quality_values: Sequence[dict[str, object]],
-        quality_columns: dict[ast.Expr, ast.Expr],
-        evaluator: Evaluator,
-        outer: RowEnvironment | None,
-    ) -> tuple[list[_Bundle], list[dict[str, object]]]:
-        """Sort candidate rows before projection, so ORDER BY can reference
+    def _sort_bundles(self, select: ast.Select, winners: Winners) -> Winners:
+        """Sort winner rows before projection, so ORDER BY can reference
         source columns that are not in the select list (standard SQL)."""
+        bundles, quality_values = winners.bundles, winners.quality_values
         aliases: dict[str, ast.Expr] = {}
         for item in select.items:
             if isinstance(item, ast.SelectItem) and item.alias:
@@ -1045,16 +1086,16 @@ class PreferenceEngine:
             expr = order_item.expr
             if isinstance(expr, ast.Column) and expr.table is None:
                 expr = aliases.get(expr.name.lower(), expr)
-            order_exprs.append(ast.substitute(expr, quality_columns))
+            order_exprs.append(ast.substitute(expr, winners.quality_columns))
 
         # prefcheck: disable=deadline-poll -- per-row sort key builder looping over ORDER BY terms (query width); called from inside host sorted()
         def key_for(index: int) -> tuple:
             env = self._with_quality(
-                bundles[index].environment(outer), quality_values[index]
+                bundles[index].environment(winners.outer), quality_values[index]
             )
             parts = []
             for order_item, expr in zip(select.order_by, order_exprs):
-                value = evaluator.evaluate(expr, env)
+                value = winners.evaluator.evaluate(expr, env)
                 # SQL sorts NULLs first ascending; encode as a rank prefix.
                 null_rank = 0 if value is None else 1
                 if order_item.descending:
@@ -1064,7 +1105,11 @@ class PreferenceEngine:
             return tuple(parts)
 
         order = sorted(range(len(bundles)), key=key_for)
-        return [bundles[i] for i in order], [quality_values[i] for i in order]
+        return replace(
+            winners,
+            bundles=[bundles[i] for i in order],
+            quality_values=[quality_values[i] for i in order],
+        )
 
 
 class _Sortable:

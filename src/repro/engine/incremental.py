@@ -40,18 +40,14 @@ recorded in the catalog and surfaced through ``EXPLAIN PREFERENCE``.
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.engine.bmo import PreferenceEngine, run_plan
+from repro.engine.bmo import run_plan, winnow
 from repro.engine.relation import Relation
 from repro.errors import CatalogError, DriverError, EvaluationError
 from repro.pdl.catalog import ViewEntry
-from repro.plan.planner import (
-    MaterializedView,
-    inline_named_preferences,
-    plan_statement,
-)
+from repro.plan.planner import MaterializedView, in_memory_parts
 from repro.rewrite.planner import pref_expressions
 from repro.sql import ast
 from repro.sql.printer import quote_identifier as _quote
@@ -489,29 +485,14 @@ class ViewMaintainer:
                     for entry in pending.views:
                         self.refresh(entry)
                     return
-                removed = [
-                    row for rowid, row in snapshot.items() if post[rowid] != row
-                ]
-                added = [
-                    row for rowid, row in post.items() if snapshot[rowid] != row
-                ]
             else:
-                post = {
-                    row[0]: tuple(row[1:])
-                    for row in self._raw.execute(
-                        f"SELECT rowid, * FROM {_quote(pending.table)}"
-                    )
-                }
-                removed = [
-                    row
-                    for rowid, row in snapshot.items()
-                    if post.get(rowid) != row
-                ]
-                added = [
-                    row
-                    for rowid, row in post.items()
-                    if snapshot.get(rowid) != row
-                ]
+                post = self._full_snapshot(pending.table)
+            removed = [
+                row for rowid, row in snapshot.items() if post.get(rowid) != row
+            ]
+            added = [
+                row for rowid, row in post.items() if snapshot.get(rowid) != row
+            ]
         for entry in pending.views:
             self.apply_delta(entry, removed, added)
 
@@ -567,6 +548,12 @@ class ViewMaintainer:
         query = entry.query
         source = query.sources[0]
         assert isinstance(source, ast.TableRef)
+        # The planner's own split: the hard conditions as one host scan,
+        # the soft ones (named preferences inlined) as the residual the
+        # Winnow and Surface stages evaluate.
+        pushdown_sql, residual, _width = in_memory_parts(
+            query, self._connection.catalog.resolve
+        )
         columns = self._backing_columns(entry)
         members = self._backing_rows(entry)
         member_set = set(members)
@@ -583,12 +570,8 @@ class ViewMaintainer:
             # every other partition keeps its rows and absorbs additions
             # through the incremental union.
             strategy = "re-derive"
-            pushdown = ast.Select(
-                items=(ast.Star(),), sources=query.sources, where=query.where
-            )
             fetched = [
-                tuple(row)
-                for row in self._raw.execute(to_sql(pushdown)).fetchall()
+                tuple(row) for row in self._raw.execute(pushdown_sql).fetchall()
             ]
             key_of = self._group_key_fn(query, columns)
             affected = {key_of(row) for row in deleted_members}
@@ -608,7 +591,11 @@ class ViewMaintainer:
             strategy = "incremental"
             union = list(members) + [tuple(row) for row in added]
 
-        result = self._evaluate_over(entry, source, columns, union)
+        # Every candidate has already passed the view's WHERE on the
+        # host database (backing members, the pushdown re-fetch and the
+        # filtered delta alike), so only the residual remains.
+        candidates = Relation(columns=columns, rows=union)
+        result = winnow(residual, candidates).surface(residual)
         self._write_back(entry, result.rows)
         self._record(
             entry, strategy, len(removed), len(added), size=len(result.rows)
@@ -653,31 +640,6 @@ class ViewMaintainer:
             )
         return filtered
 
-    def _evaluate_over(
-        self,
-        entry: ViewEntry,
-        source: ast.TableRef,
-        columns: Sequence[str],
-        rows: list[tuple],
-    ) -> Relation:
-        """Run the view query over an explicit candidate set.
-
-        Every candidate has already passed the view's WHERE on the host
-        database (backing members, the pushdown re-fetch and the filtered
-        delta alike), so the engine evaluates the query with the WHERE
-        stripped — soft conditions only.
-        """
-        query = entry.query
-        term = query.preferring
-        if term is not None:
-            term = inline_named_preferences(
-                term, self._connection.catalog.resolve
-            )
-        inlined = replace(query, where=None, preferring=term)
-        relation = Relation(columns=columns, rows=rows)
-        engine = PreferenceEngine({source.name: relation})
-        return engine.execute_select(inlined)
-
     def _group_key_fn(
         self, query: ast.Select, columns: Sequence[str]
     ) -> Callable[[tuple], tuple | None]:
@@ -698,22 +660,9 @@ class ViewMaintainer:
         never be (mis)answered from the view being refreshed.
         """
         connection = self._connection
-        plan = plan_statement(
-            select,
-            schema=connection.schema(),
-            resolver=connection.catalog.resolve,
-            statistics=connection.statistics.for_table,
-            workers=connection._effective_workers(),
-            constraints=connection.constraints,
-        )
+        plan = connection._plan_statement(select, views=False, session=False)
         return run_plan(
-            self._raw.execute,
-            plan,
-            executor=(
-                connection.parallel_executor
-                if plan.strategy == "parallel"
-                else None
-            ),
+            self._raw.execute, plan, executor=connection.parallel_executor
         )
 
     def _create_backing(self, backing_table: str, relation: Relation) -> None:

@@ -136,26 +136,17 @@ def delta_condition(
     FALSE or NULL for it (three-valued logic: the old WHERE admitted only
     rows where every conjunct was TRUE), hence ``NOT d OR d IS NULL``.
     """
-    excluded = conjoin(
-        # OR over the dropped conjuncts, each negated under 3VL.
-        [
-            ast.Binary(
-                op="OR",
-                left=ast.Unary(op="NOT", operand=conjunct),
-                right=ast.IsNull(operand=conjunct),
-            )
-            for conjunct in dropped
-        ][:1]
-    )
-    for conjunct in dropped[1:]:
-        excluded = ast.Binary(
+    excluded: ast.Expr | None = None
+    for conjunct in dropped:
+        rejected = ast.Binary(
             op="OR",
-            left=excluded,
-            right=ast.Binary(
-                op="OR",
-                left=ast.Unary(op="NOT", operand=conjunct),
-                right=ast.IsNull(operand=conjunct),
-            ),
+            left=ast.Unary(op="NOT", operand=conjunct),
+            right=ast.IsNull(operand=conjunct),
+        )
+        excluded = (
+            rejected
+            if excluded is None
+            else ast.Binary(op="OR", left=excluded, right=rejected)
         )
     if new_where is None:
         return excluded

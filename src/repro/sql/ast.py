@@ -405,6 +405,11 @@ class Insert(Statement):
     values: tuple[tuple[Expr, ...], ...] = ()
     query: Select | None = None
 
+    @property
+    def is_preference_query(self) -> bool:
+        """True when the inserted rows come from a preference query."""
+        return self.query is not None and self.query.is_preference_query
+
 
 @dataclass(frozen=True)
 class CreatePreference(Statement):

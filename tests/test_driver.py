@@ -43,6 +43,22 @@ class TestPassThrough:
         with pytest.raises(DriverError):
             connection.execute("SELECT * FROM missing_table")
 
+    def test_executemany_with_hint_word_column_takes_the_bulk_path(self, connection):
+        connection.execute("CREATE TABLE p (preference TEXT)")
+        cursor = connection.cursor()
+        cursor.executemany(
+            "INSERT INTO p(preference) VALUES (?)", [("x",), ("y",)]
+        )
+        assert cursor.rowcount == 2
+        assert cursor.was_rewritten is False and cursor.plan is None
+        rows = connection.execute("SELECT preference FROM p").fetchall()
+        assert rows == [("x",), ("y",)]
+
+    def test_timed_passthrough_keeps_duplicate_column_names(self, connection):
+        cursor = connection.execute("SELECT 1 AS a, 2 AS a", timeout_ms=60_000)
+        assert cursor.column_names == ["a", "a"]
+        assert cursor.fetchall() == [(1, 2)]
+
 
 class TestPreferenceExecution:
     def test_rewrite_flag_and_trace(self, fixture_connection):
@@ -111,6 +127,26 @@ class TestPreferenceExecution:
             "SELECT trip_id FROM trips PREFERRING LOWEST(price)"
         )
         assert list(iter(cursor))
+
+    def test_reused_cursor_forgets_rows_after_a_catalog_statement(
+        self, fixture_connection
+    ):
+        cursor = fixture_connection.cursor()
+        cursor.execute(
+            "SELECT * FROM trips PREFERRING LOWEST(price)", algorithm="rewrite"
+        )
+        cursor.execute("CREATE PREFERENCE cheap ON trips AS LOWEST(price)")
+        assert cursor.description is None
+        assert cursor.fetchall() == []
+
+    def test_trace_is_a_bounded_ring(self, connection):
+        from repro.driver.dbapi import TRACE_LIMIT
+
+        for number in range(2 * TRACE_LIMIT):
+            connection.execute(f"SELECT {number}")
+        assert len(connection.trace) == TRACE_LIMIT
+        last = f"SELECT {2 * TRACE_LIMIT - 1}"
+        assert connection.trace[-1] == (last, last)
 
     def test_rejected_rewrite_reports_sql(self, connection):
         connection.execute("CREATE TABLE t (x INTEGER)")

@@ -419,11 +419,10 @@ class TestBmoFilter:
         assert winners == [0, 3]
 
     def test_diagnostics(self, engine):
-        diagnosed = engine.execute_select_diagnosed(
-            __import__("repro").parse_statement(
-                "SELECT * FROM apartments PREFERRING HIGHEST(area) GROUPING city"
-            )
+        select = __import__("repro").parse_statement(
+            "SELECT * FROM apartments PREFERRING HIGHEST(area) GROUPING city"
         )
-        assert diagnosed.candidate_count == 6
-        assert diagnosed.group_count == 2
-        assert diagnosed.winner_count == 3
+        winners = engine.winnow(select)
+        assert winners.candidate_count == 6
+        assert winners.group_count == 2
+        assert len(winners.surface(select)) == 3

@@ -11,7 +11,7 @@ and the planner's view-answering path with its EXPLAIN PREFERENCE rows.
 import pytest
 
 import repro
-from repro.driver.dbapi import _preference_dml_target
+from repro.sql.scan import dml_target
 from repro.engine.incremental import analyze_view, validate_view
 from repro.errors import CatalogError, DriverError, ParseError
 from repro.sql import ast
@@ -325,34 +325,34 @@ def test_refresh_preference_view_is_manual_recompute():
 
 
 def test_scanner_resolves_plain_dml():
-    target = _preference_dml_target("INSERT INTO items VALUES (1, 2, 'x')")
+    target = dml_target("INSERT INTO items VALUES (1, 2, 'x')")
     assert (target.op, target.table, target.conflict) == ("insert", "items", False)
-    target = _preference_dml_target("DELETE FROM items WHERE a = 1")
+    target = dml_target("DELETE FROM items WHERE a = 1")
     assert (target.op, target.table) == ("delete", "items")
     assert target.select_sql == "SELECT * FROM items WHERE a = 1"
-    target = _preference_dml_target("UPDATE items SET a = 1 WHERE b = 2")
+    target = dml_target("UPDATE items SET a = 1 WHERE b = 2")
     assert (target.op, target.table) == ("update", "items")
 
 
 def test_scanner_sees_through_leading_comments():
-    target = _preference_dml_target(
+    target = dml_target(
         "-- audit note\n/* multi\nline */ INSERT INTO items VALUES (1, 2, 'x')"
     )
     assert (target.op, target.table) == ("insert", "items")
-    target = _preference_dml_target("/* c */ DELETE FROM items WHERE a = 1")
+    target = dml_target("/* c */ DELETE FROM items WHERE a = 1")
     assert target.op == "delete"
     assert target.select_sql == "/* c */ SELECT * FROM items WHERE a = 1"
 
 
 def test_scanner_sees_through_cte_prologues():
-    target = _preference_dml_target(
+    target = dml_target(
         "WITH doomed AS (SELECT a FROM items WHERE a > 5) "
         "DELETE FROM items WHERE a IN (SELECT a FROM doomed)"
     )
     assert (target.op, target.table) == ("delete", "items")
     assert target.select_sql.startswith("WITH doomed AS")
     assert "SELECT * FROM items WHERE a IN" in target.select_sql
-    target = _preference_dml_target(
+    target = dml_target(
         "WITH extra(a, b, g) AS (VALUES (0, 0, 'r')) "
         "INSERT INTO items SELECT * FROM extra"
     )
@@ -360,54 +360,63 @@ def test_scanner_sees_through_cte_prologues():
 
 
 def test_scanner_is_not_fooled_by_keywords_in_strings():
-    target = _preference_dml_target(
+    target = dml_target(
         "WITH note AS (SELECT ' DELETE FROM decoy ' AS t) "
         "UPDATE items SET g = 'INSERT' WHERE a = 1"
     )
     assert (target.op, target.table) == ("update", "items")
-    assert _preference_dml_target("WITH x AS (SELECT 1 AS c) SELECT * FROM x") is None
-    assert _preference_dml_target("SELECT * FROM items") is None
+    assert dml_target("WITH x AS (SELECT 1 AS c) SELECT * FROM x") is None
+    assert dml_target("SELECT * FROM items") is None
 
 
 def test_scanner_handles_quoted_and_conflict_forms():
-    target = _preference_dml_target('INSERT OR REPLACE INTO "It""ems" VALUES (1)')
+    target = dml_target('INSERT OR REPLACE INTO "It""ems" VALUES (1)')
     assert (target.op, target.table, target.conflict) == ("insert", 'it"ems', True)
-    target = _preference_dml_target("REPLACE INTO items VALUES (1, 2, 'x')")
+    target = dml_target("REPLACE INTO items VALUES (1, 2, 'x')")
     assert (target.op, target.conflict) == ("insert", True)
-    target = _preference_dml_target("UPDATE OR IGNORE main.items SET a = 1")
+    target = dml_target("UPDATE OR IGNORE main.items SET a = 1")
     assert (target.op, target.table, target.conflict) == ("update", "items", False)
-    target = _preference_dml_target("UPDATE OR REPLACE items SET a = 1")
+    target = dml_target("UPDATE OR REPLACE items SET a = 1")
     assert (target.op, target.conflict) == ("update", True)
 
 
 def test_scanner_builds_targeted_update_pre_image():
-    target = _preference_dml_target("UPDATE items SET a = ?, b = ? WHERE g = ?")
+    target = dml_target("UPDATE items SET a = ?, b = ? WHERE g = ?")
     assert target.select_sql == 'SELECT rowid, * FROM "items" WHERE g = ?'
     assert target.param_offset == 2
-    target = _preference_dml_target("UPDATE items SET a = 1")
+    target = dml_target("UPDATE items SET a = 1")
     assert target.select_sql == 'SELECT rowid, * FROM "items"'
     # Unsupported tails degrade to the full-snapshot capture (None).
-    assert _preference_dml_target(
+    assert dml_target(
         "UPDATE items SET a = :v WHERE b = :w"
     ).select_sql is None
-    assert _preference_dml_target(
+    assert dml_target(
         "UPDATE items SET a = 1 FROM extra WHERE items.b = extra.b"
     ).select_sql is None
     # WHERE inside the SET sub-select must not terminate the scan early.
-    target = _preference_dml_target(
+    target = dml_target(
         "UPDATE items SET a = (SELECT MAX(b) FROM items WHERE g = 'p') WHERE b = 2"
     )
     assert target.select_sql == 'SELECT rowid, * FROM "items" WHERE b = 2'
 
 
 def test_scanner_resolves_ddl_on_base_tables():
-    target = _preference_dml_target("DROP TABLE IF EXISTS items")
+    target = dml_target("DROP TABLE IF EXISTS items")
     assert (target.op, target.table) == ("drop_table", "items")
-    target = _preference_dml_target("ALTER TABLE items RENAME TO archive")
+    target = dml_target("ALTER TABLE items RENAME TO archive")
     assert (target.op, target.table) == ("alter_rename", "items")
-    target = _preference_dml_target("ALTER TABLE items ADD COLUMN extra INTEGER")
+    target = dml_target("ALTER TABLE items ADD COLUMN extra INTEGER")
     assert (target.op, target.table) == ("alter", "items")
-    assert _preference_dml_target("DROP INDEX idx") is None
+    assert dml_target("DROP INDEX idx") is None
+
+
+def test_scanner_accepts_host_sql_the_dialect_lexer_rejects():
+    target = dml_target("DELETE FROM `my items` WHERE a == $low & ~b | @mask")
+    assert (target.op, target.table) == ("delete", "my items")
+    target = dml_target("UPDATE [main].[items] SET a = x'00ff', c = ?1 WHERE b = ?2")
+    assert (target.table, target.select_sql) == ("items", None)
+    target = dml_target("INSERT INTO items VALUES (:a, @b, $c)")
+    assert (target.op, target.table) == ("insert", "items")
 
 
 def test_drop_and_rename_of_base_table_are_refused_while_views_exist():
@@ -533,6 +542,22 @@ def test_executemany_insert_and_delete_maintenance():
     assert stats.get("incremental") == 1
     cursor.executemany("DELETE FROM items WHERE a = ?", [(0,), (3,)])
     assert materialized(connection) == oracle(connection)
+    connection.close()
+
+
+def test_executemany_hint_word_keeps_one_combined_delta():
+    # Plain SQL that merely mentions a hint word (here in a comment) is
+    # still one bulk batch: one combined delta, not one per row.
+    connection = fresh_connection()
+    connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
+    cursor = connection.cursor()
+    cursor.executemany(
+        "INSERT INTO items VALUES (?, ?, ?) /* no PREFERRING here */",
+        [(0, 3, "r"), (3, 0, "r")],
+    )
+    assert cursor.rowcount == 2
+    assert materialized(connection) == oracle(connection)
+    assert connection.view_maintenance_stats()["best"].get("incremental") == 1
     connection.close()
 
 
