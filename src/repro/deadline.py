@@ -10,19 +10,14 @@ every execution path interruptible:
 * the driver arms it per statement (``execute(..., timeout_ms=...)``)
   and publishes it thread-locally via :func:`deadline_scope`, so the
   in-memory kernels — the window BNL and sort-filter loops, the blocked
-  numpy Pareto kernel, the partitioned executor's tasks — can poll it
-  *amortized* (every N comparisons / once per block) without threading
-  a parameter through every signature,
+  numpy Pareto kernel — can poll it *amortized* (every N comparisons /
+  once per block) without threading a parameter through every
+  signature,
 * host-side scans (the NOT EXISTS rewrite, rank pushdown SQL) cannot
   poll Python code, so :func:`sqlite_interrupt` arms a watchdog timer
   that calls :meth:`sqlite3.Connection.interrupt` at expiry — sqlite
   aborts the in-flight statement with ``OperationalError: interrupted``,
-  which the driver converts to :class:`~repro.errors.QueryTimeout`,
-* process-pool workers live in other processes where the thread-local
-  scope does not exist; they receive the expiry as an absolute
-  ``time.monotonic()`` timestamp in their task tuple (``CLOCK_MONOTONIC``
-  is system-wide on Linux, so parent and forked children read the same
-  clock) and re-enter a scope of their own.
+  which the driver converts to :class:`~repro.errors.QueryTimeout`.
 
 Deadline polling costs one thread-local read per kernel invocation and
 one float comparison per amortized check; with no deadline armed the
@@ -35,11 +30,9 @@ import sqlite3
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, TypeVar, cast
+from typing import Iterator, cast
 
 from repro.errors import QueryTimeout
-
-_T = TypeVar("_T")
 
 #: How many loop iterations the cooperative kernels run between deadline
 #: polls.  Power of two so the check compiles to a cheap bitmask test.
@@ -99,17 +92,6 @@ def deadline_scope(deadline: Deadline | None) -> Iterator[None]:
         yield
     finally:
         _scope.deadline = previous
-
-
-def run_with_deadline(task: Callable[[], _T], deadline: Deadline | None) -> _T:
-    """Run ``task`` under a deadline scope on *this* thread.
-
-    Worker-pool tasks run on threads that never saw the caller's scope;
-    the executor captures :func:`active_deadline` at submission time and
-    re-enters it through this wrapper inside each task.
-    """
-    with deadline_scope(deadline):
-        return task()
 
 
 @contextmanager

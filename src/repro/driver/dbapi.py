@@ -18,9 +18,9 @@ Behaviour:
   and bump the *catalog version*, orphaning cached plans that resolved
   named preferences,
 * preference SELECT/INSERT statements are parsed, planned (or served from
-  the LRU parse+plan cache keyed on statement text, catalog version and
-  worker degree), their parameters bound, and handed — whatever strategy
-  the cost model selected — to the one plan runner,
+  the LRU parse+plan cache keyed on statement text and catalog version),
+  their parameters bound, and handed — whatever strategy the cost model
+  selected — to the one plan runner,
   :func:`repro.engine.bmo.run`; :meth:`Cursor._run` is the single place
   that turns its outcome into cursor state,
 * ``EXPLAIN PREFERENCE <select>`` returns the chosen plan, per-step cost
@@ -54,7 +54,6 @@ from repro.deadline import (
 )
 from repro.engine.bmo import host_relation, run
 from repro.engine.incremental import ViewMaintainer
-from repro.engine.parallel import ParallelExecutor, default_worker_count
 from repro.engine.relation import Relation
 from repro.errors import (
     CatalogError,
@@ -144,16 +143,13 @@ class _CachedStatement:
 
 def connect(
     database: str = ":memory:",
-    max_workers: int | None = None,
     shared=None,
     **kwargs,
 ) -> "Connection":
     """Open a Preference SQL connection to a sqlite database.
 
-    ``max_workers`` caps the worker degree of the parallel execution
-    strategy (None lets the hardware decide); it can be changed later via
-    :attr:`Connection.max_workers`.  ``shared`` attaches the connection
-    to a :class:`repro.server.shared.SharedState`: the parse+plan cache
+    ``shared`` attaches the connection to a
+    :class:`repro.server.shared.SharedState`: the parse+plan cache
     and statistics store become cross-session, and the data/catalog
     version counters delegate to the shared write epochs so a write
     through any attached connection invalidates every sibling's caches.
@@ -162,18 +158,13 @@ def connect(
     :func:`sqlite3.connect`.
     """
     raw = sqlite3.connect(database, **kwargs)
-    return Connection(raw, max_workers=max_workers, shared=shared)
+    return Connection(raw, shared=shared)
 
 
 class Connection:
     """A connection through the Preference driver."""
 
-    def __init__(
-        self,
-        raw: sqlite3.Connection,
-        max_workers: int | None = None,
-        shared=None,
-    ):
+    def __init__(self, raw: sqlite3.Connection, shared=None):
         self._raw = raw
         #: The cross-session serving state this connection is attached to
         #: (a :class:`repro.server.shared.SharedState`), or None for a
@@ -192,8 +183,6 @@ class Connection:
         #: Highest catalog version ever issued; versions burnt inside an
         #: aborted transaction are never reissued for a different catalog.
         self._catalog_high_water = 0
-        self._max_workers = max_workers
-        self._parallel: ParallelExecutor | None = None
         self._statistics: StatisticsCache | None = None
         self._constraints: ConstraintCache | None = None
         self._plan_cache: PlanCache[_CachedStatement] = (
@@ -244,36 +233,6 @@ class Connection:
         if self._shared is not None:
             return self._shared.catalog_epoch
         return self._catalog_version
-
-    @property
-    def max_workers(self) -> int | None:
-        """Worker-degree cap of the parallel strategy (None = hardware)."""
-        return self._max_workers
-
-    @max_workers.setter
-    def max_workers(self, value: int | None) -> None:
-        if value is not None and value < 1:
-            raise DriverError("max_workers must be at least 1")
-        if value == self._max_workers:
-            return
-        self._max_workers = value
-        # The plan-cache key embeds the worker degree, so cached parallel
-        # plans (and cost comparisons priced for the old pool) are
-        # orphaned automatically; the old pool itself is retired.
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
-
-    @property
-    def parallel_executor(self) -> "ParallelExecutor":
-        """The connection-wide partitioned executor (created on first use)."""
-        if self._parallel is None:
-            self._parallel = ParallelExecutor(max_workers=self._max_workers)
-        return self._parallel
-
-    def _plan_version(self) -> tuple[int, int | None]:
-        """The plan-cache version key: catalog version + worker degree."""
-        return (self.catalog_version, self._max_workers)
 
     def _bump_catalog_version(self) -> None:
         if self._shared is not None:
@@ -601,9 +560,6 @@ class Connection:
             self._committed_catalog_version = self.catalog_version
 
     def close(self) -> None:
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
         self._raw.close()
 
     def __enter__(self) -> "Connection":
@@ -678,7 +634,6 @@ class Connection:
             resolver=self.catalog.resolve,
             statistics=self.statistics.for_table,
             force=force,
-            workers=self._max_workers or default_worker_count(),
             views=self.view_maintainer.match if views else None,
             constraints=self.constraints,
             session=self._session_matcher() if session else None,
@@ -805,15 +760,14 @@ class Cursor:
         """Execute one statement (preference-extended or plain SQL).
 
         ``algorithm`` pins the execution strategy — ``rewrite`` (host
-        NOT EXISTS), ``bnl`` (serial in-memory winnow; the kernel follows
-        the rank shape), ``parallel`` (the same kernels over partitions)
-        or ``prejoin`` — instead of letting the cost model choose; pinned
-        executions bypass the plan cache.
+        NOT EXISTS), ``bnl`` (in-memory winnow; the kernel follows the
+        rank shape) or ``prejoin`` — instead of letting the cost model
+        choose; pinned executions bypass the plan cache.
 
         ``timeout_ms`` (or a pre-armed ``deadline``) bounds wall clock.
         The deadline is installed as the thread's active scope — the
-        planner, the skyline kernels and the worker pools poll it — and a
-        watchdog interrupts the raw sqlite connection so rewrite and
+        planner and the skyline kernels poll it — and a watchdog
+        interrupts the raw sqlite connection so rewrite and
         pushdown scans abort mid-scan.  Expiry surfaces as
         :class:`~repro.errors.QueryTimeout` (code ``timeout``,
         ``retryable``); statements without a timeout take the exact
@@ -856,7 +810,7 @@ class Cursor:
             return None, None
         connection = self._connection
         entry = (
-            connection._plan_cache.get(sql, connection._plan_version())
+            connection._plan_cache.get(sql, connection.catalog_version)
             if use_cache
             else None
         )
@@ -874,7 +828,7 @@ class Cursor:
 
     def _remember(self, sql: str, entry: "_CachedStatement") -> None:
         connection = self._connection
-        connection._plan_cache.put(sql, connection._plan_version(), entry)
+        connection._plan_cache.put(sql, connection.catalog_version, entry)
 
     def _execute_inner(
         self,
@@ -985,7 +939,6 @@ class Cursor:
             outcome = run(
                 self._raw.execute,
                 plan,
-                executor=connection.parallel_executor,
                 capture=capture and connection._session_enabled,
             )
         except sqlite3.Error as error:

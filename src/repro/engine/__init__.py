@@ -32,20 +32,8 @@ from repro.engine.bmo import (
     Winners,
     bmo_filter,
 )
-from repro.engine.parallel import (
-    ParallelExecutor,
-    default_worker_count,
-    parallel_maximal_indices,
-    partition_count,
-    shared_executor,
-)
 
 __all__ = [
-    "ParallelExecutor",
-    "parallel_maximal_indices",
-    "partition_count",
-    "default_worker_count",
-    "shared_executor",
     "Relation",
     "column_index_map",
     "Evaluator",

@@ -25,13 +25,11 @@ implementation detail decided here, in one place:
   partial orders                    :func:`~repro.engine.compiled.best_better`
   ================================  =====================================
 
-Everything above it — :func:`repro.engine.bmo.bmo_filter`'s serial path,
-the thread partitions of :mod:`repro.engine.parallel` and the process
-workers of :mod:`repro.engine.shm` — only *schedules* index subsets
-(GROUPING partitions, hash partitions, strided slices) through the
-evaluator it returns.  Evaluators return the *indices* of maximal rows,
-so ties and duplicates are preserved exactly the way the NOT EXISTS
-rewrite preserves them.
+Everything above it — :func:`repro.engine.bmo.bmo_filter` — only
+*schedules* index subsets (GROUPING partitions, BUT ONLY survivors)
+through the evaluator it returns.  Evaluators return the *indices* of
+maximal rows, so ties and duplicates are preserved exactly the way the
+NOT EXISTS rewrite preserves them.
 """
 
 from __future__ import annotations
@@ -124,20 +122,16 @@ def winnow_kernel(
     vectors: Sequence[Vector] | None,
     candidates: Sequence[int],
     ranks: RankColumns | None = None,
-) -> tuple[Kernel, RankColumns | None, dict[int, int] | None]:
+) -> Kernel:
     """The one place a rank shape picks its kernel, once per query.
 
-    Returns ``(evaluate, shared, position)``.  ``evaluate(indices)``
-    yields the BMO winners among any subset of ``candidates`` and always
-    addresses rows by their *global* index, so callers pass partitions
-    around untranslated.  ``shared`` is the query's rank columns (None
-    for trees without ranks) and ``position`` the global index → column
-    row map when they differ — the process backend ships both.
+    The returned ``evaluate(indices)`` yields the BMO winners among any
+    subset of ``candidates`` and always addresses rows by their *global*
+    index, so callers pass partitions around untranslated.
 
-    Caller-supplied ``ranks`` (the SQL rank pushdown, a process worker's
-    slice of the shared matrix) are globally indexed and adopted as-is;
-    ``preference`` and ``vectors`` are then only consulted for trees
-    without a flat shape.  Otherwise only the ``candidates`` rows are
+    Caller-supplied ``ranks`` (the SQL rank pushdown) are globally
+    indexed and adopted as-is; ``preference`` and ``vectors`` are then
+    only consulted for trees without a flat shape.  Otherwise only the ``candidates`` rows are
     ranked — a row a BUT ONLY threshold discarded must never reach a
     ``rank()`` implementation.
     """
@@ -160,7 +154,7 @@ def winnow_kernel(
             if position is None
             else lambda i, j: compact(position[i], position[j])
         )
-        return (lambda indices: window_bnl(better, indices)), shared, position
+        return lambda indices: window_bnl(better, indices)
 
     def rank_rows(indices: Sequence[int]):
         rows = shared.rows
@@ -186,7 +180,7 @@ def winnow_kernel(
                 rank_rows(indices), indices, nan_free=not shared.has_nan
             )
 
-    return evaluate, shared, position
+    return evaluate
 
 
 def columnar_skyline(
@@ -195,4 +189,4 @@ def columnar_skyline(
     """BMO winners among ``indices`` over precomputed rank columns, unsorted."""
     # ``flavor`` is ignored: it named the retired bnl/sfs/dnc loop variants,
     # and benchmark/tracing.py (frozen) still passes one positionally.
-    return winnow_kernel(None, None, indices, ranks)[0](indices)
+    return winnow_kernel(None, None, indices, ranks)(indices)

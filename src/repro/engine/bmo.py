@@ -30,17 +30,14 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.deadline import CHECK_EVERY, active_deadline
 from repro.engine.algorithms import nested_loop_maximal, winnow_kernel
 from repro.engine.columns import RankColumns, rank_columns_from_values
 from repro.engine.expressions import Evaluator, RowEnvironment
-from repro.errors import EvaluationError, PreferenceConstructionError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type names
-    from repro.engine.parallel import ParallelExecutor
 from repro.engine.relation import Relation
+from repro.errors import EvaluationError, PreferenceConstructionError
 from repro.model.builder import build_preference
 from repro.model.preference import Preference, WeakOrderBase
 from repro.model.quality import QUALITY_FUNCTIONS, QualityResolver, ResolvedQuality
@@ -55,7 +52,6 @@ def bmo_filter(
     group_keys: Sequence[object] | None = None,
     threshold: Callable[[int], bool] | None = None,
     algorithm: str = "bnl",
-    executor: "ParallelExecutor | None" = None,
     ranks: RankColumns | None = None,
 ) -> list[int]:
     """Indices of BMO winners among candidate operand vectors.
@@ -65,14 +61,10 @@ def bmo_filter(
     original input order.  ``ranks`` supplies precomputed rank columns
     (the SQL rank pushdown path); ``vectors`` may then be None for
     rank-based trees.  Without them, the ranks are computed **once** and
-    shared across every GROUPING partition.  ``algorithm`` only picks the
-    *scheduler*: ``"bnl"`` (the planner's name for the serial in-memory
-    winnow) runs the partitions in this thread, ``"parallel"`` through
-    the partitioned executor (``executor`` shares a worker pool across
-    queries; without one the process-wide shared executor of
-    :func:`repro.engine.parallel.shared_executor` is reused) — the kernel
-    is :func:`~repro.engine.algorithms.winnow_kernel`'s choice either
-    way.  ``"nested_loop"`` is the quadratic oracle.
+    shared across every GROUPING partition.  ``algorithm`` is ``"bnl"``
+    (the planner's name for the in-memory winnow: every partition runs in
+    this thread through :func:`~repro.engine.algorithms.winnow_kernel`'s
+    choice of kernel) or ``"nested_loop"``, the quadratic oracle.
     """
     deadline = active_deadline()
     if deadline is not None:
@@ -89,18 +81,6 @@ def bmo_filter(
             if threshold(i):
                 survivors.append(i)
         indices = survivors
-
-    if algorithm == "parallel":
-        from repro.engine.parallel import shared_executor
-
-        active = shared_executor() if executor is None else executor
-        if group_keys is None:
-            return active.maximal_indices(
-                preference, vectors, candidates=indices, ranks=ranks
-            )
-        return active.grouped_maximal_indices(
-            preference, vectors, group_keys, candidates=indices, ranks=ranks
-        )
 
     if group_keys is None:
         groups = [indices]
@@ -125,11 +105,11 @@ def bmo_filter(
     if algorithm != "bnl":
         raise EvaluationError(
             f"unknown skyline algorithm {algorithm!r}; "
-            "choose from bnl, nested_loop, parallel"
+            "choose from bnl, nested_loop"
         )
     # One kernel per query; every GROUPING partition indexes the shared
     # rank columns through it — no per-group slicing, no recompilation.
-    evaluate = winnow_kernel(preference, vectors, indices, ranks)[0]
+    evaluate = winnow_kernel(preference, vectors, indices, ranks)
     return sorted(i for members in groups for i in evaluate(members))
 
 
@@ -186,7 +166,6 @@ def winnow(
     select: ast.Select,
     candidates: Relation,
     algorithm: str = "bnl",
-    executor: "ParallelExecutor | None" = None,
     ranks: RankColumns | None = None,
 ) -> "Winners":
     """Winnow stage: the BMO winners of ``select`` over ``candidates``.
@@ -200,7 +179,6 @@ def winnow(
     engine = PreferenceEngine(
         {select.sources[0].name: candidates},
         algorithm=algorithm,
-        executor=executor,
         rank_columns=ranks,
     )
     return engine.winnow(select)
@@ -230,15 +208,10 @@ def _host_only(execute, plan, note: str = "") -> PlanRun:
     return PlanRun(None, cursor, plan.rewritten_sql, plan.rewritten_sql + note)
 
 
-def run(
-    execute,
-    plan,
-    executor: "ParallelExecutor | None" = None,
-    capture: bool = False,
-) -> PlanRun:
+def run(execute, plan, capture: bool = False) -> PlanRun:
     """Execute any planned statement — the one path from a plan to rows.
 
-    ``bnl``/``parallel`` scan ``pushdown_sql``, ``session`` takes the
+    ``bnl`` scans ``pushdown_sql``, ``session`` takes the
     cached winner base plus the ``session_delta_sql`` rows, ``prejoin``
     scans ``prejoin_scan_sql``; each winnows once and surfaces the
     residual's select list (``prejoin``: the winners' rowids, joined
@@ -280,7 +253,7 @@ def run(
     if plan.uses_engine:
         host_sql = plan.pushdown_sql
         candidates, ranks = scan(execute, host_sql, select, plan.rank_width)
-        winners = winnow(select, candidates, plan.strategy, executor, ranks)
+        winners = winnow(select, candidates, plan.strategy, ranks)
         note = f"{host_sql} /* + in-memory {plan.strategy} */"
     elif plan.strategy == SESSION_STRATEGY:
         # No base-table rescan: the cached winner base, filtered by any
@@ -322,13 +295,9 @@ def run(
     return PlanRun(winners.surface(select), None, host_sql, note, winner_base)
 
 
-def run_plan(
-    execute,
-    plan,
-    executor: "ParallelExecutor | None" = None,
-) -> Relation:
+def run_plan(execute, plan) -> Relation:
     """Execute any SELECT plan and materialise its rows."""
-    outcome = run(execute, plan, executor=executor)
+    outcome = run(execute, plan)
     if outcome.relation is None:
         return host_relation(outcome.cursor)
     return outcome.relation
@@ -474,8 +443,6 @@ class PreferenceEngine:
         self,
         relations: dict[str, Relation] | None = None,
         algorithm: str = "bnl",
-        max_workers: int | None = None,
-        executor: "ParallelExecutor | None" = None,
         rank_columns: RankColumns | None = None,
     ):
         self._relations: dict[str, Relation] = {}
@@ -484,30 +451,11 @@ class PreferenceEngine:
                 self.register(name, relation)
         self._algorithm = algorithm
         self._preferences: dict[str, ast.PrefTerm] = {}
-        self._max_workers = max_workers
-        self._executor = executor
-        self._owns_executor = False
         #: Host-database-computed rank columns for the next preference
         #: SELECT (the SQL rank pushdown path, see the driver).  Consumed
         #: only when the query shape guarantees row alignment; otherwise
         #: the engine silently recomputes the ranks itself.
         self._rank_columns = rank_columns
-
-    def close(self) -> None:
-        """Release the engine's own worker pool (injected pools are kept)."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-            self._executor = None
-            self._owns_executor = False
-
-    def _parallel_executor(self) -> "ParallelExecutor":
-        """The shared partitioned executor, created on first parallel query."""
-        if self._executor is None:
-            from repro.engine.parallel import ParallelExecutor
-
-            self._executor = ParallelExecutor(max_workers=self._max_workers)
-            self._owns_executor = True
-        return self._executor
 
     def register(self, name: str, relation: Relation) -> None:
         """Register (or replace) a named relation."""
@@ -706,11 +654,6 @@ class PreferenceEngine:
                 group_keys=group_keys,
                 threshold=threshold,
                 algorithm=self._algorithm,
-                executor=(
-                    self._parallel_executor()
-                    if self._algorithm == "parallel"
-                    else None
-                ),
                 ranks=ranks,
             )
             bundles = [bundles[i] for i in winners]

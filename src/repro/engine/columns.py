@@ -10,8 +10,8 @@ in-memory half of that idea:
 
 * :class:`RankColumns` holds one contiguous ``array('d')`` per base
   preference, computed **once per query** and shared by every consumer —
-  the compiled dominance comparator, the serial winnow and the
-  partitioned parallel executor.
+  the compiled dominance comparator and every GROUPING partition of the
+  winnow.
 * :func:`compute_rank_columns` fills the columns from operand vectors
   (one tight Python loop per leaf);
   :func:`rank_columns_from_values` adopts rank values the **host

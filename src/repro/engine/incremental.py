@@ -659,11 +659,8 @@ class ViewMaintainer:
         Planning deliberately passes no view matcher, so a refresh can
         never be (mis)answered from the view being refreshed.
         """
-        connection = self._connection
-        plan = connection._plan_statement(select, views=False, session=False)
-        return run_plan(
-            self._raw.execute, plan, executor=connection.parallel_executor
-        )
+        plan = self._connection._plan_statement(select, views=False, session=False)
+        return run_plan(self._raw.execute, plan)
 
     def _create_backing(self, backing_table: str, relation: Relation) -> None:
         # Columns are declared without a type on purpose: sqlite's "none"

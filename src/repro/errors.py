@@ -119,11 +119,9 @@ class DriverError(PreferenceSQLError):
 class QueryTimeout(DriverError):
     """A query ran past its deadline and was cancelled, not hung.
 
-    Raised cooperatively by the in-memory kernels, by the sqlite
-    interrupt watchdog for host-side scans, and by process-backend
-    workers; always retryable — a retry under lighter load (or with a
-    larger ``timeout_ms``) can succeed.  The single-argument constructor
-    keeps the exception picklable across the process-pool boundary.
+    Raised cooperatively by the in-memory kernels and by the sqlite
+    interrupt watchdog for host-side scans; always retryable — a retry
+    under lighter load (or with a larger ``timeout_ms``) can succeed.
     """
 
     code = "timeout"

@@ -7,10 +7,9 @@ that choice automatic, per query, from cheap table statistics:
 * :mod:`repro.plan.statistics` — row counts and per-column distinct
   counts, cached per connection and invalidated on DML,
 * :mod:`repro.plan.cost` — the calibrated cost model pricing the
-  ``NOT EXISTS`` rewrite against the in-memory winnow — serial
-  (``bnl``) or partitioned (``parallel``) — with a System-R-style WHERE
-  selectivity and the classical ``(ln n)^(d-1)/(d-1)!`` skyline-size
-  estimate,
+  ``NOT EXISTS`` rewrite against the in-memory winnow (``bnl``) with a
+  System-R-style WHERE selectivity and the classical
+  ``(ln n)^(d-1)/(d-1)!`` skyline-size estimate,
 * :mod:`repro.plan.planner` — :func:`~repro.plan.planner.plan_statement`,
   producing a :class:`~repro.plan.planner.Plan` with the chosen strategy,
   the rewritten SQL and (for in-memory strategies) the hard-condition

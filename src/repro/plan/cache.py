@@ -5,11 +5,9 @@ with different parameters.  Parsing and planning (which includes a
 statistics lookup and a full rewrite) are pure functions of the statement
 text and the planning environment, so the driver caches their outcome
 keyed on ``(statement text, version)`` where the version is any hashable
-snapshot of that environment — the driver uses ``(catalog version,
-worker degree)``: a ``CREATE/DROP PREFERENCE`` bumps the catalog version
-and naturally orphans every plan that might have resolved a named
-preference differently, and changing ``max_workers`` orphans plans whose
-parallel cost term was priced for the old pool size.  A rolled-back
+snapshot of that environment — the driver uses its catalog version: a
+``CREATE/DROP PREFERENCE`` bumps it and naturally orphans every plan that
+might have resolved a named preference differently.  A rolled-back
 catalog change *restores* the previously committed version, so plans
 cached against it become servable again.
 

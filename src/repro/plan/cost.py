@@ -1,17 +1,13 @@
 """The calibrated cost model behind plan selection.
 
-Three candidate strategies compete for every preference SELECT:
+Two candidate strategies compete for every preference SELECT:
 
 * ``rewrite`` — the paper's selection method (section 3.2): a correlated
   ``NOT EXISTS`` anti-join executed entirely by the host database,
 * ``bnl`` — a hard-condition pushdown fetches the WHERE-surviving
   candidates, then the serial in-memory winnow computes the BMO set with
   the kernel :func:`repro.engine.algorithms.winnow_kernel` picks for the
-  rank shape (the name is historical: it is the strategy, not the loop),
-* ``parallel`` — the same pushdown and kernels, scheduled by the
-  partitioned executor of :mod:`repro.engine.parallel` (per-group tasks
-  for GROUPING queries, hash-partition → local skylines → merge filter
-  otherwise).
+  rank shape (the name is historical: it is the strategy, not the loop).
 
 The model prices each strategy in seconds from three inputs: the estimated
 candidate count ``n`` (row count × System-R-style WHERE selectivity), the
@@ -31,15 +27,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from repro.engine.parallel import (
-    partition_count,
-    process_backend_eligible,
-)
 from repro.errors import PlanError
 from repro.sql import ast
 
 #: Strategies that evaluate the BMO set in Python after a pushdown.
-IN_MEMORY_STRATEGIES: tuple[str, ...] = ("bnl", "parallel")
+IN_MEMORY_STRATEGIES: tuple[str, ...] = ("bnl",)
 
 #: All selectable execution strategies, in tie-breaking order.
 STRATEGIES: tuple[str, ...] = ("rewrite",) + IN_MEMORY_STRATEGIES
@@ -89,36 +81,9 @@ class CostModel:
     sort_key: float = 0.9e-6
     sql_setup: float = 0.4e-3
     py_setup: float = 1.3e-3
-    #: Standing up (or waking) the shared worker pool for one query.
-    pool_setup: float = 0.6e-3
-    #: Per partition/group task: scheduling plus the local window state.
-    partition_overhead: float = 25e-6
-    #: Fraction of the ideal per-worker speedup the *thread* pool
-    #: delivers.  Zero on CPython: the comparison work is pure Python, so
-    #: the GIL lets thread workers overlap none of it (measured: 4
-    #: workers are *slower* than 1 on the E9 workloads) — the thread
-    #: backend's real advantage is the partitioned flat-rank core, priced
-    #: below.  Raise this only for a runtime whose threads genuinely
-    #: overlap (free-threaded builds).
-    parallel_efficiency: float = 0.0
-    #: Fraction of the ideal per-worker speedup the *process* pool
-    #: delivers.  Worker processes run local skylines on separate cores
-    #: with no GIL between them; the discount below 1.0 covers partition
-    #: skew, the serial merge filter and winner-list pickling (measured
-    #: on the e15 partition benchmark at 2-4 workers).
-    process_efficiency: float = 0.7
-    #: Per-query fixed cost of the process backend: creating (and
-    #: unlinking) the shared-memory segment plus cross-process task
-    #: dispatch.  The worker pool itself is cached on the executor, so
-    #: its fork cost amortises across queries and is not priced here.
-    process_setup: float = 2.5e-3
-    #: Copying one float64 cell (rank matrix plus candidate vector) into
-    #: the shared-memory segment — memcpy rate, far below a rank() call.
-    shm_cell: float = 2.0e-9
-    #: Rank-tuple comparison in the columnar skyline kernels (serial and
-    #: partitioned) — C-level tuple arithmetic, cheaper than a
-    #: compiled-closure dominance test (calibrated against E9/E11: ~3x
-    #: under py_dominance).
+    #: Rank-tuple comparison in the columnar skyline kernels — C-level
+    #: tuple arithmetic, cheaper than a compiled-closure dominance test
+    #: (calibrated against E9/E11: ~3x under py_dominance).
     flat_dominance: float = 0.08e-6
     #: Filling one rank-column cell in Python (one ``rank()``/``level()``
     #: call inside a tight loop), per row and base preference.
@@ -290,64 +255,6 @@ def _column_operand(*operands: ast.Expr) -> str | None:
     return None
 
 
-def planned_partitions(
-    candidates: float, workers: int, groups: float | None
-) -> int:
-    """Partition count the parallel strategy would run with.
-
-    GROUPING partitions when the query is grouped (capped by the candidate
-    count — there cannot be more non-empty groups than rows), otherwise
-    the hash-partition fan-out.  Single source of truth for both the cost
-    model and the EXPLAIN PREFERENCE report.
-    """
-    if groups is not None and groups >= 1.0:
-        return int(min(max(1.0, candidates), max(1.0, groups)))
-    return partition_count(candidates, workers)
-
-
-def parallel_backend_choice(
-    candidates: float,
-    dimensions: int,
-    distinct_counts: Sequence[int | None] = (),
-    workers: int = 1,
-    groups: float | None = None,
-    rank_mode: str | None = None,
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> tuple[str, float, float]:
-    """The parallel strategy's ``(backend, degree, dispatch seconds)``.
-
-    Prices the degreed partition work (sort plus local skylines) under
-    the thread pool — whose degree only earns ``parallel_efficiency``,
-    zero on CPython — and under the process pool — real core overlap at
-    ``process_efficiency``, but paying the shared-memory export and the
-    per-query dispatch — and picks the cheaper.  Grouped queries and
-    non-flat trees are thread-only: the same
-    :func:`repro.engine.parallel.process_backend_eligible` predicate the
-    executor applies at run time, so EXPLAIN's prediction matches what
-    execution does.
-    """
-    n = max(1.0, float(candidates))
-    partitions = float(planned_partitions(n, workers, groups))
-    thread_degree = max(1.0, min(workers, partitions) * model.parallel_efficiency)
-    thread_dispatch = model.pool_setup + model.partition_overhead * partitions
-    if groups is not None or not process_backend_eligible(rank_mode, n, workers):
-        return "thread", thread_degree, thread_dispatch
-    log_n = math.log2(n) if n > 1.0 else 1.0
-    local_s = max(
-        1.0, estimate_skyline_size(n / partitions, dimensions, distinct_counts)
-    )
-    work = model.flat_dominance * n * (log_n + local_s)
-    process_degree = max(1.0, min(workers, partitions) * model.process_efficiency)
-    process_dispatch = (
-        thread_dispatch
-        + model.process_setup
-        + model.shm_cell * n * (max(1, dimensions) + 1)
-    )
-    if process_dispatch + work / process_degree < thread_dispatch + work / thread_degree:
-        return "process", process_degree, process_dispatch
-    return "thread", thread_degree, thread_dispatch
-
-
 def rank_source_costs(
     candidates: float,
     dimensions: int,
@@ -397,11 +304,8 @@ def estimate_costs(
     model: CostModel = DEFAULT_COST_MODEL,
     include: Sequence[str] = STRATEGIES,
     row_width: int | None = None,
-    workers: int = 1,
-    groups: float | None = None,
     columnar: bool = False,
     rank_source: str | None = None,
-    rank_mode: str | None = None,
     prejoin: PrejoinShape | None = None,
 ) -> dict[str, CostEstimate]:
     """Price every strategy in ``include`` for the given input shape.
@@ -411,21 +315,6 @@ def estimate_costs(
     materialises whole rows, so a 74-attribute profile costs an order of
     magnitude more per row than a 7-attribute catalog entry, while the
     host-side anti-join only ever ships the winners.
-
-    ``workers`` is the parallel strategy's worker degree and ``groups`` the
-    estimated GROUPING partition count (None for ungrouped queries).  The
-    parallel strategy prices pool spin-up plus per-partition overhead
-    against the partitioned executor's comparison structure: local
-    skylines over rank rows shared across partitions, plus — for
-    hash-partitioned ungrouped queries — the merge filter over the union
-    of local skylines.  The strategy prices both execution backends and
-    takes the cheaper (see :func:`parallel_backend_choice`): on threads
-    the worker degree only earns ``model.parallel_efficiency`` (zero on
-    CPython — the GIL serialises the pure-Python comparison work, so the
-    modelled advantage is the cheaper flat-rank comparisons), while the
-    process pool genuinely overlaps local skylines on separate cores for
-    large flat-mode partitions (``rank_mode``, see
-    :func:`repro.engine.parallel.process_backend_eligible`).
 
     ``columnar`` marks a rank-based preference tree: the in-memory
     strategies then price their comparisons at the columnar kernels'
@@ -467,8 +356,8 @@ def estimate_costs(
             # overtakes once the skyline outgrows the sort cost),
             # whichever is cheaper.  Recalibrating against the kernels
             # that actually run belongs to the cost audit; until then
-            # this holds every rewrite / in-memory / parallel crossover
-            # where the three-formula model put it.
+            # this holds every rewrite / in-memory crossover where the
+            # three-formula model put it.
             sort_cost = (
                 model.flat_dominance if columnar else model.sort_key
             ) * n * log_n
@@ -482,52 +371,6 @@ def estimate_costs(
                         dominance * n * s * 0.35,
                         sort_cost + dominance * n * s * 0.2,
                     ),
-                ),
-            )
-        elif strategy == "parallel":
-            partitions = float(planned_partitions(n, workers, groups))
-            backend, degree, dispatch = parallel_backend_choice(
-                n,
-                dimensions,
-                distinct_counts,
-                workers=workers,
-                groups=groups,
-                rank_mode=rank_mode,
-                model=model,
-            )
-            local_n = n / partitions
-            local_s = max(
-                1.0, estimate_skyline_size(local_n, dimensions, distinct_counts)
-            )
-            union = min(n, partitions * local_s)
-            steps = (
-                ("engine setup", model.py_setup),
-                ("fetch candidates", row_fetch * n),
-                (
-                    "process-pool dispatch + shared-memory export"
-                    if backend == "process"
-                    else "pool spin-up + task dispatch",
-                    dispatch,
-                ),
-                # Rank rows materialise once globally — via the chosen
-                # rank source for columnar trees, Python-level rank()
-                # calls otherwise; the per-partition sort is C-level
-                # tuple comparison, priced like a flat dominance test per
-                # n·log n step.
-                rank_step if rank_step else ("rank rows", model.sort_key * n),
-                (
-                    "partition sort",
-                    model.flat_dominance * n * log_n / degree,
-                ),
-                (
-                    "local skylines",
-                    model.flat_dominance * n * local_s / degree,
-                ),
-                (
-                    "merge filter",
-                    0.0
-                    if groups is not None and groups >= 1.0
-                    else model.flat_dominance * union * s,
                 ),
             )
         elif strategy == PREJOIN_STRATEGY:

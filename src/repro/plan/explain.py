@@ -27,8 +27,6 @@ _STRATEGY_LABELS = {
     "bnl": "in-memory winnow after hard-condition pushdown — sort-filter "
     "on flat Pareto ranks, minimum-bucket scan on flat cascades, window "
     "BNL otherwise",
-    "parallel": "the same winnow kernels per partition, then a merge "
-    "filter, after hard-condition pushdown",
     "view": "materialized preference view scan",
     "prejoin": "winnow pushdown — BMO on the preference table, then join "
     "only the winners",
@@ -100,12 +98,6 @@ def plan_relation(
             label += f" ({plan.rank_width} rank columns)"
         add("rank source", label)
         add("columnar", plan.columnar or "no")
-    if plan.partitions:
-        kind = "GROUPING" if plan.group_estimate is not None else "hash"
-        add("parallel partitions (est)", f"{plan.partitions} ({kind})")
-        add("parallel worker degree", plan.workers)
-        if plan.parallel_backend is not None:
-            add("parallel backend", plan.parallel_backend)
     for name in _COST_ORDER:
         estimate = plan.estimates.get(name)
         if estimate is None:

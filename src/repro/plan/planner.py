@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 
 from repro.deadline import active_deadline
 from repro.engine.columns import rank_shape
-from repro.engine.parallel import default_worker_count
 from repro.errors import (
     CatalogError,
     PlanError,
@@ -47,8 +46,6 @@ from repro.plan.cost import (
     estimate_costs,
     estimate_selectivity,
     estimate_skyline_size,
-    parallel_backend_choice,
-    planned_partitions,
     semantic_pass_estimate,
     session_reuse_estimate,
 )
@@ -113,7 +110,7 @@ class Plan:
     """One fully-described execution of a preference statement."""
 
     statement: ast.Statement
-    strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'parallel' | 'prejoin' | 'session' | 'view'
+    strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'prejoin' | 'session' | 'view'
     rewritten_sql: str | None = None
     pushdown_sql: str | None = None
     residual: ast.Select | None = None
@@ -131,18 +128,6 @@ class Plan:
     #: driver keeps the materialization fresh under DML.
     view_name: str | None = None
     view_maintenance: str | None = None
-    #: Parallel-strategy shape: estimated partition count (GROUPING
-    #: partitions for grouped queries, hash partitions otherwise) and the
-    #: worker degree the pool would run at.  Zero when the statement is not
-    #: eligible for in-memory evaluation.
-    partitions: int = 0
-    workers: int = 0
-    group_estimate: float | None = None
-    #: Execution backend the parallel strategy was priced for:
-    #: ``"process"`` when the cost model expects the process pool's real
-    #: core overlap to win (large ungrouped flat-mode partitions),
-    #: ``"thread"`` otherwise, None for host-only plans.
-    parallel_backend: str | None = None
     #: Columnar execution shape of the in-memory strategies: how the rank
     #: columns are obtained (``'sql'`` pushdown / ``'python'`` /
     #: ``'closure'`` fallback, None for host-only plans), how many rank
@@ -202,7 +187,6 @@ def plan_statement(
     statistics: StatisticsProvider | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
     force: str | None = None,
-    workers: int | None = None,
     views: ViewMatcher | None = None,
     constraints: ConstraintProvider | None = None,
     session: SessionMatcher | None = None,
@@ -211,9 +195,7 @@ def plan_statement(
 
     ``force`` pins the strategy (benchmarks and differential tests);
     forcing an in-memory strategy on an ineligible statement raises
-    :class:`~repro.errors.PlanError`.  ``workers`` is the worker degree
-    the parallel strategy would run at (the connection's ``max_workers``);
-    None resolves to the hardware default.  ``views`` lets the planner
+    :class:`~repro.errors.PlanError`.  ``views`` lets the planner
     answer a matching preference query from a materialized view's
     backing table (skipped whenever a strategy is forced, so pinned
     executions always compute from the base tables).  ``constraints``
@@ -342,13 +324,6 @@ def plan_statement(
     include = STRATEGIES if in_memory else ("rewrite",)
     if prejoin_binding is not None:
         include = include + (PREJOIN_STRATEGY,)
-    effective_workers = workers if workers is not None else default_worker_count()
-    groups = _group_estimate(select, candidates, lookup)
-    partitions = (
-        planned_partitions(candidates, effective_workers, groups)
-        if in_memory
-        else 0
-    )
     probe = _probe_ranks(select, resolver) if in_memory else None
     rank_source = (
         choose_rank_source(
@@ -377,11 +352,8 @@ def plan_statement(
             if join_scan is not None
             else _row_width(table, schema)
         ),
-        workers=effective_workers,
-        groups=groups,
         columnar=probe.columnar if probe is not None else False,
         rank_source=rank_source,
-        rank_mode=probe.mode if probe is not None else None,
         prejoin=prejoin_shape,
     )
     if semantic is not None and semantic.single_pass_sql is not None:
@@ -465,22 +437,6 @@ def plan_statement(
         preference_sql=to_sql(select.preferring),
         notes=notes,
         forced=force is not None,
-        partitions=partitions,
-        workers=effective_workers if in_memory else 0,
-        group_estimate=groups,
-        parallel_backend=(
-            parallel_backend_choice(
-                candidates,
-                dimensions,
-                distinct_counts,
-                workers=effective_workers,
-                groups=groups,
-                rank_mode=probe.mode if probe is not None else None,
-                model=model,
-            )[0]
-            if in_memory
-            else None
-        ),
         rank_source=rank_source,
         columnar=probe.label if probe is not None else None,
         join_tables=join_tables,
@@ -821,32 +777,6 @@ def inline_named_preferences(
         )
         return type(term)(parts=parts)
     return term
-
-
-def _group_estimate(
-    select: ast.Select,
-    candidates: float,
-    lookup: Callable[[str], int | None],
-) -> float | None:
-    """Estimated GROUPING partition count, or None for ungrouped queries.
-
-    The product of the grouping columns' distinct counts, capped by the
-    candidate count (there cannot be more non-empty groups than rows);
-    computed grouping expressions without statistics guess a small
-    constant, erring low so parallelism is not oversold.
-    """
-    if not select.grouping:
-        return None
-    product = 1.0
-    for expr in select.grouping:
-        if isinstance(expr, ast.Column):
-            count = lookup(expr.qualified)
-        else:
-            count = None
-        product *= float(count) if count else 8.0
-        if product > 1e12:
-            break
-    return max(1.0, min(candidates if candidates else product, product))
 
 
 def _row_width(table: str | None, schema: Schema | None) -> int | None:

@@ -63,15 +63,12 @@ class PreferenceServer:
         pool_size: int = 4,
         max_inflight: int | None = None,
         max_queue: int = 32,
-        max_workers: int | None = None,
         shared: SharedState | None = None,
         default_timeout_ms: float | None = None,
         checkout_timeout: float = 10.0,
         max_line_bytes: int = 1 << 20,
     ):
-        self.pool = ConnectionPool(
-            database, size=pool_size, max_workers=max_workers, shared=shared
-        )
+        self.pool = ConnectionPool(database, size=pool_size, shared=shared)
         self.host = host
         self.port = port
         self.max_inflight = max_inflight if max_inflight is not None else pool_size

@@ -52,7 +52,6 @@ class ConnectionPool:
         self,
         database: str,
         size: int = 4,
-        max_workers: int | None = None,
         shared: SharedState | None = None,
     ):
         if size < 1:
@@ -66,15 +65,14 @@ class ConnectionPool:
         self.database = database
         self.shared = shared if shared is not None else SharedState()
         self.size = size
-        self._max_workers = max_workers
         self._lock = threading.Lock()
         #: guarded by _lock
         self._connections: list[Connection] = [
             self._open() for _ in range(size)
         ]
         # LIFO: the most recently used connection is handed out next, so
-        # a lightly loaded pool keeps reusing warm executors and session
-        # caches instead of round-robining through cold ones.
+        # a lightly loaded pool keeps reusing warm session caches instead
+        # of round-robining through cold ones.
         self._free: queue.LifoQueue[Connection] = queue.LifoQueue()
         for connection in self._connections:
             self._free.put(connection)
@@ -88,7 +86,6 @@ class ConnectionPool:
     def _open(self) -> Connection:
         return connect(
             self.database,
-            max_workers=self._max_workers,
             shared=self.shared,
             check_same_thread=False,
             isolation_level=None,

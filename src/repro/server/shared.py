@@ -54,7 +54,7 @@ class SharedState:
         self.statistics_lock = threading.Lock()
         #: Recovery observability: named event counters bumped by the
         #: serving layer when a component self-heals (e.g. a pooled
-        #: connection replaced, a process pool rebuilt).  The chaos
+        #: connection replaced).  The chaos
         #: suite reads these to assert faults were *detected*, not just
         #: survived.
         #: guarded by _lock

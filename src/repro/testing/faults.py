@@ -1,10 +1,9 @@
 """Deterministic fault injection for the serving stack.
 
 The interesting serving failures are not wrong answers but wedged
-servers: a broken pooled connection silently poisoning the pool, a
-crashed process worker taking the parallel backend down, a shared-memory
-segment that never gets unlinked.  None of those occur naturally in a
-test run, so this module threads **named injection points** through the
+servers: a broken pooled connection silently poisoning the pool, a slow
+query holding a worker thread, a client vanishing mid-exchange.  None of
+those occur naturally in a test run, so this module threads **named injection points** through the
 production code and lets a test install a :class:`FaultPlan` that makes
 them misbehave deterministically.
 
@@ -18,9 +17,6 @@ point               fired
                     (context: ``sql``)
 ``pool.checkout``   after a pooled connection is checked out, *before*
                     the health check (context: ``connection``)
-``process.task``    before process-pool task dispatch (context:
-                    ``pool`` — the ``ProcessPoolExecutor``)
-``shm.create``      before the shared-memory segment is created
 ``server.slow_query`` in the server's worker thread, before pool
                     checkout (context: ``sql``)
 ``client.disconnect`` decision point consulted by chaos clients — the
@@ -42,7 +38,6 @@ replays identically for a given seed and call sequence.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -61,8 +56,6 @@ from typing import Any, Callable, Iterator
 POINTS: dict[str, str] = {
     "driver.execute": "production",
     "pool.checkout": "production",
-    "process.task": "production",
-    "shm.create": "production",
     "server.slow_query": "production",
     "client.disconnect": "client",
 }
@@ -111,8 +104,8 @@ class FaultRule:
 class FaultPlan:
     """A deterministic set of :class:`FaultRule` for one chaos run.
 
-    Thread-safe: injection points fire from the asyncio loop thread,
-    server worker threads and executor threads concurrently, so rule
+    Thread-safe: injection points fire from the asyncio loop thread and
+    the server's worker threads concurrently, so rule
     state and the RNG are guarded by one lock.  ``hits``/``fires`` count
     per point — the chaos suite asserts conservation against them.
     """
@@ -207,27 +200,6 @@ def injected(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 # ----------------------------------------------------------------------
 # Canned fault behaviours for the common chaos scenarios
-
-
-def _exit_worker() -> None:  # pragma: no cover - runs in a pool worker
-    """Die the way a segfaulting worker does (no cleanup, no excuse)."""
-    os._exit(1)
-
-
-def crash_pool_worker(context: dict[str, Any]) -> None:
-    """A ``process.task`` action: hard-kill one worker of the pool.
-
-    Submitting ``os._exit`` gives a *genuine* worker death — the
-    subsequent task dispatch observes ``BrokenProcessPool`` exactly as a
-    segfault would produce it, exercising the executor's real recovery
-    path rather than a simulated exception.
-    """
-    pool = context["pool"]
-    future = pool.submit(_exit_worker)
-    try:
-        future.result(timeout=30)
-    except Exception:
-        pass  # BrokenProcessPool here is the point
 
 
 def break_pooled_connection(context: dict[str, Any]) -> None:

@@ -1,8 +1,5 @@
 """Known-bad fixture: unbalanced paired mutations."""
 
-from multiprocessing.shared_memory import SharedMemory
-
-
 class BadGauge:
     def __init__(self):
         self._waiting = 0
@@ -21,13 +18,3 @@ class BadGauge:
 class BadPool:
     def take(self):
         return self._free.get(timeout=1)  # no finally-guarded .put() anywhere
-
-
-def leaky_create():
-    shm = SharedMemory(create=True, size=16)
-    return shm.name  # no reachable .unlink()
-
-
-def leaky_attach(name):
-    shm = SharedMemory(name=name)
-    return bytes(shm.buf[:1])  # no finally-guarded .close()

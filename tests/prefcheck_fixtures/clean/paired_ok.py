@@ -1,8 +1,5 @@
 """Known-clean fixture: every paired mutation balances on all paths."""
 
-from multiprocessing.shared_memory import SharedMemory
-
-
 class GoodGauge:
     def __init__(self):
         self._waiting = 0
@@ -25,22 +22,3 @@ class GoodPool:
             return connection.do()
         finally:
             self._free.put(connection)
-
-
-class GoodTransport:
-    """The RAII shape: create in __init__, unlink in close()."""
-
-    def __init__(self):
-        self._shm = SharedMemory(create=True, size=16)
-
-    def close(self):
-        self._shm.close()
-        self._shm.unlink()
-
-
-def good_attach(name):
-    shm = SharedMemory(name=name)
-    try:
-        return bytes(shm.buf[:1])
-    finally:
-        shm.close()

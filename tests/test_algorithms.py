@@ -3,9 +3,11 @@
 The paper's abstract nested-loop selection method (section 3.2) is the
 executable definition of "maximal tuples".  The engine answers every
 query with the one kernel :func:`repro.engine.algorithms.winnow_kernel`
-picks for its rank shape, and the serial evaluator, the thread executor
-and the process workers only *schedule* index subsets through it — so one
-shape × scheduler matrix, checked against the oracle, pins every path.
+picks for its rank shape, and :func:`repro.engine.bmo.bmo_filter` only
+*schedules* index subsets through it (the whole input, GROUPING
+partitions, BUT ONLY survivors) — so one shape × scheduler matrix,
+checked against the oracle, pins every path.  The partition lemma and
+the rank edge values are checked as laws of the same winnow.
 """
 
 import functools
@@ -16,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.engine.algorithms import nested_loop_maximal, winnow_kernel
-from repro.engine.bmo import bmo_filter
-from repro.engine.columns import compute_rank_columns
-from repro.engine.parallel import ParallelExecutor
+from repro.engine.bmo import PreferenceEngine, bmo_filter
+from repro.engine.relation import Relation
+from repro.errors import EvaluationError
 from repro.model.builder import build_preference
 from repro.model.composite import ParetoPreference, PrioritizationPreference
 from repro.model.numeric import LowestPreference
@@ -81,8 +83,7 @@ def _clause(text):
 
 
 #: shape → (preference factory, row count, NULL-bearing operands?).  The
-#: two flat-Pareto sizes sit on either side of the numpy floor; 700 rows
-#: keep the four hash partitions of the executors above it as well.
+#: two flat-Pareto sizes sit on either side of the numpy floor.
 SHAPES = {
     "flat-pareto-small": (_clause("LOWEST(a) AND HIGHEST(b)"), 120, False),
     "flat-pareto-large": (_clause("LOWEST(a) AND HIGHEST(b)"), 700, False),
@@ -149,30 +150,10 @@ def _but_only_survivors(preference, vectors, keys):
     return bmo_filter(preference, vectors, threshold=lambda i: i % 3), expected
 
 
-def _partitions(backend):
-    def schedule(preference, vectors, keys):
-        expected = _oracle(preference, vectors, list(range(len(vectors))))
-        with ParallelExecutor(
-            max_workers=2, min_partition_rows=32, backend=backend
-        ) as executor:
-            winners = executor.maximal_indices(preference, vectors)
-            ranks = compute_rank_columns(preference, vectors)
-            flat = ranks is not None and ranks.mode is not None
-            if vectors:  # closure-compared trees never leave the threads
-                assert executor.last_backend == (
-                    "process" if backend == "process" and flat else "thread"
-                )
-        return winners, expected
-
-    return schedule
-
-
 SCHEDULERS = {
     "serial": _serial,
     "grouping": _grouping,
     "but-only-survivors": _but_only_survivors,
-    "thread-partitions": _partitions("thread"),
-    "process-partitions": _partitions("process"),
 }
 
 
@@ -191,12 +172,26 @@ def test_kernel_is_reusable_across_index_subsets(shape):
     # One kernel per query: the same evaluator answers any partition.
     preference, vectors, _keys = _shape(shape)
     indices = list(range(len(vectors)))
-    evaluate, _ranks, position = winnow_kernel(preference, vectors, indices)
-    assert position is None  # every row is a candidate: no remap
+    evaluate = winnow_kernel(preference, vectors, indices)
     for members in (indices[::2], indices[1::2], indices[:7]):
         assert sorted(evaluate(members)) == sorted(
             _oracle(preference, vectors, members)
         )
+
+
+@pytest.mark.parametrize("retired", ["quantum", "sfs", "dnc", "auto", "parallel"])
+def test_unknown_algorithm_rejected(retired):
+    # Only "bnl" and the "nested_loop" oracle remain; retired scheduler
+    # and kernel names fail loudly at the engine, like the planner's
+    # "unknown strategy" PlanError.
+    preference = build_preference(parse_preferring("LOWEST(a)"))
+    with pytest.raises(EvaluationError, match="unknown skyline algorithm"):
+        bmo_filter(preference, [(1,)], algorithm=retired)
+    engine = PreferenceEngine(
+        {"t": Relation(["a"], [(1,), (2,)])}, algorithm=retired
+    )
+    with pytest.raises(EvaluationError, match="unknown skyline algorithm"):
+        engine.execute("SELECT * FROM t PREFERRING LOWEST(a)")
 
 
 class TestKnownCases:
@@ -231,3 +226,83 @@ class TestKnownCases:
         assert bmo_filter(preference, vectors) == sorted(
             nested_loop_maximal(preference, vectors)
         )
+
+
+# ----------------------------------------------------------------------
+# Laws of the winnow operator
+
+
+PREFERENCES = [
+    "LOWEST(d0) AND HIGHEST(d1)",
+    "LOWEST(d0) CASCADE LOWEST(d1)",
+    "d0 AROUND 5 AND LOWEST(d1)",
+    "(LOWEST(d0) AND LOWEST(d1)) CASCADE HIGHEST(d0)",
+    "EXPLICIT(d0, 'a' > 'b', 'b' > 'c') AND LOWEST(d1)",
+]
+
+vectors_strategy = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=0, max_size=60
+)
+
+
+def _prepare(clause, vectors):
+    """Expand drawn value pairs to the preference's flat operand arity."""
+    preference = build_preference(parse_preferring(clause))
+    if "EXPLICIT" in clause:
+        letters = "abcd"
+        vectors = [(letters[v[0] % 4], v[1]) for v in vectors]
+    arity = preference.arity
+    vectors = [tuple(v[k % len(v)] for k in range(arity)) for v in vectors]
+    return preference, vectors
+
+
+class TestPartitionMergeLemma:
+    """w(∪ w(P_i)) == w(R) for arbitrary partitionings P_i of R."""
+
+    @given(vectors=vectors_strategy, data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_merge_of_local_skylines_is_global_skyline(self, vectors, data):
+        clause = data.draw(st.sampled_from(PREFERENCES))
+        preference, vectors = _prepare(clause, vectors)
+        # An arbitrary partitioning: every row draws its partition id.
+        assignment = [
+            data.draw(st.integers(0, 4), label=f"partition[{i}]")
+            for i in range(len(vectors))
+        ]
+        partitions: dict[int, list[int]] = {}
+        for index, part in enumerate(assignment):
+            partitions.setdefault(part, []).append(index)
+
+        evaluate = winnow_kernel(preference, vectors, range(len(vectors)))
+        union = sorted(
+            i for members in partitions.values() for i in evaluate(members)
+        )
+        merged = sorted(evaluate(union))
+        oracle = sorted(nested_loop_maximal(preference, vectors))
+        assert merged == oracle, clause
+
+
+class TestRankEdgeValues:
+    def test_unparseable_text_ranks_as_null_rank_on_both_paths(self):
+        # Built-ins never rank to NaN: unparseable text maps to NULL_RANK,
+        # which is totally ordered (worst) — kernel and oracle agree.
+        preference = build_preference(parse_preferring("LOWEST(a) AND LOWEST(b)"))
+        vectors = [(1, 1), ("junk", 0), (2, 2)]
+        oracle = sorted(nested_loop_maximal(preference, vectors))
+        assert bmo_filter(preference, vectors) == oracle
+        assert oracle == [0, 1]  # NULL_RANK loses on a, wins on b
+
+    def test_custom_nan_ranks_match_serial_closures(self):
+        # Only a custom rank() can produce NaN; the flat kernels must then
+        # reproduce the closure semantics of the oracle in both modes.
+        vectors = [(1, None), (2, 3), (0, 5), (None, None), (2, 3)]
+        for composite in (
+            ParetoPreference(_nan_bases()),
+            PrioritizationPreference(_nan_bases()),
+        ):
+            oracle = sorted(nested_loop_maximal(composite, vectors))
+            assert bmo_filter(composite, vectors) == oracle, composite.kind
+        # Cascade specifically: (1, NaN) lexicographically beats (2, 3) on
+        # the NaN-free prefix, so the NaN row must not be a blanket winner.
+        cascade = PrioritizationPreference(_nan_bases())
+        assert 1 not in bmo_filter(cascade, vectors)

@@ -37,7 +37,7 @@ class TestHarness:
 class TestExperiments:
     def test_registry_complete(self):
         assert set(EXPERIMENTS) == {
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
+            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10",
             "e11", "e12", "e13", "e14", "e15", "e16",
         }
 
@@ -45,7 +45,6 @@ class TestExperiments:
         from repro.bench.experiments import ALIASES
 
         assert ALIASES["plan"] == "e8"
-        assert ALIASES["parallel"] == "e9"
         assert ALIASES["views"] == "e10"
         assert ALIASES["columnar"] == "e11"
         assert ALIASES["joins"] == "e12"
@@ -104,27 +103,14 @@ class TestExperiments:
         assert report.data["share_in_1_20"] >= 0.9
         assert report.data["preference_share_of_total"] < 0.2
 
-    def test_e9_quick_identical_and_declines_small(self):
-        report = run_experiment("e9", quick=True)
-        # Identical winner sets are asserted inside the experiment; the
-        # cost model must not parallelize the 60-row probe.
-        assert report.data["small_input_strategy"] != "parallel"
-        assert report.data["driver_rows"] > 0
-        for key, cell in report.data.items():
-            if isinstance(key, tuple):
-                assert cell["bnl"] > 0 and cell["parallel"] > 0
-
     def test_e14_quick_serves_and_gates(self):
         report = run_experiment("e14", quick=True)
         assert report.data["min_refinement_speedup"] >= report.data["speedup_floor"]
         assert report.data["session_stats"]["served"] >= 4
 
-    def test_e15_quick_traffic_and_offload_parity(self):
+    def test_e15_quick_traffic(self):
         report = run_experiment("e15", quick=True)
-        offload = report.data["offload"]
-        # Winner-set parity between serial/thread/process is asserted
-        # inside the experiment; the timings must be real measurements.
-        assert offload["serial"] > 0 and offload["process"] > 0
+        assert "offload" not in report.data
         traffic = report.data["traffic"]
         assert traffic["plan_cache"]["hit_rate"] >= 0.5
         assert traffic["session_stats"]["served"] >= 1
@@ -133,13 +119,12 @@ class TestExperiments:
 
     def test_e16_quick_chaos_traffic(self):
         report = run_experiment("e16", quick=True)
-        # Wrong answers, conservation, recovery and shm leaks are
-        # asserted inside the experiment; the data must show real chaos.
+        # Wrong answers, conservation and recovery are asserted inside
+        # the experiment; the data must show real chaos.
         assert report.data["wrong_answers"] == 0
         assert sum(report.data["fires"].values()) >= 1
         assert report.data["recovery_requests"] == 1
         assert report.data["p50_ratio"] <= 1.10
-        assert report.data["shm_leaked"] == 0
         for code in report.data["error_codes"]:
             assert code in {"database", "overloaded", "timeout"}
 

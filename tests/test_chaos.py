@@ -1,9 +1,8 @@
 """Fault-injection chaos suite: the server survives what clients cannot see.
 
 Each fault class from the robustness tentpole gets a deterministic
-scenario: injected sqlite errors, broken pooled connections, worker
-process crashes, shared-memory attach failures, client disconnects
-mid-query, and slow queries past their deadline.  The common assertions:
+scenario: injected sqlite errors, broken pooled connections, client
+disconnects mid-query, and slow queries past their deadline.  The common assertions:
 
 * **no wedge** — every request completes or fails fast (the whole suite
   runs under asyncio timeouts),
@@ -12,26 +11,19 @@ mid-query, and slow queries past their deadline.  The common assertions:
 * **counters conserved** — once idle, ``admitted == served + errors +
   cancelled`` and the waiting/inflight gauges read zero,
 * **bounded recovery** — after the fault plan is removed, the next
-  request succeeds (the pool healed, the executor rebuilt),
-* **no shm leaks** — every shared-memory segment created was unlinked.
+  request succeeds (the pool healed).
 """
 
 import asyncio
 import json
-import random
 import sqlite3
 
 import pytest
 
 import repro
-from repro.engine.parallel import ParallelExecutor
-from repro.engine.shm import segment_counters, transport_available
-from repro.errors import QueryTimeout
-from repro.model.builder import build_preference
 from repro.server import PreferenceClient, PreferenceServer, ServerError
-from repro.sql.parser import parse_preferring
 from repro.testing import FaultPlan, FaultRule, faults, injected
-from repro.testing.faults import break_pooled_connection, crash_pool_worker
+from repro.testing.faults import break_pooled_connection
 from repro.workloads.traffic import (
     load_traffic_database,
     query_chains,
@@ -281,90 +273,3 @@ class TestChaosTraffic:
                 assert_conserved(server)
 
         serve(body())
-
-
-@pytest.mark.skipif(
-    not transport_available(), reason="process backend requires numpy"
-)
-class TestExecutorChaos:
-    """Process-backend fault classes, exercised at the executor level."""
-
-    @staticmethod
-    def _adversarial(rows=6_000, seed=3):
-        rng = random.Random(seed)
-        preference = build_preference(
-            parse_preferring("LOWEST(d0) AND LOWEST(d1)")
-        )
-        vectors = []
-        for _ in range(rows):
-            a = rng.random()
-            vectors.append((a, 1.0 - a + rng.random() * 0.01))
-        return preference, vectors
-
-    def test_worker_crash_falls_back_to_threads_then_heals(self):
-        preference, vectors = self._adversarial()
-        before = segment_counters()
-        with ParallelExecutor(max_workers=2, backend="process") as executor:
-            oracle = sorted(
-                ParallelExecutor(max_workers=1).maximal_indices(
-                    preference, vectors
-                )
-            )
-            plan = FaultPlan(
-                [FaultRule("process.task", times=1, action=crash_pool_worker)]
-            )
-            with injected(plan):
-                winners = executor.maximal_indices(preference, vectors)
-            assert sorted(winners) == oracle
-            assert executor.process_failures == 1
-            assert executor.last_backend == "thread"
-            # The pool is rebuilt lazily: the next query runs on processes.
-            again = executor.maximal_indices(preference, vectors)
-            assert sorted(again) == oracle
-            assert executor.last_backend == "process"
-        after = segment_counters()
-        assert after["leaked"] == before["leaked"]
-
-    def test_shm_failure_falls_back_to_threads(self):
-        preference, vectors = self._adversarial(seed=4)
-        before = segment_counters()
-        with ParallelExecutor(max_workers=2, backend="process") as executor:
-            oracle = sorted(
-                ParallelExecutor(max_workers=1).maximal_indices(
-                    preference, vectors
-                )
-            )
-            plan = FaultPlan(
-                [
-                    FaultRule(
-                        "shm.create",
-                        times=1,
-                        error=lambda: OSError("chaos: /dev/shm exhausted"),
-                    )
-                ]
-            )
-            with injected(plan):
-                winners = executor.maximal_indices(preference, vectors)
-            assert sorted(winners) == oracle
-            assert executor.process_failures == 1
-            assert executor.last_backend == "thread"
-        after = segment_counters()
-        assert after["leaked"] == before["leaked"]
-
-    def test_worker_deadline_is_a_query_timeout_not_a_broken_pool(self):
-        """A worker past the deadline cancels the query; the pool—and the
-        thread fallback—must NOT mask it as infrastructure failure."""
-        preference, vectors = self._adversarial(rows=30_000, seed=5)
-        before = segment_counters()
-        with ParallelExecutor(max_workers=2, backend="process") as executor:
-            from repro.deadline import Deadline, deadline_scope
-
-            with pytest.raises(QueryTimeout):
-                with deadline_scope(Deadline.after_ms(1)):
-                    executor.maximal_indices(preference, vectors)
-            assert executor.process_failures == 0
-            # The executor survives: an untimed run still answers.
-            winners = executor.maximal_indices(preference, vectors)
-            assert winners
-        after = segment_counters()
-        assert after["leaked"] == before["leaked"]

@@ -1,8 +1,8 @@
 """The columnar rank-vector core against the nested-loop oracle.
 
 Property suite for the columnar invariant: every execution path over
-shared rank columns — the serial winnow (tuple and vectorized kernels),
-the partitioned executor, and the SQL rank pushdown through the driver —
+shared rank columns — the winnow (tuple and vectorized kernels) and the
+SQL rank pushdown through the driver —
 returns *index-identical* winners to the paper's quadratic nested-loop
 selection method, on random Pareto/CASCADE/ELSE trees over values that
 include SQL NULL and (via custom rank implementations) NaN ranks,
@@ -120,18 +120,14 @@ def test_columnar_kernels_match_nested_loop_oracle(rows, tree):
     assert bmo_filter(preference, vectors) == oracle, tree
 
 
-@given(rows=rows_strategy, tree=trees_strategy, data=st.data())
+@given(rows=rows_strategy, tree=trees_strategy)
 @settings(max_examples=60, deadline=None)
-def test_grouped_columnar_matches_oracle(rows, tree, data):
+def test_grouped_columnar_matches_oracle(rows, tree):
     preference = build_preference(parse_preferring(tree))
     vectors = _operand_vectors(preference, rows)
     keys = [row[3] for row in rows]
     oracle = _grouped_oracle(preference, vectors, keys)
-    algorithm = data.draw(st.sampled_from(["bnl", "parallel"]))
-    assert (
-        bmo_filter(preference, vectors, group_keys=keys, algorithm=algorithm)
-        == oracle
-    ), (tree, algorithm)
+    assert bmo_filter(preference, vectors, group_keys=keys) == oracle, tree
 
 
 def _forced_vectorized(ranks):
@@ -433,11 +429,7 @@ def test_explicit_tree_reports_closure_fallback():
         assert plan.rank_source == "closure"
         assert plan.rank_width == 0
         rewrite_rows = connection.execute(query, algorithm="rewrite").fetchall()
-        for strategy in ("bnl", "parallel"):
-            assert (
-                connection.execute(query, algorithm=strategy).fetchall()
-                == rewrite_rows
-            )
+        assert connection.execute(query, algorithm="bnl").fetchall() == rewrite_rows
     finally:
         connection.close()
 

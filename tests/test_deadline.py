@@ -4,7 +4,7 @@ The tentpole acceptance test: a PREFERRING query forced onto each
 execution strategy over an adversarial (anti-correlated) table must
 terminate within a small multiple of its ``timeout_ms``, surface the
 structured retryable :class:`~repro.errors.QueryTimeout`, and leave the
-worker machinery reusable.
+connection reusable.
 """
 
 import random
@@ -18,13 +18,12 @@ from repro.deadline import (
     Deadline,
     active_deadline,
     deadline_scope,
-    run_with_deadline,
     sqlite_interrupt,
 )
 from repro.errors import QueryTimeout
 
 #: Strategies the acceptance criteria require to honor deadlines.
-STRATEGIES = ("rewrite", "bnl", "parallel")
+STRATEGIES = ("rewrite", "bnl")
 
 ROWS = 30_000
 TIMEOUT_MS = 600
@@ -98,11 +97,6 @@ class TestDeadlinePrimitives:
         with deadline_scope(None):
             assert active_deadline() is None
 
-    def test_run_with_deadline_enters_scope(self):
-        deadline = Deadline.after_ms(10_000)
-        assert run_with_deadline(active_deadline, deadline) is deadline
-        assert active_deadline() is None
-
     def test_check_every_is_a_power_of_two(self):
         assert CHECK_EVERY & (CHECK_EVERY - 1) == 0
 
@@ -145,7 +139,7 @@ class TestDeadlinePrimitives:
 class TestStrategyTimeouts:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_strategy_honors_timeout(self, adversarial, strategy):
-        connection = repro.connect(adversarial, max_workers=2)
+        connection = repro.connect(adversarial)
         try:
             started = time.monotonic()
             with pytest.raises(QueryTimeout) as excinfo:
@@ -159,7 +153,7 @@ class TestStrategyTimeouts:
                 f"{strategy} took {elapsed:.2f}s against a "
                 f"{TIMEOUT_MS}ms deadline"
             )
-            # The connection (and its worker pools) stay usable.
+            # The connection stays usable.
             assert connection.execute(
                 "SELECT COUNT(*) FROM hard"
             ).fetchall() == [(ROWS,)]

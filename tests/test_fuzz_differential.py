@@ -4,9 +4,8 @@ The seed's differential suite samples from a fixed list of PREFERRING
 clauses; this harness *generates* preference trees — random Pareto /
 CASCADE / ELSE compositions over numeric, categorical and EXPLICIT bases,
 optionally wrapped in GROUPING, BUT ONLY and named preferences — over
-randomized relations, and asserts that the NOT EXISTS rewrite on sqlite,
-every serial in-memory algorithm, and the partitioned parallel executor
-return identical row multisets.  The in-memory engine remains the
+randomized relations, and asserts that the NOT EXISTS rewrite on sqlite
+and every in-memory algorithm return identical row multisets.  The in-memory engine remains the
 executable specification; any divergence is a bug in one of the paths,
 not in the fuzzer.
 """
@@ -17,7 +16,7 @@ import hypothesis.strategies as st
 from hypothesis import event, given, settings
 
 import repro
-from repro.engine import ParallelExecutor, PreferenceEngine, Relation
+from repro.engine import PreferenceEngine, Relation
 from repro.plan import STRATEGIES
 from repro.workloads.fixtures import relation_to_sqlite
 
@@ -91,19 +90,6 @@ def all_paths(rows, query, setup=()):
     for statement in setup:
         engine.execute(statement)
     results = {"engine": sorted(engine.execute(query).rows, key=repr)}
-
-    # The driver's executor keeps the default 64-row partitioning gate,
-    # which these small relations never cross — force tiny partitions so
-    # every fuzzed tree also exercises hash-partition + merge-filter.
-    with ParallelExecutor(max_workers=2, min_partition_rows=4) as executor:
-        partitioned = PreferenceEngine(
-            {"items": relation}, algorithm="parallel", executor=executor
-        )
-        for statement in setup:
-            partitioned.execute(statement)
-        results["partitioned"] = sorted(
-            partitioned.execute(query).rows, key=repr
-        )
 
     connection = repro.connect(":memory:")
     try:

@@ -1,7 +1,7 @@
 """One strategy × surface matrix through ``Cursor.execute``.
 
 Every way the driver can turn a statement into rows — the host rewrite,
-the serial and the partitioned in-memory winnow, the winnow-over-join
+the in-memory winnow (auto and pinned), the winnow-over-join
 pushdown and its rowid fallback, the three session-served refinements, a
 view-served read, plain pass-through and ``INSERT … SELECT … PREFERRING``
 — is crossed with every result surface (``*``, a column list,
@@ -50,7 +50,7 @@ MAKE_ROWS = [("vw", "de"), ("opel", "de"), ("bmw", "de"), ("audi", "hu")]
 
 
 def _connect(count: int, without_rowid: bool = False) -> repro.Connection:
-    con = repro.connect(":memory:", max_workers=2)
+    con = repro.connect(":memory:")
     if without_rowid:
         con.execute(
             "CREATE TABLE cars (id INTEGER PRIMARY KEY, price INTEGER, "
@@ -188,16 +188,6 @@ def _bnl_pinned(surface: Surface) -> Cell:
     )
 
 
-def _parallel(surface: Surface) -> Cell:
-    return Cell(
-        _select(surface),
-        "parallel",
-        algorithm="parallel",
-        executed="pushdown_sql",
-        note=" /* + in-memory parallel */",
-    )
-
-
 def _prejoin(surface: Surface) -> Cell:
     return Cell(
         _select(surface, source=JOIN),
@@ -287,7 +277,6 @@ STRATEGIES = {
     "rewrite": _rewrite,
     "bnl": _bnl_auto,
     "bnl_pinned": _bnl_pinned,
-    "parallel": _parallel,
     "prejoin": _prejoin,
     "prejoin_fallback": _prejoin_fallback,
     "session_strengthened": _session_strengthened,
@@ -309,7 +298,7 @@ MATRIX = [
 
 def test_matrix_is_complete():
     cells = len(STRATEGIES) * len(SURFACES) - len(NOT_APPLICABLE)
-    assert len(MATRIX) == 2 * cells == 130
+    assert len(MATRIX) == 2 * cells == 118
 
 
 @pytest.mark.parametrize("strategy, surface_name, timeout_ms", MATRIX)

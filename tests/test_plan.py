@@ -135,15 +135,6 @@ class TestExplainExecution:
         assert "NOT EXISTS" in report
         assert "host plan" in report
 
-    def test_reports_parallel_backend(self, fixture_connection):
-        cursor = fixture_connection.execute(
-            "EXPLAIN PREFERENCE SELECT * FROM oldtimer PREFERRING LOWEST(age)"
-        )
-        report = dict(cursor.fetchall())
-        assert "parallel worker degree" in report
-        assert report["parallel backend"] in ("thread", "process")
-        assert cursor.plan.parallel_backend == report["parallel backend"]
-
 
 # ----------------------------------------------------------------------
 # Statistics cache
@@ -293,33 +284,6 @@ class TestPlanCache:
             fixture_connection.execute(undo)
         with pytest.raises(CatalogError):
             fixture_connection.execute(sql)
-
-    def test_max_workers_change_invalidates_cached_plans(self, connection):
-        connection.execute("CREATE TABLE p (a REAL, b REAL)")
-        connection.cursor().executemany(
-            "INSERT INTO p VALUES (?, ?)",
-            [((i * 7919) % 97 / 97, (i * 104729) % 89 / 89) for i in range(200)],
-        )
-        sql = "SELECT * FROM p PREFERRING LOWEST(a) AND LOWEST(b) GROUPING b"
-        connection.execute(sql).fetchall()
-        hits_before = connection.plan_cache_stats().hits
-        connection.execute(sql).fetchall()
-        assert connection.plan_cache_stats().hits == hits_before + 1
-
-        # A new worker degree re-prices the parallel strategy: the cached
-        # plan must not be served, and the fresh plan carries the degree.
-        connection.max_workers = 4
-        misses_before = connection.plan_cache_stats().misses
-        cursor = connection.execute(sql)
-        cursor.fetchall()
-        assert connection.plan_cache_stats().misses == misses_before + 1
-        assert cursor.plan.workers == 4
-
-        # Setting the same value again is a no-op: the plan stays cached.
-        connection.max_workers = 4
-        hits_before = connection.plan_cache_stats().hits
-        connection.execute(sql).fetchall()
-        assert connection.plan_cache_stats().hits == hits_before + 1
 
     def test_rollback_of_drop_preference_restores_cached_plans(
         self, fixture_connection
@@ -472,11 +436,11 @@ class TestCostModel:
         estimates = estimate_costs(16_000, 3)
         assert choose_strategy(estimates) in IN_MEMORY_STRATEGIES
 
-    def test_strategy_set_is_rewrite_serial_parallel(self):
-        # One serial in-memory strategy: the kernel is the engine's
-        # choice by rank shape, not a planner-visible name.
-        assert STRATEGIES == ("rewrite", "bnl", "parallel")
-        assert IN_MEMORY_STRATEGIES == ("bnl", "parallel")
+    def test_strategy_set_is_rewrite_and_bnl(self):
+        # One in-memory strategy: the kernel is the engine's choice by
+        # rank shape, not a planner-visible name.
+        assert STRATEGIES == ("rewrite", "bnl")
+        assert IN_MEMORY_STRATEGIES == ("bnl",)
         assert set(estimate_costs(5_000, 3)) == set(STRATEGIES)
 
     def test_wide_rows_penalise_in_memory(self):
@@ -484,35 +448,6 @@ class TestCostModel:
         wide = estimate_costs(600, 4, row_width=74)
         assert wide["bnl"].seconds > narrow["bnl"].seconds
         assert wide["rewrite"].seconds == narrow["rewrite"].seconds
-
-    def test_backend_choice_prices_process_overlap(self):
-        from repro.engine.parallel import process_backend_eligible
-        from repro.plan.cost import parallel_backend_choice
-
-        backend, degree, _dispatch = parallel_backend_choice(
-            200_000, 3, workers=4, rank_mode="pareto"
-        )
-        if process_backend_eligible("pareto", 200_000, 4):
-            # Real core overlap beats a GIL-bound thread degree of 1.
-            assert backend == "process"
-            assert degree > 1.0
-        else:  # pragma: no cover - numpy-less environments
-            assert backend == "thread"
-
-    def test_backend_choice_is_thread_only_off_the_process_path(self):
-        from repro.plan.cost import parallel_backend_choice
-
-        # Grouped queries, closure trees and single workers never price
-        # the process pool — mirroring process_backend_eligible.
-        for kwargs in (
-            {"groups": 40.0, "rank_mode": "pareto"},
-            {"rank_mode": None},
-            {"rank_mode": "pareto", "workers": 1},
-        ):
-            kwargs.setdefault("workers", 4)
-            backend, degree, _ = parallel_backend_choice(200_000, 3, **kwargs)
-            assert backend == "thread"
-            assert degree == 1.0  # parallel_efficiency is zero on CPython
 
 
 # ----------------------------------------------------------------------
@@ -595,7 +530,9 @@ class TestStrategyExecution:
             fixture_connection.execute(sql, algorithm="bnl")
         assert fixture_connection.execute(sql).plan.strategy == "rewrite"
 
-    @pytest.mark.parametrize("retired", ["quantum", "sfs", "dnc", "auto"])
+    @pytest.mark.parametrize(
+        "retired", ["quantum", "sfs", "dnc", "auto", "parallel"]
+    )
     def test_unknown_strategy_rejected(self, fixture_connection, retired):
         with pytest.raises(PlanError, match="unknown strategy"):
             fixture_connection.execute(

@@ -38,14 +38,13 @@ def run_cli(*args, cwd=REPO):
 
 
 class TestRuleCatalog:
-    def test_six_rules_registered(self):
+    def test_five_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
             "lock-discipline",
             "paired-mutation",
             "deadline-poll",
             "fault-registry",
-            "fork-safety",
             "error-taxonomy",
         ]
 
@@ -70,13 +69,11 @@ class TestLockDiscipline:
 
 
 class TestPairedMutation:
-    def test_bad_fixture_flags_all_three_families(self):
+    def test_bad_fixture_flags_both_families(self):
         report = analyze("bad/paired_bad.py")
         assert rules_found(report) == {"paired-mutation"}
         messages = " ".join(f.message for f in report.findings)
         assert "_waiting gauge" in messages
-        assert ".unlink()" in messages
-        assert ".close()" in messages
         assert "finally-guarded .put()" in messages
 
     def test_clean_fixture(self):
@@ -92,22 +89,12 @@ class TestDeadlinePoll:
     def test_clean_fixture(self):
         assert analyze("clean/engine/columns.py").clean
 
-    def test_only_kernel_modules_are_checked(self):
+    def test_only_kernel_modules_are_checked(self, tmp_path):
         # The same unpolled loop outside engine/ is out of scope.
-        assert analyze("bad/fork_bad.py").findings[0].rule != "deadline-poll"
-
-
-class TestForkSafety:
-    def test_bad_fixture_flags_import_time_and_task_shape(self):
-        report = analyze("bad/fork_bad.py")
-        assert rules_found(report) == {"fork-safety"}
-        messages = " ".join(f.message for f in report.findings)
-        assert "import time" in messages
-        assert "lambda" in messages
-        assert "bound" in messages
-
-    def test_clean_fixture(self):
-        assert analyze("clean/fork_ok.py").clean
+        moved = tmp_path / "driver" / "bmo.py"
+        moved.parent.mkdir()
+        moved.write_text((FIXTURES / "bad" / "engine" / "bmo.py").read_text())
+        assert analyze_paths([moved], root=tmp_path).clean
 
 
 class TestErrorTaxonomy:
@@ -172,7 +159,6 @@ class TestCommandLine:
             "bad/lock_bad.py",
             "bad/paired_bad.py",
             "bad/engine/bmo.py",
-            "bad/fork_bad.py",
             "bad/server/replies.py",
             "registry_bad",
         ):
@@ -193,7 +179,7 @@ class TestCommandLine:
 
     def test_rules_filter(self):
         result = run_cli(
-            str(FIXTURES / "bad" / "lock_bad.py"), "--rules", "fork-safety"
+            str(FIXTURES / "bad" / "lock_bad.py"), "--rules", "deadline-poll"
         )
         assert result.returncode == 0  # lock findings filtered out
 
@@ -222,4 +208,4 @@ class TestLiveTree:
         # by construction (reasonless ones surface as findings).  The
         # count is a ceiling: lower it when suppressions go, never raise
         # it to admit a new one.
-        assert 0 < len(payload["suppressed"]) <= 26
+        assert 0 < len(payload["suppressed"]) <= 24

@@ -659,7 +659,7 @@ def test_matching_query_is_answered_from_the_view():
 def test_forced_strategies_bypass_the_view():
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
-    for strategy in ("rewrite", "bnl", "parallel"):
+    for strategy in ("rewrite", "bnl"):
         cursor = connection.execute(VIEW_QUERY, algorithm=strategy)
         assert cursor.plan.strategy == strategy
     connection.close()

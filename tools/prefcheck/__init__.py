@@ -3,11 +3,10 @@
 The serving stack built in PRs 8-9 relies on a family of invariants —
 lock discipline around pooled state, balanced counter and resource
 mutations, cooperative deadline polls in every row-scale kernel loop, a
-consistent fault-injection registry, fork/pickle safety for the process
-backend, and a closed error taxonomy at the serving boundary.  Every
-violation of those invariants found so far was found *at runtime* by
-fuzzers and chaos tests; prefcheck moves the whole bug class to a
-CI-time static gate.
+consistent fault-injection registry, and a closed error taxonomy at the
+serving boundary.  Every violation of those invariants found so far was
+found *at runtime* by fuzzers and chaos tests; prefcheck moves the whole
+bug class to a CI-time static gate.
 
 Usage::
 

@@ -23,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.prefcheck",
         description=(
             "AST-based invariant analyzer: lock discipline, paired "
-            "mutations, deadline polls, fault-point registry, fork/pickle "
-            "safety, error taxonomy."
+            "mutations, deadline polls, fault-point registry, error "
+            "taxonomy."
         ),
     )
     parser.add_argument(

@@ -6,7 +6,6 @@ from tools.prefcheck.engine import Rule
 from tools.prefcheck.rules.deadline_poll import DeadlinePollRule
 from tools.prefcheck.rules.error_taxonomy import ErrorTaxonomyRule
 from tools.prefcheck.rules.fault_registry import FaultRegistryRule
-from tools.prefcheck.rules.fork_safety import ForkSafetyRule
 from tools.prefcheck.rules.lock_discipline import LockDisciplineRule
 from tools.prefcheck.rules.paired_mutation import PairedMutationRule
 
@@ -17,6 +16,5 @@ def all_rules() -> list[Rule]:
         PairedMutationRule(),
         DeadlinePollRule(),
         FaultRegistryRule(),
-        ForkSafetyRule(),
         ErrorTaxonomyRule(),
     ]

@@ -7,7 +7,7 @@ only works if that stays true: one new kernel loop without a poll and a
 runaway query holds its worker thread past any timeout.
 
 This rule keys on the kernel modules (``engine/{bmo,algorithms,columns,
-compiled,parallel}.py``): every function or method there that contains a
+compiled}.py``): every function or method there that contains a
 ``for``/``while`` loop must also contain a deadline poll — a call to
 ``active_deadline``, a ``.check()`` call, or a reference to
 ``CHECK_EVERY``.  Comprehensions and generator expressions are exempt
@@ -30,7 +30,6 @@ KERNEL_MODULES = (
     "engine/algorithms.py",
     "engine/columns.py",
     "engine/compiled.py",
-    "engine/parallel.py",
 )
 
 

@@ -7,19 +7,13 @@ increment forever and the conservation invariant
 (``admitted == served + errors + cancelled``, gauges zero when idle)
 broke only under a chaos schedule.  The fix — decrement in ``finally`` —
 is a mechanically checkable shape, which is what this rule enforces for
-three mutation families:
+two mutation families:
 
 * **counter pairs** — an attribute that is both ``+= ``-ed and ``-= ``-ed
   somewhere in the same class is a gauge; every increment must be
   balanced by a decrement that is either a later statement in the same
   straight-line block or sits in the ``finally`` of a ``try`` that
   follows (or encloses) the increment,
-* **shared-memory lifecycle** — ``SharedMemory(create=True, ...)``
-  requires a reachable ``.unlink()``: in a ``finally`` of the same
-  function, or in a ``close``/``__exit__`` method of the enclosing class
-  (the RAII shape :class:`repro.engine.shm.RankTransport` uses);
-  attaching by name requires ``.close()`` in a ``finally`` of the same
-  function (the worker-side shape),
 * **pool checkout/return** — a class that checks connections out of its
   free queue (``.get(...)`` on an attribute named ``_free``) must return
   them through a ``finally``-guarded ``.put(...)`` somewhere in the
@@ -70,32 +64,19 @@ def _contains_decrement(block: list[ast.stmt], attr: str) -> bool:
     return False
 
 
-def _calls_method(block: list[ast.stmt], method: str) -> bool:
-    for stmt in block:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == method
-            ):
-                return True
-    return False
-
-
 class PairedMutationRule(Rule):
     rule_id = "paired-mutation"
     invariant = (
-        "paired mutations (gauge inc/dec, shm create/unlink, pool "
-        "checkout/return) must balance on all paths — release in a "
-        "finally or the same straight-line block (PR 9: the _waiting "
-        "leak on cancel-while-queued)"
+        "paired mutations (gauge inc/dec, pool checkout/return) must "
+        "balance on all paths — release in a finally or the same "
+        "straight-line block (PR 9: the _waiting leak on "
+        "cancel-while-queued)"
     )
 
     def run(self, contexts: Sequence[FileContext]) -> list[Finding]:
         findings: list[Finding] = []
         for ctx in contexts:
             findings.extend(self._check_counters(ctx))
-            findings.extend(self._check_shared_memory(ctx))
             findings.extend(self._check_checkout_queues(ctx))
         return findings
 
@@ -167,95 +148,6 @@ class PairedMutationRule(Rule):
                 stmt.finalbody, attr
             ):
                 return True
-        return False
-
-    # ------------------------------------------------------------------
-    # SharedMemory create/attach lifecycle
-
-    def _shm_calls(self, ctx: FileContext):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name == "SharedMemory":
-                yield node
-
-    def _check_shared_memory(self, ctx: FileContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for call in self._shm_calls(ctx):
-            creates = any(
-                kw.arg == "create"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in call.keywords
-            )
-            if creates:
-                if not self._release_reachable(ctx, call, "unlink"):
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            call.lineno,
-                            "SharedMemory(create=True) has no reachable "
-                            ".unlink() — needs a finally in this function "
-                            "or a close()/__exit__ method on the owning "
-                            "class (segment leak)",
-                        )
-                    )
-            else:
-                if not self._release_reachable(
-                    ctx, call, "close", methods=()
-                ):
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            call.lineno,
-                            "SharedMemory attach has no finally-guarded "
-                            ".close() in this function — a raising worker "
-                            "leaves the segment mapped",
-                        )
-                    )
-        return findings
-
-    def _release_reachable(
-        self,
-        ctx: FileContext,
-        call: ast.Call,
-        release: str,
-        methods: tuple[str, ...] = ("close", "__exit__"),
-    ) -> bool:
-        # A finally in any enclosing try within the same function.
-        function = ctx.enclosing_function(call)
-        node: ast.AST = call
-        for ancestor in ctx.ancestors(call):
-            if isinstance(ancestor, ast.Try) and _calls_method(
-                ancestor.finalbody, release
-            ):
-                return True
-            if ancestor is function:
-                break
-            node = ancestor
-        # Any later try/finally in the same function that releases.
-        if function is not None:
-            for sub in ast.walk(function):
-                if isinstance(sub, ast.Try) and _calls_method(
-                    sub.finalbody, release
-                ):
-                    return True
-        # The RAII shape: a lifecycle method on the enclosing class.
-        owner = ctx.enclosing_class(call)
-        if owner is not None:
-            for stmt in owner.body:
-                if (
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt.name in methods
-                    and _calls_method(stmt.body, release)
-                ):
-                    return True
         return False
 
     # ------------------------------------------------------------------
