@@ -20,8 +20,8 @@ Quickstart::
     ).fetchall()
     # -> best matches only: the 13- and 15-day trips
 
-See README.md for the architecture overview and DESIGN.md for the map from
-paper sections to modules.
+See README.md for an overview and docs/ARCHITECTURE.md ("Package map")
+for the map from paper sections to modules.
 """
 
 from repro import errors

@@ -1,6 +1,6 @@
-"""Benchmark harness: regenerate every table and figure of the paper.
+"""Reproduction harness: regenerate the paper's own tables and figures.
 
-Experiment registry (see DESIGN.md section 4 for the full index):
+Experiment registry:
 
 ========  ==========================================================
 ``e1``    section 3.3 timing table — jobs benchmark, 3 solutions ×
@@ -9,12 +9,11 @@ Experiment registry (see DESIGN.md section 4 for the full index):
 ``e3``    section 3.2 Cars rewrite — paper-style script vs planner
 ``e4``    section 4.3 COSIMA observations — Pareto set sizes and
           latency breakdown
-``e5``    ablation: nested-loop oracle vs the winnow kernel vs rewrite
-``e6``    ablation: BMO result sizes vs dimensionality/distribution
-``e7``    ablation: rewrite-on-sqlite vs in-memory engine crossover
 ========  ==========================================================
 
 Run ``python -m repro.bench`` for all, or name specific experiments.
+The product's performance yardstick is ``python3 -m benchmark``
+(``benchmark/README.md``), not this package.
 """
 
 from repro.bench.harness import Report, Table, run_cli, time_call

@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.bench [e1 e2 ... | plan] [--quick] [--json PATH]``."""
+"""CLI: ``python -m repro.bench [e1 e2 e3 e4] [--quick] [--json PATH]``."""
 
 from __future__ import annotations
 

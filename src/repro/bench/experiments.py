@@ -1,28 +1,20 @@
-"""The experiments: one function per paper table/figure plus ablations.
+"""The experiments: one function per paper table or figure.
 
 Each experiment returns a :class:`~repro.bench.harness.Report` whose main
-table mirrors the corresponding artifact in the paper; EXPERIMENTS.md
-records the paper-vs-measured comparison.  ``quick=True`` shrinks data
-sizes for CI-style runs (the pytest-benchmark wrappers use it).
+table mirrors the corresponding artifact in the paper; ``BENCH_paper.json``
+at the repository root is a checked-in full run.  ``quick=True`` shrinks
+data sizes for smoke runs.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
+from collections import Counter
 
 import repro
 from repro.bench.harness import Report, Table, time_call
-from repro.engine.algorithms import nested_loop_maximal
-from repro.engine.bmo import PreferenceEngine, bmo_filter
-from repro.model.builder import build_preference
-from repro.sql.parser import parse_preferring, parse_statement
+from repro.sql.parser import parse_statement
 from repro.workloads.cosima import MetaSearch, make_catalog, make_shops
-from repro.workloads.distributions import (
-    DISTRIBUTIONS,
-    lowest_preference_sql,
-    vectors_to_relation,
-)
 from repro.workloads.fixtures import load_fixtures
 from repro.workloads.jobs import CONDITION_SETS, POOLS, benchmark_queries, load_jobs
 
@@ -34,8 +26,9 @@ def e1_jobs_benchmark(quick: bool = False, rows: int | None = None, repeats: int
     result sizes 300/600/1000 and two second-selection conditions, for SQL
     solution 1 (conjunctive), SQL solution 2 (disjunctive) and Preference
     SQL (Pareto).  Our substrate is sqlite over a synthetic 74-attribute
-    profile table (see DESIGN.md substitutions); shapes, not absolute
-    times, are the reproduction target.
+    profile table (see ``repro.workloads.jobs``); shapes, not absolute
+    times, are the reproduction target.  Every cell keeps all of its
+    timing samples, so the report shows spread, not only the best run.
     """
     n = rows if rows is not None else (12_000 if quick else 120_000)
     report = Report(
@@ -71,9 +64,9 @@ def e1_jobs_benchmark(quick: bool = False, rows: int | None = None, repeats: int
                 table.add(pool, condition_set, solution, count, timing.ms())
                 raw[(pool, condition_set, solution)] = {
                     "rows": count,
-                    "seconds": timing.best,
+                    **timing.spread(),
                 }
-    report.add_table("timings and result sizes", table)
+    report.add_table("timings and result sizes (best of the samples)", table)
     report.data = raw
     report.note(
         "expected shape: conjunctive is fast but starves the user; "
@@ -218,7 +211,7 @@ def e4_cosima(quick: bool = False, sessions: int | None = None) -> Report:
     in_1_20 = sum(1 for s in sizes if 1 <= s <= 20) / count
     overhead = statistics.fmean(preference_seconds) / statistics.fmean(total_seconds)
     report.data = {
-        "sizes": sizes,
+        "sessions_by_size": dict(sorted(Counter(sizes).items())),
         "share_in_1_20": in_1_20,
         "preference_share_of_total": overhead,
     }
@@ -230,1873 +223,17 @@ def e4_cosima(quick: bool = False, sessions: int | None = None) -> Report:
     return report
 
 
-def e5_algorithms(quick: bool = False) -> Report:
-    """Ablation: oracle and winnow kernel vs the NOT EXISTS rewrite on sqlite."""
-    if quick:
-        cells = [(500, 2), (500, 4), (2000, 2), (2000, 4)]
-    else:
-        # Two sweeps: data size at fixed d=3, dimensionality at fixed n=2000.
-        cells = [(1000, 3), (4000, 3), (16000, 3), (2000, 2), (2000, 4), (2000, 6)]
-    report = Report(
-        experiment="E5",
-        title="skyline algorithm comparison (ablation; cmp. section 3.3 outlook)",
-    )
-    table = Table(
-        ("distribution", "n", "d", "algorithm", "skyline", "time [ms]")
-    )
-    raw: dict = {}
-    for name, generator in DISTRIBUTIONS.items():
-        for n, d in cells:
-            matrix = generator(n, d, seed=42)
-            relation = vectors_to_relation(matrix)
-            preference = build_preference(
-                parse_preferring(lowest_preference_sql(d))
-            )
-            vectors = [row[1:] for row in relation.rows]
-            for algorithm, maximal in (
-                ("nested_loop", nested_loop_maximal),
-                ("winnow kernel", bmo_filter),
-            ):
-                if algorithm == "nested_loop" and n > 4000:
-                    continue  # quadratic, pointless at scale
-                (indices, timing) = time_call(
-                    lambda: maximal(preference, vectors),
-                    repeats=1 if n >= 8000 else 2,
-                )
-                table.add(name, n, d, algorithm, len(indices), timing.ms())
-                raw[(name, n, d, algorithm)] = {
-                    "skyline": len(indices),
-                    "seconds": timing.best,
-                }
-            if n > 4000 and name == "anticorrelated":
-                continue  # the quadratic anti-join on sqlite takes minutes
-            # The production path: rewrite executed by sqlite.
-            connection = repro.connect(":memory:")
-            from repro.workloads.fixtures import relation_to_sqlite
-
-            relation_to_sqlite(connection, "points", relation)
-            sql = (
-                "SELECT * FROM points PREFERRING "
-                + lowest_preference_sql(d)
-            )
-            rows, timing = time_call(
-                lambda: connection.execute(sql).fetchall(),
-                repeats=1,
-            )
-            table.add(name, n, d, "sqlite rewrite", len(rows), timing.ms())
-            raw[(name, n, d, "sqlite rewrite")] = {
-                "skyline": len(rows),
-                "seconds": timing.best,
-            }
-            connection.close()
-    report.add_table("maximal-set computation", table)
-    report.note(
-        "every path must report identical skyline sizes per cell; "
-        "anti-correlated data grows the skyline (and the cost) with d."
-    )
-    report.data = raw
-    return report
-
-
-def e6_bmo_sizes(quick: bool = False) -> Report:
-    """Ablation: BMO result size vs dimensionality — backs the 1-20 claim."""
-    n = 2000 if quick else 4000
-    dimensions = (2, 3, 4) if quick else (2, 3, 4, 5, 6)
-    report = Report(
-        experiment="E6",
-        title=f"BMO result sizes (ablation; cmp. section 4.3), n={n}",
-    )
-    table = Table(("distribution", "d", "skyline size", "share of n"))
-    raw: dict = {}
-    for name, generator in DISTRIBUTIONS.items():
-        for d in dimensions:
-            matrix = generator(n, d, seed=7)
-            preference = build_preference(
-                parse_preferring(lowest_preference_sql(d))
-            )
-            vectors = [tuple(float(x) for x in row) for row in matrix]
-            size = len(bmo_filter(preference, vectors))
-            table.add(name, d, size, f"{size / n:.2%}")
-            raw[(name, d)] = size
-    report.add_table("Pareto-optimal set sizes", table)
-    report.note(
-        "correlated data keeps BMO sets tiny (the e-commerce situation the "
-        "paper reports: 1-20 results); anti-correlated data is the "
-        "worst case and grows rapidly with d."
-    )
-    report.data = raw
-    return report
-
-
-def e7_rewrite_vs_engine(quick: bool = False) -> Report:
-    """Ablation: the same query through sqlite rewrite vs in-memory BNL."""
-    sizes = (500, 2000) if quick else (1000, 4000, 16000)
-    report = Report(
-        experiment="E7",
-        title="rewrite-on-sqlite vs in-memory engine (ablation)",
-    )
-    table = Table(("n", "path", "result rows", "time [ms]"))
-    raw: dict = {}
-    for n in sizes:
-        matrix = DISTRIBUTIONS["independent"](n, 3, seed=3)
-        relation = vectors_to_relation(matrix)
-        sql = "SELECT * FROM points PREFERRING " + lowest_preference_sql(3)
-
-        connection = repro.connect(":memory:")
-        from repro.workloads.fixtures import relation_to_sqlite
-
-        relation_to_sqlite(connection, "points", relation)
-        sqlite_rows, sqlite_timing = time_call(
-            lambda: connection.execute(sql).fetchall(), repeats=1
-        )
-        connection.close()
-
-        engine = PreferenceEngine({"points": relation})
-        engine_rows, engine_timing = time_call(
-            lambda: engine.execute(sql), repeats=1
-        )
-
-        if len(sqlite_rows) != len(engine_rows):
-            raise AssertionError(
-                f"paths disagree at n={n}: sqlite {len(sqlite_rows)} vs "
-                f"engine {len(engine_rows)}"
-            )
-        table.add(n, "sqlite NOT EXISTS", len(sqlite_rows), sqlite_timing.ms())
-        table.add(n, "engine BNL", len(engine_rows), engine_timing.ms())
-        raw[n] = {
-            "sqlite": sqlite_timing.best,
-            "engine": engine_timing.best,
-            "rows": len(sqlite_rows),
-        }
-    report.add_table("same query, two evaluation paths", table)
-    report.note(
-        "the paper anticipates kernel-level skyline support beating the "
-        "high-level rewrite at scale; BNL is the stand-in for that future."
-    )
-    report.data = raw
-    return report
-
-
-def e8_plan_selection(quick: bool = False) -> Report:
-    """The plan benchmark: cost-based auto-selection vs fixed strategies.
-
-    Loads the jobs, shop and COSIMA workloads into sqlite at several
-    cardinalities and runs one representative preference query per case
-    with the automatically selected strategy and with every strategy
-    pinned.  All strategies must return identical rows; the interesting
-    output is the timing spread and whether auto lands on (or near) the
-    per-case winner.  ``--quick`` shrinks the cardinalities for CI smoke
-    runs.
-    """
-    from repro.plan.cost import STRATEGIES
-    from repro.workloads.fixtures import relation_to_sqlite
-    from repro.workloads.shop import SearchMask, mask_to_preference_sql, washing_machines_relation
-
-    report = Report(
-        experiment="E8",
-        title="cost-based plan selection: auto vs fixed strategies",
-    )
-    table = Table(("workload", "n", "strategy", "rows", "time [ms]"))
-    raw: dict = {}
-
-    def jobs_case(connection, n: int) -> str:
-        load_jobs(connection, n=n)
-        return benchmark_queries("600", "A").preferring
-
-    def shop_case(connection, n: int) -> str:
-        relation_to_sqlite(
-            connection, "products", washing_machines_relation(rows=n)
-        )
-        mask = SearchMask(
-            manufacturer="Miola",
-            width=60,
-            spinspeed=1400,
-            max_powerconsumption=1.2,
-            minimize_waterconsumption=True,
-            price_low=800,
-            price_high=2200,
-        )
-        return mask_to_preference_sql(mask)
-
-    def cosima_case(connection, n: int) -> str:
-        search = MetaSearch(shops=make_shops(3), catalog=make_catalog(n))
-        offers, _latencies = search.gather(session=1)
-        relation_to_sqlite(connection, "offers", offers)
-        return (
-            "SELECT * FROM offers PREFERRING LOWEST(price) "
-            "AND LOWEST(delivery_days) AND HIGHEST(rating)"
-        )
-
-    def points_case(connection, n: int) -> str:
-        # The [BKS01]-style distribution of E5/E7 — the shape where the
-        # in-memory skylines overtake the quadratic anti-join.
-        matrix = DISTRIBUTIONS["independent"](n, 3, seed=3)
-        relation_to_sqlite(connection, "points", vectors_to_relation(matrix))
-        return "SELECT * FROM points PREFERRING " + lowest_preference_sql(3)
-
-    cases: list[tuple[str, int, object]] = []
-    for n in (2000,) if quick else (4000, 12000):
-        cases.append(("jobs", n, jobs_case))
-    for n in (300,) if quick else (1000, 4000):
-        cases.append(("shop", n, shop_case))
-    for n in (150,) if quick else (400, 1200):
-        cases.append(("cosima", n, cosima_case))
-    for n in (2000,) if quick else (8000, 16000):
-        cases.append(("points", n, points_case))
-
-    repeats = 1 if quick else 2
-    for workload, n, loader in cases:
-        connection = repro.connect(":memory:")
-        query = loader(connection, n)
-        baseline: list | None = None
-        for strategy in ("auto",) + STRATEGIES:
-            algorithm = None if strategy == "auto" else strategy
-            cursor_box: dict = {}
-
-            def run():
-                cursor = connection.execute(query, algorithm=algorithm)
-                cursor_box["plan"] = cursor.plan
-                return cursor.fetchall()
-
-            rows, timing = time_call(run, repeats=repeats)
-            if baseline is None:
-                baseline = rows
-            elif rows != baseline:
-                raise AssertionError(
-                    f"strategy {strategy} disagrees on {workload} n={n}: "
-                    f"{len(rows)} vs {len(baseline)} rows"
-                )
-            label = strategy
-            if strategy == "auto" and cursor_box["plan"] is not None:
-                label = f"auto -> {cursor_box['plan'].strategy}"
-            table.add(workload, n, label, len(rows), timing.ms())
-            raw[(workload, n, strategy)] = {
-                "rows": len(rows),
-                "seconds": timing.best,
-                "chosen": (
-                    cursor_box["plan"].strategy
-                    if cursor_box["plan"] is not None
-                    else None
-                ),
-            }
-        connection.close()
-    report.add_table("auto-selection vs pinned strategies", table)
-    report.note(
-        "all strategies must return identical rows; auto should track the "
-        "per-case winner — rewrite on tiny candidate sets, an in-memory "
-        "skyline once the anti-join's quadratic term dominates."
-    )
-    report.data = raw
-    return report
-
-
-def e10_views(quick: bool = False) -> Report:
-    """The view benchmark: incremental maintenance vs full recompute.
-
-    Creates a materialized preference view over the jobs and shop
-    workloads, then replays an identical insert-heavy mixed DML sequence
-    (80% INSERT / 10% DELETE / 10% UPDATE) through two connections — one
-    maintaining incrementally (``view_maintenance_mode='auto'``), one
-    pinned to full recompute per statement.  Both materializations must
-    equal each other *and* a fresh recompute oracle (a pinned in-memory
-    strategy, which bypasses the view) after the whole sequence; the
-    interesting output is the maintenance-time ratio.
-    """
-    import random
-
-    from repro.sql.printer import format_literal
-    from repro.workloads.fixtures import relation_to_sqlite
-    from repro.workloads.jobs import jobs_relation
-    from repro.workloads.shop import washing_machines_relation
-
-    report = Report(
-        experiment="E10",
-        title="materialized preference views: incremental vs full recompute",
-    )
-
-    jobs_n = 2_500 if quick else 8_000
-    shop_n = 1_200 if quick else 6_000
-    op_count = 60 if quick else 200
-
-    jobs_soft = (
-        "HIGHEST(years_experience) AND HIGHEST(english_skill) "
-        "AND salary_expectation BETWEEN 0, 40000"
-    )
-    cases = [
-        (
-            "jobs",
-            jobs_relation(n=jobs_n),
-            jobs_relation(n=2_000, seed=7001),
-            f"SELECT * FROM jobs PREFERRING {jobs_soft} GROUPING region",
-            "salary_expectation",
-            lambda rng: int(rng.uniform(20_000, 60_000)),
-        ),
-        (
-            "shop",
-            washing_machines_relation(rows=shop_n),
-            washing_machines_relation(rows=max(op_count, 200), seed=97),
-            "SELECT * FROM products PREFERRING LOWEST(price) AND "
-            "LOWEST(powerconsumption) AND LOWEST(waterconsumption) "
-            "GROUPING manufacturer",
-            "price",
-            lambda rng: int(rng.uniform(600, 3200)),
-        ),
-    ]
-
-    table_out = Table(
-        ("workload", "n", "ops", "mode", "maintenance", "view rows", "time [ms]")
-    )
-    raw: dict = {}
-    for name, base, spare, view_sql, update_column, update_value in cases:
-        table = view_sql.split(" FROM ", 1)[1].split()[0].lower()
-        rng = random.Random(4202)
-        statements: list[str] = []
-        spare_rows = list(spare.rows)
-        for i in range(op_count):
-            kind = rng.random()
-            if kind < 0.8 and spare_rows:
-                row = spare_rows.pop()
-                values = ", ".join(format_literal(value) for value in row)
-                statements.append(f"INSERT INTO {table} VALUES ({values})")
-            elif kind < 0.9:
-                statements.append(
-                    f"DELETE FROM {table} WHERE rowid = {rng.randint(1, len(base.rows))}"
-                )
-            else:
-                statements.append(
-                    f"UPDATE {table} SET {update_column} = "
-                    f"{update_value(rng)} WHERE rowid = "
-                    f"{rng.randint(1, len(base.rows))}"
-                )
-
-        results: dict[str, tuple] = {}
-        for mode in ("auto", "recompute"):
-            connection = repro.connect(":memory:")
-            relation_to_sqlite(connection, table, base)
-            connection.execute(
-                f"CREATE PREFERENCE VIEW best_{name} AS {view_sql}"
-            )
-            connection.view_maintenance_mode = mode
-            start = time.perf_counter()
-            for statement in statements:
-                connection.execute(statement)
-            elapsed = time.perf_counter() - start
-            materialized = sorted(
-                connection.execute(f"SELECT * FROM best_{name}").fetchall(),
-                key=repr,
-            )
-            # The oracle bypasses the view: pinned strategies always
-            # recompute from the base table.
-            oracle = sorted(
-                connection.execute(view_sql, algorithm="bnl").fetchall(),
-                key=repr,
-            )
-            if materialized != oracle:
-                raise AssertionError(
-                    f"{name} [{mode}]: materialized view diverged from the "
-                    f"recompute oracle ({len(materialized)} vs {len(oracle)} rows)"
-                )
-            counters = connection.view_maintenance_stats()[f"best_{name}"]
-            summary = ", ".join(
-                f"{strategy}={count}"
-                for strategy, count in sorted(counters.items())
-            )
-            table_out.add(
-                name, len(base.rows), op_count, mode, summary,
-                len(materialized), f"{elapsed * 1000:.1f}",
-            )
-            results[mode] = (elapsed, materialized, counters)
-            connection.close()
-
-        if results["auto"][1] != results["recompute"][1]:
-            raise AssertionError(f"{name}: maintenance modes disagree")
-        speedup = results["recompute"][0] / results["auto"][0]
-        if speedup <= 1.0:
-            raise AssertionError(
-                f"{name}: incremental maintenance did not beat full "
-                f"recompute ({speedup:.2f}x)"
-            )
-        raw[name] = {
-            "auto_seconds": results["auto"][0],
-            "recompute_seconds": results["recompute"][0],
-            "speedup": speedup,
-            "rows": len(results["auto"][1]),
-            "auto_counters": results["auto"][2],
-        }
-    report.add_table("insert-heavy mixed DML maintenance", table_out)
-    report.note(
-        "identical BMO rows are asserted between both maintenance modes and "
-        "against the recompute oracle; incremental maintenance speedup — "
-        + ", ".join(f"{name}: {cell['speedup']:.1f}x" for name, cell in raw.items())
-    )
-    report.data = raw
-    return report
-
-
-def e11_columnar(quick: bool = False) -> Report:
-    """The columnar benchmark: rank-vector kernels vs the seed core.
-
-    For rank-based preference trees on the jobs and shop workloads at
-    5k-30k rows, the skyline stage is timed through (a) the **seed core** —
-    per-group comparator recompilation and per-pair closure loops, which
-    is what every strategy funnelled through before the columnar rework
-    (reproduced here, with per-group slicing) — and
-    (b) the **columnar core** — one shared rank-column object and the
-    kernel its rank shape selects.  Winner sets must be identical across
-    the seed core, the winnow *and* (at oracle-sized inputs) the
-    quadratic nested-loop oracle.  A driver pass
-    decomposes one SQL-rank-pushdown execution into parse / plan / scan /
-    evaluate phases and checks the pushdown returns the same rows as
-    in-Python rank columns.  ``--json`` captures all raw numbers
-    (``BENCH_e11_columnar.json`` in CI).
-    """
-    from dataclasses import replace as _replace
-
-    from repro.engine.bmo import run_plan
-    from repro.model.categorical import LayeredPreference
-    from repro.model.composite import PrioritizationPreference
-    from repro.plan.planner import in_memory_parts
-    from repro.workloads.fixtures import relation_to_sqlite
-    from repro.workloads.jobs import CONDITION_SETS, jobs_relation
-    from repro.workloads.shop import washing_machines_relation
-
-    report = Report(
-        experiment="E11",
-        title="columnar rank-vector execution vs the row-at-a-time seed core",
-    )
-
-    def operand_vectors(relation, preference):
-        positions = {name.lower(): i for i, name in enumerate(relation.columns)}
-        slots = [
-            positions[operand.name.lower()] for operand in preference.operands
-        ]
-        return [tuple(row[i] for i in slots) for row in relation.rows]
-
-    def group_keys_for(relation, columns):
-        if not columns:
-            return None
-        positions = {name.lower(): i for i, name in enumerate(relation.columns)}
-        slots = [positions[c.lower()] for c in columns]
-        return [tuple(row[i] for i in slots) for row in relation.rows]
-
-    # ------------------------------------------------------------------
-    # The seed core, reproduced verbatim: per-group vector slices, rank
-    # lists re-derived per group in scalar Python (the old
-    # ``compiled._leaf_ranks``) and the per-pair closure BNL window.  It
-    # is the only honest baseline — anything built on the live engine
-    # would still benefit from the shared vectorized rank columns.
-
-    def seed_better(preference, vectors):
-        """The seed's compiled comparator: rank lists + tuple closures."""
-        flat = [
-            [leaf.rank(v[offset]) for v in vectors]
-            if not isinstance(leaf, LayeredPreference)
-            else [
-                float(leaf.level(v[offset : offset + leaf.arity]))
-                for v in vectors
-            ]
-            for leaf, offset in _leaf_offsets(preference)
-        ]
-        rows = list(zip(*flat))
-        if isinstance(preference, PrioritizationPreference):
-            return lambda i, j: rows[i] < rows[j]
-
-        def better(i, j):
-            a, b = rows[i], rows[j]
-            if a == b:
-                return False
-            return all(x <= y for x, y in zip(a, b))
-
-        return better
-
-    def seed_core(preference, vectors, group_keys):
-        """The pre-columnar evaluator: slice per group, recompile, loop."""
-        if group_keys is None:
-            groups = {None: list(range(len(vectors)))}
-        else:
-            groups = {}
-            for i in range(len(vectors)):
-                groups.setdefault(group_keys[i], []).append(i)
-        winners = []
-        for members in groups.values():
-            local = [vectors[i] for i in members]
-            better = seed_better(preference, local)
-            window = []
-            for i in range(len(local)):
-                dominated = False
-                survivors = []
-                for j in window:
-                    if better(j, i):
-                        dominated = True
-                        break
-                    if not better(i, j):
-                        survivors.append(j)
-                if not dominated:
-                    survivors.append(i)
-                    window = survivors
-            winners.extend(members[position] for position in window)
-        return sorted(winners)
-
-    jobs_soft = " AND ".join(soft for _hard, soft in CONDITION_SETS["A"])
-    shop_soft = (
-        "LOWEST(price) AND LOWEST(powerconsumption) AND LOWEST(waterconsumption)"
-    )
-    shop_cascade = (
-        "LOWEST(price) CASCADE LOWEST(powerconsumption) "
-        "CASCADE LOWEST(waterconsumption)"
-    )
-    jobs_sizes = (4_000,) if quick else (10_000, 30_000)
-    shop_sizes = (2_000,) if quick else (5_000, 20_000)
-    cases = []
-    for n in jobs_sizes:
-        cases.append(
-            ("jobs", n, lambda n=n: jobs_relation(n=n), jobs_soft,
-             ("region", "profession"))
-        )
-    for n in shop_sizes:
-        cases.append(
-            ("shop", n, lambda n=n: washing_machines_relation(rows=n),
-             shop_soft, ("manufacturer",))
-        )
-        cases.append(
-            ("shop-cascade", n,
-             lambda n=n: washing_machines_relation(rows=n), shop_cascade, ())
-        )
-
-    #: Largest input the quadratic oracle checks (n² closure calls).
-    oracle_cap = 2_000
-
-    table = Table(("workload", "n", "groups", "core", "winners", "time [ms]"))
-    raw: dict = {"quick": quick, "cases": {}}
-    repeats = 1 if quick else 2
-    for workload, n, loader, preferring, grouping in cases:
-        relation = loader()
-        preference = build_preference(parse_preferring(preferring))
-        vectors = operand_vectors(relation, preference)
-        keys = group_keys_for(relation, grouping)
-        group_count = len(set(keys)) if keys is not None else 1
-        cell: dict = {"rows": len(vectors), "groups": group_count}
-
-        baseline, timing = time_call(
-            lambda: seed_core(preference, vectors, keys), repeats=repeats
-        )
-        table.add(workload, n, group_count, "seed bnl",
-                  len(baseline), timing.ms())
-        cell["seed_bnl_seconds"] = timing.best
-        winners, timing = time_call(
-            lambda: bmo_filter(preference, vectors, group_keys=keys),
-            repeats=repeats,
-        )
-        if winners != baseline:
-            raise AssertionError(
-                f"the columnar winnow diverges from the seed core on "
-                f"{workload} n={n}"
-            )
-        table.add(workload, n, group_count, "columnar", len(winners), timing.ms())
-        cell["columnar_seconds"] = timing.best
-
-        cell["oracle_checked"] = len(vectors) <= oracle_cap
-        if cell["oracle_checked"]:
-            oracle = bmo_filter(
-                preference, vectors, group_keys=keys, algorithm="nested_loop"
-            )
-            if oracle != baseline:
-                raise AssertionError(
-                    f"winner set differs from the nested-loop oracle on "
-                    f"{workload} n={n}"
-                )
-        cell["speedup_vs_seed"] = (
-            cell["seed_bnl_seconds"] / cell["columnar_seconds"]
-        )
-        raw["cases"][f"{workload}:{n}"] = cell
-    report.add_table("skyline stage: seed core vs columnar kernels", table)
-
-    # Oracle pass at a size the quadratic method can afford, per workload.
-    raw["oracle"] = {}
-    for workload, loader, preferring, grouping in (
-        ("jobs", lambda: jobs_relation(n=oracle_cap), jobs_soft,
-         ("region", "profession")),
-        ("shop", lambda: washing_machines_relation(rows=oracle_cap),
-         shop_soft, ("manufacturer",)),
-        ("shop-cascade", lambda: washing_machines_relation(rows=oracle_cap),
-         shop_cascade, ()),
-    ):
-        relation = loader()
-        preference = build_preference(parse_preferring(preferring))
-        vectors = operand_vectors(relation, preference)
-        keys = group_keys_for(relation, grouping)
-        oracle = sorted(
-            members[p]
-            for members in _grouped_members(keys, len(vectors)).values()
-            for p in nested_loop_maximal(
-                preference, [vectors[i] for i in members]
-            )
-        )
-        if bmo_filter(preference, vectors, group_keys=keys) != oracle:
-            raise AssertionError(
-                f"bnl differs from the nested-loop oracle on "
-                f"{workload} n={oracle_cap}"
-            )
-        raw["oracle"][workload] = {"rows": oracle_cap, "winners": len(oracle)}
-
-    # ------------------------------------------------------------------
-    # Evaluate stage (the gated ≥3x comparison): everything between the
-    # fetched candidate rows and the result rows.  Both cores consume
-    # prefetched scans (the shared sqlite fetch is timed separately as
-    # the "scan" phase — appending rank expressions leaves it within
-    # noise of the plain scan), so the comparison isolates what this PR
-    # replaced.  The seed core ran the expression Evaluator once per row
-    # and operand over per-row environments, derived GROUPING keys the
-    # same way, compared through closures and projected winners through
-    # fresh environments; the columnar core adopts the host-computed
-    # rank columns and runs the shape's kernel — the Evaluator never sees
-    # a candidate row.
-    from repro.engine.expressions import Evaluator, RowEnvironment
-    from repro.sql import ast as _ast
-
-    class _Prefetched:
-        """A cursor stand-in replaying one prefetched scan result."""
-
-        def __init__(self, description, rows):
-            self.description = description
-            self._rows = rows
-
-        def fetchall(self):
-            return self._rows
-
-    def seed_evaluate(table_name, columns, rows, preference, grouping):
-        evaluator = Evaluator()
-        environments = [
-            RowEnvironment({table_name: dict(zip(columns, row))})
-            for row in rows
-        ]
-        vectors = [
-            tuple(evaluator.evaluate(op, env) for op in preference.operands)
-            for env in environments
-        ]
-        keys = None
-        if grouping:
-            grouping_exprs = [_ast.Column(name=g) for g in grouping]
-            keys = [
-                tuple(evaluator.evaluate(g, env) for g in grouping_exprs)
-                for env in environments
-            ]
-        winners = seed_core(preference, vectors, keys)
-        # Seed projection: one fresh environment per winner, values read
-        # back out of it (the pre-columnar ``_project`` discipline).
-        projected = []
-        for i in winners:
-            scope = dict(zip(columns, rows[i]))
-            projected.append(tuple(scope[column] for column in columns))
-        return projected
-
-    driver_table = Table(
-        ("workload", "n", "core", "rows", "time [ms]", "speedup")
-    )
-    raw["driver"] = {}
-    driver_cases = [
-        ("jobs", n, lambda n=n: jobs_relation(n=n), "jobs", jobs_soft,
-         ("region", "profession"))
-        for n in jobs_sizes
-    ] + [
-        ("shop", n, lambda n=n: washing_machines_relation(rows=n),
-         "products", shop_soft, ("manufacturer",))
-        for n in shop_sizes
-    ]
-    phases: dict = {}
-    for workload, n, loader, table_name, preferring, grouping in driver_cases:
-        connection = repro.connect(":memory:")
-        relation_to_sqlite(connection, table_name, loader())
-        query = (
-            f"SELECT * FROM {table_name} PREFERRING {preferring} "
-            f"GROUPING {', '.join(grouping)}"
-        )
-        _statement, parse_timing = time_call(
-            lambda: parse_statement(query), repeats=repeats
-        )
-        plan, plan_timing = time_call(
-            lambda: connection.plan(query, force="bnl"), repeats=repeats
-        )
-        if plan.rank_source != "sql" or not plan.rank_width:
-            raise AssertionError(
-                f"{workload} plan did not choose the SQL rank pushdown"
-            )
-        select = parse_statement(query)
-        plain_sql, plain_residual, _width = in_memory_parts(
-            select, connection.catalog.resolve
-        )
-        preference = build_preference(plain_residual.preferring)
-
-        # Prefetch both scans once; the evaluate-stage timers then replay
-        # them so neither core's number contains sqlite fetch time.
-        plain_cursor = connection.raw.execute(plain_sql)
-        plain_description = plain_cursor.description
-        plain_rows = plain_cursor.fetchall()
-        plain_columns = [d[0].lower() for d in plain_description]
-        ranked_cursor = connection.raw.execute(plan.pushdown_sql)
-        ranked_description = ranked_cursor.description
-        ranked_rows = ranked_cursor.fetchall()
-
-        seed_rows, seed_timing = time_call(
-            lambda: seed_evaluate(
-                table_name, plain_columns, plain_rows, preference, grouping
-            ),
-            repeats=repeats,
-        )
-        columnar_result, columnar_timing = time_call(
-            lambda: run_plan(
-                lambda _sql: _Prefetched(ranked_description, ranked_rows),
-                plan,
-            ),
-            repeats=repeats,
-        )
-        python_plan = _replace(
-            plan,
-            pushdown_sql=plain_sql,
-            residual=plain_residual,
-            rank_width=0,
-            rank_source="python",
-        )
-        python_result, python_timing = time_call(
-            lambda: run_plan(
-                lambda _sql: _Prefetched(plain_description, plain_rows),
-                python_plan,
-            ),
-            repeats=repeats,
-        )
-        key = repr
-        if sorted(columnar_result.rows, key=key) != sorted(
-            python_result.rows, key=key
-        ):
-            raise AssertionError(
-                f"{workload}: SQL rank pushdown and python ranks disagree"
-            )
-        if sorted(columnar_result.rows, key=key) != sorted(seed_rows, key=key):
-            raise AssertionError(
-                f"{workload}: columnar core and seed core disagree end to end"
-            )
-        speedup = seed_timing.best / columnar_timing.best
-        driver_table.add(
-            workload, n, "seed (Evaluator + closures)", len(seed_rows),
-            seed_timing.ms(), "",
-        )
-        driver_table.add(
-            workload, n, "columnar (pushed rank columns)", len(columnar_result.rows),
-            columnar_timing.ms(), f"{speedup:.1f}x",
-        )
-        _rows, plain_scan_timing = time_call(
-            lambda: connection.raw.execute(plain_sql).fetchall(),
-            repeats=repeats,
-        )
-        _rows, ranked_scan_timing = time_call(
-            lambda: connection.raw.execute(plan.pushdown_sql).fetchall(),
-            repeats=repeats,
-        )
-        raw["driver"][f"{workload}:{n}"] = {
-            "rows": n,
-            "winners": len(seed_rows),
-            "seed_seconds": seed_timing.best,
-            "columnar_sql_seconds": columnar_timing.best,
-            "columnar_python_seconds": python_timing.best,
-            "scan_plain_seconds": plain_scan_timing.best,
-            "scan_ranked_seconds": ranked_scan_timing.best,
-            "speedup": speedup,
-        }
-        if workload == "shop" and n == max(shop_sizes):
-            phases = {
-                "parse": parse_timing.best,
-                "plan": plan_timing.best,
-                "scan": ranked_scan_timing.best,
-                "evaluate": columnar_timing.best,
-            }
-        connection.close()
-    report.add_table(
-        "evaluate stage (prefetched scans): seed core vs columnar + rank pushdown",
-        driver_table,
-    )
-    phase_table = Table(("phase", "time [ms]"))
-    for phase, seconds in phases.items():
-        phase_table.add(phase, f"{seconds * 1000:.2f}")
-    report.add_table(
-        f"driver phases, shop n={max(shop_sizes)} (sql rank pushdown)",
-        phase_table,
-    )
-    raw["phases"] = phases
-
-    floor = 3.0
-    gated = {
-        key: cell["speedup"] for key, cell in raw["driver"].items()
-    }
-    worst = min(gated, key=gated.get)
-    raw["speedup_floor"] = floor
-    raw["worst_gated_speedup"] = gated[worst]
-    if gated[worst] < floor:
-        raise AssertionError(
-            f"columnar speedup below the {floor:.0f}x floor: "
-            f"{worst} at {gated[worst]:.2f}x"
-        )
-    report.note(
-        "identical winner sets asserted between the seed core, the "
-        "columnar winnow and the nested-loop oracle (at oracle-sized "
-        "inputs); kernel-stage speedup vs seed "
-        "core — "
-        + ", ".join(
-            f"{key}: {cell['speedup_vs_seed']:.1f}x"
-            for key, cell in raw["cases"].items()
-        )
-        + "; evaluate-stage speedup over prefetched scans (pushed rank "
-        "columns + rank-shape kernel vs per-row Evaluator + closures; the "
-        "rank-augmented scan itself stays within noise of the plain "
-        "scan, see scan_*_seconds) — "
-        + ", ".join(
-            f"{key}: {cell['speedup']:.1f}x"
-            for key, cell in raw["driver"].items()
-        )
-    )
-    report.data = raw
-    return report
-
-
-def e12_joins(quick: bool = False) -> Report:
-    """The join benchmark: rewrite vs in-memory vs winnow pushdown.
-
-    Runs representative multi-table preference queries over the
-    car/dealer star schema (key–FK joins, a selective dimension filter,
-    GROUPING, and a cross-table Pareto) through every applicable
-    execution path: the NOT EXISTS rewrite on sqlite, the generic join
-    scan + in-memory skyline, and the
-    winnow-over-join pushdown (BMO before the join) where Chomicki's
-    commute conditions hold.  All paths must return identical rows; the
-    acceptance gate requires the best join-aware path to beat
-    always-rewrite by ≥2x on the selective join.
-    """
-    from repro.errors import PlanError
-    from repro.plan import PREJOIN_STRATEGY
-    from repro.workloads.cardealer import load_car_dealer
-
-    report = Report(
-        experiment="E12",
-        title="join-aware preference planning: rewrite vs in-memory vs "
-        "winnow pushdown",
-    )
-    cars_n = 4_000 if quick else 16_000
-    dealers_n = 120 if quick else 400
-    repeats = 1 if quick else 2
-
-    cases = [
-        (
-            # The gated case: a selective one-to-many join whose joined
-            # candidate set is a multiple of the preference table — the
-            # rewrite anti-joins the multiplied set, the winnow pushdown
-            # computes BMO over the cars alone and joins 2-10 winners.
-            "selective listings join (1:n)",
-            "SELECT * FROM cars c, listings l "
-            "WHERE c.car_id = l.car_id AND l.active = 1 "
-            "PREFERRING LOWEST(c.price) AND HIGHEST(c.power)",
-        ),
-        (
-            "key-FK dimension join (n:1)",
-            "SELECT * FROM cars c, dealers d "
-            "WHERE c.dealer_id = d.dealer_id AND d.region = 'south' "
-            "AND d.certified = 1 "
-            "PREFERRING LOWEST(c.price) AND HIGHEST(c.power)",
-        ),
-        (
-            "grouped join",
-            "SELECT * FROM cars c, dealers d "
-            "WHERE c.dealer_id = d.dealer_id AND d.rating >= 4 "
-            "PREFERRING LOWEST(c.price) AND LOWEST(c.mileage) "
-            "GROUPING c.make",
-        ),
-        (
-            "cross-table pareto",
-            "SELECT * FROM cars c, dealers d "
-            "WHERE c.dealer_id = d.dealer_id AND d.region = 'north' "
-            "PREFERRING LOWEST(c.price) AND HIGHEST(d.rating)",
-        ),
-    ]
-
-    connection = repro.connect(":memory:")
-    load_car_dealer(connection, cars=cars_n, dealers=dealers_n)
-
-    table = Table(("case", "strategy", "rows", "time [ms]"))
-    raw: dict = {"quick": quick, "cars": cars_n, "dealers": dealers_n, "cases": {}}
-    for name, query in cases:
-        cell: dict = {}
-        baseline: list | None = None
-        strategies = ["rewrite", "bnl", PREJOIN_STRATEGY, None]
-        for strategy in strategies:
-            chosen: dict = {}
-
-            def run(strategy=strategy):
-                cursor = connection.execute(query, algorithm=strategy)
-                chosen["plan"] = cursor.plan
-                return sorted(cursor.fetchall(), key=repr)
-
-            try:
-                rows, timing = time_call(run, repeats=repeats)
-            except PlanError:
-                if strategy != PREJOIN_STRATEGY:
-                    raise
-                # The winnow pushdown only exists where winnow commutes
-                # with the join; record the refusal instead of a number.
-                cell[PREJOIN_STRATEGY] = None
-                table.add(name, f"{PREJOIN_STRATEGY} (ineligible)", "-", "-")
-                continue
-            if baseline is None:
-                baseline = rows
-            elif rows != baseline:
-                raise AssertionError(
-                    f"{strategy or 'auto'} disagrees on {name!r}: "
-                    f"{len(rows)} vs {len(baseline)} rows"
-                )
-            label = strategy or f"auto -> {chosen['plan'].strategy}"
-            table.add(name, label, len(rows), timing.ms())
-            cell[strategy or "auto"] = timing.best
-            if strategy is None:
-                cell["auto_chose"] = chosen["plan"].strategy
-        cell["rows"] = len(baseline)
-        raw["cases"][name] = cell
-    report.add_table("join queries: every execution path", table)
-
-    # EXPLAIN must surface the join-aware decision rows.
-    explain = dict(
-        connection.execute(
-            "EXPLAIN PREFERENCE " + cases[0][1]
-        ).fetchall()
-    )
-    for required in ("join tables", "join cardinality (est)", "winnow pushdown"):
-        if required not in explain:
-            raise AssertionError(f"EXPLAIN PREFERENCE lacks the {required!r} row")
-    raw["explain"] = {
-        key: explain[key]
-        for key in ("join tables", "join cardinality (est)", "winnow pushdown")
-    }
-    connection.close()
-
-    selective = raw["cases"]["selective listings join (1:n)"]
-    best_join_aware = min(
-        seconds
-        for key, seconds in selective.items()
-        if key in ("bnl", PREJOIN_STRATEGY)
-        and isinstance(seconds, float)
-    )
-    speedup = selective["rewrite"] / best_join_aware
-    raw["selective_speedup_vs_rewrite"] = speedup
-    raw["speedup_floor"] = 2.0
-    if speedup < 2.0:
-        raise AssertionError(
-            f"join-aware execution below the 2x floor on the selective "
-            f"join: {speedup:.2f}x"
-        )
-    prejoin_speedup = (
-        selective["rewrite"] / selective[PREJOIN_STRATEGY]
-        if isinstance(selective.get(PREJOIN_STRATEGY), float)
-        else None
-    )
-    report.note(
-        "identical rows asserted across rewrite, generic join scan, "
-        "winnow pushdown and auto; best join-aware "
-        f"path beats always-rewrite {speedup:.1f}x on the selective join"
-        + (
-            f" (winnow pushdown alone: {prejoin_speedup:.1f}x)"
-            if prejoin_speedup
-            else ""
-        )
-        + f"; auto chose {selective.get('auto_chose')!r}."
-    )
-    report.data = raw
-    return report
-
-
-def e13_semantic(quick: bool = False) -> Report:
-    """The semantic-optimization benchmark: constraint-driven rewrites.
-
-    Loads the shop catalog into a *keyed* sqlite table — ``INTEGER
-    PRIMARY KEY`` plus ``NOT NULL`` value columns, the schema shape the
-    constraint catalog sniffs without any declarations — and runs three
-    constraint-sensitive preference queries through the semantic plan
-    (auto: the catalog proves the rewrite sound) and through every
-    columnar in-memory strategy plus the NOT EXISTS rewrite (forced
-    strategies bypass the semantic pass and evaluate the original
-    preference, so they double as the differential baseline):
-
-    - a weak-order cascade → one ordered host scan (the gated case),
-    - LOWEST/HIGHEST of the key → ``ORDER BY … LIMIT 1``,
-    - a key-pinned WHERE → the winnow is eliminated outright.
-
-    All paths must return identical rows; at oracle scale the winners
-    are additionally checked against the quadratic nested-loop oracle.
-    The acceptance gate requires the semantic single pass to beat the
-    best in-memory columnar plan ≥10x on the cascade.
-    """
-    from repro.plan.cost import IN_MEMORY_STRATEGIES
-    from repro.workloads.shop import washing_machines_relation
-
-    report = Report(
-        experiment="E13",
-        title="semantic optimization: constraint-driven rewrites vs "
-        "evaluating strategies",
-    )
-    n = 4_000 if quick else 30_000
-    repeats = 2
-
-    def load(connection, rows: int):
-        relation = washing_machines_relation(rows=rows)
-        connection.execute(
-            "CREATE TABLE products ("
-            "product_id INTEGER PRIMARY KEY, manufacturer TEXT NOT NULL, "
-            "width INTEGER NOT NULL, spinspeed INTEGER NOT NULL, "
-            "powerconsumption REAL NOT NULL, waterconsumption INTEGER "
-            "NOT NULL, price INTEGER NOT NULL)"
-        )
-        connection.cursor().executemany(
-            "INSERT INTO products VALUES (?, ?, ?, ?, ?, ?, ?)",
-            relation.rows,
-        )
-        connection.commit()
-        return relation
-
-    cascade_soft = (
-        "LOWEST(price) CASCADE LOWEST(powerconsumption) "
-        "CASCADE LOWEST(waterconsumption)"
-    )
-    cases = [
-        (
-            "weak-order cascade",
-            f"SELECT * FROM products PREFERRING {cascade_soft}",
-        ),
-        (
-            "keyed single winner",
-            "SELECT * FROM products PREFERRING HIGHEST(product_id)",
-        ),
-        (
-            "key-pinned selection",
-            "SELECT * FROM products WHERE product_id = 37 "
-            "PREFERRING LOWEST(price) AND LOWEST(powerconsumption)",
-        ),
-    ]
-
-    connection = repro.connect(":memory:")
-    load(connection, n)
-
-    table = Table(("case", "path", "rows", "time [ms]"))
-    raw: dict = {"quick": quick, "rows": n, "cases": {}}
-    for name, query in cases:
-        cell: dict = {}
-        baseline: list | None = None
-        for strategy in (None, "rewrite") + IN_MEMORY_STRATEGIES:
-            chosen: dict = {}
-
-            def run(strategy=strategy):
-                cursor = connection.execute(query, algorithm=strategy)
-                chosen["plan"] = cursor.plan
-                return sorted(cursor.fetchall(), key=repr)
-
-            run()  # warm the plan cache and the observed-constraint probes
-            rows, timing = time_call(run, repeats=repeats)
-            plan = chosen["plan"]
-            if strategy is None:
-                if plan is None or plan.semantic_rule is None:
-                    raise AssertionError(
-                        f"the semantic pass did not fire on {name!r}"
-                    )
-                cell["semantic_rule"] = plan.semantic_rule
-                label = "semantic (auto)"
-            else:
-                if plan is not None and plan.semantic_rule is not None:
-                    raise AssertionError(
-                        f"forced {strategy!r} did not bypass the semantic "
-                        f"pass on {name!r}"
-                    )
-                label = strategy
-            if baseline is None:
-                baseline = rows
-            elif rows != baseline:
-                raise AssertionError(
-                    f"{strategy or 'semantic'} disagrees on {name!r}: "
-                    f"{len(rows)} vs {len(baseline)} rows"
-                )
-            table.add(name, label, len(rows), timing.ms())
-            cell[strategy or "semantic"] = timing.best
-        cell["rows"] = len(baseline)
-        raw["cases"][name] = cell
-    report.add_table(
-        "semantic plan vs forced evaluating strategies", table
-    )
-
-    # EXPLAIN must surface the semantic decision and its justification.
-    explain = dict(
-        connection.execute("EXPLAIN PREFERENCE " + cases[0][1]).fetchall()
-    )
-    for required in ("semantic rewrite", "constraints used"):
-        if required not in explain:
-            raise AssertionError(
-                f"EXPLAIN PREFERENCE lacks the {required!r} row"
-            )
-    raw["explain"] = {
-        key: explain[key] for key in ("semantic rewrite", "constraints used")
-    }
-    connection.close()
-
-    # Nested-loop oracle at a size the quadratic method can afford: the
-    # semantic single pass must reproduce the oracle's winner set exactly
-    # (the key-pinned case is covered by the five-way parity above).
-    oracle_cap = 1_500
-    oracle_connection = repro.connect(":memory:")
-    relation = load(oracle_connection, oracle_cap)
-    positions = {c.lower(): i for i, c in enumerate(relation.columns)}
-    raw["oracle"] = {"rows": oracle_cap}
-    for name, preferring in (
-        ("weak-order cascade", cascade_soft),
-        ("keyed single winner", "HIGHEST(product_id)"),
-    ):
-        preference = build_preference(parse_preferring(preferring))
-        vectors = [
-            tuple(row[positions[op.name.lower()]] for op in preference.operands)
-            for row in relation.rows
-        ]
-        oracle = sorted(
-            relation.rows[i]
-            for i in bmo_filter(preference, vectors, algorithm="nested_loop")
-        )
-        cursor = oracle_connection.execute(
-            f"SELECT * FROM products PREFERRING {preferring}"
-        )
-        if cursor.plan is None or cursor.plan.semantic_rule is None:
-            raise AssertionError(
-                f"the semantic pass did not fire at oracle scale on {name!r}"
-            )
-        if sorted(tuple(row) for row in cursor.fetchall()) != oracle:
-            raise AssertionError(
-                f"semantic winners differ from the nested-loop oracle "
-                f"on {name!r}"
-            )
-        raw["oracle"][name] = {"winners": len(oracle)}
-    oracle_connection.close()
-
-    cascade = raw["cases"]["weak-order cascade"]
-    best_in_memory = min(cascade[s] for s in IN_MEMORY_STRATEGIES)
-    speedup = best_in_memory / cascade["semantic"]
-    raw["speedup_floor"] = 10.0
-    raw["cascade_speedup_vs_columnar"] = speedup
-    if speedup < 10.0:
-        raise AssertionError(
-            f"semantic single pass below the 10x floor on the cascade: "
-            f"{speedup:.2f}x vs the best in-memory strategy"
-        )
-    report.note(
-        "identical rows asserted across the semantic plan, the NOT EXISTS "
-        "rewrite and every in-memory strategy (which bypass the semantic "
-        "pass), plus the nested-loop oracle at oracle scale; the single "
-        f"pass beats the best columnar in-memory plan {speedup:.1f}x on "
-        f"the cascade (fired rules: "
-        + ", ".join(
-            f"{name}: {cell['semantic_rule']}"
-            for name, cell in raw["cases"].items()
-        )
-        + ")."
-    )
-    report.data = raw
-    return report
-
-
-def e14_sessions(quick: bool = False) -> Report:
-    """Session reuse over query *sequences*, not one-shots.
-
-    Models two interactive sessions — faceted shop browsing over the
-    washing-machine catalog and a job-search drill-down — where every
-    step refines the previous query (a CASCADE tie-breaker appended, a
-    facet pinned on a GROUPING column).  Each refined step runs twice:
-    on a connection with session reuse disabled (full evaluation, the
-    planner's best non-session strategy) and on a connection that just
-    answered the parent query (the session cache re-winnows the cached
-    winner base; no base-table scan, no delta SQL for these shapes).
-
-    Row parity between the two connections is asserted at every step,
-    EXPLAIN must surface the ``session reuse`` row, and the acceptance
-    gate requires the drill-down steps to be served ≥5x faster than
-    full evaluation.
-    """
-    from repro.plan.cost import SESSION_STRATEGY
-    from repro.workloads.shop import washing_machines_relation
-
-    report = Report(
-        experiment="E14",
-        title="session reuse: refined queries answered from cached BMO sets",
-    )
-    n = 4_000 if quick else 30_000
-    repeats = 3
-
-    shop_base = (
-        "SELECT * FROM products "
-        "PREFERRING LOWEST(price) AND LOWEST(powerconsumption)"
-    )
-    jobs_base = (
-        "SELECT * FROM candidates PREFERRING LOWEST(salary_expectation) "
-        "AND HIGHEST(years_experience)"
-    )
-    workloads = [
-        (
-            "shop faceted browsing",
-            shop_base,
-            [
-                shop_base + " CASCADE manufacturer IN ('Miola')",
-                shop_base
-                + " CASCADE manufacturer IN ('Miola') "
-                "CASCADE LOWEST(waterconsumption)",
-            ],
-        ),
-        (
-            "jobs drill-down",
-            jobs_base,
-            [
-                jobs_base + " CASCADE education IN ('university')",
-                jobs_base
-                + " CASCADE education IN ('university') "
-                "CASCADE HIGHEST(english_skill)",
-            ],
-        ),
-    ]
-
-    def connect_loaded():
-        connection = repro.connect(":memory:")
-        relation = washing_machines_relation(rows=n)
-        # Deliberately unkeyed (no PRIMARY KEY / NOT NULL): the semantic
-        # pass must not replace the winnow, or there is nothing to cache.
-        connection.execute(
-            "CREATE TABLE products (product_id INTEGER, manufacturer TEXT, "
-            "width INTEGER, spinspeed INTEGER, powerconsumption REAL, "
-            "waterconsumption INTEGER, price INTEGER)"
-        )
-        connection.cursor().executemany(
-            "INSERT INTO products VALUES (?, ?, ?, ?, ?, ?, ?)",
-            relation.rows,
-        )
-        load_jobs(connection, n=n)
-        # The drill-down runs over the 11 meaningful profile attributes;
-        # dragging the 63 filler skill columns through every in-memory
-        # fetch would only benchmark row shipping.
-        connection.execute(
-            "CREATE TABLE candidates AS SELECT profile_id, region, "
-            "profession, years_experience, education, english_skill, "
-            "german_skill, salary_expectation, age, mobility, "
-            "availability_weeks FROM jobs"
-        )
-        connection.commit()
-        connection.execute("ANALYZE")
-        return connection
-
-    served = connect_loaded()
-    full = connect_loaded()
-    full.session_reuse = False
-
-    table = Table(("sequence", "step", "winners", "full [ms]", "session [ms]", "speedup"))
-    raw: dict = {"quick": quick, "rows": n, "workloads": {}}
-    speedups: list[float] = []
-    for name, base, steps in workloads:
-        cell: dict = {"steps": {}}
-        # Answer the parent query once so its winner base is cached (the
-        # session connection pays this scan; every refinement reuses it).
-        base_cursor = served.execute(base)
-        base_cursor.fetchall()
-        if base_cursor.plan is None or not base_cursor.plan.uses_engine:
-            raise AssertionError(
-                f"the base scan of {name!r} was not captured in memory "
-                f"(strategy {base_cursor.plan.strategy if base_cursor.plan else None!r})"
-            )
-        for position, query in enumerate(steps, start=1):
-            explain = dict(
-                served.execute("EXPLAIN PREFERENCE " + query).fetchall()
-            )
-            if "session reuse" not in explain:
-                raise AssertionError(
-                    f"EXPLAIN PREFERENCE lacks the 'session reuse' row on "
-                    f"step {position} of {name!r}"
-                )
-
-            def run_served(query=query):
-                cursor = served.execute(query)
-                if cursor.plan is None or cursor.plan.strategy != SESSION_STRATEGY:
-                    raise AssertionError(
-                        f"refined step was not served from the session "
-                        f"cache: {query}"
-                    )
-                if cursor.plan.session_delta_sql is not None:
-                    raise AssertionError(
-                        f"pure refinement produced a delta scan: {query}"
-                    )
-                return sorted(cursor.fetchall(), key=repr)
-
-            def run_full(query=query):
-                return sorted(full.execute(query).fetchall(), key=repr)
-
-            run_served(), run_full()  # warm plan caches
-            served_rows, served_timing = time_call(run_served, repeats=repeats)
-            full_rows, full_timing = time_call(run_full, repeats=repeats)
-            if served_rows != full_rows:
-                raise AssertionError(
-                    f"session reuse diverges from full evaluation on: {query}"
-                )
-            speedup = full_timing.best / served_timing.best
-            speedups.append(speedup)
-            table.add(
-                name,
-                f"refine {position}",
-                len(served_rows),
-                full_timing.ms(),
-                served_timing.ms(),
-                f"{speedup:.1f}x",
-            )
-            cell["steps"][f"refine {position}"] = {
-                "winners": len(served_rows),
-                "full": full_timing.best,
-                "session": served_timing.best,
-                "speedup": speedup,
-                "refinement": explain.get("refinement relation"),
-            }
-        raw["workloads"][name] = cell
-    report.add_table("refined steps: full evaluation vs session reuse", table)
-
-    stats = served.session_stats()
-    raw["session_stats"] = stats
-    if stats["served"] < sum(len(steps) for _n, _b, steps in workloads):
-        raise AssertionError(
-            f"session cache served fewer steps than the workloads refined: "
-            f"{stats}"
-        )
-    served.close()
-    full.close()
-
-    floor = 5.0
-    worst = min(speedups)
-    raw["speedup_floor"] = floor
-    raw["min_refinement_speedup"] = worst
-    if worst < floor:
-        raise AssertionError(
-            f"session reuse below the {floor:.0f}x floor on a refined "
-            f"step: {worst:.2f}x"
-        )
-    report.note(
-        "row parity asserted between the session connection and a "
-        "session-disabled connection on every refined step; EXPLAIN "
-        "surfaces 'session reuse' and the refinement relation; worst "
-        f"refined-step speedup {worst:.1f}x (floor {floor:.0f}x), "
-        f"{stats['served']} steps served from {stats['stores']} stores."
-    )
-    report.data = raw
-    return report
-
-
-def e15_server(quick: bool = False) -> Report:
-    """The serving benchmark: concurrent session traffic.
-
-    Starts the asyncio server over one database holding all three
-    scenarios and replays a Zipfian mix of simulated user sessions
-    (see :mod:`repro.workloads.traffic`) through concurrent clients,
-    reporting p50/p99 latency, the cross-session plan-cache hit rate and
-    session-reuse counters, and asserting every distinct statement's
-    response row-identical to a fresh single-connection evaluation.
-    """
-    import asyncio
-    import os
-    import shutil
-    import tempfile
-
-    from repro.server import PreferenceClient, PreferenceServer
-    from repro.workloads.traffic import (
-        load_traffic_database,
-        query_chains,
-        zipfian_schedule,
-    )
-
-    report = Report(
-        experiment="E15",
-        title="preference query server: Zipfian session traffic",
-    )
-    raw: dict = {"quick": quick}
-
-    chains = query_chains()
-    sessions = 200 if quick else 2_000
-    clients = 8 if quick else 24
-    schedule = zipfian_schedule(len(chains), sessions, seed=29)
-    db_dir = tempfile.mkdtemp(prefix="repro-e15-")
-    database = os.path.join(db_dir, "traffic.db")
-    try:
-        loader = repro.connect(database)
-        load_traffic_database(loader, scale=0.25 if quick else 1.0)
-        loader.execute("ANALYZE")
-        loader.close()
-
-        latencies: list[float] = []
-        per_chain: dict[str, int] = {}
-
-        async def run_traffic():
-            async with PreferenceServer(
-                database,
-                pool_size=4,
-                max_inflight=4,
-                max_queue=2 * clients * max(len(c.statements) for c in chains),
-            ) as server:
-                pending: asyncio.Queue[int] = asyncio.Queue()
-                for index in schedule:
-                    pending.put_nowait(index)
-
-                async def simulate_client():
-                    client = await PreferenceClient.connect(
-                        server.host, server.port
-                    )
-                    try:
-                        while True:
-                            try:
-                                chain = chains[pending.get_nowait()]
-                            except asyncio.QueueEmpty:
-                                return
-                            per_chain[chain.name] = (
-                                per_chain.get(chain.name, 0)
-                                + len(chain.statements)
-                            )
-                            for sql in chain.statements:
-                                start = time.perf_counter()
-                                await client.query(sql)
-                                latencies.append(time.perf_counter() - start)
-                    finally:
-                        await client.close()
-
-                await asyncio.gather(
-                    *(simulate_client() for _ in range(clients))
-                )
-
-                # Row-parity spot check: every distinct statement in the
-                # mix, server response vs a fresh standalone connection.
-                fresh = repro.connect(database)
-                fresh.session_reuse = False
-                checker = await PreferenceClient.connect(
-                    server.host, server.port
-                )
-                checked = 0
-                try:
-                    for chain in chains:
-                        for sql in chain.statements:
-                            _columns, rows = await checker.query(sql)
-                            expected = [
-                                list(row)
-                                for row in fresh.execute(sql).fetchall()
-                            ]
-                            if sorted(rows, key=repr) != sorted(
-                                expected, key=repr
-                            ):
-                                raise AssertionError(
-                                    f"server response diverges from a fresh "
-                                    f"connection on: {sql}"
-                                )
-                            checked += 1
-                finally:
-                    await checker.close()
-                    fresh.close()
-                return server.stats(), checked
-
-        stats, checked = asyncio.run(run_traffic())
-    finally:
-        shutil.rmtree(db_dir, ignore_errors=True)
-
-    admission = stats["admission"]
-    if admission["errors"]:
-        raise AssertionError(
-            f"traffic produced {admission['errors']} query errors"
-        )
-    if admission["served"] != admission["admitted"]:
-        raise AssertionError("admitted and served request counts diverge")
-    plan_cache = stats["plan_cache"]
-    if plan_cache["hit_rate"] < 0.5:
-        raise AssertionError(
-            f"plan-cache hit rate {plan_cache['hit_rate']:.2f} below 0.5 — "
-            "cross-session caching is not taking effect"
-        )
-    session_stats = stats["sessions"]
-    if session_stats["served"] < 1:
-        raise AssertionError(
-            "no refined query was served from a session cache under traffic"
-        )
-
-    ordered = sorted(latencies)
-    p50 = ordered[len(ordered) // 2]
-    p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-    traffic = Table(("metric", "value"))
-    traffic.add("simulated sessions", sessions)
-    traffic.add("concurrent clients", clients)
-    traffic.add("queries", len(latencies))
-    traffic.add("p50 latency [ms]", f"{p50 * 1e3:.2f}")
-    traffic.add("p99 latency [ms]", f"{p99 * 1e3:.2f}")
-    traffic.add("plan-cache hit rate", f"{plan_cache['hit_rate']:.3f}")
-    traffic.add("session-reuse served", session_stats["served"])
-    traffic.add("rejected (overload)", admission["rejected"])
-    traffic.add("parity-checked statements", checked)
-    report.add_table("Zipfian session traffic through the server", traffic)
-
-    mix = Table(("chain", "queries"))
-    for name, count in sorted(per_chain.items(), key=lambda kv: -kv[1]):
-        mix.add(name, count)
-    report.add_table("traffic mix (Zipfian template popularity)", mix)
-
-    raw["traffic"] = {
-        "sessions": sessions,
-        "clients": clients,
-        "queries": len(latencies),
-        "p50_ms": p50 * 1e3,
-        "p99_ms": p99 * 1e3,
-        "plan_cache": plan_cache,
-        "session_stats": session_stats,
-        "admission": admission,
-        "per_chain": per_chain,
-        "parity_checked": checked,
-    }
-    report.note(
-        "row parity asserted for every distinct statement in the mix "
-        "against a fresh standalone connection"
-    )
-    report.data = raw
-    return report
-
-
-def e16_robustness(quick: bool = False) -> Report:
-    """The robustness benchmark: chaos traffic with zero wrong answers.
-
-    Replays the e15 Zipfian session traffic through the asyncio server
-    three times over the same database:
-
-    1. **baseline** — fault harness inert (the production default: every
-       injection point is one module-global ``None`` check),
-    2. **chaos** — a ~5% fault mix installed: injected sqlite errors on
-       execute, pooled connections broken at checkout, stalls before
-       evaluation; clients retry retryable failures with bounded
-       exponential backoff,
-    3. **recovery** — harness removed again; counts the requests until
-       the first clean success (bounded recovery).
-
-    Asserted: every successful reply under chaos is row-identical to a
-    fresh-connection oracle computed before any fault plan existed (zero
-    client-visible wrong answers); every surfaced error is structured
-    and retryable; the admission ledger conserves
-    (``admitted == served + errors + cancelled``); and the p50 of the chaos run's *untouched* queries
-    (no fire, no retry) stays within 10% of the no-chaos baseline — the
-    injection points must cost nothing when they do not fire.
-    """
-    import asyncio
-    import os
-    import shutil
-    import sqlite3 as _sqlite3
-    import tempfile
-
-    from repro.server import PreferenceClient, PreferenceServer, ServerError
-    from repro.testing import faults
-    from repro.testing.faults import (
-        FaultPlan,
-        FaultRule,
-        break_pooled_connection,
-    )
-    from repro.workloads.traffic import (
-        load_traffic_database,
-        query_chains,
-        zipfian_schedule,
-    )
-
-    report = Report(
-        experiment="E16",
-        title="fault-tolerant serving: chaos traffic, deadlines, recovery",
-    )
-    sessions = 40 if quick else 150
-    chains = query_chains()
-    schedule = zipfian_schedule(len(chains), sessions, seed=37)
-    db_dir = tempfile.mkdtemp(prefix="repro-e16-")
-    database = os.path.join(db_dir, "traffic.db")
-    raw: dict = {"quick": quick, "sessions": sessions}
-    try:
-        loader = repro.connect(database)
-        load_traffic_database(loader, scale=0.25 if quick else 0.5)
-        loader.execute("ANALYZE")
-        loader.close()
-
-        # The oracle is computed on a fresh standalone connection before
-        # any fault plan exists: faults are process-global, so an oracle
-        # computed later would trip over its own chaos.
-        oracle: dict[str, list] = {}
-        fresh = repro.connect(database)
-        fresh.session_reuse = False
-        for chain in chains:
-            for sql in chain.statements:
-                if sql not in oracle:
-                    oracle[sql] = sorted(
-                        [list(row) for row in fresh.execute(sql).fetchall()],
-                        key=repr,
-                    )
-        fresh.close()
-
-        def chaos_plan() -> FaultPlan:
-            """~5% of requests hit by one of three fault classes."""
-            return FaultPlan(
-                [
-                    FaultRule(
-                        "driver.execute",
-                        times=None,
-                        probability=0.02,
-                        error=lambda: _sqlite3.OperationalError(
-                            "chaos: injected database failure"
-                        ),
-                    ),
-                    FaultRule(
-                        "pool.checkout",
-                        times=None,
-                        probability=0.01,
-                        action=break_pooled_connection,
-                    ),
-                    FaultRule(
-                        "server.slow_query",
-                        times=None,
-                        probability=0.02,
-                        delay=0.05,
-                    ),
-                ],
-                seed=16,
-            )
-
-        async def run_pass(plan: FaultPlan | None) -> dict:
-            """One sequential traffic replay; per-query fire attribution."""
-            clean: list[float] = []
-            wrong: list[str] = []
-            error_codes: list[str] = []
-            nonretryable = 0
-            retries_used = 0
-            queries = 0
-            async with PreferenceServer(
-                database, pool_size=2, default_timeout_ms=30_000
-            ) as server:
-                if plan is not None:
-                    faults.install(plan)
-                try:
-                    for index in schedule:
-                        chain = chains[index]
-                        client = await PreferenceClient.connect(
-                            server.host, server.port
-                        )
-                        try:
-                            for sql in chain.statements:
-                                queries += 1
-                                fires_before = (
-                                    sum(plan.fires.values())
-                                    if plan is not None
-                                    else 0
-                                )
-                                retries_before = client.retries_used
-                                start = time.perf_counter()
-                                try:
-                                    _columns, rows = await client.query(
-                                        sql, retries=3, backoff=0.02
-                                    )
-                                except ServerError as error:
-                                    error_codes.append(error.code)
-                                    if not error.retryable:
-                                        nonretryable += 1
-                                    continue
-                                elapsed = time.perf_counter() - start
-                                touched = (
-                                    plan is not None
-                                    and sum(plan.fires.values()) > fires_before
-                                ) or client.retries_used > retries_before
-                                if not touched:
-                                    clean.append(elapsed)
-                                if sorted(rows, key=repr) != oracle[sql]:
-                                    wrong.append(sql)
-                        finally:
-                            retries_used += client.retries_used
-                            await client.close()
-                finally:
-                    faults.uninstall()
-                stats = server.stats()
-            ordered = sorted(clean)
-            return {
-                "queries": queries,
-                "clean_p50_ms": ordered[len(ordered) // 2] * 1e3,
-                "wrong": wrong,
-                "error_codes": error_codes,
-                "nonretryable": nonretryable,
-                "retries_used": retries_used,
-                "admission": stats["admission"],
-                "pool": stats["pool"],
-                "fires": dict(plan.fires) if plan is not None else {},
-                "hits": dict(plan.hits) if plan is not None else {},
-            }
-
-        async def measure_recovery() -> int:
-            """Requests until the first clean success, harness inert."""
-            async with PreferenceServer(database, pool_size=2) as server:
-                client = await PreferenceClient.connect(
-                    server.host, server.port
-                )
-                try:
-                    probe = "SELECT * FROM products WHERE product_id = 17"
-                    for attempt in range(1, 6):
-                        try:
-                            _columns, rows = await client.query(probe)
-                        except ServerError:
-                            continue
-                        if sorted(rows, key=repr) == oracle[probe]:
-                            return attempt
-                    return -1
-                finally:
-                    await client.close()
-
-        chaos = asyncio.run(run_pass(chaos_plan()))
-        # The 10% bound is a noise-sensitive ratio of two p50s; re-measure
-        # the baseline (best of 3) before declaring the harness expensive.
-        ratio = float("inf")
-        baseline: dict = {}
-        for _ in range(3):
-            candidate = asyncio.run(run_pass(None))
-            candidate_ratio = chaos["clean_p50_ms"] / candidate["clean_p50_ms"]
-            if candidate_ratio < ratio:
-                ratio, baseline = candidate_ratio, candidate
-            if ratio <= 1.10:
-                break
-        recovery = asyncio.run(measure_recovery())
-    finally:
-        shutil.rmtree(db_dir, ignore_errors=True)
-
-    if chaos["wrong"]:
-        raise AssertionError(
-            f"chaos traffic produced {len(chaos['wrong'])} client-visible "
-            f"wrong answers, e.g. {chaos['wrong'][0]!r}"
-        )
-    if chaos["nonretryable"]:
-        raise AssertionError(
-            f"{chaos['nonretryable']} surfaced errors were not retryable"
-        )
-    for run in (chaos, baseline):
-        admission = run["admission"]
-        conserved = admission["admitted"] == (
-            admission["served"] + admission["errors"] + admission["cancelled"]
-        )
-        if not conserved or admission["waiting"] or admission["inflight"]:
-            raise AssertionError(f"admission ledger does not conserve: {admission}")
-        if run["pool"]["free"] != run["pool"]["size"]:
-            raise AssertionError(f"pool did not reclaim connections: {run['pool']}")
-    if sum(chaos["fires"].values()) < 1:
-        raise AssertionError("the chaos mix never fired a single fault")
-    if recovery != 1:
-        raise AssertionError(
-            f"recovery took {recovery} requests after the harness was removed"
-        )
-    if ratio > 1.10:
-        raise AssertionError(
-            "fault-free p50 under chaos is "
-            f"{ratio:.2f}x the no-chaos baseline (bound 1.10x)"
-        )
-
-    table = Table(("metric", "baseline", "chaos"))
-    table.add("queries", baseline["queries"], chaos["queries"])
-    table.add(
-        "clean p50 [ms]",
-        f"{baseline['clean_p50_ms']:.2f}",
-        f"{chaos['clean_p50_ms']:.2f}",
-    )
-    table.add("faults fired", 0, sum(chaos["fires"].values()))
-    table.add("client retries", baseline["retries_used"], chaos["retries_used"])
-    table.add(
-        "errors surfaced",
-        baseline["admission"]["errors"],
-        len(chaos["error_codes"]),
-    )
-    table.add("wrong answers", 0, len(chaos["wrong"]))
-    table.add(
-        "connections recycled",
-        baseline["pool"]["recycled"],
-        chaos["pool"]["recycled"],
-    )
-    report.add_table("Zipfian traffic, fault-free vs ~5% fault mix", table)
-
-    points = Table(("injection point", "hits", "fires"))
-    for point in sorted(chaos["hits"]):
-        points.add(point, chaos["hits"][point], chaos["fires"].get(point, 0))
-    report.add_table("chaos fault mix", points)
-    report.note(
-        f"fault-free p50 ratio {ratio:.3f}x (bound 1.10x); recovery in "
-        f"{recovery} request after harness removal; every surfaced error "
-        "structured and retryable; row parity against a pre-chaos "
-        "fresh-connection oracle on every successful reply"
-    )
-    raw.update(
-        {
-            "queries": chaos["queries"],
-            "baseline_p50_ms": baseline["clean_p50_ms"],
-            "chaos_clean_p50_ms": chaos["clean_p50_ms"],
-            "p50_ratio": ratio,
-            "fires": chaos["fires"],
-            "hits": chaos["hits"],
-            "error_codes": chaos["error_codes"],
-            "retries_used": chaos["retries_used"],
-            "wrong_answers": len(chaos["wrong"]),
-            "recycled": chaos["pool"]["recycled"],
-            "admission": chaos["admission"],
-            "recovery_requests": recovery,
-        }
-    )
-    report.data = raw
-    return report
-
-
-def _leaf_offsets(preference):
-    """(base preference, operand offset) pairs in tree order."""
-    offset = 0
-    for leaf in preference.iter_base():
-        yield leaf, offset
-        offset += leaf.arity
-
-
-def _grouped_members(keys, count):
-    """Index lists per GROUPING key (insertion order), one group if None."""
-    if keys is None:
-        return {None: list(range(count))}
-    groups: dict = {}
-    for i in range(count):
-        groups.setdefault(keys[i], []).append(i)
-    return groups
-
-
 EXPERIMENTS = {
     "e1": e1_jobs_benchmark,
     "e2": e2_oldtimer,
     "e3": e3_cars_rewrite,
     "e4": e4_cosima,
-    "e5": e5_algorithms,
-    "e6": e6_bmo_sizes,
-    "e7": e7_rewrite_vs_engine,
-    "e8": e8_plan_selection,
-    "e10": e10_views,
-    "e11": e11_columnar,
-    "e12": e12_joins,
-    "e13": e13_semantic,
-    "e14": e14_sessions,
-    "e15": e15_server,
-    "e16": e16_robustness,
-}
-
-#: Friendly aliases accepted by ``run_experiment`` and the CLI.
-ALIASES = {
-    "plan": "e8",
-    "views": "e10",
-    "columnar": "e11",
-    "joins": "e12",
-    "semantic": "e13",
-    "sessions": "e14",
-    "server": "e15",
-    "robustness": "e16",
 }
 
 
 def run_experiment(name: str, quick: bool = False) -> Report:
-    """Run one experiment by id (``e1`` ... ``e16``, or an alias)."""
+    """Run one experiment by id (``e1`` ... ``e4``)."""
     key = name.lower()
-    key = ALIASES.get(key, key)
     if key not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"

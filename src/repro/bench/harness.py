@@ -28,6 +28,15 @@ class Timing:
         """The best sample, formatted in milliseconds."""
         return f"{self.best * 1000:.1f}"
 
+    def spread(self) -> dict:
+        """Every sample plus min/median/max, in seconds."""
+        return {
+            "samples_s": list(self.samples),
+            "min_s": self.best,
+            "median_s": statistics.median(self.samples),
+            "max_s": max(self.samples),
+        }
+
 
 def time_call(fn: Callable[[], object], repeats: int = 3) -> tuple[object, Timing]:
     """Run ``fn`` ``repeats`` times; return (last result, timing)."""
@@ -100,10 +109,8 @@ class Report:
 def report_payload(report: Report) -> dict:
     """A JSON-serialisable view of one report (for the ``--json`` emitter).
 
-    ``data`` keys become strings (several experiments key their raw cells
-    by tuples) and unknown value types fall back to ``str``; the payload
-    is what CI uploads as an artifact so the perf trajectory of every
-    benchmark run is recorded.
+    ``data`` keys become strings (e1 keys its raw cells by tuples) and
+    unknown value types fall back to ``str``.
     """
 
     def jsonable(value):
@@ -126,12 +133,12 @@ def report_payload(report: Report) -> dict:
 def run_cli(argv: list[str] | None = None) -> int:
     """The ``python -m repro.bench`` entry point.
 
-    Parses experiment ids (or aliases), runs each, prints its rendered
+    Parses experiment ids, runs each, prints its rendered
     report, and optionally writes the raw payloads as JSON: a single
     payload when one experiment ran, a list otherwise.
     """
     # Imported here: experiments.py itself imports this module.
-    from repro.bench.experiments import ALIASES, EXPERIMENTS, run_experiment
+    from repro.bench.experiments import EXPERIMENTS, run_experiment
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -141,10 +148,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         "experiments",
         nargs="*",
         default=list(EXPERIMENTS),
-        help=(
-            f"experiment ids (default: all of {', '.join(EXPERIMENTS)}; "
-            f"aliases: {', '.join(f'{a}={t}' for a, t in ALIASES.items())})"
-        ),
+        help=f"experiment ids (default: all of {', '.join(EXPERIMENTS)})",
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller data sizes for smoke runs"
@@ -154,8 +158,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help=(
             "write the raw report data as JSON: the payload of a single "
-            "experiment, or a list of payloads when several ran (CI "
-            "uploads this as an artifact to record the perf trajectory)"
+            "experiment, or a list of payloads when several ran"
         ),
     )
     args = parser.parse_args(argv)

@@ -239,7 +239,7 @@ class ViewMaintainer:
     def __init__(self, connection: "Connection"):
         self._connection = connection
         #: ``auto`` maintains incrementally where sound; ``recompute``
-        #: forces a full recompute on every DML (the e10 baseline).
+        #: forces a full recompute on every DML.
         self.mode = "auto"
         #: Per-view counters: name → {strategy: count}.
         self.stats: dict[str, dict[str, int]] = {}

@@ -27,7 +27,8 @@ from repro.sql import ast
 
 #: Rank used for SQL NULL operands: NULLs are the worst possible match.
 #: The rewriter mirrors this with ``CASE WHEN x IS NULL THEN 1e15`` so the
-#: in-memory engine and the host database agree (see DESIGN.md).
+#: in-memory engine and the host database agree (see docs/ARCHITECTURE.md,
+#: "Columnar execution").
 NULL_RANK = 1.0e15
 
 

@@ -20,8 +20,9 @@ that choice automatic, per query, from cheap table statistics:
 * :mod:`repro.plan.explain` — the ``EXPLAIN PREFERENCE`` report.
 
 The driver (:mod:`repro.driver.dbapi`) wires all of this together; the
-``plan`` benchmark (``python -m repro.bench plan``) measures auto-selection
-against every fixed strategy.
+repository benchmark's ``plan.regret_*`` metrics (``python3 -m benchmark``,
+see ``benchmark/README.md``) measure auto-selection against every pinned
+strategy.
 """
 
 from repro.plan.cache import CacheStats, PlanCache

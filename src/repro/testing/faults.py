@@ -26,9 +26,9 @@ point               fired
 
 **Disabled cost.**  Every injection point compiles to one module-global
 ``None`` check (``fire`` returns immediately when no plan is installed),
-so the harness costs nothing measurable in production — the e16
-benchmark asserts exactly that.  Points are deliberately placed at
-request/task granularity, never inside comparison loops.
+so the harness costs nothing measurable in production.  Points are
+deliberately placed at request/task granularity, never inside
+comparison loops.
 
 **Determinism.**  A rule fires on a counted schedule (``skip`` misses,
 then ``times`` hits, optionally only every ``every``-th call) or with a

@@ -15,7 +15,8 @@
   anti-correlated data generators in the style of [BKS01] for the skyline
   algorithm ablations,
 * :mod:`repro.workloads.traffic` — the Zipfian server-traffic mix of
-  query-chain sessions over all three scenarios (e15).
+  query-chain sessions over all three scenarios (the ``serve_zipf`` and
+  ``serve_dml`` workloads of ``python3 -m benchmark``).
 
 All generators are deterministic under an explicit seed.
 """

@@ -4,7 +4,8 @@ The paper's production argument is a *serving* argument: Preference SQL
 ran as resident middleware behind "one of the busiest Internet sites in
 Germany", where a small number of advisor pages generate the bulk of the
 query text and real users repeat and refine each other's searches.  This
-module models that load shape for the e15 server benchmark:
+module models that load shape for the server workloads of the
+repository benchmark (``serve_zipf``, ``serve_dml``) and the chaos suite:
 
 * one database holding all three product scenarios — the jobs search
   (section 3.3), the washing-machine shop (section 4.1) and the used-car

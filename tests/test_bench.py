@@ -1,9 +1,10 @@
-"""The bench harness and the paper-exactness of E2/E3."""
+"""The bench harness, its CLI and the paper-exactness of E1–E4."""
 
 import pytest
 
 from repro.bench import EXPERIMENTS, Report, Table, run_experiment, time_call
 from repro.bench.experiments import e2_oldtimer, e3_cars_rewrite
+from repro.bench.harness import Timing
 
 
 class TestHarness:
@@ -12,6 +13,15 @@ class TestHarness:
         assert result == 42
         assert len(timing.samples) == 2
         assert timing.best <= timing.mean
+
+    def test_timing_spread_keeps_every_sample(self):
+        spread = Timing(samples=[0.3, 0.1, 0.2]).spread()
+        assert spread == {
+            "samples_s": [0.3, 0.1, 0.2],
+            "min_s": 0.1,
+            "median_s": 0.2,
+            "max_s": 0.3,
+        }
 
     def test_table_rendering(self):
         table = Table(("a", "b"))
@@ -36,26 +46,13 @@ class TestHarness:
 
 class TestExperiments:
     def test_registry_complete(self):
-        assert set(EXPERIMENTS) == {
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10",
-            "e11", "e12", "e13", "e14", "e15", "e16",
-        }
-
-    def test_plan_alias(self):
-        from repro.bench.experiments import ALIASES
-
-        assert ALIASES["plan"] == "e8"
-        assert ALIASES["views"] == "e10"
-        assert ALIASES["columnar"] == "e11"
-        assert ALIASES["joins"] == "e12"
-        assert ALIASES["semantic"] == "e13"
-        assert ALIASES["sessions"] == "e14"
-        assert ALIASES["server"] == "e15"
-        assert ALIASES["robustness"] == "e16"
+        assert set(EXPERIMENTS) == {"e1", "e2", "e3", "e4"}
 
     def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            run_experiment("e99")
+        # Retired ids and aliases must fail loudly, not map to anything.
+        for name in ("e99", "plan", "e16"):
+            with pytest.raises(KeyError):
+                run_experiment(name)
 
     def test_json_emitter(self, tmp_path):
         import json
@@ -102,31 +99,6 @@ class TestExperiments:
         report = run_experiment("e4", quick=True)
         assert report.data["share_in_1_20"] >= 0.9
         assert report.data["preference_share_of_total"] < 0.2
-
-    def test_e14_quick_serves_and_gates(self):
-        report = run_experiment("e14", quick=True)
-        assert report.data["min_refinement_speedup"] >= report.data["speedup_floor"]
-        assert report.data["session_stats"]["served"] >= 4
-
-    def test_e15_quick_traffic(self):
-        report = run_experiment("e15", quick=True)
-        assert "offload" not in report.data
-        traffic = report.data["traffic"]
-        assert traffic["plan_cache"]["hit_rate"] >= 0.5
-        assert traffic["session_stats"]["served"] >= 1
-        assert traffic["admission"]["errors"] == 0
-        assert traffic["parity_checked"] >= 10
-
-    def test_e16_quick_chaos_traffic(self):
-        report = run_experiment("e16", quick=True)
-        # Wrong answers, conservation and recovery are asserted inside
-        # the experiment; the data must show real chaos.
-        assert report.data["wrong_answers"] == 0
-        assert sum(report.data["fires"].values()) >= 1
-        assert report.data["recovery_requests"] == 1
-        assert report.data["p50_ratio"] <= 1.10
-        for code in report.data["error_codes"]:
-            assert code in {"database", "overloaded", "timeout"}
 
     def test_e1_quick_shapes(self):
         report = run_experiment("e1", quick=True)

@@ -41,7 +41,7 @@ def no_leftover_plan():
 
 @pytest.fixture(scope="module")
 def traffic_database(tmp_path_factory):
-    """The e15 traffic scenarios in one file database."""
+    """The server traffic scenarios in one file database."""
     path = str(tmp_path_factory.mktemp("chaos") / "traffic.db")
     connection = repro.connect(path, isolation_level=None)
     load_traffic_database(connection, scale=0.4)
@@ -229,6 +229,12 @@ class TestChaosTraffic:
                 assert_conserved(server)
                 # The pool reclaimed every connection.
                 assert server.pool.stats()["free"] == server.pool.size
+                # Cross-session caching took effect under the traffic:
+                # later sessions hit plans cached by earlier ones, and
+                # some refinement was served from a session cache.
+                stats = server.stats()
+                assert stats["plan_cache"]["hits"] >= 1
+                assert stats["sessions"]["served"] >= 1
 
         serve(body())
 

@@ -414,6 +414,10 @@ def test_pushdown_plan_is_reported_and_used():
         assert "rank source" in report and "columnar" in report
         assert report["rank source"].startswith("sql")
         assert report["columnar"] == "pareto rank tuples"
+        # GROUPING partitions index the same pushed rank columns.
+        grouped = connection.plan(query + " GROUPING g", force="bnl")
+        assert grouped.rank_source == "sql"
+        assert grouped.rank_width == 2
     finally:
         connection.close()
 

@@ -1,6 +1,6 @@
 """Differential testing: the two evaluation paths share one semantics.
 
-DESIGN.md decision 2: the in-memory BMO engine is the executable
+docs/ARCHITECTURE.md, "Testing strategy": the in-memory BMO engine is the executable
 specification; the Preference SQL Optimizer's rewrite, executed by sqlite,
 must agree with it on every query.  Hypothesis generates random relations
 and random preference queries; both paths must return the same multiset of

@@ -74,17 +74,33 @@ class TestJoinExecution:
     identical to the NOT EXISTS rewrite."""
 
     def test_all_strategies_agree_on_key_fk_join(self, car_dealer):
-        oracle = sorted(
-            car_dealer.execute(COMMA_QUERY, algorithm="rewrite").fetchall(),
-            key=repr,
+        # A one-to-many listings table multiplies every car: the shape
+        # where the winnow pushdown winnows cars before the join.
+        car_dealer.execute(
+            "CREATE TABLE listings (listing_id INTEGER, car_id INTEGER, "
+            "active INTEGER)"
         )
-        assert oracle
-        for strategy in IN_MEMORY_STRATEGIES + (PREJOIN_STRATEGY,):
-            cursor = car_dealer.execute(COMMA_QUERY, algorithm=strategy)
-            assert cursor.plan.strategy == strategy
-            assert sorted(cursor.fetchall(), key=repr) == oracle, strategy
-        auto = car_dealer.execute(COMMA_QUERY)
-        assert sorted(auto.fetchall(), key=repr) == oracle
+        rng = random.Random(3)
+        car_dealer.cursor().executemany(
+            "INSERT INTO listings VALUES (?, ?, ?)",
+            [(i, rng.randrange(240), rng.randint(0, 1)) for i in range(600)],
+        )
+        one_to_many = (
+            "SELECT * FROM cars c, listings l WHERE c.car_id = l.car_id "
+            "AND l.active = 1 PREFERRING LOWEST(c.price) AND HIGHEST(c.power)"
+        )
+        for query in (COMMA_QUERY, one_to_many):
+            oracle = sorted(
+                car_dealer.execute(query, algorithm="rewrite").fetchall(),
+                key=repr,
+            )
+            assert oracle
+            for strategy in IN_MEMORY_STRATEGIES + (PREJOIN_STRATEGY,):
+                cursor = car_dealer.execute(query, algorithm=strategy)
+                assert cursor.plan.strategy == strategy
+                assert sorted(cursor.fetchall(), key=repr) == oracle, strategy
+            auto = car_dealer.execute(query)
+            assert sorted(auto.fetchall(), key=repr) == oracle
 
     def test_join_syntax_executes_identically(self, car_dealer):
         oracle = sorted(

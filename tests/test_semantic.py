@@ -336,6 +336,16 @@ def test_explain_reports_semantic_rows(keyed_connection):
         keyed_connection.execute(query, algorithm="bnl").fetchall()
     )
     assert winners == oracle
+    # HIGHEST of the key: the single pass degenerates to ORDER BY … LIMIT 1.
+    query = "SELECT id, price FROM car PREFERRING HIGHEST(id)"
+    report = _explain(keyed_connection, query)
+    assert report["semantic rewrite"] == (
+        "weak-order single pass (keyed single winner)"
+    )
+    assert "key(id) [schema]" in report["constraints used"]
+    assert keyed_connection.execute(query).fetchall() == (
+        keyed_connection.execute(query, algorithm="bnl").fetchall()
+    )
 
 
 def test_explain_reports_keyed_elimination(keyed_connection):
