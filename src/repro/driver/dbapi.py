@@ -77,6 +77,7 @@ from repro.plan.planner import (
 )
 from repro.plan.session import SessionCache, SessionEntry
 from repro.plan.statistics import StatisticsCache, TableStatistics
+from repro.rewrite.planner import HostSchema
 from repro.sql import ast
 from repro.sql.params import bind_parameters
 from repro.sql.parser import parse_statement
@@ -188,7 +189,7 @@ class Connection:
         self._plan_cache: PlanCache[_CachedStatement] = (
             shared.plan_cache if shared is not None else PlanCache()
         )
-        self._schema_cache: tuple[int, dict[str, list[str]]] | None = None
+        self._schema_cache: tuple[int, HostSchema] | None = None
         self._maintainer: ViewMaintainer | None = None
         self._session = SessionCache()
         self._session_enabled = True
@@ -574,8 +575,11 @@ class Connection:
 
     # ------------------------------------------------------------------
 
-    def schema(self) -> dict[str, list[str]]:
-        """Table → column names, read from the sqlite catalog.
+    def schema(self) -> HostSchema:
+        """Table → column names, read from the sqlite catalog (temporary
+        objects last, as they shadow main ones), plus the sources without a
+        usable rowid: views, WITHOUT ROWID tables and tables with a column
+        named ``rowid``.
 
         Cached per data version: the catalog scan plus one PRAGMA per
         table would otherwise run on every preference execution, dwarfing
@@ -585,13 +589,25 @@ class Connection:
         cached = self._schema_cache
         if cached is not None and cached[0] == self.data_version:
             return cached[1]
-        tables = self._raw.execute(
-            "SELECT name FROM sqlite_master WHERE type IN ('table', 'view')"
+        sources = self._raw.execute(
+            "SELECT schema, name, type, wr FROM pragma_table_list "
+            "WHERE schema IN ('main', 'temp') "
+            "AND name NOT IN ('sqlite_schema', 'sqlite_temp_schema') "
+            "ORDER BY schema = 'temp'"
         ).fetchall()
-        result: dict[str, list[str]] = {}
-        for (name,) in tables:
-            info = self._raw.execute(f"PRAGMA table_info({_quote(name)})").fetchall()
-            result[name] = [row[1] for row in info]
+        tables: dict[str, list[str]] = {}
+        rowless: dict[str, bool] = {}
+        for schema, name, kind, without_rowid in sources:
+            info = self._raw.execute(
+                f"PRAGMA {_quote(schema)}.table_info({_quote(name)})"
+            ).fetchall()
+            tables[name] = [row[1] for row in info]
+            rowless[name] = (
+                kind == "view"
+                or bool(without_rowid)
+                or any(column.lower() == "rowid" for column in tables[name])
+            )
+        result = HostSchema(tables, [name for name, flag in rowless.items() if flag])
         self._schema_cache = (self.data_version, result)
         return result
 
@@ -780,6 +796,10 @@ class Cursor:
             return self._execute_inner(sql, params, algorithm)
         deadline.check()
         raw = self._connection._raw
+        # The catalog creates its tables on first use.  That DDL must not
+        # run under the watchdog: sqlite answers an interrupted write by
+        # rolling back the caller's whole open transaction.
+        _ = self._connection.catalog
         try:
             with deadline_scope(deadline), sqlite_interrupt(raw, deadline):
                 self._execute_inner(sql, params, algorithm)

@@ -173,6 +173,10 @@ class Evaluator:
             return _like_match(_sql_text(left), _sql_text(right))
         if op in ("=", "<>", "<", "<=", ">", ">="):
             return _compare(op, left, right)
+        if op == "IS":
+            if left is None or right is None:
+                return left is None and right is None
+            return bool(_compare("=", left, right))
         if left is None or right is None:
             return None
         a = _require_number(left, op)

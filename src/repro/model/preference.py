@@ -20,16 +20,22 @@ back apart, so a single flat evaluation per row suffices.
 from __future__ import annotations
 
 import math
+import re
 from abc import ABC, abstractmethod
 from typing import Sequence
 
 from repro.sql import ast
 
 #: Rank used for SQL NULL operands: NULLs are the worst possible match.
-#: The rewriter mirrors this with ``CASE WHEN x IS NULL THEN 1e15`` so the
+#: The rewriter mirrors this with ``CASE WHEN x IS NULL ... THEN 1e15`` so the
 #: in-memory engine and the host database agree (see docs/ARCHITECTURE.md,
 #: "Columnar execution").
 NULL_RANK = 1.0e15
+
+#: Text sqlite converts to a number under NUMERIC affinity.
+_NUMERIC_TEXT = re.compile(
+    r"[ \t\n\v\f\r]*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t\n\v\f\r]*"
+)
 
 
 class Preference(ABC):
@@ -135,8 +141,13 @@ class WeakOrderBase(BasePreference):
 def coerce_number(value: object) -> float:
     """Interpret an operand value as a number; NULL maps to NaN.
 
-    Strings that look like numbers are accepted because SQL backends
-    (sqlite in particular) happily store numeric text in typed columns.
+    Text that spells a number is accepted because SQL backends (sqlite in
+    particular) happily store numeric text in typed columns.  "Spells a
+    number" is sqlite's rule, so the SQL rank expressions can test it with
+    ``CAST(x AS NUMERIC) = x``: ASCII digits with an optional sign,
+    fraction and exponent, and surrounding ASCII whitespace.  Python's
+    wider ``float()`` syntax (``'inf'``, ``'1_000'``, non-ASCII digits) is
+    NaN here, as is any other value (a BLOB, say).
     """
     if value is None:
         return math.nan
@@ -144,9 +155,6 @@ def coerce_number(value: object) -> float:
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):
         return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            return math.nan
+    if isinstance(value, str) and _NUMERIC_TEXT.fullmatch(value):
+        return float(value)
     return math.nan

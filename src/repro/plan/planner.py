@@ -10,8 +10,9 @@ hardcoded string argument.
 
 :func:`plan_statement` produces a :class:`Plan` that fully describes one
 execution: the chosen strategy, the cost estimates of every candidate, the
-rewritten SQL (always computed — it is both the ``rewrite`` execution text
-and the EXPLAIN PREFERENCE exhibit) and, for in-memory strategies, the
+rewritten statement (always built — it is both the ``rewrite`` execution
+text and the EXPLAIN PREFERENCE exhibit, printed when first read) and, for
+in-memory strategies, the
 hard-condition *pushdown* query plus the *residual* preference block the
 engine evaluates over the fetched candidates.
 """
@@ -111,7 +112,10 @@ class Plan:
 
     statement: ast.Statement
     strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'prejoin' | 'session' | 'view'
-    rewritten_sql: str | None = None
+    #: The host SQL of the ``rewrite`` strategy, read as ``rewritten_sql``.
+    #: The rewriter's statement is printed on first read: most plans run
+    #: another strategy and only EXPLAIN shows it.
+    rewritten: ast.Statement | str | None = None
     pushdown_sql: str | None = None
     residual: ast.Select | None = None
     estimates: dict[str, CostEstimate] = field(default_factory=dict)
@@ -164,6 +168,15 @@ class Plan:
     #: new one).
     session_match: SessionMatch | None = None
     session_delta_sql: str | None = None
+
+    @property
+    def rewritten_sql(self) -> str | None:
+        # Cached plans are shared between threads: read the field once, so
+        # a concurrent first read can only store the same text again.
+        rewritten = self.rewritten
+        if isinstance(rewritten, ast.Node):
+            rewritten = self.rewritten = to_sql(rewritten)
+        return rewritten
 
     @property
     def uses_engine(self) -> bool:
@@ -256,7 +269,7 @@ def plan_statement(
     bases = list(preference.iter_base())
     dimensions = len(bases)
     notes = list(result.notes)
-    rewritten_sql = to_sql(result.statement)
+    rewritten: ast.Statement | str = result.statement
 
     table, join_scan, ineligible_reason = _scan_shape(statement, select, schema)
     in_memory = table is not None or join_scan is not None
@@ -360,7 +373,7 @@ def plan_statement(
         # The semantic single pass takes over the 'rewrite' slot: its SQL
         # replaces the NOT EXISTS text and the strategy is re-priced, so
         # the cost model weighs it against the in-memory skylines.
-        rewritten_sql = semantic.single_pass_sql
+        rewritten = semantic.single_pass_sql
         estimates["rewrite"] = semantic_pass_estimate(
             candidates,
             1.0 if semantic.winners == "one" else skyline,
@@ -427,7 +440,7 @@ def plan_statement(
     plan = Plan(
         statement=statement,
         strategy=strategy,
-        rewritten_sql=rewritten_sql,
+        rewritten=rewritten,
         estimates=estimates,
         statistics=stats,
         table=table,
@@ -550,7 +563,7 @@ def _winnow_free_plan(
     return Plan(
         statement=select,
         strategy="rewrite",
-        rewritten_sql=semantic.single_pass_sql,
+        rewritten=semantic.single_pass_sql,
         estimates={"rewrite": estimate},
         statistics=stats,
         table=table,
@@ -587,7 +600,7 @@ def _view_plan(
     return Plan(
         statement=statement,
         strategy="view",
-        rewritten_sql=f"SELECT * FROM {quote_identifier(hit.backing_table)}",
+        rewritten=f"SELECT * FROM {quote_identifier(hit.backing_table)}",
         statistics=stats,
         table=hit.backing_table,
         candidate_estimate=row_count,
@@ -672,7 +685,7 @@ def rebind_plan(
             rank_width=rank_width,
         )
     result = rewrite_statement(statement, schema=schema, resolver=resolver)
-    return replace(plan, statement=statement, rewritten_sql=to_sql(result.statement))
+    return replace(plan, statement=statement, rewritten=result.statement)
 
 
 @dataclass(frozen=True)

@@ -280,7 +280,7 @@ def semantic_rewrite(
     leaves = list(preference.iter_base())
     for leaf in leaves:
         if isinstance(leaf, ContainsPreference):
-            return reduction_only()  # host LIKE vs engine term matching
+            return reduction_only()  # text matching stays out of the single pass
         numeric_leaf = isinstance(leaf, _NUMERIC_LEAVES)
         for operand in leaf.operands:
             if numeric_leaf:

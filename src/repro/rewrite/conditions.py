@@ -1,33 +1,40 @@
-"""Dominance conditions between two aliased tuple copies.
+"""Dominance conditions between two tuple copies.
 
-Given a preference P and two row aliases (the candidate ``outer`` and the
-potential dominator ``inner``), this module builds the SQL conditions
+Given a preference P and two copies of a row (the candidate ``outer`` and
+the potential dominator ``inner``), this module builds the SQL conditions
 
 * ``better(inner, outer)``          — inner is strictly better,
 * ``better_or_equal(inner, outer)`` — inner is better or substitutable,
 * ``equal(inner, outer)``           — substitutable.
 
-For Pareto accumulation the generated shape is exactly the paper's
-(section 3.2):
+Each copy is an :data:`Accessor`: the SQL value it exposes for one base
+preference.  The rewrite's rank CTE passes level-column references
+(``d.__r0``), as the paper's auxiliary view ``Aux`` does (section 3.2,
+and :mod:`repro.rewrite.paper_style`); sources without a rowid pass the
+rank expressions inline (:func:`repro.rewrite.levels.leaf_value`).  For
+Pareto accumulation the generated shape is exactly the paper's:
 
     A2.Makelevel <= A1.Makelevel AND A2.Diesellevel <= A1.Diesellevel
     AND (A2.Makelevel < A1.Makelevel OR A2.Diesellevel < A1.Diesellevel)
 
-except that rank expressions are inlined rather than materialised in an
-auxiliary view (see :mod:`repro.rewrite.paper_style` for the view form).
 Cascade becomes the lexicographic expansion, and EXPLICIT preferences —
 which are genuine partial orders without rank columns — expand into a
-disjunction over the transitive closure of their better-than graph.
+disjunction over the transitive closure of their better-than graph, on
+the operand value the accessor exposes.
 """
 
 from __future__ import annotations
 
-from repro.errors import RewriteError
+from typing import Callable
+
 from repro.model.categorical import ExplicitPreference
 from repro.model.composite import ParetoPreference, PrioritizationPreference
 from repro.model.preference import Preference
-from repro.rewrite.levels import Qualifier, rank_expression
 from repro.sql import ast
+
+#: One tuple copy: base preference → the SQL value that copy compares
+#: (a rank, smaller is better; the operand for an EXPLICIT preference).
+Accessor = Callable[[Preference], ast.Expr]
 
 
 def _and(parts: list[ast.Expr]) -> ast.Expr:
@@ -45,7 +52,7 @@ def _or(parts: list[ast.Expr]) -> ast.Expr:
 
 
 def better_condition(
-    preference: Preference, inner: Qualifier, outer: Qualifier
+    preference: Preference, inner: Accessor, outer: Accessor
 ) -> ast.Expr:
     """SQL condition: the inner tuple is strictly better than the outer."""
     if isinstance(preference, ParetoPreference):
@@ -64,8 +71,8 @@ def better_condition(
         return _or(alternatives)
     if isinstance(preference, ExplicitPreference):
         pairs = sorted(preference.closure_pairs, key=repr)
-        inner_value = inner(preference.operand)
-        outer_value = outer(preference.operand)
+        inner_value = inner(preference)
+        outer_value = outer(preference)
         return _or(
             [
                 ast.Binary(
@@ -81,46 +88,27 @@ def better_condition(
             ]
         )
     # Weak-order base preference: strict rank comparison.
-    return ast.Binary(
-        op="<",
-        left=rank_expression(preference, inner),
-        right=rank_expression(preference, outer),
-    )
+    return ast.Binary(op="<", left=inner(preference), right=outer(preference))
 
 
 def equal_condition(
-    preference: Preference, inner: Qualifier, outer: Qualifier
+    preference: Preference, inner: Accessor, outer: Accessor
 ) -> ast.Expr:
     """SQL condition: the two tuples are substitutable under P."""
     if isinstance(preference, (ParetoPreference, PrioritizationPreference)):
         return _and(
             [equal_condition(p, inner, outer) for p in preference.children()]
         )
-    if isinstance(preference, ExplicitPreference):
-        return ast.Binary(
-            op="=",
-            left=inner(preference.operand),
-            right=outer(preference.operand),
-        )
-    return ast.Binary(
-        op="=",
-        left=rank_expression(preference, inner),
-        right=rank_expression(preference, outer),
-    )
+    return ast.Binary(op="=", left=inner(preference), right=outer(preference))
 
 
 def better_or_equal_condition(
-    preference: Preference, inner: Qualifier, outer: Qualifier
+    preference: Preference, inner: Accessor, outer: Accessor
 ) -> ast.Expr:
     """SQL condition: inner is better than or substitutable with outer."""
-    if isinstance(preference, (ParetoPreference, PrioritizationPreference)):
-        return _or(
-            [
-                better_condition(preference, inner, outer),
-                equal_condition(preference, inner, outer),
-            ]
-        )
-    if isinstance(preference, ExplicitPreference):
+    if isinstance(
+        preference, (ParetoPreference, PrioritizationPreference, ExplicitPreference)
+    ):
         return _or(
             [
                 better_condition(preference, inner, outer),
@@ -128,21 +116,4 @@ def better_or_equal_condition(
             ]
         )
     # Weak orders collapse to one comparison — the paper's `<=` form.
-    return ast.Binary(
-        op="<=",
-        left=rank_expression(preference, inner),
-        right=rank_expression(preference, outer),
-    )
-
-
-def dominance_condition(
-    preference: Preference, inner: Qualifier, outer: Qualifier
-) -> ast.Expr:
-    """The full NOT EXISTS body for the skyline anti-join.
-
-    Kept as a named entry point so the planner and the paper-style script
-    generator share one definition of dominance.
-    """
-    if isinstance(preference, Preference):
-        return better_condition(preference, inner, outer)
-    raise RewriteError(f"not a preference: {preference!r}")
+    return ast.Binary(op="<=", left=inner(preference), right=outer(preference))

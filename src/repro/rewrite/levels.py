@@ -13,17 +13,27 @@ comparisons, arithmetic):
 * BETWEEN l, u   — distance to the violated interval limit,
 * LOWEST/HIGHEST — the value itself / its negation,
 * SCORE          — the negated score,
-* CONTAINS       — the number of missing terms via ``LIKE`` tests.
+* CONTAINS       — the number of missing terms via ``instr(lower(x), t)``
+  tests: literal substrings, ASCII case-folding, like the model.
 
 SQL NULL handling matches the in-memory model: layered CASE expressions
-drop NULLs into the OTHERS level exactly like the paper's CASE; numeric
-preferences guard with ``IS NULL`` and rank NULL as :data:`NULL_RANK`
-(worst).
+drop NULLs into the OTHERS level exactly like the paper's CASE.  Numeric
+preferences read their operand as the model's
+:func:`~repro.model.preference.coerce_number` does:
+``CASE WHEN CAST(x AS NUMERIC) = x THEN <rank of x * 1.0> ELSE 1e15 END``.
+NULL, a BLOB and text that is not wholly a number (``''``, ``'n/a'``,
+``'12abc'``) rank as :data:`NULL_RANK` (worst); the rest is read as a
+REAL, so numeric text in a TEXT column ranks as its number, not by string
+order, and integers above 2**53 round exactly like Python floats.
+
+:func:`level_columns` names one such value per base preference — the
+paper's ``Makelevel``/``Diesellevel`` columns of its auxiliary view
+``Aux`` — for the rewrite's rank CTE and the exhibition script alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import RewriteError
 from repro.model.categorical import OTHERS, ExplicitPreference, LayeredPreference
@@ -57,6 +67,25 @@ def _membership(operand: ast.Expr, values: frozenset) -> ast.Expr:
     return ast.InList(operand=operand, items=literals)
 
 
+def _numeric_rank(
+    operand: ast.Expr, rank: Callable[[ast.Expr], ast.Expr]
+) -> ast.Expr:
+    """``rank`` of the operand read as a REAL (``x * 1.0``, like the model's
+    ``float(value)``) where the model's ``coerce_number`` gives a number,
+    else :data:`NULL_RANK`: for NULL, a BLOB, or text that does not spell a
+    number.  ``CAST(x AS NUMERIC) = x`` tells them apart: the cast gives
+    ``x`` NUMERIC affinity in the comparison, and sqlite converts text
+    under that affinity only when the whole text is a well-formed number.
+    """
+    spelled = ast.Binary(
+        op="=", left=ast.Cast(operand=operand, type_name="NUMERIC"), right=operand
+    )
+    number = ast.Binary(op="*", left=operand, right=ast.Literal(value=1.0))
+    return ast.CaseWhen(
+        branches=((spelled, rank(number)),), otherwise=_null_rank_literal()
+    )
+
+
 def layered_rank(preference: LayeredPreference, qualify: Qualifier) -> ast.Expr:
     """The bucket-index CASE expression for a layered preference."""
     operands = [qualify(expr) for expr in preference.operands]
@@ -75,67 +104,69 @@ def layered_rank(preference: LayeredPreference, qualify: Qualifier) -> ast.Expr:
 
 
 def around_rank(preference: AroundPreference, qualify: Qualifier) -> ast.Expr:
-    operand = qualify(preference.operand)
     target = ast.Literal(value=preference.target)
-    return ast.CaseWhen(
-        branches=(
-            (ast.IsNull(operand=operand), _null_rank_literal()),
-            (
-                ast.Binary(op=">=", left=operand, right=target),
-                ast.Binary(op="-", left=operand, right=target),
+    return _numeric_rank(
+        qualify(preference.operand),
+        lambda number: ast.CaseWhen(
+            branches=(
+                (
+                    ast.Binary(op=">=", left=number, right=target),
+                    ast.Binary(op="-", left=number, right=target),
+                ),
             ),
+            otherwise=ast.Binary(op="-", left=target, right=number),
         ),
-        otherwise=ast.Binary(op="-", left=target, right=operand),
     )
 
 
 def between_rank(preference: BetweenPreference, qualify: Qualifier) -> ast.Expr:
-    operand = qualify(preference.operand)
     low = ast.Literal(value=preference.low)
     high = ast.Literal(value=preference.high)
-    return ast.CaseWhen(
-        branches=(
-            (ast.IsNull(operand=operand), _null_rank_literal()),
-            (
-                ast.Binary(op="<", left=operand, right=low),
-                ast.Binary(op="-", left=low, right=operand),
+    return _numeric_rank(
+        qualify(preference.operand),
+        lambda number: ast.CaseWhen(
+            branches=(
+                (
+                    ast.Binary(op="<", left=number, right=low),
+                    ast.Binary(op="-", left=low, right=number),
+                ),
+                (
+                    ast.Binary(op=">", left=number, right=high),
+                    ast.Binary(op="-", left=number, right=high),
+                ),
             ),
-            (
-                ast.Binary(op=">", left=operand, right=high),
-                ast.Binary(op="-", left=operand, right=high),
-            ),
+            otherwise=ast.Literal(value=0),
         ),
-        otherwise=ast.Literal(value=0),
     )
 
 
 def lowest_rank(preference: LowestPreference, qualify: Qualifier) -> ast.Expr:
-    operand = qualify(preference.operand)
-    return ast.CaseWhen(
-        branches=((ast.IsNull(operand=operand), _null_rank_literal()),),
-        otherwise=operand,
-    )
+    return _numeric_rank(qualify(preference.operand), lambda number: number)
 
 
 def highest_rank(
     preference: HighestPreference | ScorePreference, qualify: Qualifier
 ) -> ast.Expr:
-    operand = qualify(preference.operand)
-    return ast.CaseWhen(
-        branches=((ast.IsNull(operand=operand), _null_rank_literal()),),
-        otherwise=ast.Unary(op="-", operand=operand),
+    return _numeric_rank(
+        qualify(preference.operand),
+        lambda number: ast.Unary(op="-", operand=number),
     )
 
 
 def contains_rank(preference: ContainsPreference, qualify: Qualifier) -> ast.Expr:
     operand = qualify(preference.operand)
+    # sqlite's lower() folds ASCII only, and the model's terms are folded
+    # the same way; instr() takes the term literally (no LIKE wildcards).
+    folded = ast.FuncCall(name="LOWER", args=(operand,))
     misses: ast.Expr | None = None
     for term in preference.terms:
-        pattern = ast.Literal(value=f"%{term}%")
+        found = ast.Binary(
+            op=">",
+            left=ast.FuncCall(name="INSTR", args=(folded, ast.Literal(value=term))),
+            right=ast.Literal(value=0),
+        )
         test = ast.CaseWhen(
-            branches=(
-                (ast.Binary(op="LIKE", left=operand, right=pattern), ast.Literal(value=0)),
-            ),
+            branches=((found, ast.Literal(value=0)),),
             otherwise=ast.Literal(value=1),
         )
         misses = test if misses is None else ast.Binary(op="+", left=misses, right=test)
@@ -192,6 +223,37 @@ def pushdown_rank_expressions(
         except RewriteError:
             return None
     return tuple(expressions)
+
+
+def leaf_value(leaf: Preference, qualify: Qualifier) -> ast.Expr:
+    """What a dominance test compares for one base preference.
+
+    Its rank expression — or, for an EXPLICIT preference, a partial
+    order without ranks, the operand itself, which the dominance
+    condition tests against the closure pairs.
+    """
+    if isinstance(leaf, ExplicitPreference):
+        return qualify(leaf.operand)
+    return rank_expression(leaf, qualify)
+
+
+def level_columns(
+    leaves: Sequence[Preference],
+    qualify: Qualifier,
+    name: Callable[[Preference, int], str] = lambda _leaf, index: f"__r{index}",
+) -> tuple[dict[Preference, str], tuple[ast.SelectItem, ...]]:
+    """The level columns of paper section 3.2, one per base preference.
+
+    Returns the column name each leaf reads and the aliased select items
+    that compute every :func:`leaf_value` once per row.  ``name`` picks
+    the column name of the leaf at each position.
+    """
+    columns: dict[Preference, str] = {}
+    items: list[ast.SelectItem] = []
+    for index, leaf in enumerate(leaves):
+        columns[leaf] = name(leaf, index)
+        items.append(ast.SelectItem(expr=leaf_value(leaf, qualify), alias=columns[leaf]))
+    return columns, tuple(items)
 
 
 def explicit_level_expression(

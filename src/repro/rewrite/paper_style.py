@@ -15,9 +15,12 @@ equal and somewhere strictly smaller levels exists:
     DROP VIEW Aux;
 
 :func:`paper_style_script` reproduces this script for any single-table
-Pareto accumulation of weak-order base preferences.  The production path
-(:mod:`repro.rewrite.planner`) inlines the same conditions into one
-statement instead; benchmark E3 runs both and checks they agree.
+Pareto accumulation of weak-order base preferences.  Its level columns come
+from :func:`repro.rewrite.levels.level_columns` and its anti-join body from
+:func:`repro.rewrite.conditions.better_condition`, exactly as in the
+production path (:mod:`repro.rewrite.planner`), which puts the same ``Aux``
+into one statement as a materialized CTE; benchmark E3 runs both and checks
+they agree.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from repro.model.builder import NameResolver, build_preference
 from repro.model.categorical import LayeredPreference
 from repro.model.composite import ParetoPreference
 from repro.model.preference import Preference, WeakOrderBase
-from repro.rewrite.levels import rank_expression
+from repro.rewrite.conditions import Accessor, better_condition
+from repro.rewrite.levels import level_columns
 from repro.sql import ast
 from repro.sql.printer import to_sql
 
@@ -76,18 +80,18 @@ def paper_style_script(
         bases.append(part)
 
     source = select.sources[0]
-    identity = lambda expr: expr  # noqa: E731 - view columns are unqualified
+    taken: set[str] = set()
 
-    level_names = []
-    level_items = []
-    for index, base in enumerate(bases):
+    def level_name(base: Preference, index: int) -> str:
         name = _level_column_name(base, index)
-        if name.lower() in {n.lower() for n in level_names}:
+        if name.lower() in taken:
             name = f"{name}{index}"
-        level_names.append(name)
-        level_items.append(
-            f"{to_sql(rank_expression(base, identity))} AS {name}"
-        )
+        taken.add(name.lower())
+        return name
+
+    # View columns are unqualified: the identity qualifier.
+    columns, levels = level_columns(bases, lambda expr: expr, level_name)
+    level_items = [to_sql(item.expr) + f" AS {item.alias}" for item in levels]
 
     where_clause = f" WHERE {to_sql(select.where)}" if select.where is not None else ""
     create_view = (
@@ -96,16 +100,10 @@ def paper_style_script(
         + f" FROM {source.name}{where_clause}"
     )
 
-    def level_ref(alias: str, name: str) -> str:
-        return f"{alias}.{name}"
+    def copy(alias: str) -> Accessor:
+        return lambda leaf: ast.Column(name=columns[leaf], table=alias)
 
-    all_leq = " AND ".join(
-        f"{level_ref('A2', name)} <= {level_ref('A1', name)}" for name in level_names
-    )
-    any_less = " OR ".join(
-        f"{level_ref('A2', name)} < {level_ref('A1', name)}" for name in level_names
-    )
-    dominance = f"{all_leq} AND ({any_less})"
+    dominance = to_sql(better_condition(preference, copy("A2"), copy("A1")))
 
     projection = ", ".join(
         "A1.*" if isinstance(item, ast.Star) else f"A1.{to_sql(item.expr)}"

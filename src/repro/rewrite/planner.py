@@ -1,37 +1,57 @@
 """Whole-query rewriting: Preference SQL block → standard SQL.
 
-The emitted query has the shape
+A query over one table with a rowid becomes the paper's selection method
+(section 3.2) in a single statement.  Its auxiliary view ``Aux`` is a
+materialized CTE that computes every level column once per row, and the
+anti-join runs over ``Aux``:
 
 .. code-block:: sql
 
-    SELECT <items, quality functions inlined>
-    FROM <original sources>                          -- the candidate copy
-    WHERE <original WHERE>
-      AND <BUT ONLY threshold on the candidate>
+    WITH __pref AS MATERIALIZED (
+      SELECT rowid AS __rid, <rank_0> AS __r0, ..., <GROUPING key> AS __k0
+      FROM t WHERE <original WHERE> AND <BUT ONLY threshold>)
+    SELECT <items, quality functions inlined> FROM t
+    WHERE rowid IN (
+      SELECT c.__rid FROM __pref AS c
+      WHERE NOT EXISTS (
+        SELECT 1 FROM __pref AS d
+        WHERE d.__k0 IS c.__k0                       -- same GROUPING partition
+          AND <dominance condition over d.__rK, c.__rK>))
+    [ORDER BY ... LIMIT ...]
+
+A multi-table FROM, and a view, a WITHOUT ROWID table or a table with a
+column named ``rowid``, has no rowid to join back on; there every level is
+inlined on both copies instead:
+
+.. code-block:: sql
+
+    SELECT <items> FROM <original sources>           -- the candidate copy
+    WHERE <original WHERE> AND <BUT ONLY threshold on the candidate>
       AND NOT EXISTS (
             SELECT 1 FROM <sources re-aliased>       -- the dominator copy
             WHERE <original WHERE on the dominator>
-              AND <GROUPING equality, NULL-safe>
+              AND <GROUPING key> IS <GROUPING key of the candidate>
               AND <BUT ONLY threshold on the dominator>
-              AND <dominance condition inner-better-than-outer>)
+              AND <dominance condition over inline rank expressions>)
 
-which is the paper's selection method (section 3.2) inlined into a single
-self-contained statement: a tuple survives iff no threshold-satisfying
-tuple of the same GROUPING partition is strictly better.  Quality functions
-become rank expressions; LOWEST/HIGHEST/SCORE optima, which are candidate-
-set-dependent, become correlated ``SELECT MIN(...)`` sub-queries over a
-third aliased copy.
+Either way a tuple survives iff no threshold-satisfying tuple of the same
+GROUPING partition is strictly better, and both shapes share one dominance
+builder (:mod:`repro.rewrite.conditions`).  Quality functions become rank
+expressions; LOWEST/HIGHEST/SCORE optima, which are candidate-set-
+dependent, become correlated ``SELECT MIN(...)`` sub-queries over a third
+aliased copy.
 
 Schema knowledge: the commercial optimizer read the host catalog; here an
 optional ``schema`` mapping (table name → column names) lets unqualified
-columns be attributed to their tables in multi-table queries.  Single-table
-queries — the paper's benchmark and application setting — need no schema.
+columns be attributed to their tables in multi-table queries, and a
+:class:`HostSchema` also names the sources without a rowid.  With no
+schema every single-table source is taken to be a rowid table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import PreferenceConstructionError, RewriteError
 from repro.model.algebra import normalize
@@ -40,11 +60,28 @@ from repro.model.categorical import ExplicitPreference, LayeredPreference
 from repro.model.preference import Preference, WeakOrderBase
 from repro.model.quality import QUALITY_FUNCTIONS, QualityResolver
 from repro.model.text import ContainsPreference
-from repro.rewrite.conditions import better_condition
-from repro.rewrite.levels import explicit_level_expression, rank_expression
+from repro.rewrite.conditions import Accessor, better_condition
+from repro.rewrite.levels import (
+    Qualifier,
+    explicit_level_expression,
+    leaf_value,
+    level_columns,
+    rank_expression,
+)
 from repro.sql import ast
 
 Schema = Mapping[str, Sequence[str]]
+
+
+class HostSchema(dict):
+    """Table → column names read from the host catalog, plus ``rowless``:
+    the (lowercased) sources whose ``rowid`` the rewrite cannot join back
+    on — views, WITHOUT ROWID tables and tables with a column named
+    ``rowid``.  :meth:`repro.driver.dbapi.Connection.schema` builds it."""
+
+    def __init__(self, tables: Mapping[str, Sequence[str]], rowless: Iterable[str] = ()):
+        super().__init__(tables)
+        self.rowless = frozenset(name.lower() for name in rowless)
 
 
 @dataclass
@@ -106,6 +143,7 @@ class _SelectRewriter:
     ):
         self._select = select
         self._schema = {k.lower(): [c.lower() for c in v] for k, v in (schema or {}).items()}
+        self._rowless = schema.rowless if isinstance(schema, HostSchema) else frozenset()
         self._resolver = resolver
         self._notes: list[str] = []
 
@@ -126,33 +164,13 @@ class _SelectRewriter:
         self._preference = preference
         self._quality = QualityResolver(preference)
 
-        outer = self._make_qualifier({b: b for b, _t in self._bindings})
-        inner = self._make_qualifier(self._inner_alias)
-
-        conditions: list[ast.Expr] = []
-        if select.where is not None:
-            conditions.append(self._requalify(select.where, self._inner_alias))
-        for column in select.grouping:
-            conditions.append(self._grouping_equality(column, inner, outer))
-        if select.but_only is not None:
-            conditions.append(self._threshold("inner"))
-        conditions.append(better_condition(preference, inner, outer))
-
-        anti_join = ast.Exists(
-            query=ast.Select(
-                items=(ast.SelectItem(expr=ast.Literal(value=1)),),
-                sources=self._realias_sources(select.sources, self._inner_alias),
-                where=_conjoin(conditions),
-            ),
-            negated=True,
-        )
-
-        outer_conditions: list[ast.Expr] = []
-        if select.where is not None:
-            outer_conditions.append(select.where)
-        if select.but_only is not None:
-            outer_conditions.append(self._threshold("outer"))
-        outer_conditions.append(anti_join)
+        ctes: tuple[ast.CommonTable, ...] = ()
+        if self._has_rowid(select.sources):
+            aux, winners = self._rank_table(preference)
+            ctes = (aux,)
+            where = ast.InSubquery(operand=ast.Column(name="rowid"), query=winners)
+        else:
+            where = self._inline_anti_join(preference)
 
         items = tuple(
             item
@@ -174,11 +192,12 @@ class _SelectRewriter:
         rewritten = ast.Select(
             items=items,
             sources=select.sources,
-            where=_conjoin(outer_conditions),
+            where=where,
             order_by=order_by,
             limit=select.limit,
             offset=select.offset,
             distinct=select.distinct,
+            ctes=ctes,
         )
         return RewriteResult(
             statement=rewritten,
@@ -186,6 +205,100 @@ class _SelectRewriter:
             preference=preference,
             notes=self._notes,
         )
+
+    # ------------------------------------------------------------------
+    # The anti-join, over the rank CTE or inline
+
+    def _has_rowid(self, sources: Sequence[ast.FromSource]) -> bool:
+        """One table that the schema does not name as rowid-less."""
+        if len(sources) != 1 or not isinstance(sources[0], ast.TableRef):
+            return False
+        return sources[0].name.lower() not in self._rowless
+
+    def _rank_table(
+        self, preference: Preference
+    ) -> tuple[ast.CommonTable, ast.Select]:
+        """The paper's ``Aux`` as a materialized CTE, and the query for the
+        rowids of its maximal rows.  Its WHERE is the original one plus the
+        BUT ONLY threshold — applied once per row, so to both copies."""
+        select = self._select
+        outer = self._make_qualifier({b: b for b, _t in self._bindings})
+        hard = self._candidate_conditions(
+            outer(select.where) if select.where is not None else None
+        )
+        columns, levels = level_columns(list(preference.iter_base()), outer)
+        keys = tuple(
+            ast.SelectItem(expr=outer(column), alias=f"__k{index}")
+            for index, column in enumerate(select.grouping)
+        )
+        name = self._cte_name()
+        aux = ast.CommonTable(
+            name=name,
+            query=ast.Select(
+                items=(ast.SelectItem(expr=ast.Column(name="rowid"), alias="__rid"),)
+                + levels
+                + keys,
+                sources=select.sources,
+                where=_conjoin(hard),
+            ),
+            materialized=True,
+        )
+
+        def copy(alias: str) -> Accessor:
+            return lambda leaf: ast.Column(name=columns[leaf], table=alias)
+
+        conditions: list[ast.Expr] = [
+            _same_group(
+                ast.Column(name=key.alias, table="d"),
+                ast.Column(name=key.alias, table="c"),
+            )
+            for key in keys
+        ]
+        conditions.append(better_condition(preference, copy("d"), copy("c")))
+        winners = ast.Select(
+            items=(ast.SelectItem(expr=ast.Column(name="__rid", table="c")),),
+            sources=(ast.TableRef(name=name, alias="c"),),
+            where=_not_exists((ast.TableRef(name=name, alias="d"),), conditions),
+        )
+        return aux, winners
+
+    def _cte_name(self) -> str:
+        taken = {name.lower() for pair in self._bindings for name in pair}
+        name, counter = "__pref", 0
+        while name in taken:
+            counter += 1
+            name = f"__pref{counter}"
+        return name
+
+    def _inline_anti_join(self, preference: Preference) -> ast.Expr:
+        """The candidate's WHERE and threshold, then ``NOT EXISTS`` over a
+        re-aliased copy of the sources, with every level inlined on both
+        copies (for sources without a rowid)."""
+        select = self._select
+        outer = self._make_qualifier({b: b for b, _t in self._bindings})
+        inner = self._make_qualifier(self._inner_alias)
+        conditions: list[ast.Expr] = []
+        if select.where is not None:
+            conditions.append(self._requalify(select.where, self._inner_alias))
+        for column in select.grouping:
+            conditions.append(_same_group(inner(column), outer(column)))
+        if select.but_only is not None:
+            conditions.append(self._threshold("inner"))
+        conditions.append(
+            better_condition(preference, _inline(inner), _inline(outer))
+        )
+        anti_join = _not_exists(
+            self._realias_sources(select.sources, self._inner_alias), conditions
+        )
+        return _conjoin(self._candidate_conditions(select.where) + [anti_join])
+
+    def _candidate_conditions(self, where: ast.Expr | None) -> list[ast.Expr]:
+        """A candidate's hard conditions: ``where``, then the BUT ONLY
+        threshold."""
+        hard = [where] if where is not None else []
+        if self._select.but_only is not None:
+            hard.append(self._threshold("outer"))
+        return hard
 
     # ------------------------------------------------------------------
     # Validation and binding discovery
@@ -319,6 +432,11 @@ class _SelectRewriter:
             return ast.IsNull(
                 operand=self._requalify(expr.operand, alias_map), negated=expr.negated
             )
+        if isinstance(expr, ast.Cast):
+            return ast.Cast(
+                operand=self._requalify(expr.operand, alias_map),
+                type_name=expr.type_name,
+            )
         if isinstance(expr, ast.FuncCall):
             return ast.FuncCall(
                 name=expr.name,
@@ -369,17 +487,6 @@ class _SelectRewriter:
 
     # ------------------------------------------------------------------
     # GROUPING and BUT ONLY
-
-    def _grouping_equality(self, column: ast.Column, inner, outer) -> ast.Expr:
-        inner_col = inner(column)
-        outer_col = outer(column)
-        equal = ast.Binary(op="=", left=inner_col, right=outer_col)
-        both_null = ast.Binary(
-            op="AND",
-            left=ast.IsNull(operand=inner_col),
-            right=ast.IsNull(operand=outer_col),
-        )
-        return ast.Binary(op="OR", left=equal, right=both_null)
 
     def _threshold(self, family: str) -> ast.Expr:
         return self._inline_quality(self._select.but_only, family)
@@ -458,6 +565,11 @@ class _SelectRewriter:
             return ast.IsNull(
                 operand=self._requalify_skipping(expr.operand, mapping),
                 negated=expr.negated,
+            )
+        if isinstance(expr, ast.Cast):
+            return ast.Cast(
+                operand=self._requalify_skipping(expr.operand, mapping),
+                type_name=expr.type_name,
             )
         if isinstance(expr, ast.FuncCall):
             return ast.FuncCall(
@@ -551,7 +663,7 @@ class _SelectRewriter:
             )
         for column in self._select.grouping:
             conditions.append(
-                self._grouping_equality(column, optimum_qualify, family_qualify)
+                _same_group(optimum_qualify(column), family_qualify(column))
             )
         rank = rank_expression(base, optimum_qualify)
         return ast.ScalarSubquery(
@@ -602,6 +714,28 @@ def _conjoin(parts: list[ast.Expr]) -> ast.Expr | None:
     for part in parts[1:]:
         result = ast.Binary(op="AND", left=result, right=part)
     return result
+
+
+def _same_group(left: ast.Expr, right: ast.Expr) -> ast.Expr:
+    """NULL-safe equality of two GROUPING keys: NULL keys form a group."""
+    return ast.Binary(op="IS", left=left, right=right)
+
+
+def _inline(qualify: Qualifier) -> Accessor:
+    return lambda leaf: leaf_value(leaf, qualify)
+
+
+def _not_exists(
+    sources: Sequence[ast.FromSource], conditions: list[ast.Expr]
+) -> ast.Exists:
+    return ast.Exists(
+        query=ast.Select(
+            items=(ast.SelectItem(expr=ast.Literal(value=1)),),
+            sources=tuple(sources),
+            where=_conjoin(conditions),
+        ),
+        negated=True,
+    )
 
 
 def _boolean_case(condition: ast.Expr) -> ast.Expr:

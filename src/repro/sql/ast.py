@@ -85,8 +85,8 @@ class Binary(Expr):
     """Binary operator application.
 
     ``op`` covers arithmetic (``+ - * / %``), comparisons
-    (``= <> < <= > >=``), ``LIKE``, string concatenation ``||`` and the
-    boolean connectives ``AND`` / ``OR``.
+    (``= <> < <= > >=``), the NULL-safe equality ``IS``, ``LIKE``, string
+    concatenation ``||`` and the boolean connectives ``AND`` / ``OR``.
     """
 
     op: str
@@ -156,6 +156,18 @@ class FuncCall(Expr):
     name: str
     args: tuple[Expr, ...]
     star: bool = False  # COUNT(*)
+
+
+@dataclass(frozen=True)
+class Cast(Expr):
+    """``CAST(expr AS type)``; ``type_name`` is stored uppercase.
+
+    The rank expressions use ``CAST(x AS NUMERIC) = x`` to ask the host
+    whether ``x`` is a number or text that spells one.
+    """
+
+    operand: Expr
+    type_name: str
 
 
 @dataclass(frozen=True)
@@ -366,11 +378,26 @@ class OrderItem(Node):
 
 
 @dataclass(frozen=True)
+class CommonTable(Node):
+    """One ``name AS [MATERIALIZED] (SELECT ...)`` entry of a WITH prologue.
+
+    The rewriter emits one to compute every rank once per row (the paper's
+    auxiliary view ``Aux`` of section 3.2, inside a single statement);
+    ``MATERIALIZED`` stops the host from inlining it back into each use.
+    """
+
+    name: str
+    query: "Select"
+    materialized: bool = False
+
+
+@dataclass(frozen=True)
 class Select(Statement):
     """The full Preference SQL query block (paper section 2.2.5).
 
     ``preferring``, ``grouping`` and ``but_only`` are the Preference SQL
     extensions; when all three are None this is a plain SQL SELECT.
+    ``ctes`` is the ``WITH`` prologue, which only plain SQL may carry.
     """
 
     items: tuple[SelectItem | Star, ...]
@@ -385,6 +412,7 @@ class Select(Statement):
     limit: Expr | None = None
     offset: Expr | None = None
     distinct: bool = False
+    ctes: tuple[CommonTable, ...] = ()
 
     @property
     def is_preference_query(self) -> bool:
@@ -516,7 +544,7 @@ def walk_expr(expr: Expr):
         yield from walk_expr(expr.operand)
         yield from walk_expr(expr.low)
         yield from walk_expr(expr.high)
-    elif isinstance(expr, IsNull):
+    elif isinstance(expr, (IsNull, Cast)):
         yield from walk_expr(expr.operand)
     elif isinstance(expr, FuncCall):
         for arg in expr.args:
@@ -579,6 +607,8 @@ def substitute(expr: Expr, mapping: dict[Expr, Expr]) -> Expr:
         )
     if isinstance(expr, IsNull):
         return IsNull(operand=substitute(expr.operand, mapping), negated=expr.negated)
+    if isinstance(expr, Cast):
+        return Cast(operand=substitute(expr.operand, mapping), type_name=expr.type_name)
     if isinstance(expr, FuncCall):
         return FuncCall(
             name=expr.name,

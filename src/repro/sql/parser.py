@@ -106,7 +106,7 @@ class Parser:
     def parse_statement(self) -> ast.Statement:
         """Parse exactly one statement; trailing ``;`` is allowed."""
         token = self._peek()
-        if token.is_keyword("SELECT"):
+        if self._at_select():
             statement: ast.Statement = self.parse_select()
         elif token.is_keyword("INSERT"):
             statement = self._parse_insert()
@@ -124,8 +124,20 @@ class Parser:
         _validate_restrictions(statement)
         return statement
 
+    def _at_select(self) -> bool:
+        """True when a SELECT block, or its WITH prologue, starts here."""
+        token = self._peek()
+        return token.is_keyword("SELECT") or (
+            token.type is TokenType.IDENT and token.value.upper() == "WITH"
+        )
+
     def parse_select(self) -> ast.Select:
         """Parse a (possibly preference-extended) SELECT block."""
+        ctes: list[ast.CommonTable] = []
+        if self._accept_word("WITH"):
+            ctes.append(self._parse_common_table())
+            while self._accept_operator(","):
+                ctes.append(self._parse_common_table())
         self._expect_keyword("SELECT")
         distinct = self._accept_keyword("DISTINCT") is not None
         items = self._parse_select_list()
@@ -182,7 +194,17 @@ class Parser:
             limit=limit,
             offset=offset,
             distinct=distinct,
+            ctes=tuple(ctes),
         )
+
+    def _parse_common_table(self) -> ast.CommonTable:
+        name = self._identifier("common table name")
+        self._expect_keyword("AS")
+        materialized = self._accept_word("MATERIALIZED") is not None
+        self._expect_operator("(")
+        query = self.parse_select()
+        self._expect_operator(")")
+        return ast.CommonTable(name=name, query=query, materialized=materialized)
 
     def _parse_insert(self) -> ast.Insert:
         self._expect_keyword("INSERT")
@@ -201,7 +223,7 @@ class Parser:
             while self._accept_operator(","):
                 rows.append(self._parse_value_row())
             return ast.Insert(table=table, columns=columns, values=tuple(rows))
-        if self._peek().is_keyword("SELECT"):
+        if self._at_select():
             return ast.Insert(table=table, columns=columns, query=self.parse_select())
         if self._peek().is_operator("(") and self._peek(1).is_keyword("SELECT"):
             self._advance()
@@ -630,8 +652,10 @@ class Parser:
         if token.is_keyword("IS"):
             self._advance()
             is_negated = self._accept_keyword("NOT") is not None
-            self._expect_keyword("NULL")
-            return ast.IsNull(operand=expr, negated=is_negated)
+            if is_negated or self._peek().is_keyword("NULL"):
+                self._expect_keyword("NULL")
+                return ast.IsNull(operand=expr, negated=is_negated)
+            return ast.Binary(op="IS", left=expr, right=self._parse_additive())
         operator = self._accept_operator(*_COMPARISON_OPS)
         if operator is not None:
             op = "<>" if operator.value == "!=" else operator.value
@@ -710,6 +734,8 @@ class Parser:
         )
         if is_name and self._peek(1).is_operator("("):
             name = self._advance().value.upper()
+            if name == "CAST":
+                return self._parse_cast()
             self._expect_operator("(")
             if self._accept_operator("*"):
                 self._expect_operator(")")
@@ -725,6 +751,14 @@ class Parser:
         if is_name:
             return self._parse_column()
         raise self._error("expected an expression")
+
+    def _parse_cast(self) -> ast.Expr:
+        self._expect_operator("(")
+        operand = self.parse_expression()
+        self._expect_keyword("AS")
+        type_name = self._identifier("type name").upper()
+        self._expect_operator(")")
+        return ast.Cast(operand=operand, type_name=type_name)
 
     def _parse_case(self) -> ast.Expr:
         self._expect_keyword("CASE")
@@ -771,15 +805,23 @@ def parse_preferring(text: str) -> ast.PrefTerm:
 
 
 def _validate_restrictions(statement: ast.Statement) -> None:
-    """Enforce the release 1.3 restriction from paper section 2.2.5."""
+    """Enforce the release 1.3 restriction from paper section 2.2.5, and
+    keep WITH prologues to plain SQL (the rewriter emits them itself)."""
     if isinstance(statement, ast.ExplainPreference):
         _validate_restrictions(statement.statement)
-    elif isinstance(statement, ast.CreatePreferenceView):
-        _check_where_subqueries(statement.query)
+        return
+    query = None
+    if isinstance(statement, (ast.CreatePreferenceView, ast.Insert)):
+        query = statement.query
     elif isinstance(statement, ast.Select):
-        _check_where_subqueries(statement)
-    elif isinstance(statement, ast.Insert) and statement.query is not None:
-        _check_where_subqueries(statement.query)
+        query = statement
+    if query is None:
+        return
+    if query.ctes and query.is_preference_query:
+        raise UnsupportedPreferenceSQL(
+            "a WITH prologue cannot be combined with PREFERRING"
+        )
+    _check_where_subqueries(query)
 
 
 def _subqueries_of(expr: ast.Expr):

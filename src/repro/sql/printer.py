@@ -73,7 +73,10 @@ def to_sql(node: ast.Node) -> str:
 
 
 def _select(select: ast.Select) -> str:
-    parts = ["SELECT"]
+    parts = []
+    if select.ctes:
+        parts.append("WITH " + ", ".join(_common_table(cte) for cte in select.ctes))
+    parts.append("SELECT")
     if select.distinct:
         parts.append("DISTINCT")
     parts.append(", ".join(_select_item(item) for item in select.items))
@@ -102,6 +105,11 @@ def _select(select: ast.Select) -> str:
         if select.offset is not None:
             parts.append(f"OFFSET {_expr(select.offset)}")
     return " ".join(parts)
+
+
+def _common_table(cte: ast.CommonTable) -> str:
+    keyword = " MATERIALIZED" if cte.materialized else ""
+    return f"{cte.name} AS{keyword} ({_select(cte.query)})"
 
 
 def _quote_identifier_if_needed(name: str) -> str:
@@ -228,6 +236,7 @@ _PRECEDENCE = {
     "<=": 4,
     ">": 4,
     ">=": 4,
+    "IS": 4,
     "LIKE": 4,
     "+": 5,
     "-": 5,
@@ -309,6 +318,8 @@ def _expr(expr: ast.Expr, parent_precedence: int = 0) -> str:
             return f"{expr.name}(*)"
         args = ", ".join(_expr(arg) for arg in expr.args)
         return f"{expr.name}({args})"
+    if isinstance(expr, ast.Cast):
+        return f"CAST({_expr(expr.operand)} AS {expr.type_name})"
     if isinstance(expr, ast.CaseWhen):
         parts = ["CASE"]
         for condition, value in expr.branches:

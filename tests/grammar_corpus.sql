@@ -17,6 +17,7 @@ SELECT ident FROM oldtimer WHERE color LIKE 'r%'
 SELECT ident FROM oldtimer WHERE color NOT LIKE 'g%'
 SELECT ident FROM oldtimer WHERE color IS NULL
 SELECT ident FROM oldtimer WHERE color IS NOT NULL
+SELECT ident FROM oldtimer WHERE CAST(age AS NUMERIC) = age AND color IS 'red'
 SELECT ident FROM oldtimer WHERE age = ? AND color = ?
 SELECT ident FROM oldtimer WHERE -age < +10
 SELECT ident FROM oldtimer WHERE age IN (SELECT age FROM oldtimer WHERE color = 'red')
@@ -35,6 +36,7 @@ SELECT o.ident FROM oldtimer o INNER JOIN trips t ON o.age = t.duration
 SELECT o.ident FROM oldtimer o LEFT OUTER JOIN trips t ON o.age = t.duration
 SELECT o.ident FROM oldtimer o CROSS JOIN trips t
 SELECT sub.ident FROM (SELECT ident, age FROM oldtimer WHERE age < 50) AS sub
+WITH young AS MATERIALIZED (SELECT ident, color FROM oldtimer WHERE age < 30), red AS (SELECT ident FROM oldtimer WHERE color IS 'red') SELECT young.ident FROM young, red WHERE young.ident = red.ident
 SELECT ident FROM oldtimer PREFERRING age AROUND 40
 SELECT trip_id FROM trips PREFERRING price BETWEEN 1000, 1500
 SELECT trip_id FROM trips PREFERRING LOWEST(price) AND HIGHEST(duration)
@@ -54,6 +56,7 @@ INSERT INTO oldtimer VALUES ('Lisa', 'blue', 22)
 INSERT INTO oldtimer (ident, color, age) VALUES ('Abe', 'grey', 70), ('Ned', 'green', 44)
 INSERT INTO oldtimer VALUES (?, ?, ?)
 INSERT INTO veterans SELECT * FROM oldtimer PREFERRING HIGHEST(age)
+INSERT INTO veterans WITH old AS (SELECT * FROM oldtimer WHERE age > 60) SELECT * FROM old
 CREATE PREFERENCE veteran ON oldtimer AS age AROUND 40 AND color = 'white' ELSE color = 'yellow'
 DROP PREFERENCE veteran
 CREATE PREFERENCE VIEW best_oldtimers AS SELECT * FROM oldtimer PREFERRING age AROUND 40 GROUPING color
@@ -65,3 +68,4 @@ CREATE PREFERENCE CONSTRAINT oldtimer_fd ON oldtimer FD (ident) DETERMINES (colo
 DROP PREFERENCE CONSTRAINT oldtimer_pk
 EXPLAIN PREFERENCE SELECT * FROM oldtimer PREFERRING age AROUND 40
 EXPLAIN PREFERENCE INSERT INTO veterans SELECT * FROM oldtimer PREFERRING HIGHEST(age)
+INSERT INTO veterans WITH old AS (SELECT * FROM oldtimer WHERE age > 60) SELECT * FROM old

@@ -9,6 +9,7 @@ connection reusable.
 
 import random
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.deadline import (
     deadline_scope,
     sqlite_interrupt,
 )
+from repro.driver import dbapi
 from repro.errors import QueryTimeout
 
 #: Strategies the acceptance criteria require to honor deadlines.
@@ -185,6 +187,45 @@ class TestStrategyTimeouts:
                 "LOWEST(a) AND LOWEST(b)"
             ).fetchall()
             assert sorted(bounded) == sorted(plain)
+        finally:
+            connection.close()
+
+    def test_no_write_runs_under_the_watchdog(self, monkeypatch):
+        """sqlite rolls back the caller's whole open transaction when it
+        interrupts a write, so a timed statement on a fresh connection
+        must create the catalog tables before the watchdog is armed."""
+        armed: list[bool] = []
+        statements: list[str] = []
+
+        @contextmanager
+        def watched(raw, deadline):
+            with sqlite_interrupt(raw, deadline):
+                armed.append(True)
+                try:
+                    yield
+                finally:
+                    armed.pop()
+
+        monkeypatch.setattr(dbapi, "sqlite_interrupt", watched)
+        connection = repro.connect(":memory:")
+        try:
+            connection.execute("CREATE TABLE t (x INTEGER)")
+            connection.execute("INSERT INTO t VALUES (1), (2)")
+            connection.raw.set_trace_callback(
+                lambda sql: statements.append(sql) if armed else None
+            )
+            connection.execute(
+                "SELECT * FROM t PREFERRING LOWEST(x)", timeout_ms=60_000
+            ).fetchall()
+            connection.raw.set_trace_callback(None)
+            assert statements
+            # sqlite traces the statement inside a table-valued pragma
+            # (``pragma_table_list``) as a ``-- `` comment.
+            reads = ("SELECT", "WITH", "PRAGMA", "-- PRAGMA")
+            assert [
+                sql for sql in statements if not sql.lstrip().upper().startswith(reads)
+            ] == []
+            assert connection.execute("SELECT COUNT(*) FROM t").fetchall() == [(2,)]
         finally:
             connection.close()
 

@@ -1,8 +1,11 @@
 """Numeric base preference semantics."""
 
 import math
+import sqlite3
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.errors import PreferenceConstructionError
 from repro.model.numeric import (
@@ -127,6 +130,30 @@ class TestCoerceNumber:
 
     def test_other_objects_are_nan(self):
         assert math.isnan(coerce_number(object()))
+        assert math.isnan(coerce_number(b"12"))
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "1_000", "\u0661\u0662", "1e", ""])
+    def test_text_beyond_sqlite_numbers_is_nan(self, text):
+        # float() accepts some of these; sqlite, and so the model, does not.
+        assert math.isnan(coerce_number(text))
+
+    @given(
+        st.text(alphabet="0123456789+-.eE \t\n\v\f\rx_", max_size=8)
+        | st.sampled_from(["007", " 1e3 ", "+.5", "1.", "-0", "1e400", "0x10"])
+    )
+    def test_text_is_a_number_exactly_where_sqlite_says(self, text):
+        """The rule the SQL rank guard ``CAST(x AS NUMERIC) = x`` tests."""
+        con = sqlite3.connect(":memory:")
+        con.execute("CREATE TABLE t (x TEXT)")
+        con.execute("INSERT INTO t VALUES (?)", (text,))
+        spelled, value = con.execute(
+            "SELECT CAST(x AS NUMERIC) = x, x * 1.0 FROM t"
+        ).fetchone()
+        con.close()
+        number = coerce_number(text)
+        assert bool(spelled) != math.isnan(number), text
+        if spelled:
+            assert number == value, text
 
     def test_arity(self):
         pref = AroundPreference(COL, 1)

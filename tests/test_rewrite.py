@@ -1,9 +1,18 @@
 """The Preference SQL Optimizer: rewriting correctness and SQL shape."""
 
-import pytest
+import random
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import repro
+from repro.engine import PreferenceEngine, Relation
 from repro.errors import RewriteError
-from repro.rewrite.planner import rewrite_select, rewrite_statement
+from repro.model.builder import build_preference
+from repro.rewrite.levels import leaf_value
+from repro.rewrite.planner import HostSchema, rewrite_select, rewrite_statement
+from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
 
@@ -33,10 +42,13 @@ class TestPassThrough:
 
 
 class TestShape:
+    """A single rowid table: the paper's ``Aux`` as a materialized CTE."""
+
     def test_not_exists_anti_join(self):
         sql = rewrite_text("SELECT * FROM cars PREFERRING LOWEST(price)")
-        assert "NOT EXISTS" in sql
-        assert "cars AS cars_d" in sql
+        assert sql.startswith("WITH __pref AS MATERIALIZED (SELECT rowid AS __rid, ")
+        assert "WHERE rowid IN (SELECT c.__rid FROM __pref AS c WHERE NOT EXISTS" in sql
+        assert "(SELECT 1 FROM __pref AS d WHERE d.__r0 < c.__r0)" in sql
 
     def test_pareto_shape_matches_paper(self):
         # <= on every component, < on at least one (section 3.2).
@@ -48,30 +60,37 @@ class TestShape:
         assert "CASE WHEN" in sql
 
     def test_where_appears_on_both_copies(self):
+        # Once, in the CTE that both copies (c and d) read.
         sql = rewrite_text(
             "SELECT * FROM cars WHERE make = 'Opel' PREFERRING LOWEST(price)"
         )
-        assert "WHERE make = 'Opel'" in sql
-        assert "cars_d.make = 'Opel'" in sql
-        assert sql.count("'Opel'") == 2
+        assert "FROM cars WHERE cars.make = 'Opel')" in sql
+        assert sql.count("'Opel'") == 1
 
     def test_grouping_is_null_safe(self):
         sql = rewrite_text(
             "SELECT * FROM cars PREFERRING LOWEST(price) GROUPING color"
         )
-        assert "cars_d.color = cars.color" in sql
-        assert "cars_d.color IS NULL AND cars.color IS NULL" in sql
+        assert "cars.color AS __k0" in sql
+        assert "d.__k0 IS c.__k0" in sql
 
     def test_but_only_on_both_copies(self):
+        # Once, in the CTE's WHERE: a row below the threshold is neither a
+        # candidate nor a dominator.
         sql = rewrite_text(
             "SELECT * FROM cars PREFERRING price AROUND 100 "
             "BUT ONLY DISTANCE(price) <= 10"
         )
-        # threshold once on the dominator copy, once on the candidate.
-        assert sql.count("<= 10") == 2
+        assert sql.count("<= 10") == 1
+        assert sql.index("<= 10") < sql.index(") SELECT * FROM cars")
 
     def test_alias_collision_avoided(self):
-        sql = rewrite_text("SELECT * FROM cars AS cars_d PREFERRING LOWEST(price)")
+        sql = rewrite_text("SELECT * FROM __pref PREFERRING LOWEST(price)")
+        assert "WITH __pref1 AS MATERIALIZED" in sql
+        rowless = HostSchema({"cars": ["price"]}, rowless=["cars"])
+        sql = rewrite_text(
+            "SELECT * FROM cars AS cars_d PREFERRING LOWEST(price)", schema=rowless
+        )
         assert "cars_d_d" in sql
 
     def test_order_by_and_limit_preserved(self):
@@ -84,9 +103,9 @@ class TestShape:
         sql = rewrite_text(
             "SELECT * FROM cars PREFERRING LOWEST(price) CASCADE LOWEST(mileage)"
         )
-        # better1 OR (equal1 AND better2)
-        assert " OR " in sql
-        assert sql.count("CASE WHEN") >= 4
+        # better1 OR (equal1 AND better2), over the level columns.
+        assert "d.__r0 < c.__r0 OR d.__r0 = c.__r0 AND d.__r1 < c.__r1" in sql
+        assert sql.count("CASE WHEN") == 2
 
     def test_explicit_closure_disjunction(self):
         sql = rewrite_text(
@@ -101,6 +120,56 @@ class TestShape:
         sql = rewrite_text("SELECT * FROM cars PREFERRING LOWEST(price)")
         reparsed = parse_statement(sql)
         assert not reparsed.is_preference_query
+        grouped = rewrite_text(
+            "SELECT * FROM cars PREFERRING LOWEST(price) GROUPING color"
+        )
+        assert not parse_statement(grouped).is_preference_query
+
+    def test_each_rank_is_printed_once(self):
+        query = (
+            "SELECT * FROM cars WHERE make <> 'Opel' PREFERRING "
+            "(LOWEST(price) AND mileage AROUND 5000) CASCADE "
+            "color = 'red' ELSE color = 'blue' CASCADE HIGHEST(power)"
+        )
+        sql = rewrite_text(query)
+        preference = build_preference(parse_statement(query).preferring)
+        qualify = lambda expr: ast.Column(name=expr.name, table="cars")  # noqa: E731
+        leaves = list(preference.iter_base())
+        assert len(leaves) == 4
+        for leaf in leaves:
+            assert sql.count(to_sql(leaf_value(leaf, qualify))) == 1
+
+    def test_explicit_operand_is_carried_in_the_cte(self):
+        sql = rewrite_text(
+            "SELECT * FROM cars PREFERRING EXPLICIT(color, 'red' > 'blue') "
+            "AND LOWEST(price)"
+        )
+        assert "cars.color AS __r0" in sql
+        assert "d.__r0 = 'red' AND c.__r0 = 'blue'" in sql
+        assert "d.__r0 = c.__r0" in sql
+
+    def test_multi_table_keeps_the_inline_shape(self):
+        schema = {"cars": ["id", "price", "dealer_id"], "dealers": ["id", "city"]}
+        sql = rewrite_text(
+            "SELECT * FROM cars, dealers WHERE cars.dealer_id = dealers.id "
+            "PREFERRING LOWEST(price)",
+            schema=schema,
+        )
+        assert "WITH" not in sql
+        assert "NOT EXISTS (SELECT 1 FROM cars AS cars_d, dealers AS dealers_d" in sql
+
+    def test_rowidless_table_keeps_the_inline_shape(self):
+        schema = HostSchema({"cars": ["price"]}, rowless=["cars"])
+        sql = rewrite_text("SELECT * FROM cars PREFERRING LOWEST(price)", schema=schema)
+        assert "WITH" not in sql
+        assert "cars AS cars_d" in sql
+
+    def test_inline_grouping_is_null_safe(self):
+        schema = HostSchema({"cars": ["price", "color"]}, rowless=["cars"])
+        sql = rewrite_text(
+            "SELECT * FROM cars PREFERRING LOWEST(price) GROUPING color", schema=schema
+        )
+        assert "cars_d.color IS cars.color" in sql
 
 
 class TestValidation:
@@ -271,3 +340,284 @@ class TestExecutionOnSqlite:
         )
         rows = connection.execute("SELECT id FROM t PREFERRING LOWEST(x)").fetchall()
         assert {row[0] for row in rows} == {1, 2}
+
+
+# ----------------------------------------------------------------------
+# Differential: every rewrite shape equals the nested-loop oracle
+
+_COLUMNS = ("id", "a", "b", "s", "c", "g")
+#: ``s`` has TEXT affinity, so the numbers stored in it come back as text.
+_DDL = "(id INTEGER, a REAL, b INTEGER, s TEXT, c TEXT, g TEXT)"
+
+#: The leaves a random tree may use, one per operand, so a quality
+#: function on an operand names exactly one base preference.
+_LEAVES = {
+    "a": ("LOWEST(a)", "a AROUND 1", "HIGHEST(a)"),
+    "b": ("HIGHEST(b)", "b BETWEEN -2, 2", "LOWEST(b)"),
+    "s": ("LOWEST(s)", "s AROUND 8"),
+    "c": ("c = 'x' ELSE c = 'y'", "EXPLICIT(c, 'x' > 'y', 'y' > 'z')", "c <> 'w'"),
+}
+
+hostile_rows = st.lists(
+    st.tuples(
+        st.sampled_from([float("inf"), float("-inf"), -0.0, 0.0, 1.5, 3.0, None]),
+        st.sampled_from([2**53, 2**53 + 1, 2**62, -3, 0, 2, None]),
+        st.sampled_from(
+            ["10", "9", "007", "1e3", " 8 ", 8, None, "", "n/a", "12abc", "inf", b"\x07"]
+        ),
+        st.sampled_from(["x", "y", "z", "w", None]),
+        st.sampled_from(["p", "q", None]),
+    ),
+    max_size=12,
+).map(lambda rows: [(index,) + row for index, row in enumerate(rows, 1)])
+
+
+def _tree(rng: random.Random, leaves: list[str]) -> str:
+    """A random Pareto/CASCADE tree over ``leaves``."""
+    if len(leaves) == 1:
+        return leaves[0]
+    split = rng.randrange(1, len(leaves))
+    connective = rng.choice(("AND", "CASCADE"))
+    left, right = _tree(rng, leaves[:split]), _tree(rng, leaves[split:])
+    return f"({left}) {connective} ({right})"
+
+
+@st.composite
+def preference_queries(draw):
+    operands = draw(
+        st.lists(st.sampled_from(sorted(_LEAVES)), min_size=1, max_size=4, unique=True)
+    )
+    leaves = {operand: draw(st.sampled_from(_LEAVES[operand])) for operand in operands}
+    term = _tree(random.Random(draw(st.integers(0, 2**16))), list(leaves.values()))
+    items = draw(st.sampled_from(("*", "id", "DISTINCT g")))
+    if items == "id":
+        if "a" in leaves and draw(st.booleans()):
+            items += ", TOP(a)"
+        if "c" in leaves and draw(st.booleans()):
+            items += ", LEVEL(c)"
+    query = f"SELECT {items} FROM t"
+    query += draw(st.sampled_from(("", " WHERE b IS NOT NULL", " WHERE a < 2")))
+    query += f" PREFERRING {term}"
+    if draw(st.booleans()):
+        query += " GROUPING g"
+    if "a" in leaves and draw(st.booleans()):
+        query += " BUT ONLY DISTANCE(a) <= 2"
+    if items != "DISTINCT g":
+        query += draw(st.sampled_from(("", " ORDER BY id", " ORDER BY id DESC LIMIT 3")))
+    return query
+
+
+def _canonical(rows) -> list[tuple]:
+    """Rows with every number as a float (TOP may come back as a bool)."""
+    return [
+        tuple(
+            float(value) if isinstance(value, (bool, int, float)) else value
+            for value in row
+        )
+        for row in rows
+    ]
+
+
+def _load(connection, name: str, rows) -> list[tuple]:
+    """Create and fill ``name``; return the rows as the host stored them."""
+    connection.execute(f"CREATE TABLE {name} {_DDL}")
+    connection.cursor().executemany(
+        f"INSERT INTO {name} VALUES (?, ?, ?, ?, ?, ?)", rows
+    )
+    return connection.raw.execute(f"SELECT * FROM {name}").fetchall()
+
+
+def _oracle(query: str, tables: dict) -> list[tuple]:
+    relations = {
+        name: Relation(columns=_COLUMNS, rows=rows) for name, rows in tables.items()
+    }
+    engine = PreferenceEngine(relations, algorithm="nested_loop")
+    return _canonical(engine.execute(query).rows)
+
+
+def _agree(expected: list[tuple], actual: list[tuple], query: str) -> None:
+    if " ORDER BY " in query:
+        assert actual == expected, query
+    else:
+        assert sorted(actual, key=repr) == sorted(expected, key=repr), query
+
+
+@given(rows=hostile_rows, query=preference_queries())
+@settings(max_examples=80, deadline=None)
+def test_rank_cte_rewrite_equals_the_oracle(rows, query):
+    con = repro.connect(":memory:")
+    try:
+        stored = _load(con, "t", rows)
+        cursor = con.execute(query, algorithm="rewrite")
+        assert cursor.executed_sql.startswith("WITH __pref AS MATERIALIZED")
+        expected = _oracle(query, {"t": stored})
+        _agree(expected, _canonical(cursor.fetchall()), query)
+        # bnl adopts the same rank expressions from its scan (rank pushdown);
+        # it cannot be forced when quality functions shape the result.
+        if not any(f"{name}(" in query for name in ("TOP", "LEVEL", "DISTANCE")):
+            bnl = con.execute(query, algorithm="bnl").fetchall()
+            _agree(expected, _canonical(bnl), query)
+        if query.startswith("SELECT * ") and " ORDER BY " not in query:
+            con.execute(f"CREATE TABLE out {_DDL}")
+            con.execute("INSERT INTO out " + query, algorithm="rewrite")
+            inserted = _canonical(con.raw.execute("SELECT * FROM out").fetchall())
+            _agree(_oracle(query, {"t": stored}), inserted, query)
+    finally:
+        con.close()
+
+
+_HOSTILE = [
+    (1, float("inf"), 2**53, "10", "x", None),
+    (2, float("-inf"), 2**53 + 1, "9", "y", "p"),
+    (3, -0.0, -3, "007", None, None),
+    (4, 0.0, None, None, "z", "p"),
+    (5, None, 2, "1e3", "w", "q"),
+    (6, 1.5, 2**62, "8", "x", "q"),
+    (7, 3.0, 0, "", "y", None),
+    (8, -0.0, 2, "n/a", "w", "p"),
+    (9, 1.5, -3, "12abc", "x", "q"),
+    (10, None, 0, b"\x00", "z", None),
+]
+
+_ROWLESS_QUERIES = [
+    "SELECT * FROM {t} PREFERRING LOWEST(a) AND HIGHEST(b)",
+    "SELECT id, TOP(a) FROM {t} WHERE b IS NOT NULL "
+    "PREFERRING LOWEST(a) CASCADE EXPLICIT(c, 'x' > 'y') GROUPING g",
+    "SELECT * FROM {t} PREFERRING s AROUND 8 AND a AROUND 1 "
+    "BUT ONLY DISTANCE(a) <= 2 ORDER BY id",
+    "SELECT id, s FROM {t} PREFERRING LOWEST(s) CASCADE HIGHEST(b)",
+]
+
+
+class TestRowidlessSources:
+    """Views, WITHOUT ROWID tables, tables with a ``rowid`` column and joins
+    keep the inline shape."""
+
+    @pytest.mark.parametrize("query", _ROWLESS_QUERIES)
+    @pytest.mark.parametrize("source", ["without_rowid", "view", "temp_view"])
+    def test_inline_shape_equals_the_oracle(self, connection, source, query):
+        stored = _load(connection, "base", _HOSTILE)
+        if source.endswith("view"):
+            temp = "TEMP " if source == "temp_view" else ""
+            connection.execute(f"CREATE {temp}VIEW src AS SELECT * FROM base")
+        else:
+            connection.execute(
+                "CREATE TABLE src (id INTEGER PRIMARY KEY, a REAL, b INTEGER, "
+                "s TEXT, c TEXT, g TEXT) WITHOUT ROWID"
+            )
+            connection.cursor().executemany(
+                "INSERT INTO src VALUES (?, ?, ?, ?, ?, ?)", _HOSTILE
+            )
+        text = query.format(t="src")
+        cursor = connection.execute(text, algorithm="rewrite")
+        assert not cursor.executed_sql.startswith("WITH")
+        assert "NOT EXISTS (SELECT 1 FROM src AS src_d" in cursor.executed_sql
+        _agree(
+            _oracle(text, {"src": stored}), _canonical(cursor.fetchall()), text
+        )
+        # The same statement over the rowid table takes the CTE shape.
+        over_base = connection.execute(query.format(t="base"), algorithm="rewrite")
+        assert over_base.executed_sql.startswith("WITH __pref AS MATERIALIZED")
+        assert _canonical(over_base.fetchall()) == _canonical(
+            connection.execute(text, algorithm="rewrite").fetchall()
+        )
+
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            "CREATE VIEW r AS SELECT 1 AS x",
+            "CREATE TABLE r (x INTEGER PRIMARY KEY) WITHOUT ROWID",
+            "CREATE TABLE r (rowid INTEGER, x REAL)",
+            "CREATE TEMP VIEW r AS SELECT 1 AS x",
+        ],
+    )
+    def test_schema_names_the_rowless_sources(self, connection, ddl):
+        connection.execute("CREATE TABLE plain (x REAL)")
+        connection.execute(ddl)
+        schema = connection.schema()
+        assert "x" in schema["r"]
+        assert schema.rowless == {"r"}
+
+    def test_temp_table_shadows_a_main_view(self, connection):
+        connection.execute("CREATE VIEW r AS SELECT 1 AS x")
+        connection.execute("CREATE TEMP TABLE r (x REAL, y REAL)")
+        schema = connection.schema()
+        assert schema["r"] == ["x", "y"]
+        assert schema.rowless == frozenset()
+
+    def test_rowid_column_keeps_the_inline_shape(self, connection):
+        connection.execute("CREATE TABLE r (rowid INTEGER, x REAL)")
+        connection.cursor().executemany(
+            "INSERT INTO r VALUES (?, ?)", [(10, 1.0), (20, 0.5), (30, 2.0)]
+        )
+        cursor = connection.execute(
+            "SELECT * FROM r PREFERRING LOWEST(x)", algorithm="rewrite"
+        )
+        assert "NOT EXISTS (SELECT 1 FROM r AS r_d" in cursor.executed_sql
+        assert cursor.fetchall() == [(20, 0.5)]
+
+    def test_join_keeps_the_inline_shape(self, connection):
+        stored = _load(connection, "t", _HOSTILE)
+        connection.execute("CREATE TABLE u (id INTEGER, w INTEGER)")
+        connection.cursor().executemany(
+            "INSERT INTO u VALUES (?, ?)", [(i, i % 2) for i in range(1, 7)]
+        )
+        query = (
+            "SELECT t.id FROM t JOIN u ON t.id = u.id WHERE u.w = 1 "
+            "PREFERRING LOWEST(t.a) AND HIGHEST(t.b)"
+        )
+        cursor = connection.execute(query, algorithm="rewrite")
+        assert "WITH" not in cursor.executed_sql
+        assert "NOT EXISTS (SELECT 1 FROM t AS t_d JOIN u AS u_d" in cursor.executed_sql
+        engine = PreferenceEngine(
+            {
+                "t": Relation(columns=_COLUMNS, rows=stored),
+                "u": Relation(columns=("id", "w"), rows=[(i, i % 2) for i in range(1, 7)]),
+            },
+            algorithm="nested_loop",
+        )
+        assert sorted(cursor.fetchall()) == sorted(engine.execute(query).rows)
+
+
+@pytest.mark.parametrize("strategy", ["rewrite", "bnl"])
+def test_cast_in_where_is_bound_and_requalified(connection, strategy):
+    connection.execute("CREATE TABLE r (id INTEGER, x TEXT)")
+    connection.cursor().executemany(
+        "INSERT INTO r VALUES (?, ?)", [(1, "5"), (2, "n/a"), (3, "2"), (4, "0.5")]
+    )
+    rows = connection.execute(
+        "SELECT id FROM r WHERE CAST(x AS NUMERIC) > ? PREFERRING LOWEST(x)",
+        (1,),
+        algorithm=strategy,
+    ).fetchall()
+    assert rows == [(3,)]
+
+
+class TestContainsSemantics:
+    """CONTAINS is a literal substring test with ASCII-only case-folding,
+    the same in the rewrite, the SQL rank pushdown and the model."""
+
+    ROWS = [(1, "axb"), (2, "plain"), (3, "50% off"), (4, "Über"), (5, "über")]
+
+    @pytest.mark.parametrize(
+        "terms, winners",
+        [
+            ("a_b", [1, 2, 3, 4, 5]),  # `_` is not a wildcard
+            ("50%", [3]),  # nor is `%`
+            ("%", [3]),
+            ("über", [5]),  # Ü is not ASCII: no folding
+            ("AXB", [1]),
+        ],
+    )
+    def test_rewrite_bnl_and_oracle_agree(self, connection, terms, winners):
+        connection.execute("CREATE TABLE r (id INTEGER, d TEXT)")
+        connection.cursor().executemany("INSERT INTO r VALUES (?, ?)", self.ROWS)
+        query = f"SELECT id FROM r PREFERRING d CONTAINS '{terms}'"
+        engine = PreferenceEngine(
+            {"r": Relation(columns=("id", "d"), rows=self.ROWS)},
+            algorithm="nested_loop",
+        )
+        assert sorted(row[0] for row in engine.execute(query).rows) == winners
+        for strategy in ("rewrite", "bnl"):
+            rows = connection.execute(query, algorithm=strategy).fetchall()
+            assert sorted(row[0] for row in rows) == winners, strategy
