@@ -683,7 +683,10 @@ class Connection:
         lines = ["preference query", "", "preference tree:"]
         lines.append(describe(normalize(query.preferring), indent=1))
         lines += ["", plan_text(plan)]
-        host_sql = plan.pushdown_sql or plan.rewritten_sql
+        host_sql = plan.host_sql
+        if host_sql is None:
+            lines += ["", "host plan: none — answered from the session cache"]
+            return "\n".join(lines)
         lines += ["", "host plan:"]
         try:
             host_plan = self._raw.execute(
@@ -962,15 +965,9 @@ class Cursor:
                 capture=capture and connection._session_enabled,
             )
         except sqlite3.Error as error:
-            host_sql = (
-                plan.prejoin_scan_sql
-                or plan.pushdown_sql
-                or plan.session_delta_sql
-                or plan.rewritten_sql
-            )
             raise DriverError(
                 f"host database rejected the {plan.strategy} strategy's "
-                f"SQL: {error}\n{host_sql}"
+                f"SQL: {error}\n{plan.host_sql}"
             ) from error
         if isinstance(bound, ast.Insert):
             connection._note_data_change()

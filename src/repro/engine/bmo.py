@@ -28,7 +28,6 @@ computed here by the kernels of :mod:`repro.engine.algorithms`.
 
 from __future__ import annotations
 
-import sqlite3
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -225,19 +224,14 @@ def run(execute, plan, capture: bool = False) -> PlanRun:
     from repro.plan.session import conjoin
 
     if plan.is_prejoin:
-        try:
-            candidates, ranks = scan(
-                execute, plan.prejoin_scan_sql, plan.prejoin_residual, plan.rank_width
-            )
-        except sqlite3.OperationalError as error:
-            # The preference table has no rowid to scan (WITHOUT ROWID,
-            # or a view in the preference position): fall back to the
-            # NOT EXISTS rewrite — correctness never depends on the
-            # rowid shortcut.  Every other host error propagates.
-            message = str(error).lower()
-            if not ("no such column" in message and "rowid" in message):
-                raise
+        if plan.prejoin_scan_sql is None:
+            # The planner found no rowid on the preference table to join
+            # the winners back on (HostSchema.rowless): the NOT EXISTS
+            # rewrite answers — correctness never depends on the shortcut.
             return _host_only(execute, plan, " /* winnow scan lacked rowid */")
+        candidates, ranks = scan(
+            execute, plan.prejoin_scan_sql, plan.prejoin_residual, plan.rank_width
+        )
         winners = winnow(plan.prejoin_residual, candidates, ranks=ranks)
         rowids = [row[0] for row in winners.surface(plan.prejoin_residual).rows]
         # JoinBack: the original join restricted to the winners, so

@@ -66,7 +66,12 @@ from repro.plan.semantic import (
 from repro.plan.session import SessionMatch
 from repro.plan.statistics import TableStatistics
 from repro.rewrite.levels import pushdown_rank_expressions
-from repro.rewrite.planner import Schema, pref_expressions, rewrite_statement
+from repro.rewrite.planner import (
+    HostSchema,
+    Schema,
+    pref_expressions,
+    rewrite_statement,
+)
 from repro.sql import ast
 from repro.sql.printer import quote_identifier, to_sql
 
@@ -189,6 +194,17 @@ class Plan:
         return self.strategy == PREJOIN_STRATEGY
 
     @property
+    def host_sql(self) -> str | None:
+        """The first statement this plan sends to the host — the value
+        ``Cursor.executed_sql`` gets.  None for pass-through and for a
+        session hit without a delta scan (nothing goes to the host)."""
+        if self.strategy == "passthrough":
+            return None
+        if self.strategy == SESSION_STRATEGY:
+            return self.session_delta_sql
+        return self.prejoin_scan_sql or self.pushdown_sql or self.rewritten_sql
+
+    @property
     def chosen_cost(self) -> CostEstimate | None:
         return self.estimates.get(self.strategy)
 
@@ -282,6 +298,15 @@ def plan_statement(
         prejoin_binding, prejoin_reason = analyze_prejoin(
             select, join_scan, resolver
         )
+    # The winnow pushdown joins its winners back through the preference
+    # table's rowid; a view, a WITHOUT ROWID table or a user column named
+    # rowid has none, so it is never priced there, and a forced one runs
+    # the rewrite instead (decided here, never by a failing scan).
+    prejoin_rowless = (
+        prejoin_binding is not None
+        and isinstance(schema, HostSchema)
+        and join_scan.source_for(prejoin_binding).table.lower() in schema.rowless
+    )
 
     # Comma-join lists carry the join predicate in WHERE, JOIN syntax in
     # the ON clause; estimation folds both into one conjunction so the
@@ -335,7 +360,7 @@ def plan_statement(
     ]
     skyline = estimate_skyline_size(candidates, dimensions, distinct_counts)
     include = STRATEGIES if in_memory else ("rewrite",)
-    if prejoin_binding is not None:
+    if prejoin_binding is not None and not prejoin_rowless:
         include = include + (PREJOIN_STRATEGY,)
     probe = _probe_ranks(select, resolver) if in_memory else None
     rank_source = (
@@ -350,7 +375,7 @@ def plan_statement(
         else None
     )
     prejoin_shape = None
-    if prejoin_binding is not None:
+    if prejoin_binding is not None and not prejoin_rowless:
         prejoin_shape = _prejoin_shape(
             join_scan, join_stats, prejoin_binding, candidates
         )
@@ -496,7 +521,7 @@ def plan_statement(
             plan.pushdown_sql, plan.residual, plan.rank_width = in_memory_parts(
                 select, resolver, rank_exprs=rank_exprs
             )
-    elif plan.is_prejoin:
+    elif plan.is_prejoin and not prejoin_rowless:
         (
             plan.prejoin_scan_sql,
             plan.prejoin_residual,
@@ -638,18 +663,19 @@ def rebind_plan(
         # View scans carry no bound parameters (a parameterized text can
         # never equal a stored definition); keep the scan as-is.
         return replace(plan, statement=statement)
-    if plan.uses_engine or plan.is_prejoin:
+    prejoin = plan.prejoin_scan_sql is not None
+    if plan.uses_engine or prejoin:
         select = statement.query if isinstance(statement, ast.Insert) else statement
         rank_exprs = None
         if plan.rank_width:
             # The rank expressions embed bound literals (AROUND targets,
             # bucket values), so they are re-derived per execution.
             rank_exprs = _probe_ranks(select, resolver).sql_exprs
-        if plan.is_prejoin or plan.join_tables:
+        if prejoin or plan.join_tables:
             scan, reason = build_join_scan(select, schema)
             if scan is None:  # pragma: no cover - the cached plan proved it
                 raise PlanError(f"cannot rebind join plan: {reason}")
-            if plan.is_prejoin:
+            if prejoin:
                 scan_sql, residual, join_back, rank_width = prejoin_parts(
                     select,
                     scan,

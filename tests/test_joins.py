@@ -295,6 +295,41 @@ class TestJoinExecution:
         rows = car_dealer.execute(sql, algorithm=PREJOIN_STRATEGY).fetchall()
         assert sorted(rows, key=repr) == oracle
 
+    def test_prejoin_on_a_rowid_column_keeps_dominated_rows_out(self, connection):
+        # A user column named rowid is no row key: scanning it as one
+        # would join back every row that shares it.
+        connection.execute(
+            "CREATE TABLE cars (rowid INTEGER, id INTEGER, price REAL, dealer INTEGER)"
+        )
+        connection.execute("CREATE TABLE dealers (dealer INTEGER, region TEXT)")
+        connection.execute(
+            "INSERT INTO cars VALUES (7, 1, 100, 1), (7, 2, 200, 1), (8, 3, 150, 1)"
+        )
+        connection.execute("INSERT INTO dealers VALUES (1, 'north')")
+        sql = (
+            "SELECT c.id, c.price FROM cars c JOIN dealers d "
+            "ON c.dealer = d.dealer PREFERRING LOWEST(c.price)"
+        )
+        assert "cars" in connection.schema().rowless
+        assert PREJOIN_STRATEGY not in connection.plan(sql).estimates
+        for strategy in (None, "rewrite", "bnl", PREJOIN_STRATEGY):
+            rows = connection.execute(sql, algorithm=strategy).fetchall()
+            assert rows == [(1, 100.0)], strategy
+
+    def test_explain_reports_the_host_plan_of_the_sent_sql(self, connection):
+        connection.execute("CREATE TABLE cars (id INTEGER, price INTEGER, dealer INTEGER)")
+        connection.execute("CREATE TABLE dealers (dealer INTEGER, region TEXT)")
+        connection.execute("INSERT INTO cars VALUES (1, 100, 1), (2, 200, 1)")
+        connection.execute("INSERT INTO dealers VALUES (1, 'north')")
+        sql = (
+            "SELECT * FROM cars c JOIN dealers d ON c.dealer = d.dealer "
+            "PREFERRING LOWEST(c.price)"
+        )
+        plan = connection.plan(sql, force=PREJOIN_STRATEGY)
+        assert plan.host_sql == plan.prejoin_scan_sql
+        cursor = connection.execute(sql, algorithm=PREJOIN_STRATEGY)
+        assert cursor.executed_sql == plan.host_sql
+
     def test_empty_winner_set_join_back(self, connection):
         connection.execute("CREATE TABLE a (x INTEGER, k INTEGER)")
         connection.execute("CREATE TABLE b (k INTEGER, y INTEGER)")

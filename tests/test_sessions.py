@@ -770,6 +770,18 @@ class TestCacheTierInterplay:
         second = con.execute(refined)
         assert sorted(second.fetchall()) == _fresh_rows(refined)
 
+    def test_explain_of_a_cache_answer_shows_no_host_plan(self, cars_connection):
+        con = cars_connection
+        con.execute(BASE_Q).fetchall()
+        query = BASE_Q + " CASCADE make IN ('vw')"
+        plan = con.plan(query)
+        assert plan.strategy == SESSION_STRATEGY
+        assert plan.host_sql is None
+        report = con.explain(query)
+        assert report.split("\n\n")[-1] == (
+            "host plan: none — answered from the session cache"
+        )
+
     def test_rebind_refuses_session_plans(self, cars_connection):
         con = cars_connection
         con.execute(BASE_Q).fetchall()
