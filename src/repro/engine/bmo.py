@@ -29,7 +29,8 @@ computed here by the kernels of :mod:`repro.engine.algorithms`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from repro.deadline import CHECK_EVERY, active_deadline
 from repro.engine.algorithms import nested_loop_maximal, winnow_kernel
@@ -131,8 +132,10 @@ def scan(execute, scan_sql: str, residual, rank_width: int):
     precomputed rank columns so the expression evaluator never touches a
     candidate row.  If any rank cell comes back non-numeric
     (host-affinity corner), the adoption is dropped and the engine
-    recomputes the ranks in Python, so winner sets never depend on host
-    coercion.
+    recomputes the ranks in Python.  A ``bnl`` scan's pivot filter
+    (:mod:`repro.plan.pivot`) compared the same host cells on the host;
+    their agreement with the model is what the hostile-rows property
+    pins.
     """
     cursor = execute(scan_sql)
     columns = [description[0] for description in cursor.description]
@@ -308,7 +311,7 @@ class Winners:
 
     engine: "PreferenceEngine"
     bundles: Sequence["_Bundle"]
-    quality_values: Sequence[dict[str, object]]
+    quality_values: Sequence[Mapping[str, object]]
     quality_columns: dict[ast.Expr, ast.Expr]
     evaluator: Evaluator
     outer: RowEnvironment | None
@@ -421,6 +424,11 @@ class _TableBundles:
         columns = self.columns
         for row in self.rows:
             yield _Bundle(segments=((binding, columns, row),))
+
+
+#: The quality scope of every candidate of a block without quality
+#: functions: read-only, so sharing one is safe.
+_NO_QUALITY: Mapping[str, object] = MappingProxyType({})
 
 
 class PreferenceEngine:
@@ -562,9 +570,18 @@ class PreferenceEngine:
         group_count = 1
 
         quality_columns: dict[ast.Expr, ast.Expr] = {}
-        quality_values: list[dict[str, object]] = [
-            dict() for _ in range(len(bundles))
-        ]
+        quality_calls = (
+            self._collect_quality_calls(select)
+            if select.preferring is not None
+            else []
+        )
+        # One value dict per candidate only when some quality function
+        # fills it; otherwise every candidate shares the one empty scope.
+        quality_values: list[Mapping[str, object]] = (
+            [dict() for _ in range(len(bundles))]
+            if quality_calls
+            else [_NO_QUALITY] * len(bundles)
+        )
 
         if select.preferring is not None:
             preference = build_preference(
@@ -580,7 +597,6 @@ class PreferenceEngine:
                     ]
                 return environments
 
-            quality_calls = self._collect_quality_calls(select)
             ranks = (
                 self._adopted_rank_columns(select, len(bundles), preference)
                 if not quality_calls
@@ -916,7 +932,7 @@ class PreferenceEngine:
 
     @staticmethod
     def _with_quality(
-        env: RowEnvironment, values: dict[str, object]
+        env: RowEnvironment, values: Mapping[str, object]
     ) -> RowEnvironment:
         scopes = dict(env._scopes)
         scopes["#quality"] = values

@@ -473,8 +473,10 @@ def sort_filter_blocked(
     Collapses duplicate rows (``np.unique``, which also sorts
     lexicographically — a dominator always sorts before everything it
     dominates), then walks the distinct rows in blocks: each block is
-    tested against the skyline so far in one boolean broadcast (the hot
-    O(m·s·d) comparisons run in C), and only the handful of survivors —
+    tested against the skyline so far one dimension at a time — an
+    ``(m, s)`` boolean per dimension, ANDed in place, then reduced over
+    the skyline, so the hot O(m·s·d) comparisons run in C without an
+    ``(m, s, d)`` temporary — and only the handful of survivors —
     candidate *new* skyline rows — go through a sequential pass.  A
     survivor's within-block dominator is necessarily itself maximal
     (else transitivity hands the survivor to the skyline filter), so
@@ -530,9 +532,10 @@ def sort_filter_blocked(
                     deadline.check()
                 chunk = skyline[chunk_start : chunk_start + _NUMPY_MAX_BLOCK]
                 candidates = block[alive]
-                dominated = (
-                    (chunk[None, :, :] <= candidates[:, None, :]).all(-1)
-                ).any(axis=1)
+                dominated = chunk[None, :, 0] <= candidates[:, None, 0]
+                for k in range(1, chunk.shape[1]):
+                    dominated &= chunk[None, :, k] <= candidates[:, None, k]
+                dominated = dominated.any(axis=1)
                 alive[_np.flatnonzero(alive)[dominated]] = False
                 if not alive.any():
                     break

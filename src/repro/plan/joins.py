@@ -48,6 +48,8 @@ from typing import Callable, Sequence
 
 from repro.errors import PlanError
 from repro.model.builder import NameResolver
+from repro.model.preference import Preference
+from repro.plan.pivot import RANK_COLUMN_PREFIX, ranked_scan_sql
 from repro.rewrite.planner import Schema
 from repro.sql import ast
 from repro.sql.printer import to_sql
@@ -316,12 +318,13 @@ def join_memory_parts(
     scan: JoinScan,
     resolver: NameResolver | None = None,
     rank_exprs: Sequence[ast.Expr] | None = None,
-    rank_prefix: str = "__pref_rank_",
+    preference: Preference | None = None,
 ) -> tuple[str, ast.Select, int]:
     """Split a join SELECT into (pushdown SQL, residual block, rank width).
 
     The pushdown executes the whole join (and the original WHERE) on the
-    host database under the flattened projection; the residual is the
+    host database under the flattened projection, behind the same pivot
+    filter (:func:`repro.plan.pivot.ranked_scan_sql`); the residual is the
     same query block requalified onto the synthetic single-table relation
     :data:`JOIN_RELATION` holding the joined candidate rows.  Mirrors
     :func:`repro.plan.planner.in_memory_parts` for single tables.
@@ -331,13 +334,14 @@ def join_memory_parts(
     def rename(column: ast.Column) -> ast.Column:
         return ast.Column(name=scan.flat_name(column))
 
-    items: tuple[ast.SelectItem, ...] = _scan_items(scan)
-    if rank_exprs:
-        items = items + tuple(
-            ast.SelectItem(expr=expr, alias=f"{rank_prefix}{index}")
-            for index, expr in enumerate(rank_exprs)
-        )
-    pushdown = ast.Select(items=items, sources=select.sources, where=select.where)
+    pushdown = ranked_scan_sql(
+        select,
+        _scan_items(scan),
+        list(scan.flat_names.values()),
+        [scan.flat_name(column) for column in select.grouping],
+        rank_exprs,
+        preference,
+    )
 
     residual_items: list[ast.SelectItem | ast.Star] = []
     for item in select.items:
@@ -402,7 +406,7 @@ def join_memory_parts(
         offset=select.offset,
         distinct=select.distinct,
     )
-    return to_sql(pushdown), residual, len(rank_exprs or ())
+    return pushdown, residual, len(rank_exprs or ())
 
 
 # ----------------------------------------------------------------------
@@ -515,7 +519,6 @@ def prejoin_parts(
     binding: str,
     resolver: NameResolver | None = None,
     rank_exprs: Sequence[ast.Expr] | None = None,
-    rank_prefix: str = "__pref_rank_",
 ) -> tuple[str, ast.Select, ast.Select, int]:
     """Build the three pieces of a winnow-over-join execution.
 
@@ -569,7 +572,7 @@ def prejoin_parts(
         )
     if rank_exprs:
         items.extend(
-            ast.SelectItem(expr=expr, alias=f"{rank_prefix}{index}")
+            ast.SelectItem(expr=expr, alias=f"{RANK_COLUMN_PREFIX}{index}")
             for index, expr in enumerate(rank_exprs)
         )
     scan_select = ast.Select(

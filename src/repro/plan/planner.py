@@ -58,6 +58,7 @@ from repro.plan.joins import (
     join_memory_parts,
     prejoin_parts,
 )
+from repro.plan.pivot import ranked_scan_sql
 from repro.plan.semantic import (
     ConstraintProvider,
     SemanticRewrite,
@@ -74,10 +75,6 @@ from repro.rewrite.planner import (
 )
 from repro.sql import ast
 from repro.sql.printer import quote_identifier, to_sql
-
-#: Alias prefix of the rank columns the SQL pushdown appends to the scan
-#: SELECT; the driver splits them off the fetched rows by position.
-RANK_COLUMN_PREFIX = "__pref_rank_"
 
 #: Provider signature: (table, columns needing distinct counts) → stats.
 StatisticsProvider = Callable[[str, Sequence[str]], TableStatistics]
@@ -515,11 +512,15 @@ def plan_statement(
                 join_scan,
                 resolver,
                 rank_exprs=rank_exprs,
-                rank_prefix=RANK_COLUMN_PREFIX,
+                preference=probe.preference,
             )
         else:
             plan.pushdown_sql, plan.residual, plan.rank_width = in_memory_parts(
-                select, resolver, rank_exprs=rank_exprs
+                select,
+                resolver,
+                rank_exprs=rank_exprs,
+                preference=probe.preference,
+                schema=schema,
             )
     elif plan.is_prejoin and not prejoin_rowless:
         (
@@ -533,7 +534,6 @@ def plan_statement(
             prejoin_binding,
             resolver,
             rank_exprs=rank_exprs,
-            rank_prefix=RANK_COLUMN_PREFIX,
         )
         plan.prejoin_binding = prejoin_binding
     return plan
@@ -666,11 +666,12 @@ def rebind_plan(
     prejoin = plan.prejoin_scan_sql is not None
     if plan.uses_engine or prejoin:
         select = statement.query if isinstance(statement, ast.Insert) else statement
-        rank_exprs = None
+        rank_exprs = preference = None
         if plan.rank_width:
             # The rank expressions embed bound literals (AROUND targets,
             # bucket values), so they are re-derived per execution.
-            rank_exprs = _probe_ranks(select, resolver).sql_exprs
+            probe = _probe_ranks(select, resolver)
+            rank_exprs, preference = probe.sql_exprs, probe.preference
         if prejoin or plan.join_tables:
             scan, reason = build_join_scan(select, schema)
             if scan is None:  # pragma: no cover - the cached plan proved it
@@ -682,7 +683,6 @@ def rebind_plan(
                     plan.prejoin_binding,
                     resolver,
                     rank_exprs=rank_exprs,
-                    rank_prefix=RANK_COLUMN_PREFIX,
                 )
                 return replace(
                     plan,
@@ -693,15 +693,15 @@ def rebind_plan(
                     rank_width=rank_width,
                 )
             pushdown_sql, residual, rank_width = join_memory_parts(
-                select,
-                scan,
-                resolver,
-                rank_exprs=rank_exprs,
-                rank_prefix=RANK_COLUMN_PREFIX,
+                select, scan, resolver, rank_exprs=rank_exprs, preference=preference
             )
         else:
             pushdown_sql, residual, rank_width = in_memory_parts(
-                select, resolver, rank_exprs=rank_exprs
+                select,
+                resolver,
+                rank_exprs=rank_exprs,
+                preference=preference,
+                schema=schema,
             )
         return replace(
             plan,
@@ -771,6 +771,8 @@ def in_memory_parts(
     select: ast.Select,
     resolver: NameResolver | None = None,
     rank_exprs: Sequence[ast.Expr] | None = None,
+    preference: Preference | None = None,
+    schema: Schema | None = None,
 ) -> tuple[str, ast.Select, int]:
     """Split one SELECT into (pushdown SQL, residual block, rank width).
 
@@ -781,24 +783,26 @@ def in_memory_parts(
     inlined so the engine never needs catalog access.
 
     ``rank_exprs`` (the SQL rank pushdown) appends one aliased rank
-    expression per base preference to the scan's select list, so the host
-    database returns ready-made rank columns; the returned width counts
-    them (0 without pushdown).
+    expression per base preference of ``preference`` to the scan's select
+    list, so the host database returns ready-made rank columns; the
+    returned width counts them (0 without pushdown).  With them the scan
+    ships only the candidates one pivot row per GROUPING partition does
+    not beat (:mod:`repro.plan.pivot`); ``schema`` names the table's
+    columns, which the rank columns are named apart from.
     """
-    items: tuple = (ast.Star(),)
-    if rank_exprs:
-        items = items + tuple(
-            ast.SelectItem(expr=expr, alias=f"{RANK_COLUMN_PREFIX}{index}")
-            for index, expr in enumerate(rank_exprs)
-        )
-    pushdown = ast.Select(
-        items=items, sources=select.sources, where=select.where
+    pushdown = ranked_scan_sql(
+        select,
+        (ast.Star(),),
+        _table_columns(select.sources[0].name, schema),
+        [column.name for column in select.grouping],
+        rank_exprs,
+        preference,
     )
     term = select.preferring
     if term is not None and resolver is not None:
         term = inline_named_preferences(term, resolver)
     residual = replace(select, where=None, preferring=term)
-    return to_sql(pushdown), residual, len(rank_exprs or ())
+    return pushdown, residual, len(rank_exprs or ())
 
 
 def inline_named_preferences(
@@ -818,14 +822,20 @@ def inline_named_preferences(
     return term
 
 
-def _row_width(table: str | None, schema: Schema | None) -> int | None:
-    """Column count of the candidate table, when the schema knows it."""
+def _table_columns(table: str | None, schema: Schema | None) -> Sequence[str] | None:
+    """Column names of the candidate table, when the schema knows it."""
     if table is None or not schema:
         return None
     for name, columns in schema.items():
         if name.lower() == table.lower():
-            return len(columns)
+            return columns
     return None
+
+
+def _row_width(table: str | None, schema: Schema | None) -> int | None:
+    """Column count of the candidate table, when the schema knows it."""
+    columns = _table_columns(table, schema)
+    return None if columns is None else len(columns)
 
 
 # ----------------------------------------------------------------------

@@ -473,3 +473,35 @@ def test_matrix_round_trips_columns():
     assert matrix[0][0] == 1.0 and matrix[1][1] == pytest.approx(1.0e15)
     assert not math.isnan(matrix[1][1])
     assert numpy.shares_memory(matrix, matrix)  # smoke: it is an ndarray
+
+
+# ----------------------------------------------------------------------
+# The bnl scan's pivot filter
+
+
+@pytest.mark.parametrize(
+    "distribution, share", [("correlated", 0.15), ("independent", 0.40)]
+)
+def test_the_pivot_keeps_most_candidates_on_the_host(distribution, share):
+    """One pivot row is enough to keep most dominated candidates out of
+    Python: a pivot that silently stops working fails here."""
+    pytest.importorskip("numpy")
+    from repro.workloads.distributions import DISTRIBUTIONS
+
+    points = DISTRIBUTIONS[distribution](4000, 4, seed=7)
+    connection = repro.connect(":memory:")
+    try:
+        connection.execute("CREATE TABLE p (d0 REAL, d1 REAL, d2 REAL, d3 REAL)")
+        connection.cursor().executemany(
+            "INSERT INTO p VALUES (?, ?, ?, ?)", points.tolist()
+        )
+        cursor = connection.execute(
+            "SELECT * FROM p PREFERRING LOWEST(d0) AND LOWEST(d1) "
+            "AND LOWEST(d2) AND LOWEST(d3)",
+            algorithm="bnl",
+        )
+        winners = cursor.fetchall()
+        shipped = connection.raw.execute(cursor.plan.pushdown_sql).fetchall()
+        assert len(winners) <= len(shipped) <= share * len(points)
+    finally:
+        connection.close()

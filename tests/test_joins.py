@@ -13,6 +13,7 @@ import random
 import pytest
 
 import repro
+from repro.engine import PreferenceEngine, Relation
 from repro.errors import PlanError, RewriteError
 from repro.plan import IN_MEMORY_STRATEGIES, PREJOIN_STRATEGY, STRATEGIES
 from repro.sql.parser import parse_statement
@@ -194,6 +195,36 @@ class TestJoinExecution:
         for strategy in IN_MEMORY_STRATEGIES + (PREJOIN_STRATEGY,):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle, strategy
+
+    @pytest.mark.parametrize("query", [COMMA_QUERY, JOIN_QUERY])
+    @pytest.mark.parametrize("grouping", ["", " GROUPING d.rating"])
+    def test_pivoted_bnl_equals_the_nested_loop_oracle(
+        self, car_dealer, query, grouping
+    ):
+        query = query.replace("SELECT *", "SELECT c.car_id, c.price, d.rating") + grouping
+        raw = car_dealer.raw
+        engine = PreferenceEngine(
+            {
+                "cars": Relation(
+                    columns=("car_id", "dealer_id", "price", "power", "make"),
+                    rows=raw.execute("SELECT * FROM cars").fetchall(),
+                ),
+                "dealers": Relation(
+                    columns=("dealer_id", "region", "rating"),
+                    rows=raw.execute("SELECT * FROM dealers").fetchall(),
+                ),
+            },
+            algorithm="nested_loop",
+        )
+        cursor = car_dealer.execute(query, algorithm="bnl")
+        assert "__pref_pivot" in cursor.executed_sql
+        shipped = raw.execute(cursor.plan.pushdown_sql).fetchall()
+        rows = sorted(cursor.fetchall(), key=repr)
+        assert rows == sorted(engine.execute(query).rows, key=repr)
+        assert len(rows) <= len(shipped) < raw.execute(
+            "SELECT count(*) FROM cars c, dealers d "
+            "WHERE c.dealer_id = d.dealer_id AND d.region = 'south'"
+        ).fetchone()[0]
 
     def test_grouping_on_dimension_table(self, car_dealer):
         # GROUPING on the non-preference table: the generic join scan

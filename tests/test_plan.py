@@ -472,7 +472,10 @@ class TestStrategyExecution:
         )
         assert cursor.was_rewritten is True
         assert cursor.plan.strategy == "bnl"
-        assert "NOT EXISTS" not in cursor.executed_sql
+        # The scan, not the rewrite: its one anti-join is against the pivot.
+        assert cursor.executed_sql != cursor.plan.rewritten_sql
+        assert cursor.executed_sql.count("NOT EXISTS") == 1
+        assert "NOT EXISTS (SELECT 1 FROM __pref_pivot AS d" in cursor.executed_sql
         assert cursor.plan.pushdown_sql == cursor.executed_sql
 
     def test_in_memory_respects_order_and_limit(self, fixture_connection):

@@ -1,13 +1,15 @@
 """The Preference SQL Optimizer: rewriting correctness and SQL shape."""
 
 import random
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import repro
-from repro.engine import PreferenceEngine, Relation
+from repro.engine import PreferenceEngine, Relation, bmo
+from repro.engine.columns import rank_columns_from_values
 from repro.errors import RewriteError
 from repro.model.builder import build_preference
 from repro.rewrite.levels import leaf_value
@@ -388,7 +390,13 @@ def preference_queries(draw):
         st.lists(st.sampled_from(sorted(_LEAVES)), min_size=1, max_size=4, unique=True)
     )
     leaves = {operand: draw(st.sampled_from(_LEAVES[operand])) for operand in operands}
-    term = _tree(random.Random(draw(st.integers(0, 2**16))), list(leaves.values()))
+    parts = list(leaves.values())
+    if len(parts) >= 3 and draw(st.booleans()):
+        # Mixed nesting, (A AND B) CASCADE C.
+        rest = _tree(random.Random(draw(st.integers(0, 2**16))), parts[2:])
+        term = f"(({parts[0]}) AND ({parts[1]})) CASCADE ({rest})"
+    else:
+        term = _tree(random.Random(draw(st.integers(0, 2**16))), parts)
     items = draw(st.sampled_from(("*", "id", "DISTINCT g")))
     if items == "id":
         if "a" in leaves and draw(st.booleans()):
@@ -396,10 +404,13 @@ def preference_queries(draw):
         if "c" in leaves and draw(st.booleans()):
             items += ", LEVEL(c)"
     query = f"SELECT {items} FROM t"
-    query += draw(st.sampled_from(("", " WHERE b IS NOT NULL", " WHERE a < 2")))
+    # ``id < 0`` leaves the window without a single candidate.
+    query += draw(
+        st.sampled_from(("", " WHERE b IS NOT NULL", " WHERE a < 2", " WHERE id < 0"))
+    )
     query += f" PREFERRING {term}"
-    if draw(st.booleans()):
-        query += " GROUPING g"
+    # Both keys are nullable: NULL keys form one partition.
+    query += draw(st.sampled_from(("", " GROUPING g", " GROUPING b")))
     if "a" in leaves and draw(st.booleans()):
         query += " BUT ONLY DISTANCE(a) <= 2"
     if items != "DISTINCT g":
@@ -454,9 +465,23 @@ def test_rank_cte_rewrite_equals_the_oracle(rows, query):
         _agree(expected, _canonical(cursor.fetchall()), query)
         # bnl adopts the same rank expressions from its scan (rank pushdown);
         # it cannot be forced when quality functions shape the result.
-        if not any(f"{name}(" in query for name in ("TOP", "LEVEL", "DISTANCE")):
-            bnl = con.execute(query, algorithm="bnl").fetchall()
-            _agree(expected, _canonical(bnl), query)
+        if not any(f"{name}(" in query.split(" FROM ")[0] for name in ("TOP", "LEVEL")):
+            adopted = []
+
+            def spy(preference, values):
+                adopted.append(rank_columns_from_values(preference, values))
+                return adopted[-1]
+
+            with mock.patch.object(bmo, "rank_columns_from_values", spy):
+                bnl = con.execute(query, algorithm="bnl")
+                rows = bnl.fetchall()
+            _agree(expected, _canonical(rows), query)
+            # The pivot filters every ranked scan but one under BUT ONLY,
+            # and the kernel read the very rank cells the pivot compared.
+            pivoted = bnl.plan.rank_width > 0 and " BUT ONLY " not in query
+            assert ("__pref_pivot" in bnl.executed_sql) == pivoted, query
+            if bnl.plan.rank_width:
+                assert len(adopted) == 1 and adopted[0] is not None, query
         if query.startswith("SELECT * ") and " ORDER BY " not in query:
             con.execute(f"CREATE TABLE out {_DDL}")
             con.execute("INSERT INTO out " + query, algorithm="rewrite")
@@ -621,3 +646,63 @@ class TestContainsSemantics:
         for strategy in ("rewrite", "bnl"):
             rows = connection.execute(query, algorithm=strategy).fetchall()
             assert sorted(row[0] for row in rows) == winners, strategy
+
+
+class TestPivotNames:
+    """The bnl scan's pivot CTEs and rank columns never read a user's
+    table or column in place of their own."""
+
+    ROWS = [(1, 1, 3, 9), (2, 2, 2, 0), (3, 3, 1, 9), (4, 3, 3, 9), (5, 4, 4, None)]
+
+    @pytest.mark.parametrize(
+        "table, query",
+        [
+            # A column named like the first rank column: read in its place,
+            # it would make row 2 a pivot that beats the winner row 1.
+            ("t", "SELECT * FROM t PREFERRING LOWEST(a) AND LOWEST(b)"),
+            ("t", "SELECT id, a FROM t PREFERRING LOWEST(a) AND LOWEST(b) GROUPING __pref_rank_0"),
+            # A table named like the scan CTE, and one like the pivot CTE
+            # joined to the preference table.
+            ("__pref_scan", "SELECT * FROM __pref_scan PREFERRING LOWEST(a) AND LOWEST(b)"),
+            (
+                "__pref_pivot",
+                "SELECT t.id, t.a, t.b FROM t JOIN __pref_pivot AS p ON t.id = p.id "
+                "PREFERRING LOWEST(t.a) AND LOWEST(t.b)",
+            ),
+        ],
+    )
+    def test_forced_bnl_equals_the_oracle(self, connection, table, query):
+        tables = {"t": self.ROWS}
+        if table != "t":
+            tables[table] = self.ROWS
+        for name, rows in tables.items():
+            connection.execute(f"CREATE TABLE {name} (id INTEGER, a, b, __pref_rank_0)")
+            connection.cursor().executemany(f"INSERT INTO {name} VALUES (?, ?, ?, ?)", rows)
+        engine = PreferenceEngine(
+            {
+                name: Relation(columns=("id", "a", "b", "__pref_rank_0"), rows=rows)
+                for name, rows in tables.items()
+            },
+            algorithm="nested_loop",
+        )
+        cursor = connection.execute(query, algorithm="bnl")
+        assert "__pref_pivot" in cursor.executed_sql
+        expected = sorted(engine.execute(query).rows, key=repr)
+        assert len(expected) >= 3
+        assert sorted(cursor.fetchall(), key=repr) == expected
+
+    def test_partitions_compare_keys_as_binary_values(self, connection):
+        # The engine groups 'A' apart from 'a'; so must the pivot, whatever
+        # collation the key column declares.
+        connection.execute("CREATE TABLE t (id INTEGER, a REAL, g TEXT COLLATE NOCASE)")
+        rows = [(1, 1.0, "A"), (2, 2.0, "a"), (3, 3.0, "a"), (4, 0.5, None)]
+        connection.cursor().executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+        query = "SELECT id FROM t PREFERRING LOWEST(a) GROUPING g"
+        engine = PreferenceEngine(
+            {"t": Relation(columns=("id", "a", "g"), rows=rows)}, algorithm="nested_loop"
+        )
+        cursor = connection.execute(query, algorithm="bnl")
+        assert "__pref_pivot" in cursor.executed_sql
+        assert sorted(cursor.fetchall()) == sorted(engine.execute(query).rows) == [
+            (1,), (2,), (4,)
+        ]
