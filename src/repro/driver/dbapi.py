@@ -8,7 +8,7 @@ selector of :mod:`repro.plan` and the plan runner of
                 → Preference SQL Optimizer (rewrite)
                 → cost-based plan selector
                 → plan runner ─┬→ standard driver (sqlite3)
-                               └→ Scan → Winnow → Surface | JoinBack
+                               └→ Scan → Winnow → Surface
 
 Behaviour:
 
@@ -779,9 +779,9 @@ class Cursor:
         """Execute one statement (preference-extended or plain SQL).
 
         ``algorithm`` pins the execution strategy — ``rewrite`` (host
-        NOT EXISTS), ``bnl`` (in-memory winnow; the kernel follows the
-        rank shape) or ``prejoin`` — instead of letting the cost model
-        choose; pinned executions bypass the plan cache.
+        NOT EXISTS) or ``bnl`` (in-memory winnow; the kernel follows the
+        rank shape) — instead of letting the cost model choose; pinned
+        executions bypass the plan cache.
 
         ``timeout_ms`` (or a pre-armed ``deadline``) bounds wall clock.
         The deadline is installed as the thread's active scope — the

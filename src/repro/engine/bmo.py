@@ -5,9 +5,8 @@ One path leads from a :class:`~repro.plan.planner.Plan` to its rows:
 :func:`run` assembles every strategy out of three stages — :func:`scan`
 (candidates from the host database, a session winner base or a caller's
 own list), :func:`winnow` (:meth:`PreferenceEngine.winnow`, once) and
-:meth:`Winners.surface` (the select list, or the winners' rowids for a
-join-back) — and the driver, the view maintainer and the benchmark's
-:func:`run_plan` all go through it.
+:meth:`Winners.surface` (the select list) — and the driver, the view
+maintainer and the benchmark's :func:`run_plan` all go through it.
 
 Answer semantics per paper section 2.2.5:
 
@@ -114,7 +113,7 @@ def bmo_filter(
 
 
 # ----------------------------------------------------------------------
-# The plan runner: Scan → Winnow → Surface | JoinBack
+# The plan runner: Scan → Winnow → Surface
 #
 # Every strategy a :class:`~repro.plan.planner.Plan` can name is a
 # composition of the stages below, assembled in :func:`run` and nowhere
@@ -205,47 +204,24 @@ class PlanRun:
     winner_base: Relation | None = None
 
 
-def _host_only(execute, plan, note: str = "") -> PlanRun:
+def _host_only(execute, plan) -> PlanRun:
     cursor = execute(plan.rewritten_sql)
-    return PlanRun(None, cursor, plan.rewritten_sql, plan.rewritten_sql + note)
+    return PlanRun(None, cursor, plan.rewritten_sql, plan.rewritten_sql)
 
 
 def run(execute, plan, capture: bool = False) -> PlanRun:
     """Execute any planned statement — the one path from a plan to rows.
 
-    ``bnl`` scans ``pushdown_sql``, ``session`` takes the
-    cached winner base plus the ``session_delta_sql`` rows, ``prejoin``
-    scans ``prejoin_scan_sql``; each winnows once and surfaces the
-    residual's select list (``prejoin``: the winners' rowids, joined
-    back on the host).  ``rewrite`` and ``view`` plans have no stage to
-    run here: their one statement goes to the host and its rows stay on
-    the cursor.  ``capture`` asks for the session winner base as well —
-    ``*`` over the *same* winners.
+    ``bnl`` scans ``pushdown_sql``, ``session`` takes the cached winner
+    base plus the ``session_delta_sql`` rows; each winnows once and
+    surfaces the residual's select list.  ``rewrite`` and ``view`` plans
+    have no stage to run here: their one statement goes to the host and
+    its rows stay on the cursor.  ``capture`` asks for the session
+    winner base as well — ``*`` over the *same* winners.
     """
     from repro.plan.cost import SESSION_STRATEGY
-    from repro.plan.joins import join_back_sql
     from repro.plan.session import conjoin
 
-    if plan.is_prejoin:
-        if plan.prejoin_scan_sql is None:
-            # The planner found no rowid on the preference table to join
-            # the winners back on (HostSchema.rowless): the NOT EXISTS
-            # rewrite answers — correctness never depends on the shortcut.
-            return _host_only(execute, plan, " /* winnow scan lacked rowid */")
-        candidates, ranks = scan(
-            execute, plan.prejoin_scan_sql, plan.prejoin_residual, plan.rank_width
-        )
-        winners = winnow(plan.prejoin_residual, candidates, ranks=ranks)
-        rowids = [row[0] for row in winners.surface(plan.prejoin_residual).rows]
-        # JoinBack: the original join restricted to the winners, so
-        # projection, ORDER BY, LIMIT and DISTINCT keep host semantics.
-        cursor = execute(join_back_sql(plan.prejoin_join, plan.prejoin_binding, rowids))
-        return PlanRun(
-            host_relation(cursor),
-            None,
-            plan.prejoin_scan_sql,
-            f"{plan.prejoin_scan_sql} /* + winnow pushdown join-back */",
-        )
     select = plan.residual
     if plan.uses_engine:
         host_sql = plan.pushdown_sql

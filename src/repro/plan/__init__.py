@@ -29,11 +29,9 @@ from repro.plan.cache import CacheStats, PlanCache
 from repro.plan.cost import (
     DEFAULT_COST_MODEL,
     IN_MEMORY_STRATEGIES,
-    PREJOIN_STRATEGY,
     STRATEGIES,
     CostEstimate,
     CostModel,
-    PrejoinShape,
     choose_rank_source,
     choose_strategy,
     estimate_costs,
@@ -45,7 +43,6 @@ from repro.plan.explain import plan_relation, plan_text
 from repro.plan.joins import (
     JOIN_RELATION,
     JoinScan,
-    analyze_prejoin,
     build_join_scan,
     estimation_predicate,
 )
@@ -75,11 +72,8 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "STRATEGIES",
     "IN_MEMORY_STRATEGIES",
-    "PREJOIN_STRATEGY",
-    "PrejoinShape",
     "JOIN_RELATION",
     "JoinScan",
-    "analyze_prejoin",
     "build_join_scan",
     "estimation_predicate",
     "choose_rank_source",

@@ -36,25 +36,16 @@ IN_MEMORY_STRATEGIES: tuple[str, ...] = ("bnl",)
 #: All selectable execution strategies, in tie-breaking order.
 STRATEGIES: tuple[str, ...] = ("rewrite",) + IN_MEMORY_STRATEGIES
 
-#: The winnow-over-join pushdown: BMO on the preference-bearing table's
-#: semijoin-reduced rows, then join only the winners.  Kept out of
-#: :data:`STRATEGIES` on purpose — it only exists for multi-table FROM
-#: clauses that satisfy Chomicki's commute conditions, so generic
-#: "every strategy" loops (fuzzers, benchmarks) must not force it on
-#: single-table queries.
-PREJOIN_STRATEGY: str = "prejoin"
-
 #: Session reuse: re-winnow the connection's cached winner base ∪ a
-#: bounded delta instead of rescanning.  Like :data:`PREJOIN_STRATEGY`
-#: it stays out of :data:`STRATEGIES` — it is only priceable when the
-#: session cache holds a provably refined entry, so generic "every
-#: strategy" loops must not force it.
+#: bounded delta instead of rescanning.  It stays out of
+#: :data:`STRATEGIES` — it is only priceable when the session cache
+#: holds a provably refined entry, so generic "every strategy" loops must
+#: not force it.
 SESSION_STRATEGY: str = "session"
 
-#: Deterministic tie-breaking order across every priceable strategy.
-_TIE_ORDER: tuple[str, ...] = (
-    ("rewrite", PREJOIN_STRATEGY) + IN_MEMORY_STRATEGIES + (SESSION_STRATEGY,)
-)
+#: Every priceable strategy, in tie-breaking order — also the order of
+#: the ``cost:`` rows in EXPLAIN PREFERENCE.
+COST_ORDER: tuple[str, ...] = STRATEGIES + (SESSION_STRATEGY,)
 
 #: Assumed distinct count for preference dimensions whose operand is a
 #: computed expression (no column statistics available).
@@ -93,32 +84,9 @@ class CostModel:
     sql_rank: float = 0.12e-6
     #: Shipping one extra (rank) column across the sqlite→Python boundary.
     rank_fetch: float = 0.35e-6
-    #: One correlated EXISTS evaluation during the winnow pushdown's
-    #: semijoin-reduced scan, per preference-table row (calibrated on
-    #: the E12 car/dealer workload with an indexed join key — the
-    #: subquery machinery costs ~10x a plain anti-join probe).
-    semijoin_probe: float = 0.6e-6
 
 
 DEFAULT_COST_MODEL = CostModel()
-
-
-@dataclass(frozen=True)
-class PrejoinShape:
-    """Input shape of the winnow-over-join pushdown.
-
-    ``pref_rows`` — estimated semijoin-surviving rows of the
-    preference-bearing table (the winnow input), ``pref_table_rows`` —
-    its total row count (every row pays one correlated EXISTS probe in
-    the semijoin scan), ``pref_width`` — its column count (scales the
-    fetch), ``other_rows`` — product of the remaining tables' row
-    counts (scales the join-back probes).
-    """
-
-    pref_rows: float
-    pref_table_rows: float
-    pref_width: int | None
-    other_rows: float
 
 
 @dataclass(frozen=True)
@@ -306,7 +274,6 @@ def estimate_costs(
     row_width: int | None = None,
     columnar: bool = False,
     rank_source: str | None = None,
-    prejoin: PrejoinShape | None = None,
 ) -> dict[str, CostEstimate]:
     """Price every strategy in ``include`` for the given input shape.
 
@@ -373,52 +340,6 @@ def estimate_costs(
                     ),
                 ),
             )
-        elif strategy == PREJOIN_STRATEGY:
-            if prejoin is None:
-                raise PlanError(
-                    "the prejoin strategy needs a PrejoinShape to price"
-                )
-            # Winnow the semijoin-reduced preference table (SFS-shaped),
-            # then one host query joins the few winners back: rowid
-            # lookups on the preference table, a scan of the other
-            # tables per winner, and the surviving joined rows shipped.
-            pn = max(1.0, float(prejoin.pref_rows))
-            ps = max(1.0, estimate_skyline_size(pn, dimensions, distinct_counts))
-            p_log = math.log2(pn) if pn > 1.0 else 1.0
-            p_fetch = model.row_fetch * max(1.0, (prejoin.pref_width or 8) / 8.0)
-            out_rows = min(n, max(1.0, n * ps / pn))
-            if columnar:
-                source_costs = rank_source_costs(pn, dimensions, model)
-                if rank_source == "sql":
-                    p_rank = ("rank columns (sql pushdown)", source_costs["sql"])
-                else:
-                    p_rank = ("rank columns (python)", source_costs["python"])
-                sort_cost = model.flat_dominance * pn * p_log
-            else:
-                p_rank = None
-                sort_cost = model.sort_key * pn * p_log
-            steps = (
-                ("engine setup", model.py_setup),
-                (
-                    "semijoin scan",
-                    model.sql_setup
-                    + model.semijoin_probe
-                    * max(pn, float(prejoin.pref_table_rows)),
-                ),
-                ("fetch preference-table candidates", p_fetch * pn),
-                *((p_rank,) if p_rank else ()),
-                (
-                    "presort by rank rows" if columnar else "presort by dominance key",
-                    sort_cost,
-                ),
-                ("filter pass", dominance * pn * ps * 0.2),
-                (
-                    "join winners back",
-                    model.sql_setup
-                    + model.sql_probe * ps * max(1.0, prejoin.other_rows)
-                    + model.row_fetch * out_rows,
-                ),
-            )
         else:
             raise PlanError(f"unknown strategy {strategy!r}")
         estimates[strategy] = CostEstimate(
@@ -430,12 +351,12 @@ def estimate_costs(
 
 
 def choose_strategy(estimates: Mapping[str, CostEstimate]) -> str:
-    """The cheapest strategy; ties break in :data:`_TIE_ORDER` order."""
+    """The cheapest strategy; ties break in :data:`COST_ORDER` order."""
     if not estimates:
         raise PlanError("no cost estimates to choose from")
     return min(
         estimates,
-        key=lambda name: (estimates[name].seconds, _TIE_ORDER.index(name)),
+        key=lambda name: (estimates[name].seconds, COST_ORDER.index(name)),
     )
 
 

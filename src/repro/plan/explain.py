@@ -9,7 +9,7 @@ an indented text block, used by :meth:`repro.driver.Connection.explain`.
 from __future__ import annotations
 
 from repro.engine.relation import Relation
-from repro.plan.cost import PREJOIN_STRATEGY, SESSION_STRATEGY, STRATEGIES
+from repro.plan.cost import COST_ORDER, SESSION_STRATEGY
 from repro.plan.planner import Plan
 
 #: Column names of the EXPLAIN PREFERENCE result relation.
@@ -28,17 +28,8 @@ _STRATEGY_LABELS = {
     "on flat Pareto ranks, minimum-bucket scan on flat cascades, window "
     "BNL otherwise",
     "view": "materialized preference view scan",
-    "prejoin": "winnow pushdown — BMO on the preference table, then join "
-    "only the winners",
     "session": "session reuse — re-winnow cached winners ∪ bounded delta",
 }
-
-#: Cost-row order: rewrite first, then the join pushdown, then the
-#: in-memory strategies (mirrors the tie-breaking order of the model),
-#: then session reuse when the cache held a refined entry.
-_COST_ORDER = (
-    (STRATEGIES[0], PREJOIN_STRATEGY) + STRATEGIES[1:] + (SESSION_STRATEGY,)
-)
 
 
 def plan_relation(
@@ -77,8 +68,6 @@ def plan_relation(
     if plan.join_tables:
         add("join tables", ", ".join(plan.join_tables))
         add("join cardinality (est)", f"{plan.candidate_estimate:.0f}")
-    if plan.winnow_pushdown:
-        add("winnow pushdown", plan.winnow_pushdown)
     if plan.statistics is not None:
         add("table rows", plan.statistics.row_count)
         if plan.statistics.distinct:
@@ -92,13 +81,13 @@ def plan_relation(
     if plan.strategy != "passthrough":
         add("candidates (est)", f"{plan.candidate_estimate:.0f}")
         add("maximal set (est)", f"{plan.skyline_estimate:.0f}")
-    if plan.rank_source is not None and (plan.uses_engine or plan.is_prejoin):
+    if plan.rank_source is not None and plan.uses_engine:
         label = _RANK_SOURCE_LABELS.get(plan.rank_source, plan.rank_source)
         if plan.rank_width:
             label += f" ({plan.rank_width} rank columns)"
         add("rank source", label)
         add("columnar", plan.columnar or "no")
-    for name in _COST_ORDER:
+    for name in COST_ORDER:
         estimate = plan.estimates.get(name)
         if estimate is None:
             continue
@@ -112,8 +101,6 @@ def plan_relation(
         add("rewritten SQL", plan.rewritten_sql)
     if plan.pushdown_sql:
         add("pushdown SQL", plan.pushdown_sql)
-    if plan.prejoin_scan_sql:
-        add("winnow scan SQL", plan.prejoin_scan_sql)
     for note in plan.notes:
         add("note", note)
     if cache_note is not None:

@@ -36,12 +36,10 @@ from repro.model.quality import QUALITY_FUNCTIONS
 from repro.plan.cost import (
     DEFAULT_COST_MODEL,
     IN_MEMORY_STRATEGIES,
-    PREJOIN_STRATEGY,
     SESSION_STRATEGY,
     STRATEGIES,
     CostEstimate,
     CostModel,
-    PrejoinShape,
     choose_rank_source,
     choose_strategy,
     estimate_costs,
@@ -52,11 +50,9 @@ from repro.plan.cost import (
 )
 from repro.plan.joins import (
     JoinScan,
-    analyze_prejoin,
     build_join_scan,
     estimation_predicate,
     join_memory_parts,
-    prejoin_parts,
 )
 from repro.plan.pivot import ranked_scan_sql
 from repro.plan.semantic import (
@@ -68,7 +64,6 @@ from repro.plan.session import SessionMatch
 from repro.plan.statistics import TableStatistics
 from repro.rewrite.levels import pushdown_rank_expressions
 from repro.rewrite.planner import (
-    HostSchema,
     Schema,
     pref_expressions,
     rewrite_statement,
@@ -113,7 +108,7 @@ class Plan:
     """One fully-described execution of a preference statement."""
 
     statement: ast.Statement
-    strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'prejoin' | 'session' | 'view'
+    strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'session' | 'view'
     #: The host SQL of the ``rewrite`` strategy, read as ``rewritten_sql``.
     #: The rewriter's statement is printed on first read: most plans run
     #: another strategy and only EXPLAIN shows it.
@@ -143,20 +138,8 @@ class Plan:
     rank_width: int = 0
     columnar: str | None = None
     #: Join-aware plan shape: the joined base tables in FROM order
-    #: (display form ``table AS binding``, empty for single-table
-    #: plans), and the winnow-over-join pushdown decision — either
-    #: ``yes — …`` naming the preference-bearing table or ``no — …``
-    #: with the Chomicki condition the query fails.
+    #: (display form ``table AS binding``, empty for single-table plans).
     join_tables: tuple[str, ...] = ()
-    winnow_pushdown: str | None = None
-    #: Execution pieces of the ``prejoin`` strategy (None otherwise):
-    #: the semijoin-reduced winnow scan, the BMO residual projecting the
-    #: winners' rowids, the join-back query block the executor restricts
-    #: with ``rowid IN (…)``, and the rowid-bearing table binding.
-    prejoin_scan_sql: str | None = None
-    prejoin_residual: ast.Select | None = None
-    prejoin_join: ast.Select | None = None
-    prejoin_binding: str | None = None
     #: Semantic-optimization outcome (see :mod:`repro.plan.semantic`):
     #: the fired rule's label and the integrity constraints — with
     #: their declared/schema/observed provenance — that justified it.
@@ -186,9 +169,11 @@ class Plan:
         return self.strategy in IN_MEMORY_STRATEGIES
 
     @property
-    def is_prejoin(self) -> bool:
-        """True when the strategy is the winnow-over-join pushdown."""
-        return self.strategy == PREJOIN_STRATEGY
+    def prejoin_scan_sql(self) -> str | None:
+        # Always None, and not a field: ``benchmark/tracing.py`` still
+        # reads it; the ROADMAP's ``benchmark/``-only chores change
+        # removes it.
+        return None
 
     @property
     def host_sql(self) -> str | None:
@@ -199,7 +184,7 @@ class Plan:
             return None
         if self.strategy == SESSION_STRATEGY:
             return self.session_delta_sql
-        return self.prejoin_scan_sql or self.pushdown_sql or self.rewritten_sql
+        return self.pushdown_sql or self.rewritten_sql
 
     @property
     def chosen_cost(self) -> CostEstimate | None:
@@ -289,22 +274,6 @@ def plan_statement(
     if not in_memory:
         notes.append(f"host-only: {ineligible_reason}")
 
-    prejoin_binding: str | None = None
-    prejoin_reason = "winnow pushdown needs a multi-table FROM"
-    if join_scan is not None:
-        prejoin_binding, prejoin_reason = analyze_prejoin(
-            select, join_scan, resolver
-        )
-    # The winnow pushdown joins its winners back through the preference
-    # table's rowid; a view, a WITHOUT ROWID table or a user column named
-    # rowid has none, so it is never priced there, and a forced one runs
-    # the rewrite instead (decided here, never by a failing scan).
-    prejoin_rowless = (
-        prejoin_binding is not None
-        and isinstance(schema, HostSchema)
-        and join_scan.source_for(prejoin_binding).table.lower() in schema.rowless
-    )
-
     # Comma-join lists carry the join predicate in WHERE, JOIN syntax in
     # the ON clause; estimation folds both into one conjunction so the
     # two spellings of the same query price identically.
@@ -357,8 +326,6 @@ def plan_statement(
     ]
     skyline = estimate_skyline_size(candidates, dimensions, distinct_counts)
     include = STRATEGIES if in_memory else ("rewrite",)
-    if prejoin_binding is not None and not prejoin_rowless:
-        include = include + (PREJOIN_STRATEGY,)
     probe = _probe_ranks(select, resolver) if in_memory else None
     rank_source = (
         choose_rank_source(
@@ -371,11 +338,6 @@ def plan_statement(
         if probe is not None
         else None
     )
-    prejoin_shape = None
-    if prejoin_binding is not None and not prejoin_rowless:
-        prejoin_shape = _prejoin_shape(
-            join_scan, join_stats, prejoin_binding, candidates
-        )
     estimates = estimate_costs(
         candidates,
         dimensions,
@@ -389,7 +351,6 @@ def plan_statement(
         ),
         columnar=probe.columnar if probe is not None else False,
         rank_source=rank_source,
-        prejoin=prejoin_shape,
     )
     if semantic is not None and semantic.single_pass_sql is not None:
         # The semantic single pass takes over the 'rewrite' slot: its SQL
@@ -426,15 +387,9 @@ def plan_statement(
         )
 
     if force is not None:
-        if force not in STRATEGIES + (PREJOIN_STRATEGY,):
+        if force not in STRATEGIES:
             raise PlanError(
-                f"unknown strategy {force!r}; choose from "
-                f"{', '.join(STRATEGIES + (PREJOIN_STRATEGY,))}"
-            )
-        if force == PREJOIN_STRATEGY and prejoin_binding is None:
-            raise PlanError(
-                f"cannot force winnow pushdown: "
-                f"{prejoin_reason if join_scan is not None else ineligible_reason}"
+                f"unknown strategy {force!r}; choose from {', '.join(STRATEGIES)}"
             )
         if force in IN_MEMORY_STRATEGIES and not in_memory:
             raise PlanError(
@@ -444,20 +399,11 @@ def plan_statement(
     else:
         strategy = choose_strategy(estimates)
 
-    winnow_pushdown = None
     join_tables: tuple[str, ...] = ()
     if join_scan is not None:
         join_tables = tuple(
             _join_table_display(source, join_stats) for source in join_scan.sources
         )
-        if prejoin_binding is not None:
-            winnow_pushdown = (
-                f"yes — every preference attribute resolves to "
-                f"{prejoin_binding!r}; the BMO set can be computed before "
-                "the join"
-            )
-        else:
-            winnow_pushdown = f"no — {prejoin_reason}"
 
     plan = Plan(
         statement=statement,
@@ -475,7 +421,6 @@ def plan_statement(
         rank_source=rank_source,
         columnar=probe.label if probe is not None else None,
         join_tables=join_tables,
-        winnow_pushdown=winnow_pushdown,
     )
     if semantic is not None:
         plan.semantic_rule = semantic.rule
@@ -522,20 +467,6 @@ def plan_statement(
                 preference=probe.preference,
                 schema=schema,
             )
-    elif plan.is_prejoin and not prejoin_rowless:
-        (
-            plan.prejoin_scan_sql,
-            plan.prejoin_residual,
-            plan.prejoin_join,
-            plan.rank_width,
-        ) = prejoin_parts(
-            select,
-            join_scan,
-            prejoin_binding,
-            resolver,
-            rank_exprs=rank_exprs,
-        )
-        plan.prejoin_binding = prejoin_binding
     return plan
 
 
@@ -663,8 +594,7 @@ def rebind_plan(
         # View scans carry no bound parameters (a parameterized text can
         # never equal a stored definition); keep the scan as-is.
         return replace(plan, statement=statement)
-    prejoin = plan.prejoin_scan_sql is not None
-    if plan.uses_engine or prejoin:
+    if plan.uses_engine:
         select = statement.query if isinstance(statement, ast.Insert) else statement
         rank_exprs = preference = None
         if plan.rank_width:
@@ -672,26 +602,10 @@ def rebind_plan(
             # bucket values), so they are re-derived per execution.
             probe = _probe_ranks(select, resolver)
             rank_exprs, preference = probe.sql_exprs, probe.preference
-        if prejoin or plan.join_tables:
+        if plan.join_tables:
             scan, reason = build_join_scan(select, schema)
             if scan is None:  # pragma: no cover - the cached plan proved it
                 raise PlanError(f"cannot rebind join plan: {reason}")
-            if prejoin:
-                scan_sql, residual, join_back, rank_width = prejoin_parts(
-                    select,
-                    scan,
-                    plan.prejoin_binding,
-                    resolver,
-                    rank_exprs=rank_exprs,
-                )
-                return replace(
-                    plan,
-                    statement=statement,
-                    prejoin_scan_sql=scan_sql,
-                    prejoin_residual=residual,
-                    prejoin_join=join_back,
-                    rank_width=rank_width,
-                )
             pushdown_sql, residual, rank_width = join_memory_parts(
                 select, scan, resolver, rank_exprs=rank_exprs, preference=preference
             )
@@ -932,46 +846,6 @@ def _join_lookup(scan: JoinScan, join_stats: dict[str, TableStatistics]):
         return stats.distinct_count(column) if stats is not None else None
 
     return lookup
-
-
-def _prejoin_shape(
-    scan: JoinScan,
-    join_stats: dict[str, TableStatistics],
-    binding: str,
-    candidates: float,
-) -> PrejoinShape:
-    """The cost-model input of the winnow-over-join pushdown.
-
-    The semijoin keeps at most all rows of the preference table and at
-    most one row per joined candidate (each joined row contributes one
-    preference-table row), so the winnow input is bounded by both.
-    """
-    source = scan.source_for(binding)
-    stats = join_stats.get(binding.lower())
-    pref_rows = (
-        float(stats.row_count) if stats is not None else float(_DEFAULT_ROW_ESTIMATE)
-    )
-    if candidates:
-        pref_rows = min(pref_rows, candidates)
-    other_rows = 1.0
-    for other in scan.sources:
-        if other.binding.lower() == binding.lower():
-            continue
-        other_stats = join_stats.get(other.binding.lower())
-        other_rows *= (
-            float(other_stats.row_count)
-            if other_stats is not None
-            else float(_DEFAULT_ROW_ESTIMATE)
-        )
-    return PrejoinShape(
-        pref_rows=max(1.0, pref_rows),
-        pref_table_rows=max(
-            1.0,
-            float(stats.row_count) if stats is not None else _DEFAULT_ROW_ESTIMATE,
-        ),
-        pref_width=len(source.columns),
-        other_rows=other_rows,
-    )
 
 
 def _join_table_display(source, join_stats: dict[str, TableStatistics]) -> str:

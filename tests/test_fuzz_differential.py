@@ -285,12 +285,11 @@ def test_recompute_fallback_views_track_random_dml(rows, tree, ops, data):
 # ----------------------------------------------------------------------
 # Multi-table join fuzzing
 #
-# PR 5 makes joins first-class in-memory citizens: the pushdown executes
-# the join on the host database and the engine winnows the joined rows,
-# and — where Chomicki's commute conditions hold — the winnow pushdown
-# computes the BMO set *before* the join.  Every FROM spelling (comma
-# list and explicit JOIN … ON), every strategy and the pushdown must
-# return the winner set of the NOT EXISTS rewrite (the oracle).
+# Joins are first-class in-memory citizens: the pushdown executes the
+# join on the host database and the engine winnows the joined rows.
+# Every FROM spelling (comma list and explicit JOIN … ON), every strategy
+# and auto selection must return the winner set of the NOT EXISTS
+# rewrite (the oracle).
 
 FACT_COLUMNS = ("fa", "fb", "fk", "fc")
 DIM_COLUMNS = ("dk", "dw", "dname")
@@ -371,14 +370,6 @@ def _assert_join_paths_agree(connection, queries):
             if oracle is None:
                 oracle = rows
             assert rows == oracle, f"{strategy} diverges on: {query}"
-        # The winnow pushdown applies only under Chomicki's conditions;
-        # force it where the planner proved them, and let auto pick.
-        if connection.plan(query).winnow_pushdown.startswith("yes"):
-            rows = sorted(
-                connection.execute(query, algorithm="prejoin").fetchall(),
-                key=repr,
-            )
-            assert rows == oracle, f"prejoin diverges on: {query}"
         rows = sorted(connection.execute(query).fetchall(), key=repr)
         assert rows == oracle, f"auto diverges on: {query}"
 

@@ -1,11 +1,9 @@
 """Join-aware preference planning: multi-table FROM through every path.
 
-Covers the PR-5 tentpole: joins are first-class in-memory citizens (the
-pushdown executes the join on the host database, the columnar engine
-winnows the joined rows), the winnow-over-join pushdown (``prejoin``)
-computes the BMO set before the join where Chomicki's commute conditions
-hold, join cardinality estimates compose from per-table statistics, and
-comma-join lists price identically to explicit ``JOIN … ON`` syntax.
+Joins are first-class in-memory citizens (the pushdown executes the join
+on the host database, the columnar engine winnows the joined rows), join
+cardinality estimates compose from per-table statistics, and comma-join
+lists price identically to explicit ``JOIN … ON`` syntax.
 """
 
 import random
@@ -15,7 +13,7 @@ import pytest
 import repro
 from repro.engine import PreferenceEngine, Relation
 from repro.errors import PlanError, RewriteError
-from repro.plan import IN_MEMORY_STRATEGIES, PREJOIN_STRATEGY, STRATEGIES
+from repro.plan import IN_MEMORY_STRATEGIES
 from repro.sql.parser import parse_statement
 
 
@@ -71,12 +69,11 @@ def car_dealer():
 
 class TestJoinExecution:
     """The acceptance criterion: a key–FK join query plans and executes
-    under all five strategies (and the winnow pushdown) with winner sets
+    under every strategy and under auto selection with winner sets
     identical to the NOT EXISTS rewrite."""
 
     def test_all_strategies_agree_on_key_fk_join(self, car_dealer):
-        # A one-to-many listings table multiplies every car: the shape
-        # where the winnow pushdown winnows cars before the join.
+        # A one-to-many listings table multiplies every car.
         car_dealer.execute(
             "CREATE TABLE listings (listing_id INTEGER, car_id INTEGER, "
             "active INTEGER)"
@@ -96,7 +93,7 @@ class TestJoinExecution:
                 key=repr,
             )
             assert oracle
-            for strategy in IN_MEMORY_STRATEGIES + (PREJOIN_STRATEGY,):
+            for strategy in IN_MEMORY_STRATEGIES:
                 cursor = car_dealer.execute(query, algorithm=strategy)
                 assert cursor.plan.strategy == strategy
                 assert sorted(cursor.fetchall(), key=repr) == oracle, strategy
@@ -108,7 +105,7 @@ class TestJoinExecution:
             car_dealer.execute(COMMA_QUERY, algorithm="rewrite").fetchall(),
             key=repr,
         )
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             rows = car_dealer.execute(JOIN_QUERY, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -126,13 +123,12 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
     def test_left_join_runs_in_memory(self, car_dealer):
-        # LEFT joins are scan-eligible (sqlite executes the join) but
-        # never winnow-pushdown-eligible.
+        # LEFT joins are scan-eligible: sqlite executes the join.
         sql = (
             "SELECT * FROM dealers d LEFT JOIN cars c "
             "ON c.dealer_id = d.dealer_id AND c.price < 10000 "
@@ -143,8 +139,6 @@ class TestJoinExecution:
         )
         rows = car_dealer.execute(sql, algorithm="bnl").fetchall()
         assert sorted(rows, key=repr) == oracle
-        with pytest.raises(PlanError):
-            car_dealer.execute(sql, algorithm=PREJOIN_STRATEGY)
 
     def test_projection_order_by_and_limit(self, car_dealer):
         sql = (
@@ -154,7 +148,7 @@ class TestJoinExecution:
             "ORDER BY c.price, c.car_id LIMIT 3"
         )
         oracle = car_dealer.execute(sql, algorithm="rewrite").fetchall()
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             assert car_dealer.execute(sql, algorithm=strategy).fetchall() == oracle
 
     def test_order_by_select_list_alias(self, car_dealer):
@@ -168,7 +162,7 @@ class TestJoinExecution:
             "ORDER BY p DESC, c.car_id"
         )
         oracle = car_dealer.execute(sql, algorithm="rewrite").fetchall()
-        for strategy in IN_MEMORY_STRATEGIES + (PREJOIN_STRATEGY,):
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert rows == oracle, strategy
 
@@ -180,7 +174,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -192,7 +186,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in IN_MEMORY_STRATEGIES + (PREJOIN_STRATEGY,):
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle, strategy
 
@@ -227,8 +221,7 @@ class TestJoinExecution:
         ).fetchone()[0]
 
     def test_grouping_on_dimension_table(self, car_dealer):
-        # GROUPING on the non-preference table: the generic join scan
-        # handles it; the winnow pushdown must decline.
+        # GROUPING on the non-preference table: the join scan handles it.
         sql = (
             "SELECT * FROM cars c, dealers d WHERE c.dealer_id = d.dealer_id "
             "PREFERRING LOWEST(c.price) GROUPING d.region"
@@ -236,10 +229,9 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        rows = car_dealer.execute(sql, algorithm="bnl").fetchall()
-        assert sorted(rows, key=repr) == oracle
-        plan = car_dealer.plan(sql)
-        assert plan.winnow_pushdown.startswith("no")
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
+            rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
+            assert sorted(rows, key=repr) == oracle, strategy
 
     def test_self_join_with_aliases(self, car_dealer):
         sql = (
@@ -250,7 +242,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -281,13 +273,13 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
     def test_cross_table_pareto_runs_in_memory(self, car_dealer):
-        # Preference attributes spanning both tables: the generic join
-        # scan applies, the winnow pushdown must decline.
+        # Preference attributes spanning both tables: the join scan
+        # winnows the joined rows.
         sql = (
             "SELECT * FROM cars c, dealers d WHERE c.dealer_id = d.dealer_id "
             "PREFERRING LOWEST(c.price) AND HIGHEST(d.rating)"
@@ -295,18 +287,13 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in IN_MEMORY_STRATEGIES:
+        for strategy in IN_MEMORY_STRATEGIES + (None,):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle, strategy
-        plan = car_dealer.plan(sql)
-        assert plan.winnow_pushdown.startswith("no — preference attributes span")
-        with pytest.raises(PlanError):
-            car_dealer.execute(sql, algorithm=PREJOIN_STRATEGY)
 
-    def test_prejoin_on_rowidless_table_falls_back(self, car_dealer):
-        # A WITHOUT ROWID table in the preference position has no rowid
-        # for the join-back; execution silently falls back to the
-        # rewrite instead of failing.
+    def test_rowidless_preference_table_in_join(self, car_dealer):
+        # A WITHOUT ROWID table in the preference position: the rewrite
+        # keeps its inline anti-join, the join scan needs no rowid.
         car_dealer.execute(
             "CREATE TABLE bikes (bike_id INTEGER PRIMARY KEY, "
             "dealer_id INTEGER, price INTEGER) WITHOUT ROWID"
@@ -320,15 +307,35 @@ class TestJoinExecution:
             "SELECT * FROM bikes b, dealers d WHERE b.dealer_id = d.dealer_id "
             "AND d.region = 'south' PREFERRING LOWEST(b.price)"
         )
-        oracle = sorted(
-            car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
+        assert "bikes" in car_dealer.schema().rowless
+        raw = car_dealer.raw
+        engine = PreferenceEngine(
+            {
+                "bikes": Relation(
+                    columns=("bike_id", "dealer_id", "price"),
+                    rows=raw.execute("SELECT * FROM bikes").fetchall(),
+                ),
+                "dealers": Relation(
+                    columns=("dealer_id", "region", "rating"),
+                    rows=raw.execute("SELECT * FROM dealers").fetchall(),
+                ),
+            },
+            algorithm="nested_loop",
         )
-        rows = car_dealer.execute(sql, algorithm=PREJOIN_STRATEGY).fetchall()
-        assert sorted(rows, key=repr) == oracle
+        # The same rows as ``*``, with the second dealer_id renamed: the
+        # engine's result relation needs distinct column names.
+        columns = "b.*, d.dealer_id AS d_dealer_id, d.region, d.rating"
+        oracle = sorted(
+            engine.execute(sql.replace("*", columns, 1)).rows, key=repr
+        )
+        assert oracle
+        for strategy in (None, "rewrite", "bnl"):
+            rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
+            assert sorted(rows, key=repr) == oracle, strategy
 
-    def test_prejoin_on_a_rowid_column_keeps_dominated_rows_out(self, connection):
-        # A user column named rowid is no row key: scanning it as one
-        # would join back every row that shares it.
+    def test_rowid_column_in_join_keeps_dominated_rows_out(self, connection):
+        # A user column named rowid is no row key: reading winners back
+        # through it would return every row that shares it.
         connection.execute(
             "CREATE TABLE cars (rowid INTEGER, id INTEGER, price REAL, dealer INTEGER)"
         )
@@ -342,8 +349,7 @@ class TestJoinExecution:
             "ON c.dealer = d.dealer PREFERRING LOWEST(c.price)"
         )
         assert "cars" in connection.schema().rowless
-        assert PREJOIN_STRATEGY not in connection.plan(sql).estimates
-        for strategy in (None, "rewrite", "bnl", PREJOIN_STRATEGY):
+        for strategy in (None, "rewrite", "bnl"):
             rows = connection.execute(sql, algorithm=strategy).fetchall()
             assert rows == [(1, 100.0)], strategy
 
@@ -356,9 +362,9 @@ class TestJoinExecution:
             "SELECT * FROM cars c JOIN dealers d ON c.dealer = d.dealer "
             "PREFERRING LOWEST(c.price)"
         )
-        plan = connection.plan(sql, force=PREJOIN_STRATEGY)
-        assert plan.host_sql == plan.prejoin_scan_sql
-        cursor = connection.execute(sql, algorithm=PREJOIN_STRATEGY)
+        plan = connection.plan(sql, force="bnl")
+        assert plan.host_sql == plan.pushdown_sql
+        cursor = connection.execute(sql, algorithm="bnl")
         assert cursor.executed_sql == plan.host_sql
 
     def test_empty_winner_set_join_back(self, connection):
@@ -369,7 +375,7 @@ class TestJoinExecution:
         sql = (
             "SELECT * FROM a, b WHERE a.k = b.k PREFERRING LOWEST(a.x)"
         )
-        for strategy in ("rewrite", "bnl", PREJOIN_STRATEGY):
+        for strategy in ("rewrite", "bnl", None):
             assert connection.execute(sql, algorithm=strategy).fetchall() == []
 
 
@@ -418,19 +424,13 @@ class TestJoinPlanning:
         assert "join tables" in report
         assert "cars AS c" in report["join tables"]
         assert "join cardinality (est)" in report
-        assert report["winnow pushdown"].startswith("yes")
-        assert f"cost: {PREJOIN_STRATEGY}" in report
+        assert [item for item in report if item.startswith("cost: ")] == [
+            "cost: rewrite",
+            "cost: bnl",
+        ]
+        assert "winnow pushdown" not in report
         # Statistics were composed, not fabricated.
         assert not any("no statistics" in note for note in cursor.plan.notes)
-
-    def test_explain_prejoin_shows_scan_sql(self, car_dealer):
-        cursor = car_dealer.execute(
-            "EXPLAIN PREFERENCE " + COMMA_QUERY, algorithm=PREJOIN_STRATEGY
-        )
-        report = dict(cursor.fetchall())
-        assert report["strategy"].startswith(PREJOIN_STRATEGY)
-        assert "winnow scan SQL" in report
-        assert "EXISTS" in report["winnow scan SQL"]
 
     def test_host_only_plans_note_fabricated_cardinality(self, connection):
         # Satellite regression: a host-only plan used to present the
@@ -458,30 +458,16 @@ class TestJoinPlanning:
         with pytest.raises((PlanError, RewriteError)):
             connection.execute(sql, algorithm="bnl")
 
-    def test_force_prejoin_on_single_table_raises(self, car_dealer):
-        with pytest.raises(PlanError):
-            car_dealer.execute(
-                "SELECT * FROM cars PREFERRING LOWEST(price)",
-                algorithm=PREJOIN_STRATEGY,
-            )
-
-    def test_prejoin_declines_but_only(self, car_dealer):
+    def test_join_but_only_bnl_matches_rewrite(self, car_dealer):
         sql = (
             "SELECT * FROM cars c, dealers d WHERE c.dealer_id = d.dealer_id "
             "PREFERRING c.price AROUND 20000 BUT ONLY DISTANCE(c.price) <= 5000"
         )
-        plan = car_dealer.plan(sql)
-        assert plan.winnow_pushdown.startswith("no — BUT ONLY")
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
         rows = car_dealer.execute(sql, algorithm="bnl").fetchall()
         assert sorted(rows, key=repr) == oracle
-
-    def test_prejoin_is_not_part_of_generic_strategies(self):
-        # Fuzzers and benchmarks loop over STRATEGIES on single-table
-        # queries; the join-only strategy must stay out of that tuple.
-        assert PREJOIN_STRATEGY not in STRATEGIES
 
     def test_plan_survives_roundtrip_through_parser(self, car_dealer):
         statement = parse_statement(COMMA_QUERY)

@@ -1,10 +1,10 @@
 """One strategy × surface matrix through ``Cursor.execute``.
 
 Every way the driver can turn a statement into rows — the host rewrite,
-the in-memory winnow (auto and pinned), the winnow-over-join
-pushdown and its rowid fallback, the three session-served refinements, a
-view-served read, plain pass-through and ``INSERT … SELECT … PREFERRING``
-— is crossed with every result surface (``*``, a column list,
+the in-memory winnow (auto and pinned), the pinned winnow over a join
+scan, the rewrite's inline anti-join over a join with a WITHOUT ROWID
+table, the three session-served refinements, a view-served read, plain
+pass-through and ``INSERT … SELECT … PREFERRING`` — is crossed with every result surface (``*``, a column list,
 ``ORDER BY … LIMIT/OFFSET``, ``DISTINCT``, GROUPING, BUT ONLY) and run
 untimed and under a generous deadline.  Each cell is checked twice: its
 rows against the quadratic ``nested_loop`` oracle over a fresh
@@ -154,8 +154,6 @@ class Cell:
 
 #: Strategy × surface cells that cannot exist, with the reason.
 NOT_APPLICABLE = {
-    ("prejoin", "but_only"): "BUT ONLY ranges over the joined candidates",
-    ("prejoin_fallback", "but_only"): "BUT ONLY ranges over the joined candidates",
     ("session_strengthened", "but_only"): "BUT ONLY disables session reuse",
     ("session_weakened", "but_only"): "BUT ONLY disables session reuse",
     ("session_surface", "but_only"): "BUT ONLY disables session reuse",
@@ -188,22 +186,23 @@ def _bnl_pinned(surface: Surface) -> Cell:
     )
 
 
-def _prejoin(surface: Surface) -> Cell:
+def _bnl_join(surface: Surface) -> Cell:
     return Cell(
         _select(surface, source=JOIN),
-        "prejoin",
-        algorithm="prejoin",
-        executed="prejoin_scan_sql",
-        note=" /* + winnow pushdown join-back */",
+        "bnl",
+        algorithm="bnl",
+        executed="pushdown_sql",
+        note=" /* + in-memory bnl */",
     )
 
 
-def _prejoin_fallback(surface: Surface) -> Cell:
+def _rewrite_rowless_join(surface: Surface) -> Cell:
+    # A join keeps the inline NOT EXISTS anti-join, as does a WITHOUT
+    # ROWID table: no rowid to read the rank CTE back through.
     return Cell(
         _select(surface, source=JOIN),
-        "prejoin",
-        algorithm="prejoin",
-        note=" /* winnow scan lacked rowid */",
+        "rewrite",
+        algorithm="rewrite",
         without_rowid=True,
     )
 
@@ -277,8 +276,8 @@ STRATEGIES = {
     "rewrite": _rewrite,
     "bnl": _bnl_auto,
     "bnl_pinned": _bnl_pinned,
-    "prejoin": _prejoin,
-    "prejoin_fallback": _prejoin_fallback,
+    "bnl_join": _bnl_join,
+    "rewrite_rowless_join": _rewrite_rowless_join,
     "session_strengthened": _session_strengthened,
     "session_weakened": _session_weakened,
     "session_surface": _session_surface,
@@ -298,7 +297,7 @@ MATRIX = [
 
 def test_matrix_is_complete():
     cells = len(STRATEGIES) * len(SURFACES) - len(NOT_APPLICABLE)
-    assert len(MATRIX) == 2 * cells == 118
+    assert len(MATRIX) == 2 * cells == 122
 
 
 @pytest.mark.parametrize("strategy, surface_name, timeout_ms", MATRIX)

@@ -534,14 +534,15 @@ class TestStrategyExecution:
         assert fixture_connection.execute(sql).plan.strategy == "rewrite"
 
     @pytest.mark.parametrize(
-        "retired", ["quantum", "sfs", "dnc", "auto", "parallel"]
+        "retired", ["quantum", "sfs", "dnc", "auto", "parallel", "prejoin"]
     )
     def test_unknown_strategy_rejected(self, fixture_connection, retired):
-        with pytest.raises(PlanError, match="unknown strategy"):
+        with pytest.raises(PlanError, match="unknown strategy") as error:
             fixture_connection.execute(
                 "SELECT * FROM oldtimer PREFERRING LOWEST(age)",
                 algorithm=retired,
             )
+        assert str(error.value).endswith("choose from rewrite, bnl")
 
     def test_auto_picks_in_memory_at_scale(self, connection):
         from repro.workloads.distributions import (
