@@ -318,7 +318,9 @@ class ViewMaintainer:
                 to_sql(entry.query): entry for entry in self.entries()
             }
             self._match_index = (version, index)
-        entry = self._match_index[1].get(to_sql(select))
+        index = self._match_index[1]
+        # Most connections define no view: skip printing the statement.
+        entry = index.get(to_sql(select)) if index else None
         if entry is None:
             return None
         return MaterializedView(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import CatalogError
 from repro.sql import ast
@@ -76,6 +77,13 @@ class ConstraintEntry:
         return parsed
 
 
+@lru_cache(maxsize=256)
+def _parse_definition(definition: str) -> ast.PrefTerm:
+    """A stored preference's term; the AST is frozen, so one parse per
+    definition text serves every statement that names it."""
+    return parse_preferring(definition)
+
+
 class PreferenceCatalog:
     """CRUD for named preferences, backed by a table in the host database.
 
@@ -109,7 +117,7 @@ class PreferenceCatalog:
     def create(self, statement: ast.CreatePreference, replace: bool = False) -> None:
         """Store a preference definition; re-parse to validate round-trip."""
         definition = to_sql(statement.term)
-        parse_preferring(definition)  # must round-trip or the catalog rots
+        _parse_definition(definition)  # must round-trip or the catalog rots
         name = statement.name.lower()
         if replace:
             self._connection.execute(
@@ -153,8 +161,10 @@ class PreferenceCatalog:
         return [CatalogEntry(*row) for row in rows]
 
     def resolve(self, name: str) -> ast.PrefTerm:
-        """NameResolver interface for the builder/rewriter."""
-        return parse_preferring(self.get(name).definition)
+        """NameResolver interface for the builder/rewriter.  The catalog
+        row is read on every call, so DDL is seen at once; its parse is
+        shared by every call that reads the same definition text."""
+        return _parse_definition(self.get(name).definition)
 
     # ------------------------------------------------------------------
     # Declared constraints (semantic optimization)

@@ -54,7 +54,7 @@ from repro.plan.joins import (
     estimation_predicate,
     join_memory_parts,
 )
-from repro.plan.pivot import ranked_scan_sql
+from repro.plan.pivot import PIVOT_MIN_ROWS, ranked_scan_sql
 from repro.plan.semantic import (
     ConstraintProvider,
     SemanticRewrite,
@@ -153,6 +153,9 @@ class Plan:
     #: new one).
     session_match: SessionMatch | None = None
     session_delta_sql: str | None = None
+    #: Whether the ``rewrite`` strategy's anti-join reads only the rows
+    #: one pivot cannot beat (:mod:`repro.plan.pivot`); a rebind keeps it.
+    pivot: bool = False
 
     @property
     def rewritten_sql(self) -> str | None:
@@ -399,6 +402,22 @@ def plan_statement(
     else:
         strategy = choose_strategy(estimates)
 
+    pivot = False
+    if (
+        strategy == "rewrite"
+        and stats is not None
+        and stats.row_count >= PIVOT_MIN_ROWS
+        and not isinstance(rewritten, str)
+    ):
+        pivoted = rewrite_statement(
+            statement, schema=schema, resolver=resolver, pivot=True
+        )
+        if pivoted.pivot:
+            rewritten, pivot = pivoted.statement, True
+            notes.append(
+                f"rank CTE pivot: {stats.row_count} table rows >= {PIVOT_MIN_ROWS}"
+            )
+
     join_tables: tuple[str, ...] = ()
     if join_scan is not None:
         join_tables = tuple(
@@ -421,6 +440,7 @@ def plan_statement(
         rank_source=rank_source,
         columnar=probe.label if probe is not None else None,
         join_tables=join_tables,
+        pivot=pivot,
     )
     if semantic is not None:
         plan.semantic_rule = semantic.rule
@@ -439,7 +459,7 @@ def plan_statement(
             # ``pushdown_sql`` stays None and rank columns (which only
             # pay off on large scans) are recomputed in Python over the
             # small re-winnow input.
-            _pushdown, plan.residual, _width = in_memory_parts(select, resolver)
+            plan.residual = _residual(select, resolver)
             if session_match.delta_select is not None:
                 plan.session_delta_sql = to_sql(session_match.delta_select)
             plan.notes.append(
@@ -624,7 +644,9 @@ def rebind_plan(
             residual=residual,
             rank_width=rank_width,
         )
-    result = rewrite_statement(statement, schema=schema, resolver=resolver)
+    result = rewrite_statement(
+        statement, schema=schema, resolver=resolver, pivot=plan.pivot
+    )
     return replace(plan, statement=statement, rewritten=result.statement)
 
 
@@ -712,11 +734,16 @@ def in_memory_parts(
         rank_exprs,
         preference,
     )
+    return pushdown, _residual(select, resolver), len(rank_exprs or ())
+
+
+def _residual(select: ast.Select, resolver: NameResolver | None) -> ast.Select:
+    """The query block the engine evaluates over fetched candidates: the
+    WHERE consumed by the scan, named preferences inlined."""
     term = select.preferring
     if term is not None and resolver is not None:
         term = inline_named_preferences(term, resolver)
-    residual = replace(select, where=None, preferring=term)
-    return pushdown, residual, len(rank_exprs or ())
+    return replace(select, where=None, preferring=term)
 
 
 def inline_named_preferences(
@@ -785,6 +812,8 @@ def _surface_ineligibility(
         for node in ast.walk_expr(expr):
             if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
                 return "sub-queries outside WHERE need the host database"
+            if isinstance(node, ast.Collate):
+                return "collations outside WHERE need the host database"
     return ""
 
 

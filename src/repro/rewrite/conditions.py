@@ -91,6 +91,15 @@ def better_condition(
     return ast.Binary(op="<", left=inner(preference), right=outer(preference))
 
 
+def same_group(inner: ast.Expr, outer: ast.Expr) -> ast.Expr:
+    """SQL condition: two GROUPING keys name the same partition.  NULL
+    keys form one partition (``IS``), and keys compare as binary values,
+    as the engine groups them, whatever collation their column declares."""
+    return ast.Binary(
+        op="IS", left=inner, right=ast.Collate(operand=outer, collation="BINARY")
+    )
+
+
 def equal_condition(
     preference: Preference, inner: Accessor, outer: Accessor
 ) -> ast.Expr:

@@ -15,9 +15,34 @@ anti-join runs over ``Aux``:
       SELECT c.__rid FROM __pref AS c
       WHERE NOT EXISTS (
         SELECT 1 FROM __pref AS d
-        WHERE d.__k0 IS c.__k0                       -- same GROUPING partition
+        WHERE d.__k0 IS c.__k0 COLLATE BINARY        -- same GROUPING partition
           AND <dominance condition over d.__rK, c.__rK>))
     [ORDER BY ... LIMIT ...]
+
+That anti-join is quadratic in ``Aux``.  Asked for the ``pivot`` (the
+planner asks on large tables), the rewrite has
+:func:`repro.plan.pivot.rank_cte` — the builder that filters ``bnl``'s
+scan — follow ``__pref`` with a pivot CTE holding one row per GROUPING
+partition, and materialises the rows that pivot does not beat:
+
+.. code-block:: sql
+
+    WITH __pref AS MATERIALIZED (...),
+    <pivot> AS MATERIALIZED (                         -- named by plan.pivot
+      SELECT __r0, ..., __k0, min(__r0 + ...) FROM __pref
+      GROUP BY __k0 COLLATE BINARY),
+    __pref_live AS MATERIALIZED (
+      SELECT c.* FROM __pref AS c WHERE NOT EXISTS (
+        SELECT 1 FROM <pivot> AS d WHERE <same partition, d beats c>))
+    SELECT <items> FROM t
+    WHERE rowid IN (
+      SELECT c.__rid FROM __pref_live AS c
+      WHERE NOT EXISTS (SELECT 1 FROM __pref_live AS d WHERE <the same>))
+
+Both sides of the anti-join read ``__pref_live``: a row the pivot beats
+is not maximal, and whatever beats a survivor the pivot does not beat,
+since dominance is transitive.  The pivot minimises a rank, so a tree
+with an EXPLICIT preference keeps the first shape.
 
 A multi-table FROM, and a view, a WITHOUT ROWID table or a table with a
 column named ``rowid``, has no rowid to join back on; there every level is
@@ -60,7 +85,7 @@ from repro.model.categorical import ExplicitPreference, LayeredPreference
 from repro.model.preference import Preference, WeakOrderBase
 from repro.model.quality import QUALITY_FUNCTIONS, QualityResolver
 from repro.model.text import ContainsPreference
-from repro.rewrite.conditions import Accessor, better_condition
+from repro.rewrite.conditions import Accessor, better_condition, same_group
 from repro.rewrite.levels import (
     Qualifier,
     explicit_level_expression,
@@ -69,6 +94,7 @@ from repro.rewrite.levels import (
     rank_expression,
 )
 from repro.sql import ast
+from repro.sql.printer import to_sql
 
 Schema = Mapping[str, Sequence[str]]
 
@@ -92,18 +118,23 @@ class RewriteResult:
     rewritten: bool
     preference: Preference | None = None
     notes: list[str] = field(default_factory=list)
+    #: Whether the anti-join reads only the rows one pivot cannot beat.
+    pivot: bool = False
 
 
 def rewrite_statement(
     statement: ast.Statement,
     schema: Schema | None = None,
     resolver: NameResolver | None = None,
+    pivot: bool = False,
 ) -> RewriteResult:
     """Rewrite any statement; non-preference statements pass through."""
     if isinstance(statement, ast.Select):
-        return rewrite_select(statement, schema=schema, resolver=resolver)
+        return rewrite_select(statement, schema=schema, resolver=resolver, pivot=pivot)
     if isinstance(statement, ast.Insert) and statement.query is not None:
-        inner = rewrite_select(statement.query, schema=schema, resolver=resolver)
+        inner = rewrite_select(
+            statement.query, schema=schema, resolver=resolver, pivot=pivot
+        )
         if not inner.rewritten:
             return RewriteResult(statement=statement, rewritten=False)
         rewritten = ast.Insert(
@@ -116,6 +147,7 @@ def rewrite_statement(
             rewritten=True,
             preference=inner.preference,
             notes=inner.notes,
+            pivot=inner.pivot,
         )
     return RewriteResult(statement=statement, rewritten=False)
 
@@ -124,12 +156,16 @@ def rewrite_select(
     select: ast.Select,
     schema: Schema | None = None,
     resolver: NameResolver | None = None,
+    pivot: bool = False,
 ) -> RewriteResult:
-    """Rewrite one SELECT block.  Plain SQL queries pass through."""
+    """Rewrite one SELECT block.  Plain SQL queries pass through.
+
+    ``pivot`` asks for the rank CTE's pivot filter; the rewrite takes it
+    where the CTE shape applies and every base preference has a rank."""
     if not select.is_preference_query:
         return RewriteResult(statement=select, rewritten=False)
     rewriter = _SelectRewriter(select, schema=schema, resolver=resolver)
-    return rewriter.run()
+    return rewriter.run(pivot)
 
 
 class _SelectRewriter:
@@ -147,7 +183,7 @@ class _SelectRewriter:
         self._resolver = resolver
         self._notes: list[str] = []
 
-    def run(self) -> RewriteResult:
+    def run(self, pivot: bool = False) -> RewriteResult:
         select = self._select
         self._check_supported(select)
 
@@ -166,10 +202,15 @@ class _SelectRewriter:
 
         ctes: tuple[ast.CommonTable, ...] = ()
         if self._has_rowid(select.sources):
-            aux, winners = self._rank_table(preference)
-            ctes = (aux,)
+            # An EXPLICIT preference compares its operand, not a rank the
+            # pivot could minimise.
+            pivot = pivot and not any(
+                isinstance(leaf, ExplicitPreference) for leaf in preference.iter_base()
+            )
+            ctes, winners = self._rank_table(preference, pivot)
             where = ast.InSubquery(operand=ast.Column(name="rowid"), query=winners)
         else:
+            pivot = False
             where = self._inline_anti_join(preference)
 
         items = tuple(
@@ -204,6 +245,7 @@ class _SelectRewriter:
             rewritten=True,
             preference=preference,
             notes=self._notes,
+            pivot=pivot,
         )
 
     # ------------------------------------------------------------------
@@ -216,39 +258,58 @@ class _SelectRewriter:
         return sources[0].name.lower() not in self._rowless
 
     def _rank_table(
-        self, preference: Preference
-    ) -> tuple[ast.CommonTable, ast.Select]:
+        self, preference: Preference, pivot: bool
+    ) -> tuple[tuple[ast.CommonTable, ...], ast.Select]:
         """The paper's ``Aux`` as a materialized CTE, and the query for the
         rowids of its maximal rows.  Its WHERE is the original one plus the
-        BUT ONLY threshold — applied once per row, so to both copies."""
+        BUT ONLY threshold — applied once per row, so to both copies.
+
+        With ``pivot`` the anti-join compares only ``Aux``'s rows that one
+        pivot per GROUPING partition does not beat, on both sides
+        (:func:`repro.plan.pivot.rank_cte`)."""
         select = self._select
         outer = self._make_qualifier({b: b for b, _t in self._bindings})
         hard = self._candidate_conditions(
             outer(select.where) if select.where is not None else None
         )
-        columns, levels = level_columns(list(preference.iter_base()), outer)
+        leaves = list(preference.iter_base())
+        columns, levels = level_columns(leaves, outer)
         keys = tuple(
             ast.SelectItem(expr=outer(column), alias=f"__k{index}")
             for index, column in enumerate(select.grouping)
         )
         name = self._cte_name()
-        aux = ast.CommonTable(
-            name=name,
-            query=ast.Select(
-                items=(ast.SelectItem(expr=ast.Column(name="rowid"), alias="__rid"),)
-                + levels
-                + keys,
-                sources=select.sources,
-                where=_conjoin(hard),
-            ),
-            materialized=True,
+        query = ast.Select(
+            items=(ast.SelectItem(expr=ast.Column(name="rowid"), alias="__rid"),)
+            + levels
+            + keys,
+            sources=select.sources,
+            where=_conjoin(hard),
         )
+        ctes: tuple[ast.CommonTable, ...] = (
+            ast.CommonTable(name=name, query=query, materialized=True),
+        )
+        if pivot:
+            # plan.pivot imports the rewriter's package; import it late.
+            from repro.plan.pivot import fresh_name, rank_cte
+
+            taken = to_sql(query).lower()
+            ctes, survivors = rank_cte(
+                name,
+                query,
+                preference,
+                [columns[leaf] for leaf in leaves],
+                [key.alias for key in keys],
+                taken,
+            )
+            name = fresh_name("__pref_live", taken)
+            ctes += (ast.CommonTable(name=name, query=survivors, materialized=True),)
 
         def copy(alias: str) -> Accessor:
             return lambda leaf: ast.Column(name=columns[leaf], table=alias)
 
         conditions: list[ast.Expr] = [
-            _same_group(
+            same_group(
                 ast.Column(name=key.alias, table="d"),
                 ast.Column(name=key.alias, table="c"),
             )
@@ -260,7 +321,7 @@ class _SelectRewriter:
             sources=(ast.TableRef(name=name, alias="c"),),
             where=_not_exists((ast.TableRef(name=name, alias="d"),), conditions),
         )
-        return aux, winners
+        return ctes, winners
 
     def _cte_name(self) -> str:
         taken = {name.lower() for pair in self._bindings for name in pair}
@@ -281,7 +342,7 @@ class _SelectRewriter:
         if select.where is not None:
             conditions.append(self._requalify(select.where, self._inner_alias))
         for column in select.grouping:
-            conditions.append(_same_group(inner(column), outer(column)))
+            conditions.append(same_group(inner(column), outer(column)))
         if select.but_only is not None:
             conditions.append(self._threshold("inner"))
         conditions.append(
@@ -437,6 +498,11 @@ class _SelectRewriter:
                 operand=self._requalify(expr.operand, alias_map),
                 type_name=expr.type_name,
             )
+        if isinstance(expr, ast.Collate):
+            return ast.Collate(
+                operand=self._requalify(expr.operand, alias_map),
+                collation=expr.collation,
+            )
         if isinstance(expr, ast.FuncCall):
             return ast.FuncCall(
                 name=expr.name,
@@ -571,6 +637,11 @@ class _SelectRewriter:
                 operand=self._requalify_skipping(expr.operand, mapping),
                 type_name=expr.type_name,
             )
+        if isinstance(expr, ast.Collate):
+            return ast.Collate(
+                operand=self._requalify_skipping(expr.operand, mapping),
+                collation=expr.collation,
+            )
         if isinstance(expr, ast.FuncCall):
             return ast.FuncCall(
                 name=expr.name,
@@ -642,7 +713,7 @@ class _SelectRewriter:
         else:
             best = self._optimum_subquery(base, family)
             self._notes.append(
-                f"{function}({_render(target)}) uses a candidate-set optimum "
+                f"{function}({to_sql(target)}) uses a candidate-set optimum "
                 "sub-query (data-dependent best value)"
             )
         if function == "DISTANCE":
@@ -663,7 +734,7 @@ class _SelectRewriter:
             )
         for column in self._select.grouping:
             conditions.append(
-                _same_group(optimum_qualify(column), family_qualify(column))
+                same_group(optimum_qualify(column), family_qualify(column))
             )
         rank = rank_expression(base, optimum_qualify)
         return ast.ScalarSubquery(
@@ -682,7 +753,7 @@ class _SelectRewriter:
     def _quality_alias(expr: ast.Expr) -> str | None:
         """Give bare quality-function items a stable, readable column name."""
         if isinstance(expr, ast.FuncCall) and expr.name in QUALITY_FUNCTIONS:
-            return _render(expr)
+            return to_sql(expr)
         return None
 
 
@@ -716,11 +787,6 @@ def _conjoin(parts: list[ast.Expr]) -> ast.Expr | None:
     return result
 
 
-def _same_group(left: ast.Expr, right: ast.Expr) -> ast.Expr:
-    """NULL-safe equality of two GROUPING keys: NULL keys form a group."""
-    return ast.Binary(op="IS", left=left, right=right)
-
-
 def _inline(qualify: Qualifier) -> Accessor:
     return lambda leaf: leaf_value(leaf, qualify)
 
@@ -743,12 +809,6 @@ def _boolean_case(condition: ast.Expr) -> ast.Expr:
         branches=((condition, ast.Literal(value=1)),),
         otherwise=ast.Literal(value=0),
     )
-
-
-def _render(expr: ast.Expr) -> str:
-    from repro.sql.printer import to_sql
-
-    return to_sql(expr)
 
 
 def pref_expressions(term: ast.PrefTerm):

@@ -171,6 +171,18 @@ class Cast(Expr):
 
 
 @dataclass(frozen=True)
+class Collate(Expr):
+    """``expr COLLATE name``; ``collation`` is stored uppercase.
+
+    Grouping keys compare ``COLLATE BINARY``, as the engine groups them,
+    whatever collation their column declares.
+    """
+
+    operand: Expr
+    collation: str
+
+
+@dataclass(frozen=True)
 class CaseWhen(Expr):
     """``CASE WHEN c1 THEN v1 [WHEN ...] [ELSE e] END`` (searched form)."""
 
@@ -544,7 +556,7 @@ def walk_expr(expr: Expr):
         yield from walk_expr(expr.operand)
         yield from walk_expr(expr.low)
         yield from walk_expr(expr.high)
-    elif isinstance(expr, (IsNull, Cast)):
+    elif isinstance(expr, (IsNull, Cast, Collate)):
         yield from walk_expr(expr.operand)
     elif isinstance(expr, FuncCall):
         for arg in expr.args:
@@ -609,6 +621,8 @@ def substitute(expr: Expr, mapping: dict[Expr, Expr]) -> Expr:
         return IsNull(operand=substitute(expr.operand, mapping), negated=expr.negated)
     if isinstance(expr, Cast):
         return Cast(operand=substitute(expr.operand, mapping), type_name=expr.type_name)
+    if isinstance(expr, Collate):
+        return Collate(operand=substitute(expr.operand, mapping), collation=expr.collation)
     if isinstance(expr, FuncCall):
         return FuncCall(
             name=expr.name,

@@ -90,7 +90,7 @@ class Lexer:
             return self._string_literal()
         if char == '"':
             return self._quoted_identifier()
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
+        if char.isdecimal() or (char == "." and self._peek(1).isdecimal()):
             return self._number()
         if char.isalpha() or char == "_":
             return self._word()
@@ -144,14 +144,14 @@ class Lexer:
         seen_exp = False
         while True:
             char = self._peek()
-            if char.isdigit():
+            if char.isdecimal():
                 self._advance()
             elif char == "." and not seen_dot and not seen_exp:
                 seen_dot = True
                 self._advance()
             elif char in ("e", "E") and not seen_exp and self._pos > start:
                 nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
+                if nxt.isdecimal() or (nxt in "+-" and self._peek(2).isdecimal()):
                     seen_exp = True
                     self._advance()
                     if self._peek() in "+-":

@@ -193,6 +193,8 @@ class _Binder:
             return ast.IsNull(operand=self.expr(expr.operand), negated=expr.negated)
         if isinstance(expr, ast.Cast):
             return ast.Cast(operand=self.expr(expr.operand), type_name=expr.type_name)
+        if isinstance(expr, ast.Collate):
+            return ast.Collate(operand=self.expr(expr.operand), collation=expr.collation)
         if isinstance(expr, ast.Exists):
             return ast.Exists(query=self.select(expr.query), negated=expr.negated)
         if isinstance(expr, ast.ScalarSubquery):

@@ -682,7 +682,12 @@ class Parser:
         operator = self._accept_operator("-", "+")
         if operator is not None:
             return ast.Unary(op=operator.value, operand=self._parse_unary())
-        return self._parse_primary()
+        expr = self._parse_primary()
+        while self._accept_keyword("COLLATE"):
+            expr = ast.Collate(
+                operand=expr, collation=self._identifier("collation name").upper()
+            )
+        return expr
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()

@@ -320,6 +320,13 @@ def _expr(expr: ast.Expr, parent_precedence: int = 0) -> str:
         return f"{expr.name}({args})"
     if isinstance(expr, ast.Cast):
         return f"CAST({_expr(expr.operand)} AS {expr.type_name})"
+    if isinstance(expr, ast.Collate):
+        # COLLATE binds tighter than any operator: a compound operand,
+        # a unary minus included, needs its parentheses.
+        operand = _expr(expr.operand, 8)
+        if isinstance(expr.operand, ast.Unary) and not operand.startswith("("):
+            operand = f"({operand})"
+        return f"{operand} COLLATE {expr.collation}"
     if isinstance(expr, ast.CaseWhen):
         parts = ["CASE"]
         for condition, value in expr.branches:

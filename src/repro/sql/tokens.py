@@ -51,6 +51,7 @@ KEYWORDS = frozenset(
         "NULL",
         "LIKE",
         "BETWEEN",
+        "COLLATE",
         "EXISTS",
         "CASE",
         "WHEN",

@@ -18,6 +18,7 @@ SELECT ident FROM oldtimer WHERE color NOT LIKE 'g%'
 SELECT ident FROM oldtimer WHERE color IS NULL
 SELECT ident FROM oldtimer WHERE color IS NOT NULL
 SELECT ident FROM oldtimer WHERE CAST(age AS NUMERIC) = age AND color IS 'red'
+SELECT ident FROM oldtimer WHERE color COLLATE NOCASE = 'RED' OR (-age) COLLATE BINARY IS 3 ORDER BY color COLLATE BINARY
 SELECT ident FROM oldtimer WHERE age = ? AND color = ?
 SELECT ident FROM oldtimer WHERE -age < +10
 SELECT ident FROM oldtimer WHERE age IN (SELECT age FROM oldtimer WHERE color = 'red')

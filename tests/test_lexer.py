@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import LexerError
+import repro
+from repro.errors import LexerError, PreferenceSQLError
 from repro.sql.lexer import tokenize
 from repro.sql.tokens import TokenType
 
@@ -65,6 +66,21 @@ class TestNumbers:
     def test_exponent_without_digits_stops(self):
         # `1e` is number 1 followed by identifier e
         assert kinds("1e") == [(TokenType.NUMBER, "1"), (TokenType.IDENT, "e")]
+
+    @pytest.mark.parametrize("text", ["²", "³", "1²", "2.5³", ".²", "½"])
+    def test_non_decimal_digits_raise_lexer_errors(self, text):
+        # str.isdigit() holds for superscripts, which int() and float()
+        # refuse: only decimal digits may start or continue a number.
+        with pytest.raises(LexerError):
+            tokenize(text)
+
+    @pytest.mark.parametrize("digit", ["²", "³", "1²"])
+    def test_connection_reports_the_lexer_error(self, digit):
+        con = repro.connect(":memory:")
+        con.execute("CREATE TABLE t (x, a)")
+        with pytest.raises(PreferenceSQLError, match="unexpected character"):
+            con.execute(f"SELECT x FROM t PREFERRING LOWEST(a) BUT ONLY a < {digit}")
+        con.close()
 
 
 class TestStrings:

@@ -1,13 +1,14 @@
 """The Preference Definition Language catalog."""
 
 import sqlite3
+from unittest import mock
 
 import pytest
 
 import repro
 from repro.errors import CatalogError
 from repro.pdl.catalog import CATALOG_TABLE, PreferenceCatalog
-from repro.sql import ast
+from repro.sql import ast, parser
 from repro.sql.parser import parse_statement
 
 
@@ -66,6 +67,35 @@ class TestCrud:
         )
         term = catalog.resolve("p")
         assert isinstance(term, ast.ParetoPref)
+
+
+class TestParseOnce:
+    def test_each_statement_tokenizes_once(self):
+        con = repro.connect(":memory:")
+        con.execute("CREATE TABLE t (x INTEGER, y INTEGER)")
+        con.execute("INSERT INTO t VALUES (1, 2), (2, 1), (3, 3)")
+        con.execute("CREATE PREFERENCE p ON t AS LOWEST(x) AND LOWEST(y)")
+        statements = [
+            f"SELECT * FROM t WHERE x > {bound} PREFERRING PREFERENCE p"
+            for bound in range(4)
+        ] + ["SELECT x FROM t PREFERRING PREFERENCE p CASCADE HIGHEST(y)"]
+        with mock.patch.object(parser, "tokenize", wraps=parser.tokenize) as spy:
+            for statement in statements:
+                con.execute(statement).fetchall()
+        assert [call.args[0] for call in spy.call_args_list] == statements
+        con.close()
+
+    def test_a_replaced_definition_is_seen_at_once(self):
+        con = repro.connect(":memory:")
+        con.execute("CREATE TABLE t (x INTEGER, y INTEGER)")
+        con.execute("INSERT INTO t VALUES (1, 2), (2, 1)")
+        con.execute("CREATE PREFERENCE p ON t AS LOWEST(x)")
+        query = "SELECT x FROM t PREFERRING PREFERENCE p"
+        assert con.execute(query).fetchall() == [(1,)]
+        con.execute("DROP PREFERENCE p")
+        con.execute("CREATE PREFERENCE p ON t AS LOWEST(y)")
+        assert con.execute(query).fetchall() == [(2,)]
+        con.close()
 
 
 class TestPersistence:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 import repro
+import repro.plan.planner as plan_planner
 from repro.engine import PreferenceEngine, Relation, bmo
 from repro.engine.columns import rank_columns_from_values
-from repro.errors import RewriteError
+from repro.errors import PlanError, RewriteError
 from repro.model.builder import build_preference
 from repro.rewrite.levels import leaf_value
 from repro.rewrite.planner import HostSchema, rewrite_select, rewrite_statement
@@ -461,8 +462,21 @@ def test_rank_cte_rewrite_equals_the_oracle(rows, query):
         stored = _load(con, "t", rows)
         cursor = con.execute(query, algorithm="rewrite")
         assert cursor.executed_sql.startswith("WITH __pref AS MATERIALIZED")
+        # A table this small stays below the pivot's threshold.
+        assert "__pref_pivot" not in cursor.executed_sql, query
         expected = _oracle(query, {"t": stored})
         _agree(expected, _canonical(cursor.fetchall()), query)
+        # At threshold 0 the rewrite takes the pivot wherever every base
+        # preference has a rank and the plan read the table's statistics
+        # (quality functions in the select list make a host-only plan).
+        with mock.patch.object(plan_planner, "PIVOT_MIN_ROWS", 0):
+            pivoted = con.execute(query, algorithm="rewrite")
+        host_only = any(f"{name}(" in query.split(" FROM ")[0] for name in ("TOP", "LEVEL"))
+        takes_pivot = "EXPLICIT" not in query and not host_only
+        assert pivoted.plan.pivot == takes_pivot, query
+        assert ("__pref_pivot" in pivoted.executed_sql) == takes_pivot, query
+        assert ("FROM __pref_live AS d" in pivoted.executed_sql) == takes_pivot, query
+        _agree(expected, _canonical(pivoted.fetchall()), query)
         # bnl adopts the same rank expressions from its scan (rank pushdown);
         # it cannot be forced when quality functions shape the result.
         if not any(f"{name}(" in query.split(" FROM ")[0] for name in ("TOP", "LEVEL")):
@@ -618,6 +632,33 @@ def test_cast_in_where_is_bound_and_requalified(connection, strategy):
     assert rows == [(3,)]
 
 
+@pytest.mark.parametrize("strategy", ["rewrite", "bnl"])
+def test_collate_in_where_is_bound_and_requalified(connection, strategy):
+    connection.execute("CREATE TABLE r (id INTEGER, g TEXT, x INTEGER)")
+    connection.cursor().executemany(
+        "INSERT INTO r VALUES (?, ?, ?)", [(1, "A", 1), (2, "a", 2), (3, "b", 0)]
+    )
+    rows = connection.execute(
+        "SELECT id FROM r WHERE g COLLATE NOCASE = ? PREFERRING LOWEST(x)",
+        ("a",),
+        algorithm=strategy,
+    ).fetchall()
+    assert rows == [(1,)]
+
+
+def test_collate_outside_where_keeps_the_plan_on_the_host(connection):
+    connection.execute("CREATE TABLE r (id INTEGER, g TEXT, x INTEGER)")
+    connection.cursor().executemany(
+        "INSERT INTO r VALUES (?, ?, ?)", [(1, "b", 1), (2, "A", 1), (3, "a", 2)]
+    )
+    query = "SELECT id FROM r PREFERRING LOWEST(x) ORDER BY g COLLATE NOCASE, id"
+    cursor = connection.execute(query)
+    assert cursor.plan.strategy == "rewrite"
+    assert cursor.fetchall() == [(2,), (1,)]
+    with pytest.raises(PlanError, match="collations outside WHERE"):
+        connection.execute(query, algorithm="bnl")
+
+
 class TestContainsSemantics:
     """CONTAINS is a literal substring test with ASCII-only case-folding,
     the same in the rewrite, the SQL rank pushdown and the model."""
@@ -691,6 +732,51 @@ class TestPivotNames:
         assert len(expected) >= 3
         assert sorted(cursor.fetchall(), key=repr) == expected
 
+    @pytest.mark.parametrize(
+        "table, query",
+        [
+            ("t", "SELECT * FROM t PREFERRING LOWEST(a) AND LOWEST(b)"),
+            ("t", "SELECT id, a FROM t PREFERRING LOWEST(a) AND LOWEST(b) GROUPING __pref_rank_0"),
+            ("__pref_pivot", "SELECT * FROM __pref_pivot PREFERRING LOWEST(a) AND LOWEST(b)"),
+            ("__pref_live", "SELECT * FROM __pref_live PREFERRING LOWEST(a) AND LOWEST(b)"),
+        ],
+    )
+    def test_rewrite_with_the_pivot_equals_the_oracle(self, connection, table, query):
+        tables = {"t": self.ROWS}
+        if table != "t":
+            tables[table] = self.ROWS
+        for name, rows in tables.items():
+            connection.execute(f"CREATE TABLE {name} (id INTEGER, a, b, __pref_rank_0)")
+            connection.cursor().executemany(f"INSERT INTO {name} VALUES (?, ?, ?, ?)", rows)
+        engine = PreferenceEngine(
+            {
+                name: Relation(columns=("id", "a", "b", "__pref_rank_0"), rows=rows)
+                for name, rows in tables.items()
+            },
+            algorithm="nested_loop",
+        )
+        with mock.patch.object(plan_planner, "PIVOT_MIN_ROWS", 0):
+            cursor = connection.execute(query, algorithm="rewrite")
+        assert cursor.plan.pivot
+        expected = sorted(engine.execute(query).rows, key=repr)
+        assert len(expected) >= 2
+        assert sorted(cursor.fetchall(), key=repr) == expected
+
+    def test_parameterized_rewrite_rebinds_like_a_rebuild(self, connection):
+        connection.execute("CREATE TABLE t (id INTEGER, a, b, __pref_rank_0)")
+        connection.cursor().executemany("INSERT INTO t VALUES (?, ?, ?, ?)", self.ROWS)
+        query = "SELECT * FROM t WHERE id > ? PREFERRING a AROUND ? AND LOWEST(b)"
+        with mock.patch.object(plan_planner, "PIVOT_MIN_ROWS", 0):
+            for params in [(0, 1), (1, 3), (0, 4), (2, 1)]:
+                cursor = connection.execute(query, params)
+                rebuilt = connection.plan(query, params)
+                assert cursor.plan.strategy == rebuilt.strategy == "rewrite"
+                assert cursor.plan.pivot and rebuilt.pivot
+                assert cursor.executed_sql == rebuilt.host_sql
+                bnl = connection.execute(query, params, algorithm="bnl").fetchall()
+                assert sorted(cursor.fetchall()) == sorted(bnl), params
+        assert connection.plan_cache_stats().hits >= 3
+
     def test_partitions_compare_keys_as_binary_values(self, connection):
         # The engine groups 'A' apart from 'a'; so must the pivot, whatever
         # collation the key column declares.
@@ -706,3 +792,35 @@ class TestPivotNames:
         assert sorted(cursor.fetchall()) == sorted(engine.execute(query).rows) == [
             (1,), (2,), (4,)
         ]
+
+
+class TestGroupingCollation:
+    """GROUPING keys compare as binary values in every rewrite shape, as the
+    engine groups them, whatever collation their column declares."""
+
+    ROWS = [(1, "A", 1), (2, "a", 2), (3, "b", 5), (4, "B", 3)]
+
+    def _load(self, connection):
+        connection.execute("CREATE TABLE t (id INTEGER, g TEXT COLLATE NOCASE, x INTEGER)")
+        connection.cursor().executemany("INSERT INTO t VALUES (?, ?, ?)", self.ROWS)
+        connection.execute("CREATE VIEW v AS SELECT * FROM t")
+
+    @pytest.mark.parametrize("algorithm", ["rewrite", None])
+    @pytest.mark.parametrize("source, shape", [("t", "WITH __pref"), ("v", "SELECT")])
+    @pytest.mark.parametrize("items", ["id, g, x", "id, TOP(x)"])
+    def test_rewrite_equals_the_oracle(self, connection, algorithm, source, shape, items):
+        self._load(connection)
+        query = f"SELECT {items} FROM {source} PREFERRING LOWEST(x) GROUPING g"
+        cursor = connection.execute(query, algorithm=algorithm)
+        assert cursor.plan.strategy == "rewrite"
+        assert cursor.executed_sql.startswith(shape)
+        engine = PreferenceEngine(
+            {source: Relation(columns=("id", "g", "x"), rows=self.ROWS)},
+            algorithm="nested_loop",
+        )
+        rows = _canonical(cursor.fetchall())
+        assert sorted(rows) == sorted(_canonical(engine.execute(query).rows))
+        # Every row is alone in its partition: the winner, and its optimum.
+        assert sorted(row[0] for row in rows) == [1, 2, 3, 4]
+        if "TOP" in items:
+            assert {row[1] for row in rows} == {1.0}

@@ -17,12 +17,14 @@ winners is sound:
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.plan.planner as plan_planner
 from repro.engine.relation import Relation
 from repro.errors import PlanError
 from repro.model.algebra import normalize, refines
@@ -556,6 +558,17 @@ BASE_Q = "SELECT * FROM cars PREFERRING LOWEST(price) AND LOWEST(mileage)"
 
 
 class TestSessionExecution:
+    def test_session_plans_build_no_scan(self, cars_connection):
+        con = cars_connection
+        con.execute(BASE_Q).fetchall()
+        with mock.patch.object(
+            plan_planner, "ranked_scan_sql", wraps=plan_planner.ranked_scan_sql
+        ) as scan:
+            cursor = con.execute(BASE_Q + " CASCADE make IN ('vw')")
+        assert cursor.plan.strategy == SESSION_STRATEGY
+        assert cursor.plan.pushdown_sql is None and cursor.plan.residual is not None
+        assert scan.call_count == 0
+
     def test_refined_query_served_without_rescan(self, cars_connection):
         con = cars_connection
         con.execute(BASE_Q).fetchall()

@@ -8,9 +8,12 @@ interception (including the leading-comment and CTE regression cases)
 and the planner's view-answering path with its EXPLAIN PREFERENCE rows.
 """
 
+from unittest import mock
+
 import pytest
 
 import repro
+from repro.engine import incremental
 from repro.sql.scan import dml_target
 from repro.engine.incremental import analyze_view, validate_view
 from repro.errors import CatalogError, DriverError, ParseError
@@ -739,6 +742,18 @@ def test_views_are_empty_on_a_fresh_database():
     assert connection.raw.execute(
         "SELECT name FROM sqlite_master WHERE name = 'prefsql_views'"
     ).fetchone() is None
+    connection.close()
+
+
+def test_matching_prints_no_statement_without_views():
+    connection = fresh_connection()
+    with mock.patch.object(incremental, "to_sql", wraps=incremental.to_sql) as printed:
+        connection.execute(VIEW_QUERY).fetchall()
+        assert printed.call_count == 0
+        connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
+        cursor = connection.execute(VIEW_QUERY)
+        assert printed.call_count > 0
+    assert cursor.plan.strategy == "view"
     connection.close()
 
 
