@@ -982,22 +982,16 @@ class PreferenceEngine:
         self, sources: Sequence[ast.FromSource], table: str | None
     ) -> list[str]:
         names: list[str] = []
-
-        def visit(source: ast.FromSource) -> None:
-            if isinstance(source, ast.TableRef):
-                if table is None or source.binding.lower() == table.lower():
-                    names.extend(self.relation(source.name).columns)
-            elif isinstance(source, ast.SubquerySource):
-                if table is None or source.alias.lower() == table.lower():
-                    names.extend(
-                        self.execute_select(source.query).columns
-                    )  # pragma: no cover - empty-input star expansion
-            elif isinstance(source, ast.Join):
-                visit(source.left)
-                visit(source.right)
-
         for source in sources:
-            visit(source)
+            for node in ast.walk(source, ast.FROM_SOURCES):
+                if isinstance(node, ast.TableRef):
+                    if table is None or node.binding.lower() == table.lower():
+                        names.extend(self.relation(node.name).columns)
+                elif isinstance(node, ast.SubquerySource):
+                    if table is None or node.alias.lower() == table.lower():
+                        names.extend(
+                            self.execute_select(node.query).columns
+                        )  # pragma: no cover - empty-input star expansion
         return names
 
     # prefcheck: disable=deadline-poll -- explicit loops are over select/ORDER BY terms (query width); the row-scale work happens inside host sorted(), which cannot be polled mid-sort

@@ -48,7 +48,6 @@ from repro.engine.relation import Relation
 from repro.errors import CatalogError, DriverError, EvaluationError
 from repro.pdl.catalog import ViewEntry
 from repro.plan.planner import MaterializedView, in_memory_parts
-from repro.rewrite.planner import pref_expressions
 from repro.sql import ast
 from repro.sql.printer import quote_identifier as _quote
 from repro.sql.printer import to_sql
@@ -70,74 +69,9 @@ class ViewAnalysis:
     base_tables: tuple[str, ...]
 
 
-def _nested_source_queries(source: ast.FromSource):
-    if isinstance(source, ast.SubquerySource):
-        yield source.query
-    elif isinstance(source, ast.Join):
-        yield from _nested_source_queries(source.left)
-        yield from _nested_source_queries(source.right)
-
-
-def _clause_expressions(select: ast.Select):
-    """Top-level expressions of every clause of one SELECT block."""
-    for item in select.items:
-        if isinstance(item, ast.SelectItem):
-            yield item.expr
-    if select.where is not None:
-        yield select.where
-    if select.preferring is not None:
-        for term in ast.walk_pref(select.preferring):
-            yield from pref_expressions(term)
-    yield from select.grouping
-    if select.but_only is not None:
-        yield select.but_only
-    yield from select.group_by
-    if select.having is not None:
-        yield select.having
-    for order_item in select.order_by:
-        yield order_item.expr
-    if select.limit is not None:
-        yield select.limit
-    if select.offset is not None:
-        yield select.offset
-
-
-def _walk_select_nodes(select: ast.Select):
-    """Every expression node in ``select``, descending into sub-queries."""
-    stack: list[ast.Select] = [select]
-    while stack:
-        current = stack.pop()
-        for source in current.sources:
-            stack.extend(_nested_source_queries(source))
-        for expr in _clause_expressions(current):
-            for node in ast.walk_expr(expr):
-                yield node
-                if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-                    stack.append(node.query)
-
-
 def base_tables_of(select: ast.Select) -> tuple[str, ...]:
     """All base tables referenced anywhere in the query (lowercased)."""
-    names: set[str] = set()
-    stack: list[ast.Select] = [select]
-    while stack:
-        current = stack.pop()
-
-        def visit(source: ast.FromSource) -> None:
-            if isinstance(source, ast.TableRef):
-                names.add(source.name.lower())
-            elif isinstance(source, ast.SubquerySource):
-                stack.append(source.query)
-            elif isinstance(source, ast.Join):
-                visit(source.left)
-                visit(source.right)
-
-        for source in current.sources:
-            visit(source)
-        for expr in _clause_expressions(current):
-            for node in ast.walk_expr(expr):
-                if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-                    stack.append(node.query)
+    names = {node.name.lower() for node in ast.walk(select) if isinstance(node, ast.TableRef)}
     return tuple(sorted(names))
 
 
@@ -145,7 +79,7 @@ def validate_view(query: ast.Select) -> None:
     """Reject view definitions the subsystem cannot persist at all."""
     if query.preferring is None:
         raise CatalogError("a preference view needs a PREFERRING clause")
-    for node in _walk_select_nodes(query):
+    for node in ast.walk(query):
         if isinstance(node, ast.Param):
             raise CatalogError(
                 "preference view definitions cannot contain '?' parameters"
@@ -186,7 +120,7 @@ def analyze_view(query: ast.Select) -> ViewAnalysis:
         return fallback("DISTINCT requires full recompute")
     if query.where is not None:
         for node in ast.walk_expr(query.where):
-            if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+            if isinstance(node, ast.SUBQUERIES):
                 return fallback("sub-queries in WHERE see the whole database")
     return ViewAnalysis(
         maintainable=True,

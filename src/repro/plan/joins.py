@@ -98,44 +98,21 @@ class JoinScan:
 # FROM-shape analysis
 
 
-def _collect_table_refs(source: ast.FromSource, refs: list[ast.TableRef]) -> bool:
-    """Collect base tables of one FROM source; False on derived tables."""
-    if isinstance(source, ast.TableRef):
-        refs.append(source)
-        return True
-    if isinstance(source, ast.Join):
-        return _collect_table_refs(source.left, refs) and (
-            _collect_table_refs(source.right, refs)
-        )
-    return False
-
-
-def join_predicates(sources: Sequence[ast.FromSource]) -> list[ast.Expr]:
-    """Every ``JOIN … ON`` condition in a FROM clause, in tree order."""
-    conditions: list[ast.Expr] = []
-
-    def visit(source: ast.FromSource) -> None:
-        if isinstance(source, ast.Join):
-            visit(source.left)
-            visit(source.right)
-            if source.condition is not None:
-                conditions.append(source.condition)
-        elif isinstance(source, ast.SubquerySource):
-            pass  # nested queries estimate independently
-
-    for source in sources:
-        visit(source)
-    return conditions
-
-
 def estimation_predicate(select: ast.Select) -> ast.Expr | None:
     """The WHERE conjunction *plus* every JOIN … ON condition.
 
     Comma-join lists put the join predicate in WHERE; explicit JOIN
     syntax puts it in the ON clause.  Selectivity estimation must see
-    both, or semantically identical queries price differently.
+    both, or semantically identical queries price differently.  Nested
+    queries estimate independently.
     """
-    parts = join_predicates(select.sources)
+    parts = [
+        join.condition
+        for source in select.sources
+        # A join tree leans left: its innermost join comes last pre-order.
+        for join in reversed(list(ast.walk(source, ast.FROM_SOURCES)))
+        if isinstance(join, ast.Join) and join.condition is not None
+    ]
     if select.where is not None:
         parts.append(select.where)
     if not parts:
@@ -156,10 +133,12 @@ def build_join_scan(
     column lists.  LEFT joins are scan-eligible: sqlite executes the
     join either way.
     """
-    refs: list[ast.TableRef] = []
-    for source in select.sources:
-        if not _collect_table_refs(source, refs):
-            return None, "derived tables in FROM need the host database"
+    nodes = [
+        node for source in select.sources for node in ast.walk(source, ast.FROM_SOURCES)
+    ]
+    if any(isinstance(node, ast.SubquerySource) for node in nodes):
+        return None, "derived tables in FROM need the host database"
+    refs = [node for node in nodes if isinstance(node, ast.TableRef)]
     if len(refs) < 2:
         return None, "in-memory evaluation needs base-table sources"
     lowered = {name.lower(): columns for name, columns in (schema or {}).items()}
@@ -210,57 +189,18 @@ def build_join_scan(
 # Residual flattening
 
 
-def _flatten_expr(expr: ast.Expr, rename: Callable[[ast.Column], ast.Column]) -> ast.Expr:
-    mapping = {
-        node: rename(node)
-        for node in ast.walk_expr(expr)
-        if isinstance(node, ast.Column)
-    }
-    return ast.substitute(expr, mapping) if mapping else expr
+def _flatten(node: ast.Node, rename: Callable[[ast.Column], ast.Column]) -> ast.Node:
+    """Rebuild an expression or preference term with every column renamed
+    (sub-queries stay as written)."""
 
+    def visit(inner: ast.Node) -> ast.Node | None:
+        if isinstance(inner, ast.Column):
+            return rename(inner)
+        if isinstance(inner, ast.NamedPref):  # pragma: no cover - inlined upstream
+            raise PlanError("named preferences must be inlined before flattening")
+        return inner if isinstance(inner, ast.SUBQUERIES) else None
 
-def _flatten_pref(
-    term: ast.PrefTerm, rename: Callable[[ast.Column], ast.Column]
-) -> ast.PrefTerm:
-    """Rebuild a preference term with every operand expression renamed."""
-    if isinstance(term, (ast.ParetoPref, ast.CascadePref, ast.ElsePref)):
-        return type(term)(
-            parts=tuple(_flatten_pref(part, rename) for part in term.parts)
-        )
-    if isinstance(term, ast.AroundPref):
-        return ast.AroundPref(
-            operand=_flatten_expr(term.operand, rename),
-            target=_flatten_expr(term.target, rename),
-        )
-    if isinstance(term, ast.BetweenPref):
-        return ast.BetweenPref(
-            operand=_flatten_expr(term.operand, rename),
-            low=_flatten_expr(term.low, rename),
-            high=_flatten_expr(term.high, rename),
-        )
-    if isinstance(term, (ast.LowestPref, ast.HighestPref, ast.ScorePref)):
-        return type(term)(operand=_flatten_expr(term.operand, rename))
-    if isinstance(term, (ast.PosPref, ast.NegPref)):
-        return type(term)(
-            operand=_flatten_expr(term.operand, rename),
-            values=tuple(_flatten_expr(value, rename) for value in term.values),
-        )
-    if isinstance(term, ast.ContainsPref):
-        return ast.ContainsPref(
-            operand=_flatten_expr(term.operand, rename),
-            terms=_flatten_expr(term.terms, rename),
-        )
-    if isinstance(term, ast.ExplicitPref):
-        return ast.ExplicitPref(
-            operand=_flatten_expr(term.operand, rename),
-            pairs=tuple(
-                (_flatten_expr(better, rename), _flatten_expr(worse, rename))
-                for better, worse in term.pairs
-            ),
-        )
-    if isinstance(term, ast.NamedPref):  # pragma: no cover - inlined upstream
-        raise PlanError("named preferences must be inlined before flattening")
-    raise PlanError(f"cannot flatten preference term {type(term).__name__}")
+    return ast.transform(node, visit)
 
 
 def _scan_items(scan: JoinScan) -> tuple[ast.SelectItem, ...]:
@@ -322,7 +262,7 @@ def join_memory_parts(
             continue
         residual_items.append(
             ast.SelectItem(
-                expr=_flatten_expr(item.expr, rename),
+                expr=_flatten(item.expr, rename),
                 alias=item.alias or to_sql(item.expr),
             )
         )
@@ -331,7 +271,7 @@ def join_memory_parts(
     if term is not None:
         if resolver is not None:
             term = inline_named_preferences(term, resolver)
-        term = _flatten_pref(term, rename)
+        term = _flatten(term, rename)
 
     # ORDER BY may reference a select-list alias (standard SQL); those
     # names are not table columns — keep them verbatim so the engine's
@@ -355,13 +295,13 @@ def join_memory_parts(
         preferring=term,
         grouping=tuple(rename(column) for column in select.grouping),
         but_only=(
-            _flatten_expr(select.but_only, rename)
+            _flatten(select.but_only, rename)
             if select.but_only is not None
             else None
         ),
         order_by=tuple(
             ast.OrderItem(
-                expr=_flatten_expr(order_item.expr, rename_order),
+                expr=_flatten(order_item.expr, rename_order),
                 descending=order_item.descending,
             )
             for order_item in select.order_by

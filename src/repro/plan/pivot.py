@@ -61,7 +61,7 @@ from repro.model.composite import PrioritizationPreference
 from repro.model.preference import Preference
 from repro.rewrite.conditions import Accessor, better_condition, same_group
 from repro.sql import ast
-from repro.sql.printer import quote_identifier, to_sql
+from repro.sql.printer import to_sql
 
 #: Alias prefix of the rank columns the scan appends to its select list;
 #: the driver splits them off the fetched rows by position.
@@ -124,7 +124,7 @@ def ranked_scan_sql(
         scan,
         preference,
         ranks,
-        [quote_identifier(key) for key in keys],
+        keys,
         text,
     )
     return to_sql(replace(survivors, ctes=ctes))
@@ -143,9 +143,9 @@ def rank_cte(
     beat (module docstring).
 
     ``ranks`` name ``query``'s rank columns, one per base preference of
-    ``preference`` in tree order, and ``keys`` its GROUPING key columns,
-    both as they print.  The pivot's name does not occur in ``taken``
-    (lowercased SQL text, or names).
+    ``preference`` in tree order, and ``keys`` its GROUPING key columns.
+    The pivot's name does not occur in ``taken`` (lowercased SQL text, or
+    names).
     """
     pivot = fresh_name("__pref_pivot", taken)
     column = dict(zip(preference.iter_base(), ranks))

@@ -63,11 +63,7 @@ from repro.plan.semantic import (
 from repro.plan.session import SessionMatch
 from repro.plan.statistics import TableStatistics
 from repro.rewrite.levels import pushdown_rank_expressions
-from repro.rewrite.planner import (
-    Schema,
-    pref_expressions,
-    rewrite_statement,
-)
+from repro.rewrite.planner import Schema, rewrite_statement
 from repro.sql import ast
 from repro.sql.printer import quote_identifier, to_sql
 
@@ -750,17 +746,16 @@ def inline_named_preferences(
     term: ast.PrefTerm, resolver: NameResolver, _seen: tuple[str, ...] = ()
 ) -> ast.PrefTerm:
     """Replace every ``PREFERENCE name`` reference by its definition."""
-    if isinstance(term, ast.NamedPref):
-        key = term.name.lower()
-        if key in _seen:
-            raise PlanError(f"cyclic preference definition {term.name!r}")
-        return inline_named_preferences(resolver(term.name), resolver, _seen + (key,))
-    if isinstance(term, (ast.ParetoPref, ast.CascadePref, ast.ElsePref)):
-        parts = tuple(
-            inline_named_preferences(part, resolver, _seen) for part in term.parts
-        )
-        return type(term)(parts=parts)
-    return term
+
+    def inline(node: ast.Node) -> ast.Node | None:
+        if isinstance(node, ast.NamedPref):
+            key = node.name.lower()
+            if key in _seen:
+                raise PlanError(f"cyclic preference definition {node.name!r}")
+            return inline_named_preferences(resolver(node.name), resolver, _seen + (key,))
+        return None if isinstance(node, ast.COMPOSITES) else node
+
+    return ast.transform(term, inline)
 
 
 def _table_columns(table: str | None, schema: Schema | None) -> Sequence[str] | None:
@@ -799,21 +794,22 @@ def _surface_ineligibility(
             if isinstance(node, ast.FuncCall) and node.name in QUALITY_FUNCTIONS:
                 return "quality-function adornments keep host-database result types"
 
-    everywhere = list(surface)
-    if select.but_only is not None:
-        everywhere.append(select.but_only)
-    for clause in (select.limit, select.offset):
+    roots: list[ast.Node] = list(surface)
+    for clause in (select.but_only, select.limit, select.offset):
         if clause is not None:
-            everywhere.append(clause)
+            roots.append(clause)
     if select.preferring is not None:
-        for term in ast.walk_pref(select.preferring):
-            everywhere.extend(pref_expressions(term))
-    for expr in everywhere:
-        for node in ast.walk_expr(expr):
-            if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+        roots.append(select.preferring)
+    for root in roots:
+        for node in ast.walk(root, (ast.PrefTerm, ast.Expr)):
+            if isinstance(node, ast.SUBQUERIES):
                 return "sub-queries outside WHERE need the host database"
             if isinstance(node, ast.Collate):
                 return "collations outside WHERE need the host database"
+            # The engine evaluates no CAST; a preference operand's CAST
+            # reaches the host inside the SQL rank expressions.
+            if isinstance(node, ast.Cast) and root is not select.preferring:
+                return "casts outside WHERE need the host database"
     return ""
 
 

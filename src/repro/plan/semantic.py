@@ -47,7 +47,7 @@ every plan it justified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Protocol
 
 from repro.model.builder import build_preference
@@ -384,46 +384,23 @@ def _units(term: ast.PrefTerm) -> Iterator[ast.PrefTerm]:
         yield term
 
 
-def _term_exprs(term: ast.PrefTerm) -> Iterator[ast.Expr]:
-    for field in fields(term):
-        value = getattr(term, field.name)
-        if isinstance(value, ast.Expr):
-            yield value
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, ast.Expr):
-                    yield item
-                elif isinstance(item, tuple):
-                    for nested in item:
-                        if isinstance(nested, ast.Expr):
-                            yield nested
-
-
 def _unit_columns(
     unit: ast.PrefTerm, bindings: set[str]
 ) -> set[str] | None:
     """Columns one dimension depends on; None when un-analyzable
     (parameters, sub-queries, quality calls, foreign qualifiers)."""
     columns: set[str] = set()
-    for term in ast.walk_pref(unit):
-        if isinstance(term, ast.NamedPref):
+    for node in ast.walk(unit, (ast.PrefTerm, ast.Expr)):
+        if isinstance(node, ast.NamedPref):
             return None  # caller inlines; a survivor means no resolver
-        for expr in _term_exprs(term):
-            for node in ast.walk_expr(expr):
-                if isinstance(
-                    node,
-                    (ast.Param, ast.InSubquery, ast.Exists, ast.ScalarSubquery),
-                ):
-                    return None
-                if (
-                    isinstance(node, ast.FuncCall)
-                    and node.name in QUALITY_FUNCTIONS
-                ):
-                    return None
-                if isinstance(node, ast.Column):
-                    if node.table and node.table.lower() not in bindings:
-                        return None
-                    columns.add(node.name.lower())
+        if isinstance(node, (ast.Param, *ast.SUBQUERIES)):
+            return None
+        if isinstance(node, ast.FuncCall) and node.name in QUALITY_FUNCTIONS:
+            return None
+        if isinstance(node, ast.Column):
+            if node.table and node.table.lower() not in bindings:
+                return None
+            columns.add(node.name.lower())
     return columns
 
 

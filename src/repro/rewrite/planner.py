@@ -75,8 +75,8 @@ schema every single-table source is taken to be a rowid table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Container, Iterable, Mapping, Sequence
 
 from repro.errors import PreferenceConstructionError, RewriteError
 from repro.model.algebra import normalize
@@ -194,7 +194,7 @@ class _SelectRewriter:
         normalized_term = normalize(select.preferring)
         if normalized_term != select.preferring:
             self._notes.append("preference term simplified by algebra laws")
-            select = self._select = _replace_preferring(select, normalized_term)
+            select = self._select = replace(select, preferring=normalized_term)
 
         preference = build_preference(select.preferring, resolver=self._resolver)
         self._preference = preference
@@ -370,46 +370,26 @@ class _SelectRewriter:
                 "GROUP BY/HAVING cannot be combined with PREFERRING; use "
                 "GROUPING for soft partitions (paper section 2.2.5)"
             )
-        for node in self._walk_everything(select):
+        for node in ast.walk(select):
             if isinstance(node, ast.Param):
                 raise RewriteError(
                     "preference queries must have parameters bound before "
                     "rewriting (the driver literalises them)"
                 )
 
-    def _walk_everything(self, select: ast.Select):
-        for item in select.items:
-            if isinstance(item, ast.SelectItem):
-                yield from ast.walk_expr(item.expr)
-        for clause in (select.where, select.but_only, select.limit, select.offset):
-            if clause is not None:
-                yield from ast.walk_expr(clause)
-        for order_item in select.order_by:
-            yield from ast.walk_expr(order_item.expr)
-        if select.preferring is not None:
-            for term in ast.walk_pref(select.preferring):
-                for expr in pref_expressions(term):
-                    yield from ast.walk_expr(expr)
-
     def _collect_bindings(
         self, sources: Sequence[ast.FromSource]
     ) -> list[tuple[str, str]]:
         bindings: list[tuple[str, str]] = []
-
-        def visit(source: ast.FromSource) -> None:
-            if isinstance(source, ast.TableRef):
-                bindings.append((source.binding, source.name))
-            elif isinstance(source, ast.Join):
-                visit(source.left)
-                visit(source.right)
-            else:
-                raise RewriteError(
-                    "derived tables in the FROM clause of a preference "
-                    "query are not supported by the rewriter"
-                )
-
         for source in sources:
-            visit(source)
+            for node in ast.walk(source, ast.FROM_SOURCES):
+                if isinstance(node, ast.TableRef):
+                    bindings.append((node.binding, node.name))
+                elif isinstance(node, ast.SubquerySource):
+                    raise RewriteError(
+                        "derived tables in the FROM clause of a preference "
+                        "query are not supported by the rewriter"
+                    )
         seen = set()
         for binding, _table in bindings:
             if binding.lower() in seen:
@@ -463,93 +443,43 @@ class _SelectRewriter:
 
         return qualify
 
-    def _requalify(self, expr: ast.Expr, alias_map: dict[str, str]) -> ast.Expr:
-        """Deep-rewrite column references into the given alias family."""
-        if isinstance(expr, ast.Column):
-            owner = self._owner_of(expr)
-            return ast.Column(name=expr.name, table=alias_map[owner])
-        if isinstance(expr, ast.Unary):
-            return ast.Unary(op=expr.op, operand=self._requalify(expr.operand, alias_map))
-        if isinstance(expr, ast.Binary):
-            return ast.Binary(
-                op=expr.op,
-                left=self._requalify(expr.left, alias_map),
-                right=self._requalify(expr.right, alias_map),
-            )
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                operand=self._requalify(expr.operand, alias_map),
-                items=tuple(self._requalify(item, alias_map) for item in expr.items),
-                negated=expr.negated,
-            )
-        if isinstance(expr, ast.BetweenExpr):
-            return ast.BetweenExpr(
-                operand=self._requalify(expr.operand, alias_map),
-                low=self._requalify(expr.low, alias_map),
-                high=self._requalify(expr.high, alias_map),
-                negated=expr.negated,
-            )
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(
-                operand=self._requalify(expr.operand, alias_map), negated=expr.negated
-            )
-        if isinstance(expr, ast.Cast):
-            return ast.Cast(
-                operand=self._requalify(expr.operand, alias_map),
-                type_name=expr.type_name,
-            )
-        if isinstance(expr, ast.Collate):
-            return ast.Collate(
-                operand=self._requalify(expr.operand, alias_map),
-                collation=expr.collation,
-            )
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(
-                name=expr.name,
-                args=tuple(self._requalify(arg, alias_map) for arg in expr.args),
-                star=expr.star,
-            )
-        if isinstance(expr, ast.CaseWhen):
-            return ast.CaseWhen(
-                branches=tuple(
-                    (
-                        self._requalify(condition, alias_map),
-                        self._requalify(value, alias_map),
-                    )
-                    for condition, value in expr.branches
-                ),
-                otherwise=(
-                    self._requalify(expr.otherwise, alias_map)
-                    if expr.otherwise is not None
-                    else None
-                ),
-            )
-        if isinstance(expr, (ast.Literal, ast.Param)):
-            return expr
-        raise RewriteError(
-            f"unsupported expression in a preference query: {type(expr).__name__}"
-        )
+    def _requalify(
+        self,
+        expr: ast.Expr,
+        alias_map: dict[str, str],
+        keep: Container[ast.Expr] | None = None,
+    ) -> ast.Expr:
+        """Deep-rewrite column references into the given alias family.
+
+        With ``keep``, its nodes and sub-queries stay as written;
+        without, a sub-query is an error."""
+
+        def visit(node: ast.Node) -> ast.Node | None:
+            if keep is not None:
+                if node in keep or isinstance(node, ast.SUBQUERIES):
+                    return node
+            elif isinstance(node, (*ast.SUBQUERIES, ast.Star)):
+                raise RewriteError(
+                    "unsupported expression in a preference query: "
+                    f"{type(node).__name__}"
+                )
+            if isinstance(node, ast.Column):
+                return ast.Column(name=node.name, table=alias_map[self._owner_of(node)])
+            return None
+
+        return ast.transform(expr, visit)
 
     def _realias_sources(
         self, sources: Sequence[ast.FromSource], alias_map: dict[str, str]
     ) -> tuple[ast.FromSource, ...]:
-        def rebuild(source: ast.FromSource) -> ast.FromSource:
-            if isinstance(source, ast.TableRef):
-                return ast.TableRef(name=source.name, alias=alias_map[source.binding])
-            if isinstance(source, ast.Join):
-                return ast.Join(
-                    kind=source.kind,
-                    left=rebuild(source.left),
-                    right=rebuild(source.right),
-                    condition=(
-                        self._requalify(source.condition, alias_map)
-                        if source.condition is not None
-                        else None
-                    ),
-                )
-            raise RewriteError("derived tables are not supported")  # pragma: no cover
+        def visit(node: ast.Node) -> ast.Node | None:
+            if isinstance(node, ast.TableRef):
+                return ast.TableRef(name=node.name, alias=alias_map[node.binding])
+            if isinstance(node, ast.Expr):
+                return self._requalify(node, alias_map)
+            return None
 
-        return tuple(rebuild(source) for source in sources)
+        return tuple(ast.transform(source, visit) for source in sources)
 
     # ------------------------------------------------------------------
     # GROUPING and BUT ONLY
@@ -591,81 +521,10 @@ class _SelectRewriter:
             # The expression moves into the NOT EXISTS sub-query: requalify
             # its plain column references to the dominator aliases first,
             # leaving quality calls intact, then substitute those.
-            return ast.substitute(self._requalify_skipping(expr, mapping), mapping)
+            return ast.substitute(
+                self._requalify(expr, self._inner_alias, keep=mapping), mapping
+            )
         return ast.substitute(expr, mapping) if mapping else expr
-
-    def _requalify_skipping(
-        self, expr: ast.Expr, mapping: dict[ast.Expr, ast.Expr]
-    ) -> ast.Expr:
-        """Requalify to the inner family but leave mapped nodes intact."""
-        if expr in mapping:
-            return expr
-        if isinstance(expr, ast.Column):
-            return self._requalify(expr, self._inner_alias)
-        if isinstance(expr, ast.Unary):
-            return ast.Unary(
-                op=expr.op, operand=self._requalify_skipping(expr.operand, mapping)
-            )
-        if isinstance(expr, ast.Binary):
-            return ast.Binary(
-                op=expr.op,
-                left=self._requalify_skipping(expr.left, mapping),
-                right=self._requalify_skipping(expr.right, mapping),
-            )
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                operand=self._requalify_skipping(expr.operand, mapping),
-                items=tuple(
-                    self._requalify_skipping(item, mapping) for item in expr.items
-                ),
-                negated=expr.negated,
-            )
-        if isinstance(expr, ast.BetweenExpr):
-            return ast.BetweenExpr(
-                operand=self._requalify_skipping(expr.operand, mapping),
-                low=self._requalify_skipping(expr.low, mapping),
-                high=self._requalify_skipping(expr.high, mapping),
-                negated=expr.negated,
-            )
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(
-                operand=self._requalify_skipping(expr.operand, mapping),
-                negated=expr.negated,
-            )
-        if isinstance(expr, ast.Cast):
-            return ast.Cast(
-                operand=self._requalify_skipping(expr.operand, mapping),
-                type_name=expr.type_name,
-            )
-        if isinstance(expr, ast.Collate):
-            return ast.Collate(
-                operand=self._requalify_skipping(expr.operand, mapping),
-                collation=expr.collation,
-            )
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(
-                name=expr.name,
-                args=tuple(
-                    self._requalify_skipping(arg, mapping) for arg in expr.args
-                ),
-                star=expr.star,
-            )
-        if isinstance(expr, ast.CaseWhen):
-            return ast.CaseWhen(
-                branches=tuple(
-                    (
-                        self._requalify_skipping(condition, mapping),
-                        self._requalify_skipping(value, mapping),
-                    )
-                    for condition, value in expr.branches
-                ),
-                otherwise=(
-                    self._requalify_skipping(expr.otherwise, mapping)
-                    if expr.otherwise is not None
-                    else None
-                ),
-            )
-        return expr
 
     def _quality_sql(self, function: str, target: ast.Expr, family: str) -> ast.Expr:
         resolved = self._quality.resolve(target)
@@ -761,23 +620,6 @@ class _SelectRewriter:
 # Small helpers
 
 
-def _replace_preferring(select: ast.Select, term: ast.PrefTerm) -> ast.Select:
-    return ast.Select(
-        items=select.items,
-        sources=select.sources,
-        where=select.where,
-        preferring=term,
-        grouping=select.grouping,
-        but_only=select.but_only,
-        group_by=select.group_by,
-        having=select.having,
-        order_by=select.order_by,
-        limit=select.limit,
-        offset=select.offset,
-        distinct=select.distinct,
-    )
-
-
 def _conjoin(parts: list[ast.Expr]) -> ast.Expr | None:
     if not parts:
         return None
@@ -809,31 +651,3 @@ def _boolean_case(condition: ast.Expr) -> ast.Expr:
         branches=((condition, ast.Literal(value=1)),),
         otherwise=ast.Literal(value=0),
     )
-
-
-def pref_expressions(term: ast.PrefTerm):
-    """All scalar expressions directly inside one preference term node.
-
-    Shared with the cost-based planner (:mod:`repro.plan.planner`), which
-    walks them for sub-queries when deciding in-memory eligibility.
-    """
-    if isinstance(term, ast.AroundPref):
-        yield term.operand
-        yield term.target
-    elif isinstance(term, ast.BetweenPref):
-        yield term.operand
-        yield term.low
-        yield term.high
-    elif isinstance(term, (ast.LowestPref, ast.HighestPref, ast.ScorePref)):
-        yield term.operand
-    elif isinstance(term, (ast.PosPref, ast.NegPref)):
-        yield term.operand
-        yield from term.values
-    elif isinstance(term, ast.ContainsPref):
-        yield term.operand
-        yield term.terms
-    elif isinstance(term, ast.ExplicitPref):
-        yield term.operand
-        for better, worse in term.pairs:
-            yield better
-            yield worse

@@ -17,8 +17,8 @@ so immutability keeps sharing safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Union, get_args, get_type_hints
 
 # ----------------------------------------------------------------------
 # Expressions
@@ -536,45 +536,136 @@ class ExplainPreference(Statement):
 
 # ----------------------------------------------------------------------
 # Tree utilities
+#
+# The node classes are the one description of the tree's shape: a field
+# whose annotation names a node class (alone, in a tuple or a union) holds
+# children, every other field is data.  ``walk`` and ``transform`` read
+# that table, so a new node class needs no traversal code of its own.
+
+#: The expressions that hold a SELECT; ``walk_expr`` and ``substitute``
+#: stop at them.
+SUBQUERIES = (InSubquery, Exists, ScalarSubquery)
+
+#: The shapes of a FROM source, to ``walk`` a join tree without its
+#: conditions or derived tables' queries.
+FROM_SOURCES = (TableRef, SubquerySource, Join)
+
+#: The composite preference terms, whose parts are preference terms.
+COMPOSITES = (ElsePref, ParetoPref, CascadePref)
+
+#: Per node class: the names of its fields that can hold nodes, and of
+#: all its fields (the constructor's arguments, in order).
+_CHILDREN: dict[type, tuple[str, ...]] = {}
+_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
-def walk_expr(expr: Expr):
-    """Yield ``expr`` and all expression nodes beneath it (pre-order)."""
-    yield expr
-    if isinstance(expr, Unary):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, InList):
-        yield from walk_expr(expr.operand)
-        for item in expr.items:
-            yield from walk_expr(item)
-    elif isinstance(expr, InSubquery):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, BetweenExpr):
-        yield from walk_expr(expr.operand)
-        yield from walk_expr(expr.low)
-        yield from walk_expr(expr.high)
-    elif isinstance(expr, (IsNull, Cast, Collate)):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk_expr(arg)
-    elif isinstance(expr, CaseWhen):
-        for condition, value in expr.branches:
-            yield from walk_expr(condition)
-            yield from walk_expr(value)
-        if expr.otherwise is not None:
-            yield from walk_expr(expr.otherwise)
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """Read a node class's shape off its annotations, once."""
+    hints = get_type_hints(cls)
+    _FIELDS[cls] = tuple(field.name for field in fields(cls))
+    _CHILDREN[cls] = tuple(name for name in _FIELDS[cls] if _holds_nodes(hints[name]))
+    return _CHILDREN[cls]
 
 
-def walk_pref(term: PrefTerm):
+def _holds_nodes(hint: object) -> bool:
+    if isinstance(hint, type) and issubclass(hint, Node):
+        return True
+    return any(_holds_nodes(arg) for arg in get_args(hint))
+
+
+def _gather(value: tuple, into: type | tuple[type, ...], out: list[Node]) -> None:
+    for item in value:
+        if isinstance(item, into):
+            out.append(item)
+        elif type(item) is tuple:
+            _gather(item, into, out)
+
+
+def walk(node: Node, into: type | tuple[type, ...] = Node) -> Iterator[Node]:
+    """Yield ``node`` and the nodes beneath it, pre-order in field order.
+
+    Only children that are instances of ``into`` are visited (and
+    entered): ``walk(select)`` sees every node of a statement,
+    ``walk(expr, Expr)`` stops at a sub-query's SELECT.
+    """
+    stack = [node]
+    pop, children_of = stack.pop, _CHILDREN.get
+    while stack:
+        node = pop()
+        yield node
+        names = children_of(type(node))
+        if names is None:
+            names = _child_fields(type(node))
+        if not names:
+            continue
+        children: list[Node] = []
+        for name in names:
+            value = getattr(node, name)
+            if isinstance(value, into):
+                children.append(value)
+            elif type(value) is tuple:
+                _gather(value, into, children)
+        if children:
+            children.reverse()
+            stack += children
+
+
+def transform(node: Node, fn: Callable[[Node], Node | None]) -> Node:
+    """Rebuild ``node`` through ``fn``.
+
+    ``fn`` sees each node top-down and returns its replacement, which is
+    not entered, or None to keep the node and transform its children.  A
+    subtree in which nothing changed comes back as the same object.
+    """
+    replacement = fn(node)
+    if replacement is not None:
+        return replacement
+    cls = type(node)
+    names = _CHILDREN.get(cls)
+    if names is None:
+        names = _child_fields(cls)
+    changed: dict[str, object] | None = None
+    for name in names:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            rebuilt: object = transform(value, fn)
+        elif type(value) is tuple:
+            rebuilt = _transform_tuple(value, fn)
+        else:
+            continue
+        if rebuilt is not value:
+            if changed is None:
+                changed = {}
+            changed[name] = rebuilt
+    if changed is None:
+        return node
+    return cls(
+        *[changed[name] if name in changed else getattr(node, name) for name in _FIELDS[cls]]
+    )
+
+
+def _transform_tuple(value: tuple, fn: Callable[[Node], Node | None]) -> tuple:
+    items = [
+        transform(item, fn) if isinstance(item, Node)
+        else _transform_tuple(item, fn) if type(item) is tuple
+        else item
+        for item in value
+    ]
+    for new, old in zip(items, value):
+        if new is not old:
+            return tuple(items)
+    return value
+
+
+def walk_expr(expr: Expr) -> Iterator[Node]:
+    """Yield ``expr`` and all expression nodes beneath it (pre-order),
+    without entering sub-queries."""
+    return walk(expr, Expr)
+
+
+def walk_pref(term: PrefTerm) -> Iterator[Node]:
     """Yield ``term`` and all preference terms beneath it (pre-order)."""
-    yield term
-    if isinstance(term, (ElsePref, ParetoPref, CascadePref)):
-        for part in term.parts:
-            yield from walk_pref(part)
+    return walk(term, PrefTerm)
 
 
 def base_terms(term: PrefTerm) -> list[PrefTerm]:
@@ -582,7 +673,7 @@ def base_terms(term: PrefTerm) -> list[PrefTerm]:
     return [
         node
         for node in walk_pref(term)
-        if not isinstance(node, (ParetoPref, CascadePref, ElsePref))
+        if not isinstance(node, COMPOSITES)
     ]
 
 
@@ -590,55 +681,17 @@ def substitute(expr: Expr, mapping: dict[Expr, Expr]) -> Expr:
     """Return ``expr`` with every node found in ``mapping`` replaced.
 
     Matching is structural (nodes are frozen dataclasses); replacement
-    happens top-down, so a mapped node's children are not visited.  Used by
-    the engine and the rewriter to swap quality-function calls for computed
-    columns.
+    happens top-down, so a mapped node's children are not visited, nor
+    are sub-queries.  Used by the engine and the rewriter to swap
+    quality-function calls for computed columns.
     """
-    if expr in mapping:
-        return mapping[expr]
-    if isinstance(expr, Unary):
-        return Unary(op=expr.op, operand=substitute(expr.operand, mapping))
-    if isinstance(expr, Binary):
-        return Binary(
-            op=expr.op,
-            left=substitute(expr.left, mapping),
-            right=substitute(expr.right, mapping),
-        )
-    if isinstance(expr, InList):
-        return InList(
-            operand=substitute(expr.operand, mapping),
-            items=tuple(substitute(item, mapping) for item in expr.items),
-            negated=expr.negated,
-        )
-    if isinstance(expr, BetweenExpr):
-        return BetweenExpr(
-            operand=substitute(expr.operand, mapping),
-            low=substitute(expr.low, mapping),
-            high=substitute(expr.high, mapping),
-            negated=expr.negated,
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(operand=substitute(expr.operand, mapping), negated=expr.negated)
-    if isinstance(expr, Cast):
-        return Cast(operand=substitute(expr.operand, mapping), type_name=expr.type_name)
-    if isinstance(expr, Collate):
-        return Collate(operand=substitute(expr.operand, mapping), collation=expr.collation)
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            name=expr.name,
-            args=tuple(substitute(arg, mapping) for arg in expr.args),
-            star=expr.star,
-        )
-    if isinstance(expr, CaseWhen):
-        return CaseWhen(
-            branches=tuple(
-                (substitute(cond, mapping), substitute(value, mapping))
-                for cond, value in expr.branches
-            ),
-            otherwise=(
-                substitute(expr.otherwise, mapping)
-                if expr.otherwise is not None
-                else None
-            ),
-        )
-    return expr
+    if not mapping:
+        return expr
+
+    def swap(node: Node) -> Node | None:
+        found = mapping.get(node)
+        if found is None and isinstance(node, SUBQUERIES):
+            return node
+        return found
+
+    return transform(expr, swap)

@@ -831,7 +831,7 @@ def _validate_restrictions(statement: ast.Statement) -> None:
 
 def _subqueries_of(expr: ast.Expr):
     for node in ast.walk_expr(expr):
-        if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+        if isinstance(node, ast.SUBQUERIES):
             yield node.query
 
 
@@ -842,16 +842,9 @@ def _check_where_subqueries(select: ast.Select) -> None:
         for query in _subqueries_of(clause):
             _reject_preferring(query)
     for source in select.sources:
-        for nested in _nested_queries(source):
-            _check_where_subqueries(nested)
-
-
-def _nested_queries(source: ast.FromSource):
-    if isinstance(source, ast.SubquerySource):
-        yield source.query
-    elif isinstance(source, ast.Join):
-        yield from _nested_queries(source.left)
-        yield from _nested_queries(source.right)
+        for node in ast.walk(source, ast.FROM_SOURCES):
+            if isinstance(node, ast.SubquerySource):
+                _check_where_subqueries(node.query)
 
 
 def _reject_preferring(query: ast.Select) -> None:

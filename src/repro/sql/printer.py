@@ -9,7 +9,11 @@ so ``parse(to_sql(parse(q)))`` is a fixpoint — pinned by round-trip tests.
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
+
 from repro.sql import ast
+from repro.sql.tokens import KEYWORDS
 
 
 def quote_string(value: str) -> str:
@@ -48,17 +52,20 @@ def to_sql(node: ast.Node) -> str:
     if isinstance(node, ast.Insert):
         return _insert(node)
     if isinstance(node, ast.CreatePreference):
-        return f"CREATE PREFERENCE {node.name} ON {node.table} AS {_pref(node.term)}"
+        return (
+            f"CREATE PREFERENCE {_identifier(node.name)} ON {_identifier(node.table)}"
+            f" AS {_pref(node.term)}"
+        )
     if isinstance(node, ast.DropPreference):
-        return f"DROP PREFERENCE {node.name}"
+        return f"DROP PREFERENCE {_identifier(node.name)}"
     if isinstance(node, ast.CreatePreferenceView):
-        return f"CREATE PREFERENCE VIEW {node.name} AS {_select(node.query)}"
+        return f"CREATE PREFERENCE VIEW {_identifier(node.name)} AS {_select(node.query)}"
     if isinstance(node, ast.DropPreferenceView):
-        return f"DROP PREFERENCE VIEW {node.name}"
+        return f"DROP PREFERENCE VIEW {_identifier(node.name)}"
     if isinstance(node, ast.CreatePreferenceConstraint):
         return _constraint(node)
     if isinstance(node, ast.DropPreferenceConstraint):
-        return f"DROP PREFERENCE CONSTRAINT {node.name}"
+        return f"DROP PREFERENCE CONSTRAINT {_identifier(node.name)}"
     if isinstance(node, ast.ExplainPreference):
         return f"EXPLAIN PREFERENCE {to_sql(node.statement)}"
     if isinstance(node, ast.PrefTerm):
@@ -109,34 +116,65 @@ def _select(select: ast.Select) -> str:
 
 def _common_table(cte: ast.CommonTable) -> str:
     keyword = " MATERIALIZED" if cte.materialized else ""
-    return f"{cte.name} AS{keyword} ({_select(cte.query)})"
+    return f"{_identifier(cte.name)} AS{keyword} ({_select(cte.query)})"
 
 
-def _quote_identifier_if_needed(name: str) -> str:
-    """Quote aliases that are not plain identifiers (e.g. LEVEL(color))."""
-    if name and (name[0].isalpha() or name[0] == "_"):
-        if all(ch.isalnum() or ch == "_" for ch in name):
-            return name
-    escaped = name.replace('"', '""')
-    return f'"{escaped}"'
+#: sqlite's keywords; with the dialect's own, a name spelled like one of
+#: them prints quoted.
+_SQLITE_KEYWORDS = """
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH
+    AUTOINCREMENT BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE
+    COLUMN COMMIT CONFLICT CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE
+    CURRENT_TIME CURRENT_TIMESTAMP DATABASE DEFAULT DEFERRABLE DEFERRED
+    DELETE DESC DETACH DISTINCT DO DROP EACH ELSE END ESCAPE EXCEPT EXCLUDE
+    EXCLUSIVE EXISTS EXPLAIN FAIL FILTER FIRST FOLLOWING FOR FOREIGN FROM
+    FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE IMMEDIATE IN INDEX
+    INDEXED INITIALLY INNER INSERT INSTEAD INTERSECT INTO IS ISNULL JOIN KEY
+    LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING NOTNULL
+    NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN PRAGMA
+    PRECEDING PRIMARY QUERY RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX
+    RELEASE RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS
+    SAVEPOINT SELECT SET TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION
+    TRIGGER UNBOUNDED UNION UNIQUE UPDATE USING VACUUM VALUES VIEW VIRTUAL
+    WHEN WHERE WINDOW WITH WITHOUT
+"""
+_RESERVED = KEYWORDS | frozenset(_SQLITE_KEYWORDS.split())
+_PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@lru_cache(maxsize=4096)
+def _identifier(name: str) -> str:
+    """``name`` bare when it is a plain identifier and no keyword, else
+    quoted: ``"my col"``, ``"order"``, ``"LEVEL(color)"``."""
+    if _PLAIN.fullmatch(name) and name.upper() not in _RESERVED:
+        return name
+    return quote_identifier(name)
+
+
+def _identifiers(names: tuple[str, ...]) -> str:
+    return ", ".join(_identifier(name) for name in names)
+
+
+def _star(star: ast.Star) -> str:
+    return f"{_identifier(star.table)}.*" if star.table else "*"
 
 
 def _select_item(item: ast.SelectItem | ast.Star) -> str:
     if isinstance(item, ast.Star):
-        return f"{item.table}.*" if item.table else "*"
+        return _star(item)
     rendered = _expr(item.expr)
     if item.alias:
-        rendered += f" AS {_quote_identifier_if_needed(item.alias)}"
+        rendered += f" AS {_identifier(item.alias)}"
     return rendered
 
 
 def _source(source: ast.FromSource) -> str:
     if isinstance(source, ast.TableRef):
         if source.alias:
-            return f"{source.name} AS {source.alias}"
-        return source.name
+            return f"{_identifier(source.name)} AS {_identifier(source.alias)}"
+        return _identifier(source.name)
     if isinstance(source, ast.SubquerySource):
-        return f"({_select(source.query)}) AS {source.alias}"
+        return f"({_select(source.query)}) AS {_identifier(source.alias)}"
     if isinstance(source, ast.Join):
         left = _source(source.left)
         right = _source(source.right)
@@ -148,9 +186,9 @@ def _source(source: ast.FromSource) -> str:
 
 
 def _insert(insert: ast.Insert) -> str:
-    parts = [f"INSERT INTO {insert.table}"]
+    parts = [f"INSERT INTO {_identifier(insert.table)}"]
     if insert.columns:
-        parts.append("(" + ", ".join(insert.columns) + ")")
+        parts.append(f"({_identifiers(insert.columns)})")
     if insert.query is not None:
         parts.append(_select(insert.query))
     else:
@@ -163,17 +201,20 @@ def _insert(insert: ast.Insert) -> str:
 
 
 def _constraint(node: ast.CreatePreferenceConstraint) -> str:
-    head = f"CREATE PREFERENCE CONSTRAINT {node.name} ON {node.table}"
+    head = (
+        f"CREATE PREFERENCE CONSTRAINT {_identifier(node.name)}"
+        f" ON {_identifier(node.table)}"
+    )
     if node.kind == "key":
-        return f"{head} KEY ({', '.join(node.columns)})"
+        return f"{head} KEY ({_identifiers(node.columns)})"
     if node.kind == "not_null":
-        return f"{head} NOT NULL ({', '.join(node.columns)})"
+        return f"{head} NOT NULL ({_identifiers(node.columns)})"
     if node.kind == "check":
         return f"{head} CHECK ({_expr(node.check)})"
     if node.kind == "fd":
         return (
-            f"{head} FD ({', '.join(node.columns)})"
-            f" DETERMINES ({', '.join(node.determines)})"
+            f"{head} FD ({_identifiers(node.columns)})"
+            f" DETERMINES ({_identifiers(node.determines)})"
         )
     raise TypeError(f"unknown constraint kind {node.kind!r}")
 
@@ -219,7 +260,7 @@ def _pref(term: ast.PrefTerm, parent: str = "top") -> str:
         )
         return f"EXPLICIT({_expr(term.operand)}, {pairs})"
     if isinstance(term, ast.NamedPref):
-        return f"PREFERENCE {term.name}"
+        return f"PREFERENCE {_identifier(term.name)}"
     raise TypeError(f"unknown preference term {type(term).__name__}")
 
 
@@ -259,9 +300,11 @@ def _expr(expr: ast.Expr, parent_precedence: int = 0) -> str:
     if isinstance(expr, ast.Literal):
         return format_literal(expr.value)
     if isinstance(expr, ast.Column):
-        return expr.qualified
+        if expr.table:
+            return f"{_identifier(expr.table)}.{_identifier(expr.name)}"
+        return _identifier(expr.name)
     if isinstance(expr, ast.Star):
-        return f"{expr.table}.*" if expr.table else "*"
+        return _star(expr)
     if isinstance(expr, ast.Param):
         return "?"
     if isinstance(expr, ast.Unary):

@@ -53,6 +53,8 @@ SELECT ident FROM oldtimer PREFERRING age AROUND 40 GROUPING color
 SELECT ident, LEVEL(color), DISTANCE(age), TOP(age) FROM oldtimer PREFERRING color = 'white' ELSE color = 'yellow' AND age AROUND 40
 SELECT ident FROM oldtimer PREFERRING age AROUND 40 GROUPING color BUT ONLY DISTANCE(age) <= 5
 SELECT ident FROM oldtimer WHERE age > 10 PREFERRING age AROUND 40 GROUPING color BUT ONLY TOP(age) = 1 ORDER BY ident LIMIT 5
+SELECT o.ident, CASE WHEN o.age > ? THEN ? ELSE (SELECT MAX(price) FROM cars WHERE price < ?) END AS band FROM oldtimer AS o JOIN cars AS c ON c.price < ? WHERE o.age IN (?, ?) AND EXISTS (SELECT 1 FROM cars WHERE price > ?) AND CAST(o.age AS TEXT) COLLATE NOCASE <> ? PREFERRING o.age AROUND ? AND EXPLICIT(o.color, ? > ?) AND o.color IN (?, 'red') BUT ONLY DISTANCE(o.age) <= ? ORDER BY o.age + ? LIMIT ? OFFSET ?
+SELECT "my t"."my col" AS "order", "group".* FROM "my t" JOIN "select" AS "group" ON "group"."key" = "my t".x PREFERRING LOWEST("my t"."my col") GROUPING "group"."key"
 INSERT INTO oldtimer VALUES ('Lisa', 'blue', 22)
 INSERT INTO oldtimer (ident, color, age) VALUES ('Abe', 'grey', 70), ('Ned', 'green', 44)
 INSERT INTO oldtimer VALUES (?, ?, ?)

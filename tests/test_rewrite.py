@@ -659,6 +659,100 @@ def test_collate_outside_where_keeps_the_plan_on_the_host(connection):
         connection.execute(query, algorithm="bnl")
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT id FROM r PREFERRING LOWEST(x) AND HIGHEST(y) BUT ONLY CAST(x AS TEXT) = '1'",
+        "SELECT id FROM r PREFERRING LOWEST(x) AND HIGHEST(y) ORDER BY CAST(y AS TEXT), id",
+        "SELECT id, CAST(x AS TEXT) FROM r PREFERRING LOWEST(x) AND HIGHEST(y)",
+    ],
+    ids=["but-only", "order-by", "select-list"],
+)
+def test_cast_outside_where_keeps_the_plan_on_the_host(connection, query):
+    connection.execute("CREATE TABLE r (id INTEGER, x INTEGER, y INTEGER)")
+    rows = [(i, i % 17, (i * 7) % 23) for i in range(5000)]
+    connection.cursor().executemany("INSERT INTO r VALUES (?, ?, ?)", rows)
+    cursor = connection.execute(query)
+    assert cursor.plan.strategy == "rewrite"
+    assert "host-only: casts outside WHERE need the host database" in cursor.plan.notes
+    assert cursor.fetchall() == connection.execute(query, algorithm="rewrite").fetchall()
+    with pytest.raises(PlanError, match="casts outside WHERE"):
+        connection.execute(query, algorithm="bnl")
+
+
+def test_cast_in_a_preference_operand_runs_in_memory_through_sql_ranks(connection):
+    connection.execute("CREATE TABLE r (id INTEGER, s TEXT, y INTEGER)")
+    rows = [(i, str(i % 10), (i * 7) % 23) for i in range(5000)]
+    connection.cursor().executemany("INSERT INTO r VALUES (?, ?, ?)", rows)
+    query = "SELECT id FROM r PREFERRING LOWEST(CAST(s AS INTEGER)) AND HIGHEST(y)"
+    expected = sorted(connection.execute(query, algorithm="rewrite").fetchall())
+    for force in (None, "bnl"):
+        cursor = connection.execute(query, algorithm=force)
+        assert cursor.plan.strategy == "bnl"
+        assert cursor.plan.rank_width == 2
+        assert sorted(cursor.fetchall()) == expected
+
+
+class TestQuotedIdentifiers:
+    """Names that need quotes print quoted in every host statement: a
+    table ``"my t"`` is not table ``my`` aliased ``t``."""
+
+    @pytest.fixture
+    def con(self, connection):
+        connection.execute("CREATE TABLE my (x INTEGER)")
+        connection.cursor().executemany(
+            "INSERT INTO my VALUES (?)", [(x,) for x in range(100, 200)]
+        )
+        connection.execute(
+            'CREATE TABLE "my t" (x INTEGER, "my col" INTEGER, "order" INTEGER, g INTEGER)'
+        )
+        connection.cursor().executemany(
+            'INSERT INTO "my t" VALUES (?, ?, ?, ?)',
+            [(x, (x * 7) % 13, (x * 5) % 11, x % 3) for x in range(1, 100)],
+        )
+        return connection
+
+    @pytest.mark.parametrize("strategy", [None, "rewrite", "bnl"])
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ('SELECT * FROM "my t" PREFERRING LOWEST(x)', 'SELECT * FROM "my t" WHERE x = 1'),
+            (
+                'SELECT x, "my col" FROM "my t" PREFERRING LOWEST("my col") AND HIGHEST("order")',
+                'SELECT x, "my col" FROM "my t" AS a WHERE NOT EXISTS (SELECT 1 FROM "my t" AS b '
+                'WHERE b."my col" <= a."my col" AND b."order" >= a."order" '
+                'AND (b."my col" < a."my col" OR b."order" > a."order"))',
+            ),
+            (
+                'SELECT "group".x FROM "my t" AS "group" '
+                'PREFERRING LOWEST("group"."order") GROUPING g',
+                'SELECT x FROM "my t" AS t WHERE "order" = '
+                '(SELECT MIN("order") FROM "my t" AS u WHERE u.g = t.g)',
+            ),
+            (
+                'SELECT "group".* FROM "my t" "group" PREFERRING HIGHEST("my col") GROUPING g',
+                'SELECT * FROM "my t" AS t WHERE "my col" = '
+                '(SELECT MAX("my col") FROM "my t" AS u WHERE u.g = t.g)',
+            ),
+        ],
+        ids=["table", "columns", "alias", "alias-star"],
+    )
+    def test_quoted_names_match_sqlite(self, con, strategy, query, expected):
+        cursor = con.execute(query, algorithm=strategy)
+        assert sorted(cursor.fetchall()) == sorted(con.raw.execute(expected).fetchall())
+
+    def test_the_printer_quotes_what_sqlite_would_misread(self):
+        statement = parse_statement(
+            'INSERT INTO "to" ("my col", "select") SELECT "my t".*, "order" AS "group" '
+            'FROM "my t" PREFERRING LOWEST("my t"."key") GROUPING "key"'
+        )
+        assert to_sql(statement) == (
+            'INSERT INTO "to" ("my col", "select") SELECT "my t".*, "order" AS "group" '
+            'FROM "my t" PREFERRING LOWEST("my t"."key") GROUPING "key"'
+        )
+        assert to_sql(parse_statement("SELECT a AS b FROM t")) == "SELECT a AS b FROM t"
+
+
 class TestContainsSemantics:
     """CONTAINS is a literal substring test with ASCII-only case-folding,
     the same in the rewrite, the SQL rank pushdown and the model."""
