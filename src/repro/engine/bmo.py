@@ -39,10 +39,14 @@ from repro.engine.relation import Relation
 from repro.errors import EvaluationError, PreferenceConstructionError
 from repro.model.builder import build_preference
 from repro.model.preference import Preference, WeakOrderBase
-from repro.model.quality import QUALITY_FUNCTIONS, QualityResolver, ResolvedQuality
+from repro.model.quality import (
+    QUALITY_FUNCTIONS,
+    QualityResolver,
+    ResolvedQuality,
+    result_name,
+)
 from repro.sql import ast
 from repro.sql.parser import parse_statement
-from repro.sql.printer import to_sql
 
 
 def bmo_filter(
@@ -957,7 +961,7 @@ class PreferenceEngine:
                 evaluators.append(item)
                 continue
             expr = ast.substitute(item.expr, winners.quality_columns)
-            columns.append(item.alias or to_sql(item.expr))
+            columns.append(item.alias or result_name(item.expr))
             evaluators.append(expr)
 
         rows: list[tuple] = []

@@ -26,8 +26,29 @@ from repro.model.categorical import ExplicitPreference, LayeredPreference
 from repro.model.preference import Preference, WeakOrderBase
 from repro.model.text import ContainsPreference
 from repro.sql import ast
+from repro.sql.printer import to_sql
 
 QUALITY_FUNCTIONS = ("TOP", "LEVEL", "DISTANCE")
+
+
+def result_name(expr: ast.Expr) -> str:
+    """The name of a result column whose select item has no alias.
+
+    Every strategy names its columns through here.  A column keeps its own
+    spelling, unquoted, the way the host names a column (``my col``), and
+    so does the column a quality function reads (``LEVEL(key)``); any other
+    expression is named by its SQL text, the way the host names one.
+    """
+    if isinstance(expr, ast.Column):
+        return expr.qualified
+    if (
+        isinstance(expr, ast.FuncCall)
+        and expr.name in QUALITY_FUNCTIONS
+        and len(expr.args) == 1
+        and isinstance(expr.args[0], ast.Column)
+    ):
+        return f"{expr.name}({expr.args[0].qualified})"
+    return to_sql(expr)
 
 
 @dataclass(frozen=True)
@@ -81,8 +102,6 @@ class QualityResolver:
             for base, vector_slice in self._bases
             if any(_columns_match(target, operand) for operand in base.operands)
         ]
-        from repro.sql.printer import to_sql
-
         if not matches:
             raise PreferenceConstructionError(
                 f"quality function target {to_sql(target)!r} matches no "

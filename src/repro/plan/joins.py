@@ -28,10 +28,10 @@ from typing import Callable, Sequence
 from repro.errors import PlanError
 from repro.model.builder import NameResolver
 from repro.model.preference import Preference
+from repro.model.quality import result_name
 from repro.plan.pivot import ranked_scan_sql
 from repro.rewrite.planner import Schema
 from repro.sql import ast
-from repro.sql.printer import to_sql
 
 #: Registration name of the synthetic single-table relation the residual
 #: of a join scan runs over (the joined candidate rows).
@@ -263,7 +263,7 @@ def join_memory_parts(
         residual_items.append(
             ast.SelectItem(
                 expr=_flatten(item.expr, rename),
-                alias=item.alias or to_sql(item.expr),
+                alias=item.alias or result_name(item.expr),
             )
         )
 

@@ -76,14 +76,14 @@ schema every single-table source is taken to be a rowid table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import PreferenceConstructionError, RewriteError
 from repro.model.algebra import normalize
 from repro.model.builder import NameResolver, build_preference
 from repro.model.categorical import ExplicitPreference, LayeredPreference
 from repro.model.preference import Preference, WeakOrderBase
-from repro.model.quality import QUALITY_FUNCTIONS, QualityResolver
+from repro.model.quality import QUALITY_FUNCTIONS, QualityResolver, result_name
 from repro.model.text import ContainsPreference
 from repro.rewrite.conditions import Accessor, better_condition, same_group
 from repro.rewrite.levels import (
@@ -443,22 +443,11 @@ class _SelectRewriter:
 
         return qualify
 
-    def _requalify(
-        self,
-        expr: ast.Expr,
-        alias_map: dict[str, str],
-        keep: Container[ast.Expr] | None = None,
-    ) -> ast.Expr:
-        """Deep-rewrite column references into the given alias family.
-
-        With ``keep``, its nodes and sub-queries stay as written;
-        without, a sub-query is an error."""
+    def _requalify(self, expr: ast.Expr, alias_map: dict[str, str]) -> ast.Expr:
+        """Deep-rewrite column references into the given alias family."""
 
         def visit(node: ast.Node) -> ast.Node | None:
-            if keep is not None:
-                if node in keep or isinstance(node, ast.SUBQUERIES):
-                    return node
-            elif isinstance(node, (*ast.SUBQUERIES, ast.Star)):
+            if isinstance(node, (*ast.SUBQUERIES, ast.Star)):
                 raise RewriteError(
                     "unsupported expression in a preference query: "
                     f"{type(node).__name__}"
@@ -518,12 +507,21 @@ class _SelectRewriter:
                     )
                 mapping[node] = self._quality_sql(node.name, node.args[0], family)
         if family == "inner":
-            # The expression moves into the NOT EXISTS sub-query: requalify
-            # its plain column references to the dominator aliases first,
-            # leaving quality calls intact, then substitute those.
-            return ast.substitute(
-                self._requalify(expr, self._inner_alias, keep=mapping), mapping
-            )
+            # The expression moves into the NOT EXISTS sub-query: its plain
+            # column references move to the dominator aliases, its quality
+            # calls become their rank expressions, its sub-queries stay.
+            def visit(node: ast.Node) -> ast.Node | None:
+                if node in mapping:
+                    return mapping[node]
+                if isinstance(node, ast.SUBQUERIES):
+                    return node
+                if isinstance(node, ast.Column):
+                    return ast.Column(
+                        name=node.name, table=self._inner_alias[self._owner_of(node)]
+                    )
+                return None
+
+            return ast.transform(expr, visit)
         return ast.substitute(expr, mapping) if mapping else expr
 
     def _quality_sql(self, function: str, target: ast.Expr, family: str) -> ast.Expr:
@@ -612,7 +610,7 @@ class _SelectRewriter:
     def _quality_alias(expr: ast.Expr) -> str | None:
         """Give bare quality-function items a stable, readable column name."""
         if isinstance(expr, ast.FuncCall) and expr.name in QUALITY_FUNCTIONS:
-            return to_sql(expr)
+            return result_name(expr)
         return None
 
 

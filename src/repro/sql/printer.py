@@ -9,9 +9,6 @@ so ``parse(to_sql(parse(q)))`` is a fixpoint — pinned by round-trip tests.
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache
-
 from repro.sql import ast
 from repro.sql.tokens import KEYWORDS
 
@@ -139,14 +136,13 @@ _SQLITE_KEYWORDS = """
     WHEN WHERE WINDOW WITH WITHOUT
 """
 _RESERVED = KEYWORDS | frozenset(_SQLITE_KEYWORDS.split())
-_PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@lru_cache(maxsize=4096)
 def _identifier(name: str) -> str:
-    """``name`` bare when it is a plain identifier and no keyword, else
-    quoted: ``"my col"``, ``"order"``, ``"LEVEL(color)"``."""
-    if _PLAIN.fullmatch(name) and name.upper() not in _RESERVED:
+    """``name`` bare when it is a plain identifier (ASCII letters, digits
+    and ``_``, no leading digit) and no keyword, else quoted: ``"my col"``,
+    ``"order"``, ``"LEVEL(color)"``."""
+    if name.isidentifier() and name.isascii() and name.upper() not in _RESERVED:
         return name
     return quote_identifier(name)
 

@@ -167,6 +167,21 @@ class TestShape:
         assert "WITH" not in sql
         assert "cars AS cars_d" in sql
 
+    def test_inline_but_only_reads_the_dominator_in_its_copy(self):
+        # A row below the threshold is no dominator: inside NOT EXISTS the
+        # BUT ONLY clause, quality call and plain column alike, reads the
+        # dominator's alias, never the outer row's.
+        schema = HostSchema({"cars": ["price", "color"]}, rowless=["cars"])
+        sql = rewrite_text(
+            "SELECT * FROM cars PREFERRING price AROUND 100 "
+            "BUT ONLY DISTANCE(price) <= 10 AND cars.color = 'red'",
+            schema=schema,
+        )
+        dominators = sql[sql.index("NOT EXISTS") :]
+        assert "cars_d.color = 'red'" in dominators
+        assert "cars.color" not in dominators
+        assert dominators.count("<= 10") == 1
+
     def test_inline_grouping_is_null_safe(self):
         schema = HostSchema({"cars": ["price", "color"]}, rowless=["cars"])
         sql = rewrite_text(
@@ -740,6 +755,40 @@ class TestQuotedIdentifiers:
     def test_quoted_names_match_sqlite(self, con, strategy, query, expected):
         cursor = con.execute(query, algorithm=strategy)
         assert sorted(cursor.fetchall()) == sorted(con.raw.execute(expected).fetchall())
+
+    def test_result_columns_are_named_alike_under_every_strategy(self, connection):
+        # Enough rows that auto plans the in-memory winnow, and so does the
+        # view's materialisation.
+        connection.execute(
+            'CREATE TABLE k ("key" INTEGER, x INTEGER, y INTEGER, "my col" INTEGER)'
+        )
+        connection.cursor().executemany(
+            "INSERT INTO k VALUES (?, ?, ?, ?)",
+            [(i, (i * 7919) % 1000, (i * 104729) % 997, i % 3) for i in range(5000)],
+        )
+        names = ["key", "x", "my col"]
+        raw = connection.raw.execute('SELECT "key", x, "my col" FROM k')
+        assert [column[0] for column in raw.description] == names
+        query = 'SELECT "key", x, "my col" FROM k PREFERRING LOWEST(x) AND HIGHEST(y)'
+        strategies = set()
+        for strategy in (None, "rewrite", "bnl"):
+            cursor = connection.execute(query, algorithm=strategy)
+            strategies.add(cursor.plan.strategy)
+            assert [column[0] for column in cursor.description] == names, strategy
+        assert strategies == {"rewrite", "bnl"}
+        connection.execute(f"CREATE PREFERENCE VIEW v AS {query}")
+        view = connection.execute("SELECT * FROM v")
+        assert [column[0] for column in view.description] == names
+        quality = (
+            'SELECT "key", LEVEL("my col") FROM k '
+            'PREFERRING "my col" IN (1) ELSE "my col" IN (2) AND LOWEST(x)'
+        )
+        for strategy in (None, "rewrite"):
+            cursor = connection.execute(quality, algorithm=strategy)
+            assert [column[0] for column in cursor.description] == [
+                "key",
+                "LEVEL(my col)",
+            ]
 
     def test_the_printer_quotes_what_sqlite_would_misread(self):
         statement = parse_statement(
