@@ -74,8 +74,9 @@ from repro.plan.planner import (
     inline_named_preferences,
     plan_statement,
     rebind_plan,
+    with_session,
 )
-from repro.plan.session import SessionCache, SessionEntry
+from repro.plan.session import SessionCache, SessionEntry, SessionMatch
 from repro.plan.statistics import StatisticsCache, TableStatistics
 from repro.rewrite.planner import HostSchema
 from repro.sql import ast
@@ -129,11 +130,13 @@ class _CachedStatement:
     """One parse+plan cache entry.
 
     ``statement is None`` marks text that is *not* parseable as Preference
-    SQL (the pass-through path); ``param_free`` records whether the cached
-    plan's SQL texts can be reused verbatim (no ``?`` markers bound into
-    them); ``data_version`` is the connection's data version at planning
-    time — a later DML means the statistics the strategy was chosen on are
-    stale, so the statement is re-planned (parsing is still skipped).
+    SQL (the pass-through path); ``plan`` is the base plan, never a
+    session plan (the session is priced per execution on top of it);
+    ``param_free`` records whether the cached plan's SQL texts can be
+    reused verbatim (no ``?`` markers bound into them); ``data_version``
+    is the connection's data version at planning time — a later DML means
+    the statistics the strategy was chosen on are stale, so the statement
+    is re-planned (parsing is still skipped).
     """
 
     statement: ast.Statement | None
@@ -356,21 +359,16 @@ class Connection:
         except (CatalogError, PlanError, PreferenceConstructionError):
             return None
 
-    def _session_matcher(self):
-        """Planner hook consulting the session cache, or None when it
-        cannot possibly match (disabled, or nothing cached)."""
+    def _session_match(self, select: ast.Select) -> SessionMatch | None:
+        """The session cache's judgment on one (parameter-bound) preference
+        SELECT, or None when no entry relates to it (reuse disabled,
+        nothing cached, or a reference that does not resolve)."""
         if not self._session_enabled or not self._session.entries:
             return None
-
-        def match(select: ast.Select):
-            if select.preferring is None:
-                return None
-            term = self._canonical_term(select.preferring)
-            if term is None:
-                return None
-            return self._session.match(select, term, self._session_versions())
-
-        return match
+        term = self._canonical_term(select.preferring)
+        if term is None:
+            return None
+        return self._session.match(select, term, self._session_versions())
 
     def _store_session(self, select: ast.Statement, winners: Relation) -> None:
         """Cache one query's winner base for later refinement reuse."""
@@ -624,25 +622,27 @@ class Connection:
             statement = statement.statement
         if params:
             statement = bind_parameters(statement, params)
-        return self._plan_statement(statement, force, views=not params)
+        return self._with_session(
+            self._plan_statement(statement, force, views=not params), statement
+        )
 
     def _plan_statement(
         self,
         statement: ast.Statement,
         force: str | None = None,
         views: bool = True,
-        session: bool = True,
+        semantic: bool = True,
     ) -> Plan:
-        """Plan one parameter-bound statement against this connection.
+        """The base plan of one parameter-bound statement: everything but
+        the session cache, which :meth:`_with_session` prices on top.
 
         ``views`` must be off for a parameterized execution, which must
         never be answered from a view: the bound literals can make one
         binding match the definition while the cached plan is reused for
-        others.  Session matching is safe under parameters — it runs on
-        the *bound* statement, so every binding is judged on its own
-        literal WHERE conjuncts.  The view maintainer turns both off so
-        a refresh always computes from the base tables.  (A forced
-        strategy consults neither.)
+        others.  The view maintainer turns it off so a refresh always
+        computes from the base tables.  ``semantic`` off skips the
+        semantic pass.  (A forced strategy consults neither views nor
+        constraints.)
         """
         return plan_statement(
             statement,
@@ -651,8 +651,33 @@ class Connection:
             statistics=self.statistics.for_table,
             force=force,
             views=self.view_maintainer.match if views else None,
-            constraints=self.constraints,
-            session=self._session_matcher() if session else None,
+            constraints=self.constraints if semantic else None,
+        )
+
+    def _with_session(self, plan: Plan, statement: ast.Statement) -> Plan:
+        """Price the session cache on top of a base plan (cached or fresh).
+
+        Runs the session matcher once.  Matching is safe under parameters
+        — it runs on the *bound* statement, so every binding is judged on
+        its own literal WHERE conjuncts.  Forced and view plans are never
+        turned into session plans, so they skip the matcher; a base whose
+        semantic pass fired is re-planned without it before a servable
+        match is priced (:func:`~repro.plan.planner.with_session`).
+        """
+        if (
+            plan.forced
+            or plan.view_name is not None
+            or not isinstance(statement, ast.Select)
+            or statement.preferring is None
+        ):
+            return plan
+        match = self._session_match(statement)
+        if match is None:
+            return plan
+        if match.servable and plan.semantic_rule is not None:
+            plan = self._plan_statement(statement, views=False, semantic=False)
+        return with_session(
+            plan, statement, match, self.catalog.resolve, self.schema()
         )
 
     def explain(self, sql: str) -> str:
@@ -903,39 +928,26 @@ class Cursor:
                         schema=connection.schema(),
                         resolver=connection.catalog.resolve,
                     )
-        if (
-            plan is not None
-            and isinstance(bound, ast.Select)
-            and bound.preferring is not None
-        ):
-            # The cached plan predates the current session-cache contents;
-            # when a stored winner base now provably serves this query,
-            # drop the hit and re-plan so the session strategy competes.
-            matcher = connection._session_matcher()
-            if matcher is not None:
-                match = matcher(bound)
-                if match is not None and match.servable:
-                    plan = None
         if plan is None:
             # First sighting, or the data version moved under a cached
             # plan: re-plan so the strategy tracks the current statistics
-            # (parsing was still skipped on the stale-hit path).
+            # (parsing was still skipped on the stale-hit path).  The
+            # cache keeps the base plan, which never depends on the
+            # session cache's contents.
             plan = connection._plan_statement(bound, algorithm, views=not params)
             if use_cache:
                 self._remember(
                     sql,
                     _CachedStatement(
                         statement=statement,
-                        # A session plan is valid only against the exact
-                        # cached entry it matched; caching it could serve
-                        # a stale winner base later.  Cache the parse
-                        # only — the next execution re-plans, which
-                        # re-validates the match against live versions.
-                        plan=None if plan.strategy == SESSION_STRATEGY else plan,
+                        plan=plan,
                         param_free=not params,
                         data_version=connection.data_version,
                     ),
                 )
+        # The session answer depends only on the live match, so the
+        # session is priced per execution on top of the base plan.
+        plan = connection._with_session(plan, bound)
 
         if plan.strategy == "passthrough":
             return self._passthrough(sql, params)
@@ -995,7 +1007,9 @@ class Cursor:
         connection = self._connection
         inner = statement.statement
         bound = bind_parameters(inner, params) if params else inner
-        plan = connection._plan_statement(bound, algorithm, views=not params)
+        plan = connection._with_session(
+            connection._plan_statement(bound, algorithm, views=not params), bound
+        )
         stats = connection.plan_cache_stats()
         cache_note = (
             f"{stats.hits} hits / {stats.misses} misses, "

@@ -320,7 +320,8 @@ class Winners:
                 else 0
             )
             rows = rows[offset : offset + limit]
-        return Relation(columns=columns, rows=rows)
+        # Names follow the host's: ``SELECT a.x, b.x`` repeats ``x``.
+        return Relation(columns=columns, rows=rows, allow_duplicates=True)
 
 
 # ----------------------------------------------------------------------

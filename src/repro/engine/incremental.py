@@ -593,9 +593,10 @@ class ViewMaintainer:
         """Plan and execute one SELECT the way the driver would.
 
         Planning deliberately passes no view matcher, so a refresh can
-        never be (mis)answered from the view being refreshed.
+        never be (mis)answered from the view being refreshed, and prices
+        no session, so it always scans the base table.
         """
-        plan = self._connection._plan_statement(select, views=False, session=False)
+        plan = self._connection._plan_statement(select, views=False)
         return run_plan(self._raw.execute, plan)
 
     def _create_backing(self, backing_table: str, relation: Relation) -> None:

@@ -34,13 +34,14 @@ QUALITY_FUNCTIONS = ("TOP", "LEVEL", "DISTANCE")
 def result_name(expr: ast.Expr) -> str:
     """The name of a result column whose select item has no alias.
 
-    Every strategy names its columns through here.  A column keeps its own
-    spelling, unquoted, the way the host names a column (``my col``), and
-    so does the column a quality function reads (``LEVEL(key)``); any other
-    expression is named by its SQL text, the way the host names one.
+    Every strategy names its columns through here.  A column is named by
+    its own name, unquoted and without its qualifier, the way the host
+    names a column (``t."my col"`` is ``my col``); the column a quality
+    function reads keeps its qualified spelling (``LEVEL(key)``), and any
+    other expression is named by its SQL text, the way the host names one.
     """
     if isinstance(expr, ast.Column):
-        return expr.qualified
+        return expr.name
     if (
         isinstance(expr, ast.FuncCall)
         and expr.name in QUALITY_FUNCTIONS

@@ -189,7 +189,7 @@ def build_join_scan(
 # Residual flattening
 
 
-def _flatten(node: ast.Node, rename: Callable[[ast.Column], ast.Column]) -> ast.Node:
+def _flatten(node: ast.Node, rename: Callable[[ast.Column], ast.Expr]) -> ast.Node:
     """Rebuild an expression or preference term with every column renamed
     (sub-queries stay as written)."""
 
@@ -248,6 +248,7 @@ def join_memory_parts(
     )
 
     residual_items: list[ast.SelectItem | ast.Star] = []
+    aliases: dict[str, ast.Expr] = {}
     for item in select.items:
         if isinstance(item, ast.Star):
             if item.table is None:
@@ -260,6 +261,8 @@ def join_memory_parts(
                     ast.SelectItem(expr=ast.Column(name=flat), alias=flat)
                 )
             continue
+        if item.alias:
+            aliases.setdefault(item.alias.lower(), item.expr)
         residual_items.append(
             ast.SelectItem(
                 expr=_flatten(item.expr, rename),
@@ -273,20 +276,17 @@ def join_memory_parts(
             term = inline_named_preferences(term, resolver)
         term = _flatten(term, rename)
 
-    # ORDER BY may reference a select-list alias (standard SQL); those
-    # names are not table columns — keep them verbatim so the engine's
-    # own alias resolution maps them to the (already flattened) item
-    # expressions.
-    aliases = {
-        item.alias.lower()
-        for item in select.items
-        if isinstance(item, ast.SelectItem) and item.alias
-    }
+    # ORDER BY may reference a select-list alias (standard SQL), which is
+    # resolved here to the aliased item's expression; every column is
+    # qualified by the join relation.  So the engine resolves no ORDER BY
+    # name against the residual's select list, whose names are the host's
+    # (``a.x`` and ``b.x`` are both ``x``) and may repeat.
+    def qualify(column: ast.Column) -> ast.Column:
+        return ast.Column(name=scan.flat_name(column), table=JOIN_RELATION)
 
-    def rename_order(column: ast.Column) -> ast.Column:
-        if column.table is None and column.name.lower() in aliases:
-            return column
-        return rename(column)
+    def rename_order(column: ast.Column) -> ast.Expr:
+        target = aliases.get(column.name.lower()) if column.table is None else None
+        return qualify(column) if target is None else _flatten(target, qualify)
 
     residual = ast.Select(
         items=tuple(residual_items),

@@ -14,13 +14,15 @@ rewritten statement (always built — it is both the ``rewrite`` execution
 text and the EXPLAIN PREFERENCE exhibit, printed when first read) and, for
 in-memory strategies, the
 hard-condition *pushdown* query plus the *residual* preference block the
-engine evaluates over the fetched candidates.
+engine evaluates over the fetched candidates.  That plan never depends on
+the session cache; :func:`with_session` prices the session strategy on
+top of it, per execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.deadline import active_deadline
 from repro.engine.columns import rank_shape
@@ -30,6 +32,7 @@ from repro.errors import (
     PreferenceConstructionError,
     RewriteError,
 )
+from repro.model.algebra import normalize
 from repro.model.builder import NameResolver, build_preference
 from repro.model.preference import Preference
 from repro.model.quality import QUALITY_FUNCTIONS
@@ -93,12 +96,6 @@ class MaterializedView:
 #: Matcher signature: SELECT statement → matching view, or None.
 ViewMatcher = Callable[[ast.Select], MaterializedView | None]
 
-#: Session matcher signature: (parameter-bound) SELECT → the judgment
-#: against the connection's session cache, or None.  Provided by the
-#: driver (:meth:`repro.driver.Connection._session_matcher`).
-SessionMatcher = Callable[[ast.Select], SessionMatch | None]
-
-
 @dataclass
 class Plan:
     """One fully-described execution of a preference statement."""
@@ -141,12 +138,12 @@ class Plan:
     #: their declared/schema/observed provenance — that justified it.
     semantic_rule: str | None = None
     semantic_constraints: tuple[str, ...] = ()
-    #: Session-reuse judgment (see :mod:`repro.plan.session`): set
-    #: whenever the connection's session cache held a related entry —
-    #: servable or not, so EXPLAIN can surface the refinement relation
-    #: either way.  ``session_delta_sql`` is the bounded delta scan of a
-    #: chosen session plan (None when the old candidate set contains the
-    #: new one).
+    #: Session-reuse judgment (see :mod:`repro.plan.session`), attached
+    #: by :func:`with_session` whenever the connection's session cache
+    #: held a related entry — servable or not, so EXPLAIN can surface the
+    #: refinement relation either way.  ``session_delta_sql`` is the
+    #: bounded delta scan of a chosen session plan (None when the old
+    #: candidate set contains the new one).
     session_match: SessionMatch | None = None
     session_delta_sql: str | None = None
     #: Whether the ``rewrite`` strategy's anti-join reads only the rows
@@ -199,7 +196,6 @@ def plan_statement(
     force: str | None = None,
     views: ViewMatcher | None = None,
     constraints: ConstraintProvider | None = None,
-    session: SessionMatcher | None = None,
 ) -> Plan:
     """Plan one (parameter-bound) statement.
 
@@ -211,11 +207,11 @@ def plan_statement(
     executions always compute from the base tables).  ``constraints``
     enables the semantic-optimization pass (also skipped under
     ``force``, so pinned executions evaluate the original preference).
-    ``session`` consults the connection's session cache for a previous
-    winner base this query provably refines — a servable match adds a
-    ``session`` strategy to the priced candidates (and suppresses the
-    semantic pass, whose rewritten statement would no longer line up
-    with the cached entry's canonical form).
+
+    The result is the *base* plan: it never consults the session cache,
+    so it stays valid while the cache's contents change and the driver
+    caches it for every statement.  :func:`with_session` prices the
+    session on top of it, per execution.
     """
     deadline = active_deadline()
     if deadline is not None:
@@ -233,22 +229,12 @@ def plan_statement(
         if hit is not None:
             return _view_plan(statement, hit, statistics)
 
-    session_match: SessionMatch | None = None
-    if (
-        session is not None
-        and force is None
-        and isinstance(statement, ast.Select)
-        and statement.preferring is not None
-    ):
-        session_match = session(statement)
-
     semantic: SemanticRewrite | None = None
     if (
         constraints is not None
         and force is None
         and isinstance(statement, ast.Select)
         and statement.preferring is not None
-        and (session_match is None or not session_match.servable)
     ):
         semantic = _try_semantic(statement, resolver, constraints)
         if semantic is not None:
@@ -268,7 +254,9 @@ def plan_statement(
     notes = list(result.notes)
     rewritten: ast.Statement | str = result.statement
 
-    table, join_scan, ineligible_reason = _scan_shape(statement, select, schema)
+    table, join_scan, ineligible_reason = _scan_shape(
+        statement, select, preference, schema
+    )
     in_memory = table is not None or join_scan is not None
     if not in_memory:
         notes.append(f"host-only: {ineligible_reason}")
@@ -299,10 +287,7 @@ def plan_statement(
                 join_stats = {}
                 notes.append(f"statistics unavailable: {error}")
 
-    if stats is not None:
-        row_count = float(stats.row_count)
-        lookup = _binding_lookup(stats, _single_binding(select))
-    elif join_stats:
+    if join_stats:
         # Join cardinality composes from per-table statistics: the
         # cross-product of the base row counts, cut down below by the
         # selectivity of the combined join/WHERE predicate.
@@ -311,18 +296,13 @@ def plan_statement(
             row_count *= float(join_stats[source.binding.lower()].row_count)
         lookup = _join_lookup(join_scan, join_stats)
     else:
-        row_count = float(_DEFAULT_ROW_ESTIMATE)
-        lookup = lambda _name: None  # noqa: E731 - trivial fallback
-        notes.append(f"no statistics; assuming {_DEFAULT_ROW_ESTIMATE} rows")
+        row_count, lookup = _row_lookup(stats, select)
+        if stats is None:
+            notes.append(f"no statistics; assuming {_DEFAULT_ROW_ESTIMATE} rows")
 
     selectivity = estimate_selectivity(predicate, lookup)
     candidates = max(1.0, row_count * selectivity) if row_count else 0.0
-    distinct_counts = [
-        lookup(base.operands[0].qualified)
-        if base.operands and isinstance(base.operands[0], ast.Column)
-        else None
-        for base in bases
-    ]
+    distinct_counts = _distinct_counts(bases, lookup)
     skyline = estimate_skyline_size(candidates, dimensions, distinct_counts)
     include = STRATEGIES if in_memory else ("rewrite",)
     probe = _probe_ranks(select, resolver) if in_memory else None
@@ -362,27 +342,6 @@ def plan_statement(
             semantic.sort_keys,
             semantic.scans,
             model=model,
-        )
-
-    if (
-        session_match is not None
-        and session_match.servable
-        and table is not None
-    ):
-        delta_estimate = 0.0
-        if session_match.delta_where is not None:
-            delta_estimate = row_count * estimate_selectivity(
-                session_match.delta_where, lookup
-            )
-        estimates[SESSION_STRATEGY] = session_reuse_estimate(
-            winners=float(len(session_match.entry.winners)),
-            delta=delta_estimate,
-            table_rows=row_count,
-            dimensions=dimensions,
-            distinct_counts=distinct_counts,
-            model=model,
-            delta_scan=session_match.delta_where is not None,
-            row_width=_row_width(table, schema),
         )
 
     if force is not None:
@@ -447,20 +406,6 @@ def plan_statement(
                 "semantic reduction: PREFERRING "
                 + to_sql(semantic.select.preferring)
             )
-    if session_match is not None:
-        plan.session_match = session_match
-        if strategy == SESSION_STRATEGY:
-            # The residual is the original query block over the cached
-            # winner base ∪ delta; no pushdown scan runs, so
-            # ``pushdown_sql`` stays None and rank columns (which only
-            # pay off on large scans) are recomputed in Python over the
-            # small re-winnow input.
-            plan.residual = _residual(select, resolver)
-            if session_match.delta_select is not None:
-                plan.session_delta_sql = to_sql(session_match.delta_select)
-            plan.notes.append(
-                "answered from the session cache: " + session_match.relation
-            )
     rank_exprs = (
         probe.sql_exprs
         if probe is not None and rank_source == "sql"
@@ -484,6 +429,96 @@ def plan_statement(
                 schema=schema,
             )
     return plan
+
+
+def with_session(
+    base: Plan,
+    select: ast.Select,
+    match: SessionMatch,
+    resolver: NameResolver | None = None,
+    schema: Schema | None = None,
+    model: CostModel = DEFAULT_COST_MODEL,
+) -> Plan:
+    """Price answering ``select`` from the session cache on top of its
+    base plan (:func:`plan_statement`'s result for the same statement).
+
+    The session answer depends only on the live ``match``: re-winnowing
+    the cached winners ∪ delta is exact whenever the match is servable
+    (:mod:`repro.plan.session`), so the base plan's estimates are reused
+    as they stand and only the session's own is added.  When it is the
+    cheapest, the result is a new ``session`` plan; otherwise it is the
+    base with the judgment attached for EXPLAIN.  ``base`` is never
+    mutated: the driver shares it through the plan cache.
+
+    This is the one gate for session plans.  Only a single-table plan
+    the engine can evaluate (``table`` set) is priced, and only when no
+    preference operand holds a CAST: the re-winnow computes its ranks in
+    Python, where the engine evaluates no CAST.  The caller passes
+    neither forced nor view plans, and re-plans a base whose semantic
+    pass fired without that pass first: the semantic statement no longer
+    lines up with the cached entry's canonical form.
+    """
+    if not match.servable or base.table is None or base.semantic_rule is not None:
+        return replace(base, session_match=match)
+    bases = list(
+        build_preference(normalize(select.preferring), resolver=resolver).iter_base()
+    )
+    if _casts_an_operand(bases):
+        return replace(base, session_match=match)
+    row_count, lookup = _row_lookup(base.statistics, select)
+    delta = 0.0
+    if match.delta_where is not None:
+        delta = row_count * estimate_selectivity(match.delta_where, lookup)
+    estimates = dict(base.estimates)
+    estimates[SESSION_STRATEGY] = session_reuse_estimate(
+        winners=float(len(match.entry.winners)),
+        delta=delta,
+        table_rows=row_count,
+        dimensions=base.dimensions,
+        distinct_counts=_distinct_counts(bases, lookup),
+        model=model,
+        delta_scan=match.delta_where is not None,
+        row_width=_row_width(base.table, schema),
+    )
+    if choose_strategy(estimates) != SESSION_STRATEGY:
+        return replace(base, estimates=estimates, session_match=match)
+    # The residual is the original query block over the cached winner
+    # base ∪ delta; no pushdown scan runs, and rank columns (which only
+    # pay off on large scans) are recomputed in Python over the small
+    # re-winnow input.
+    return replace(
+        base,
+        strategy=SESSION_STRATEGY,
+        estimates=estimates,
+        session_match=match,
+        residual=_residual(select, resolver),
+        pushdown_sql=None,
+        rank_width=0,
+        session_delta_sql=(
+            to_sql(match.delta_select) if match.delta_select is not None else None
+        ),
+        notes=base.notes + ["answered from the session cache: " + match.relation],
+    )
+
+
+def _row_lookup(
+    stats: TableStatistics | None, select: ast.Select
+) -> tuple[float, Callable[[str], int | None]]:
+    """A single-table plan's row count and distinct-count lookup, with
+    the default row guess when no statistics are available."""
+    if stats is None:
+        return float(_DEFAULT_ROW_ESTIMATE), lambda _name: None
+    return float(stats.row_count), _binding_lookup(stats, _single_binding(select))
+
+
+def _distinct_counts(bases, lookup) -> list[int | None]:
+    """Distinct counts of the base preferences' column operands."""
+    return [
+        lookup(base.operands[0].qualified)
+        if base.operands and isinstance(base.operands[0], ast.Column)
+        else None
+        for base in bases
+    ]
 
 
 def _try_semantic(
@@ -522,12 +557,7 @@ def _winnow_free_plan(
             stats = statistics(table, ())
         except PlanError as error:
             notes.append(f"statistics unavailable: {error}")
-    if stats is not None:
-        row_count = float(stats.row_count)
-        lookup = _binding_lookup(stats, _single_binding(select))
-    else:
-        row_count = float(_DEFAULT_ROW_ESTIMATE)
-        lookup = lambda _name: None  # noqa: E731 - trivial fallback
+    row_count, lookup = _row_lookup(stats, select)
     selectivity = estimate_selectivity(select.where, lookup)
     candidates = max(1.0, row_count * selectivity) if row_count else 0.0
     winners = 1.0 if semantic.winners == "one" else candidates
@@ -600,9 +630,8 @@ def rebind_plan(
         raise PlanError("semantic plans must be re-planned, not rebound")
     if plan.strategy == SESSION_STRATEGY:
         # A session plan is only valid against the exact cached entry it
-        # was matched with; the driver never caches one (it stores the
-        # parsed statement with ``plan=None``), so reaching here means a
-        # stale-serve bug upstream.
+        # was matched with; the driver caches the base plan and prices
+        # the session per execution, so reaching here is a bug upstream.
         raise PlanError("session-reuse plans must be re-planned, not rebound")
     if plan.strategy == "passthrough":
         return plan
@@ -779,9 +808,11 @@ def _row_width(table: str | None, schema: Schema | None) -> int | None:
 
 
 def _surface_ineligibility(
-    statement: ast.Statement, select: ast.Select
+    statement: ast.Statement, select: ast.Select, preference: Preference
 ) -> str:
-    """Why a statement cannot run in memory regardless of its FROM shape."""
+    """Why a statement cannot run in memory regardless of its FROM shape.
+
+    ``preference`` is the statement's preference, named ones inlined."""
     if isinstance(statement, ast.Insert):
         return "INSERT materialises its result on the host database"
 
@@ -810,11 +841,31 @@ def _surface_ineligibility(
             # reaches the host inside the SQL rank expressions.
             if isinstance(node, ast.Cast) and root is not select.preferring:
                 return "casts outside WHERE need the host database"
+    if _casts_an_operand(preference.iter_base()) and (
+        pushdown_rank_expressions(preference) is None
+    ):
+        return "casts in preference operands without a SQL rank need the host database"
     return ""
 
 
+def _casts_an_operand(bases: Iterable[Preference]) -> bool:
+    """Whether a base preference's operand holds a CAST.  The engine
+    evaluates no CAST, so such a preference runs in memory only over SQL
+    rank columns (which the cost model always prefers to Python ones),
+    never through closures or a session's re-winnow."""
+    return any(
+        isinstance(node, ast.Cast)
+        for base in bases
+        for operand in base.operands
+        for node in ast.walk_expr(operand)
+    )
+
+
 def _scan_shape(
-    statement: ast.Statement, select: ast.Select, schema: Schema | None
+    statement: ast.Statement,
+    select: ast.Select,
+    preference: Preference,
+    schema: Schema | None,
 ) -> tuple[str | None, JoinScan | None, str]:
     """Resolve the in-memory scan shape: a single table, a join, or neither.
 
@@ -822,7 +873,7 @@ def _scan_shape(
     is set for an in-memory-eligible statement; otherwise both are None
     and ``reason`` says why the plan is host-only.
     """
-    reason = _surface_ineligibility(statement, select)
+    reason = _surface_ineligibility(statement, select, preference)
     if reason:
         return None, None, reason
     if len(select.sources) == 1 and isinstance(select.sources[0], ast.TableRef):

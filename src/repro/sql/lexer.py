@@ -58,13 +58,13 @@ class Lexer:
                 while self._peek() and self._peek() != "\n":
                     self._advance()
             elif char == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._column
+                start, start_line, start_col = self._pos, self._line, self._column
                 self._advance(2)
                 while not (self._peek() == "*" and self._peek(1) == "/"):
                     if not self._peek():
                         raise LexerError(
                             "unterminated block comment",
-                            self._pos,
+                            start,
                             start_line,
                             start_col,
                         )

@@ -583,8 +583,9 @@ def test_semantic_must_not_fire_on_unprovable_pareto(rows, tree, data):
 # model one user session — provable refinements (cascade tie-breakers,
 # WHERE weakening, grouping-column strengthening), deliberate
 # non-refinements (relaxations, dimension swaps) and interleaved DML —
-# and assert EVERY step returns exactly the rows of (a) a fresh
-# connection with session reuse disabled and (b) the nested-loop oracle.
+# and assert EVERY step, executed twice (the second time on a plan-cache
+# hit), returns exactly the rows of (a) a fresh connection with session
+# reuse disabled and (b) the nested-loop oracle.
 # The oracle is O(n^2), so it runs on every step of the small sessions
 # and is skipped on the large ones (whose scans exist to make the cost
 # model actually choose the session strategy); the fresh-connection
@@ -739,21 +740,26 @@ def _run_session(seed):
                 fresh.execute(sql)
                 seen_since_write.clear()
                 continue
-            cursor = live.execute(sql)
-            got = sorted(cursor.fetchall(), key=repr)
             expected = sorted(fresh.execute(sql).fetchall(), key=repr)
-            assert got == expected, f"session diverges from fresh eval on: {sql}"
             if not large:
-                assert got == _oracle_rows(fresh, sql), (
-                    f"session diverges from nested-loop oracle on: {sql}"
+                assert expected == _oracle_rows(fresh, sql), (
+                    f"fresh evaluation diverges from nested-loop oracle on: {sql}"
                 )
-            if kind == "swap" and sql not in seen_since_write:
-                # A dimension swap refines nothing in the cache; it must
-                # never be answered from stored winners.
-                assert (
-                    cursor.plan is None or cursor.plan.strategy != "session"
-                ), f"non-refinement served from session cache: {sql}"
-            seen_since_write.add(sql)
+            # The second execution takes the plan-cache hit path, with the
+            # session priced on top of the cached base plan.
+            for execution in ("first", "repeat"):
+                cursor = live.execute(sql)
+                got = sorted(cursor.fetchall(), key=repr)
+                assert got == expected, (
+                    f"session diverges from fresh eval on {execution}: {sql}"
+                )
+                if kind == "swap" and sql not in seen_since_write:
+                    # A dimension swap refines nothing in the cache; it
+                    # must never be answered from stored winners.
+                    assert (
+                        cursor.plan is None or cursor.plan.strategy != "session"
+                    ), f"non-refinement served from session cache: {sql}"
+                seen_since_write.add(sql)
         return live.session_stats()["served"]
     finally:
         live.close()

@@ -166,6 +166,31 @@ class TestJoinExecution:
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert rows == oracle, strategy
 
+    def test_order_by_reads_flattened_columns_past_select_list_names(
+        self, connection
+    ):
+        # ``b.a_x`` is named ``a_x`` in the result, which is also the
+        # flattened name of ``a.x``; ORDER BY a.x must still sort by a.x,
+        # and ORDER BY an alias by the aliased expression.
+        connection.execute("CREATE TABLE a (id INTEGER, x INTEGER)")
+        connection.execute("CREATE TABLE b (id INTEGER, x INTEGER, a_x INTEGER)")
+        connection.cursor().executemany(
+            "INSERT INTO a VALUES (?, ?)", [(i, (i * 7) % 5) for i in range(40)]
+        )
+        connection.cursor().executemany(
+            "INSERT INTO b VALUES (?, ?, ?)",
+            [(i, i % 3, (i * 11) % 13) for i in range(40)],
+        )
+        for order in ("a.x, b.a_x, a.id", "a_x, k DESC, a.id"):
+            sql = (
+                "SELECT b.a_x, a.x AS k, a.id FROM a JOIN b ON a.id = b.id "
+                f"PREFERRING LOWEST(b.x) ORDER BY {order}"
+            )
+            oracle = connection.execute(sql, algorithm="rewrite").fetchall()
+            assert len(set(oracle)) > 3
+            rows = connection.execute(sql, algorithm="bnl").fetchall()
+            assert rows == oracle, order
+
     def test_qualified_star(self, car_dealer):
         sql = (
             "SELECT c.* FROM cars c, dealers d WHERE c.dealer_id = d.dealer_id "

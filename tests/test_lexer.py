@@ -157,6 +157,13 @@ class TestCommentsAndWhitespace:
         with pytest.raises(LexerError):
             tokenize("a /* never closed")
 
+    def test_unterminated_block_comment_points_at_its_start(self):
+        # Position, line and column all name the opening ``/*``, like the
+        # lexer's other "unterminated" and "unexpected" errors.
+        with pytest.raises(LexerError) as info:
+            tokenize("<==\n/*x")
+        assert (info.value.position, info.value.line, info.value.column) == (4, 2, 1)
+
     def test_newlines_advance_line_numbers(self):
         tokens = tokenize("a\nb\n  c")
         assert [t.line for t in tokens[:3]] == [1, 2, 3]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from tools.prefcheck.engine import SUPPRESSION_RULE, analyze_paths
 from tools.prefcheck.rules import all_rules
+from tools.prefcheck.rules.single_site import SITES
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "tests" / "prefcheck_fixtures"
@@ -38,7 +39,7 @@ def run_cli(*args, cwd=REPO):
 
 
 class TestRuleCatalog:
-    def test_five_rules_registered(self):
+    def test_six_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
             "lock-discipline",
@@ -46,6 +47,7 @@ class TestRuleCatalog:
             "deadline-poll",
             "fault-registry",
             "error-taxonomy",
+            "single-site",
         ]
 
     def test_every_rule_states_its_invariant(self):
@@ -109,6 +111,28 @@ class TestErrorTaxonomy:
         assert analyze("clean/server/replies.py").clean
 
 
+class TestSingleSite:
+    def test_registry_declares_the_planner_and_session_sites(self):
+        assert {(site.callee, site.caller) for site in SITES} == {
+            ("plan_statement", "Connection._plan_statement"),
+            ("session_reuse_estimate", "with_session"),
+        }
+
+    def test_bad_fixture_flags_each_stray_call(self):
+        report = analyze("bad/single_site")
+        assert rules_found(report) == {"single-site"}
+        assert [(f.path.split("/")[-1], f.line) for f in report.findings] == [
+            ("dbapi.py", 12),
+            ("planner.py", 7),
+        ]
+        assert "called from Connection.plan" in report.findings[0].message
+        # plan_statement() inside plan/ is not a driver call site.
+        assert all("replan" not in f.message for f in report.findings)
+
+    def test_clean_fixture(self):
+        assert analyze("clean/single_site").clean
+
+
 class TestFaultRegistry:
     def test_bad_tree_reports_every_drift(self):
         root = FIXTURES / "registry_bad"
@@ -160,6 +184,7 @@ class TestCommandLine:
             "bad/paired_bad.py",
             "bad/engine/bmo.py",
             "bad/server/replies.py",
+            "bad/single_site",
             "registry_bad",
         ):
             result = run_cli(str(FIXTURES / fixture))

@@ -708,6 +708,40 @@ def test_cast_in_a_preference_operand_runs_in_memory_through_sql_ranks(connectio
         assert sorted(cursor.fetchall()) == expected
 
 
+@pytest.fixture
+def cast_table(connection):
+    connection.execute("CREATE TABLE t (id INTEGER, s TEXT, x INTEGER, y INTEGER)")
+    rows = [(i, str((i * 13) % 10), (i * 11) % 50, (i * 7) % 41) for i in range(5000)]
+    connection.cursor().executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
+    return connection
+
+
+def test_cast_in_an_explicit_operand_keeps_the_plan_on_the_host(cast_table):
+    # EXPLICIT has no SQL rank, so the engine would evaluate the CAST.
+    query = "SELECT id FROM t PREFERRING EXPLICIT(CAST(s AS INTEGER), 1 > 2) AND HIGHEST(y)"
+    expected = sorted(cast_table.execute(query, algorithm="rewrite").fetchall())
+    assert expected
+    cursor = cast_table.execute(query)
+    assert cursor.plan.strategy == "rewrite"
+    assert sorted(cursor.fetchall()) == expected
+    with pytest.raises(PlanError, match="casts in preference operands"):
+        cast_table.execute(query, algorithm="bnl")
+
+
+def test_cast_in_a_preference_operand_is_never_session_served(cast_table):
+    # The session's re-winnow computes ranks in Python: the refinement
+    # runs its base plan instead.
+    base = "SELECT id FROM t PREFERRING LOWEST(CAST(s AS INTEGER)) AND HIGHEST(y)"
+    refined = base + " CASCADE LOWEST(x)"
+    assert cast_table.execute(base).plan.strategy == "bnl"
+    expected = sorted(cast_table.execute(refined, algorithm="rewrite").fetchall())
+    for _round in range(2):
+        cursor = cast_table.execute(refined)
+        assert cursor.plan.session_match is not None and cursor.plan.session_match.servable
+        assert cursor.plan.strategy != "session"
+        assert sorted(cursor.fetchall()) == expected
+
+
 class TestQuotedIdentifiers:
     """Names that need quotes print quoted in every host statement: a
     table ``"my t"`` is not table ``my`` aliased ``t``."""
@@ -789,6 +823,37 @@ class TestQuotedIdentifiers:
                 "key",
                 "LEVEL(my col)",
             ]
+
+        def described(query, strategy=None):
+            cursor = connection.execute(query, algorithm=strategy)
+            return cursor.plan.strategy, [column[0] for column in cursor.description]
+
+        # A qualified column is named without its qualifier, and keeps
+        # that name once its refinement is served from the session cache.
+        qualified = 'SELECT k."key", k.x FROM k PREFERRING LOWEST(x) AND HIGHEST(y)'
+        for strategy in (None, "rewrite", "bnl"):
+            assert described(qualified, strategy)[1] == ["key", "x"], strategy
+        refined = qualified + ' CASCADE LOWEST("my col")'
+        assert described(refined) == ("session", ["key", "x"])
+        assert described(refined, "rewrite")[1] == ["key", "x"]
+
+        # A join may repeat a name, as sqlite does; ORDER BY still reads
+        # each qualified column and resolves a select-list alias.
+        connection.execute("CREATE TABLE j (id INTEGER, x INTEGER)")
+        connection.cursor().executemany(
+            "INSERT INTO j VALUES (?, ?)", [(i, i % 11) for i in range(5000)]
+        )
+        join = (
+            'SELECT k.x, j.x, y AS x_y FROM k JOIN j ON k."key" = j.id '
+            "PREFERRING LOWEST(k.x) AND HIGHEST(y) ORDER BY j.x DESC, x_y, k.x"
+        )
+        raw = connection.raw.execute(join.split(" PREFERRING")[0])
+        assert [column[0] for column in raw.description] == ["x", "x", "x_y"]
+        expected = connection.execute(join, algorithm="rewrite").fetchall()
+        for strategy in (None, "rewrite", "bnl"):
+            cursor = connection.execute(join, algorithm=strategy)
+            assert [column[0] for column in cursor.description] == ["x", "x", "x_y"]
+            assert cursor.fetchall() == expected, strategy
 
     def test_the_printer_quotes_what_sqlite_would_misread(self):
         statement = parse_statement(

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.driver.dbapi as dbapi
 import repro.plan.planner as plan_planner
 from repro.engine.relation import Relation
 from repro.errors import PlanError
@@ -778,8 +779,8 @@ class TestCacheTierInterplay:
         refined = BASE_Q + " CASCADE make IN ('vw')"
         first = con.execute(refined)
         assert first.plan.strategy == SESSION_STRATEGY
-        # A second execution must re-plan (and re-validate) rather than
-        # replay a session plan whose entry may have moved.
+        # A second execution re-validates the match against live versions
+        # rather than replaying a session plan whose entry may have moved.
         second = con.execute(refined)
         assert sorted(second.fetchall()) == _fresh_rows(refined)
 
@@ -832,6 +833,93 @@ class TestCacheTierInterplay:
         assert second == _fresh_rows(sql, (9000,))
         third = sorted(con.execute(sql, (40000,)).fetchall())
         assert third == first
+
+    def test_session_hit_builds_no_plan(self, cars_connection):
+        con = cars_connection
+        con.execute(BASE_Q).fetchall()
+        refined = BASE_Q + " CASCADE make IN ('vw')"
+        assert con.execute(refined).plan.strategy == SESSION_STRATEGY
+        with mock.patch.object(
+            dbapi, "plan_statement", wraps=dbapi.plan_statement
+        ) as planned, mock.patch.object(
+            plan_planner, "rewrite_statement", wraps=plan_planner.rewrite_statement
+        ) as rewritten, mock.patch.object(
+            con.session_cache, "match", wraps=con.session_cache.match
+        ) as matched:
+            cursor = con.execute(refined)
+            rows = sorted(cursor.fetchall())
+        assert (planned.call_count, rewritten.call_count) == (0, 0)
+        assert matched.call_count == 1
+        assert cursor.plan.strategy == SESSION_STRATEGY
+        assert rows == _fresh_rows(refined)
+
+    def test_plan_cache_never_holds_a_session_plan(self, cars_connection):
+        con = cars_connection
+        chain = [BASE_Q, BASE_Q + " CASCADE make IN ('vw')"]
+        for _round in range(2):
+            for sql in chain:
+                con.execute(sql).fetchall()
+        assert con.session_stats()["served"] >= 3
+        cached = [entry.plan for entry in con._plan_cache._entries.values()]
+        assert len(cached) == len(chain)
+        assert all(plan.strategy != SESSION_STRATEGY for plan in cached)
+        assert all(plan.session_match is None for plan in cached)
+
+    def test_write_between_executions_replans_exactly_once(self, cars_connection):
+        con = cars_connection
+        refined = BASE_Q + " CASCADE make IN ('vw')"
+        con.execute(BASE_Q).fetchall()
+        con.execute(refined).fetchall()
+        con.execute("INSERT INTO cars VALUES (9004, 1, 1, 'diesel', 'vw')")
+        with mock.patch.object(
+            dbapi, "plan_statement", wraps=dbapi.plan_statement
+        ) as planned:
+            con.execute(BASE_Q).fetchall()
+            assert planned.call_count == 1
+            first = con.execute(refined)
+            first_rows = sorted(first.fetchall())
+            assert planned.call_count == 2
+            second = con.execute(refined)
+            second_rows = sorted(second.fetchall())
+        # The write moved the data version under both cached plans: each
+        # statement re-plans once, and the refinement is served again.
+        assert planned.call_count == 2
+        assert first.plan.strategy == second.plan.strategy == SESSION_STRATEGY
+        expected = sorted(con.execute(refined, algorithm="rewrite").fetchall())
+        assert (9004, 1, 1, "diesel", "vw") in expected
+        assert first_rows == second_rows == expected
+
+    def test_pooled_sibling_serves_only_from_its_own_session_cache(self, tmp_path):
+        from repro.server.shared import SharedState
+
+        database = str(tmp_path / "cars.db")
+        setup = repro.connect(database)
+        _make_cars(setup)
+        setup.commit()
+        setup.close()
+        shared = SharedState()
+        first = repro.connect(database, shared=shared)
+        second = repro.connect(database, shared=shared)
+        refined = BASE_Q + " CASCADE make IN ('vw')"
+        try:
+            first.execute(BASE_Q).fetchall()
+            assert first.execute(refined).plan.strategy == SESSION_STRATEGY
+            # The sibling finds the base plan in the shared plan cache,
+            # but its own session cache is empty: it scans.
+            hits = second.plan_cache_stats().hits
+            cursor = second.execute(refined)
+            assert second.plan_cache_stats().hits == hits + 1
+            assert cursor.plan.strategy != SESSION_STRATEGY
+            assert sorted(cursor.fetchall()) == _fresh_rows(refined)
+            assert second.session_stats()["served"] == 0
+            # Once it has captured winners of its own, it serves from them.
+            second.execute(BASE_Q).fetchall()
+            again = second.execute(refined)
+            assert again.plan.strategy == SESSION_STRATEGY
+            assert sorted(again.fetchall()) == _fresh_rows(refined)
+        finally:
+            first.close()
+            second.close()
 
     def test_view_creation_bumps_catalog_and_session(self, cars_connection):
         con = cars_connection

@@ -8,6 +8,7 @@ from tools.prefcheck.rules.error_taxonomy import ErrorTaxonomyRule
 from tools.prefcheck.rules.fault_registry import FaultRegistryRule
 from tools.prefcheck.rules.lock_discipline import LockDisciplineRule
 from tools.prefcheck.rules.paired_mutation import PairedMutationRule
+from tools.prefcheck.rules.single_site import SingleSiteRule
 
 
 def all_rules() -> list[Rule]:
@@ -17,4 +18,5 @@ def all_rules() -> list[Rule]:
         DeadlinePollRule(),
         FaultRegistryRule(),
         ErrorTaxonomyRule(),
+        SingleSiteRule(),
     ]
