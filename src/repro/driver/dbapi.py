@@ -7,8 +7,8 @@ selector of :mod:`repro.plan` and the plan runner of
     application → Preference driver → parse+plan cache
                 → Preference SQL Optimizer (rewrite)
                 → cost-based plan selector
-                → plan runner ─┬→ standard driver (sqlite3)
-                               └→ Scan → Winnow → Surface
+                → plan runner: the plan's stages ─┬→ Host → sqlite3
+                                                  └→ Scan | Reuse → Winnow → Surface
 
 Behaviour:
 
@@ -52,7 +52,7 @@ from repro.deadline import (
     deadline_scope,
     sqlite_interrupt,
 )
-from repro.engine.bmo import host_relation, run
+from repro.engine.bmo import Reuse, host_relation, run
 from repro.engine.incremental import ViewMaintainer
 from repro.engine.relation import Relation
 from repro.errors import (
@@ -67,7 +67,6 @@ from repro.model.algebra import describe, normalize
 from repro.pdl.catalog import PreferenceCatalog, ViewEntry
 from repro.plan.cache import CacheStats, PlanCache
 from repro.plan.constraints import ConstraintCache
-from repro.plan.cost import SESSION_STRATEGY
 from repro.plan.explain import plan_relation, plan_text
 from repro.plan.planner import (
     Plan,
@@ -701,7 +700,7 @@ class Connection:
             statement = statement.statement
 
         plan = self.plan(statement)
-        if plan.strategy == "passthrough":
+        if not plan.stages:
             return "pass-through: no PREFERRING clause, executed as-is"
 
         query = statement.query if isinstance(statement, ast.Insert) else statement
@@ -949,7 +948,7 @@ class Cursor:
         # session is priced per execution on top of the base plan.
         plan = connection._with_session(plan, bound)
 
-        if plan.strategy == "passthrough":
+        if not plan.stages:
             return self._passthrough(sql, params)
         return self._run(sql, bound, plan, capture=use_cache)
 
@@ -989,11 +988,11 @@ class Cursor:
                 )
         if outcome.winner_base is not None:
             connection._store_session(plan.statement, outcome.winner_base)
-        if plan.strategy == SESSION_STRATEGY:
+        if plan.stage(Reuse) is not None:
             connection.session_cache.served += 1
         if outcome.relation is not None:
             self._result = _LocalResult(outcome.relation)
-        self.executed_sql = outcome.host_sql
+        self.executed_sql = plan.host_sql
         self.was_rewritten = True
         connection.trace.append((sql, outcome.note))
         return self

@@ -2,11 +2,12 @@
 and the plan runner.
 
 One path leads from a :class:`~repro.plan.planner.Plan` to its rows:
-:func:`run` assembles every strategy out of three stages — :func:`scan`
-(candidates from the host database, a session winner base or a caller's
-own list), :func:`winnow` (:meth:`PreferenceEngine.winnow`, once) and
-:meth:`Winners.surface` (the select list) — and the driver, the view
-maintainer and the benchmark's :func:`run_plan` all go through it.
+:func:`run` executes the plan's stages — a :class:`Host` statement, or
+candidates from a :class:`Scan` or a session :class:`Reuse` that one
+:class:`Winnow` winnows (:meth:`PreferenceEngine.winnow`, once) and
+surfaces (:meth:`Winners.surface`, the select list) — and the driver,
+the view maintainer and the benchmark's :func:`run_plan` all go through
+it.
 
 Answer semantics per paper section 2.2.5:
 
@@ -117,33 +118,69 @@ def bmo_filter(
 
 
 # ----------------------------------------------------------------------
-# The plan runner: Scan → Winnow → Surface
-#
-# Every strategy a :class:`~repro.plan.planner.Plan` can name is a
-# composition of the stages below, assembled in :func:`run` and nowhere
-# else; the view maintainer composes the same Winnow and Surface stages
-# over a candidate list of its own.
+# The plan runner.  Each strategy's build (:mod:`repro.plan.planner`)
+# makes a plan's stages: ``rewrite`` and ``view`` one :class:`Host`,
+# ``bnl`` a :class:`Scan` and a :class:`Winnow`, ``session`` a
+# :class:`Reuse` and a :class:`Winnow`, pass-through none.
 
 
-def scan(execute, scan_sql: str, residual, rank_width: int):
+@dataclass(frozen=True)
+class Host:
+    """Send one statement to the host database; its rows stay on the
+    cursor.  ``pivot`` marks a rewrite whose anti-join reads only the
+    rows one pivot cannot beat (:mod:`repro.plan.pivot`)."""
+
+    sql: str
+    pivot: bool = False
+
+
+@dataclass(frozen=True)
+class Scan:
+    """Fetch the candidates with one host scan, whose last ``rank_width``
+    columns are SQL rank columns."""
+
+    sql: str
+    rank_width: int = 0
+
+
+@dataclass(frozen=True)
+class Reuse:
+    """Take the candidates from the session cache: the matched entry's
+    winner base plus the rows of the bounded delta scan ``delta_sql``
+    (None when the old candidate set contains the new one)."""
+
+    match: object
+    delta_sql: str | None
+
+    @property
+    def sql(self) -> str | None:
+        return self.delta_sql
+
+
+@dataclass(frozen=True)
+class Winnow:
+    """Winnow the candidates by ``residual`` — the query block with its
+    WHERE consumed by the candidates' source — and surface its select
+    list.  Sends nothing to the host."""
+
+    residual: ast.Select
+    sql = None
+
+
+def scan(execute, scan_sql: str, rank_width: int):
     """Scan stage: run one pushdown scan, splitting appended rank columns off.
 
     ``execute`` runs SQL on the host database and returns a cursor
     (``sqlite3.Connection.execute``-shaped).  Returns ``(relation,
-    ranks)`` — when the scan SELECT appended rank columns
-    (``rank_width``), they are split off the fetched rows and adopted as
-    precomputed rank columns so the expression evaluator never touches a
-    candidate row.  If any rank cell comes back non-numeric
-    (host-affinity corner), the adoption is dropped and the engine
-    recomputes the ranks in Python.  A ``bnl`` scan's pivot filter
-    (:mod:`repro.plan.pivot`) compared the same host cells on the host;
-    their agreement with the model is what the hostile-rows property
-    pins.
+    rank_values)``, one value list per appended rank column, which the
+    Winnow stage adopts so the evaluator never touches a candidate row;
+    the scan's pivot filter (:mod:`repro.plan.pivot`) compared the same
+    cells on the host.
     """
     cursor = execute(scan_sql)
     columns = [description[0] for description in cursor.description]
     rows = cursor.fetchall()
-    ranks = None
+    rank_values = None
     if rank_width:
         split = len(columns) - rank_width
         rank_values = [
@@ -151,9 +188,7 @@ def scan(execute, scan_sql: str, residual, rank_width: int):
         ]
         columns = columns[:split]
         rows = [row[:split] for row in rows]
-        preference = build_preference(residual.preferring)
-        ranks = rank_columns_from_values(preference, rank_values)
-    return Relation(columns=columns, rows=rows), ranks
+    return Relation(columns=columns, rows=rows), rank_values
 
 
 def host_relation(cursor) -> Relation:
@@ -168,10 +203,7 @@ def host_relation(cursor) -> Relation:
 
 
 def winnow(
-    select: ast.Select,
-    candidates: Relation,
-    algorithm: str = "bnl",
-    ranks: RankColumns | None = None,
+    select: ast.Select, candidates: Relation, ranks: RankColumns | None = None
 ) -> "Winners":
     """Winnow stage: the BMO winners of ``select`` over ``candidates``.
 
@@ -181,11 +213,7 @@ def winnow(
     multi-table join on the host database.  The returned
     :class:`Winners` can be surfaced any number of times.
     """
-    engine = PreferenceEngine(
-        {select.sources[0].name: candidates},
-        algorithm=algorithm,
-        rank_columns=ranks,
-    )
+    engine = PreferenceEngine({select.sources[0].name: candidates}, rank_columns=ranks)
     return engine.winnow(select)
 
 
@@ -194,70 +222,62 @@ class PlanRun:
     """What running one plan produced.
 
     ``relation`` is None when the rows were left on ``cursor`` (a host
-    rewrite: nothing is fetched until the caller asks); ``host_sql`` is
-    the first statement sent to the host database (None when a session
-    hit needed no delta scan), ``note`` the full trace text, and
-    ``winner_base`` every BMO row with the scan's complete column list —
-    what the session cache answers later refinements from.
+    statement: nothing is fetched until the caller asks); ``note`` is the
+    full trace text, and ``winner_base`` every BMO row with the scan's
+    complete column list — what the session cache answers later
+    refinements from.
     """
 
     relation: Relation | None
     cursor: object
-    host_sql: str | None
     note: str
     winner_base: Relation | None = None
 
 
-def _host_only(execute, plan) -> PlanRun:
-    cursor = execute(plan.rewritten_sql)
-    return PlanRun(None, cursor, plan.rewritten_sql, plan.rewritten_sql)
-
-
 def run(execute, plan, capture: bool = False) -> PlanRun:
-    """Execute any planned statement — the one path from a plan to rows.
+    """Execute a plan's stages — the one path from a plan to rows.
 
-    ``bnl`` scans ``pushdown_sql``, ``session`` takes the cached winner
-    base plus the ``session_delta_sql`` rows; each winnows once and
-    surfaces the residual's select list.  ``rewrite`` and ``view`` plans
-    have no stage to run here: their one statement goes to the host and
-    its rows stay on the cursor.  ``capture`` asks for the session
-    winner base as well — ``*`` over the *same* winners.
+    A :class:`Host` stage sends its statement and leaves the rows on the
+    cursor.  Otherwise a :class:`Scan` or :class:`Reuse` stage produces
+    the candidates, which the :class:`Winnow` stage after it winnows once
+    and surfaces by the residual's select list.  ``capture`` asks for the
+    session winner base as well — ``*`` over the *same* winners — of a
+    single-table plan without BUT ONLY (aggregation never reaches an
+    in-memory plan).
     """
-    from repro.plan.cost import SESSION_STRATEGY
-    from repro.plan.session import conjoin
-
-    select = plan.residual
-    if plan.uses_engine:
-        host_sql = plan.pushdown_sql
-        candidates, ranks = scan(execute, host_sql, select, plan.rank_width)
-        winners = winnow(select, candidates, plan.strategy, ranks)
-        note = f"{host_sql} /* + in-memory {plan.strategy} */"
-    elif plan.strategy == SESSION_STRATEGY:
-        # No base-table rescan: the cached winner base, filtered by any
-        # added grouping-column conjuncts, is unioned with the bounded
-        # delta rows — fetched only when the WHERE was weakened — and
-        # re-winnowed under the *new* preference.  The new winner base
-        # replaces the served entry, so a whole drill-down chain keeps
-        # re-winnowing ever-smaller sets.
-        match = plan.session_match
-        cached = match.entry.winners
-        rows = list(cached.rows)
-        host_sql = plan.session_delta_sql
-        if host_sql is not None:
-            rows += execute(host_sql).fetchall()
-        winners = winnow(
-            replace(select, where=conjoin(match.added)),
-            Relation(columns=cached.columns, rows=rows),
-        )
-        note = (
-            f"{host_sql or '/* no delta scan */'} "
-            f"/* + session reuse: {', '.join(match.rules)} */"
-        )
+    source, *winnows = plan.stages
+    if isinstance(source, Host):
+        return PlanRun(None, execute(source.sql), source.sql)
+    rank_values = None
+    if isinstance(source, Scan):
+        candidates, rank_values = scan(execute, source.sql, source.rank_width)
+        note = f"{source.sql} /* + in-memory {plan.strategy} */"
     else:
-        return _host_only(execute, plan)
+        # A Reuse stage — no base-table rescan: the cached winner base,
+        # unioned with the bounded delta rows (fetched only when the
+        # WHERE was weakened), is re-winnowed under the *new* preference.
+        # The new winner base replaces the served entry, so a whole
+        # drill-down chain keeps re-winnowing ever-smaller sets.
+        cached = source.match.entry.winners
+        rows = list(cached.rows)
+        if source.delta_sql is not None:
+            rows += execute(source.delta_sql).fetchall()
+        candidates = Relation(columns=cached.columns, rows=rows)
+        note = (
+            f"{source.delta_sql or '/* no delta scan */'} "
+            f"/* + session reuse: {', '.join(source.match.rules)} */"
+        )
+    (stage,) = winnows
+    select = stage.residual
+    ranks = None
+    if rank_values is not None:
+        # Non-numeric rank cells (a host-affinity corner) drop the
+        # adoption, and the engine recomputes the ranks in Python.
+        ranks = rank_columns_from_values(
+            build_preference(select.preferring), rank_values
+        )
+    winners = winnow(select, candidates, ranks=ranks)
     winner_base = None
-    # The session cache serves single-table preference SELECTs without
-    # BUT ONLY (aggregation never reaches an in-memory plan).
     if capture and select.but_only is None and plan.table is not None:
         winner_base = winners.surface(
             replace(
@@ -269,7 +289,7 @@ def run(execute, plan, capture: bool = False) -> PlanRun:
                 distinct=False,
             )
         )
-    return PlanRun(winners.surface(select), None, host_sql, note, winner_base)
+    return PlanRun(winners.surface(select), None, note, winner_base)
 
 
 def run_plan(execute, plan) -> Relation:

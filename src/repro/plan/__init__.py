@@ -11,9 +11,9 @@ that choice automatic, per query, from cheap table statistics:
   System-R-style WHERE selectivity and the classical
   ``(ln n)^(d-1)/(d-1)!`` skyline-size estimate,
 * :mod:`repro.plan.planner` — :func:`~repro.plan.planner.plan_statement`,
-  producing a :class:`~repro.plan.planner.Plan` with the chosen strategy,
-  the rewritten SQL and (for in-memory strategies) the hard-condition
-  pushdown plus residual preference block,
+  producing a :class:`~repro.plan.planner.Plan` with the chosen strategy
+  and the stages that execute it, built by the strategy's entry of
+  :data:`~repro.plan.planner.STRATEGY_TABLE`,
 * :mod:`repro.plan.cache` — the LRU parse+plan cache keyed on
   ``(statement text, catalog version)`` that lets repeated parameterized
   queries skip parsing and planning,
@@ -27,17 +27,10 @@ strategy.
 
 from repro.plan.cache import CacheStats, PlanCache
 from repro.plan.cost import (
-    DEFAULT_COST_MODEL,
-    IN_MEMORY_STRATEGIES,
-    STRATEGIES,
     CostEstimate,
-    CostModel,
     choose_rank_source,
-    choose_strategy,
-    estimate_costs,
     estimate_selectivity,
     estimate_skyline_size,
-    rank_source_costs,
 )
 from repro.plan.explain import plan_relation, plan_text
 from repro.plan.joins import (
@@ -47,8 +40,12 @@ from repro.plan.joins import (
     estimation_predicate,
 )
 from repro.plan.planner import (
+    IN_MEMORY_STRATEGIES,
+    STRATEGIES,
     MaterializedView,
     Plan,
+    choose_strategy,
+    estimate_costs,
     in_memory_parts,
     plan_statement,
     rebind_plan,
@@ -67,9 +64,7 @@ __all__ = [
     "CacheStats",
     "StatisticsCache",
     "TableStatistics",
-    "CostModel",
     "CostEstimate",
-    "DEFAULT_COST_MODEL",
     "STRATEGIES",
     "IN_MEMORY_STRATEGIES",
     "JOIN_RELATION",
@@ -77,7 +72,6 @@ __all__ = [
     "build_join_scan",
     "estimation_predicate",
     "choose_rank_source",
-    "rank_source_costs",
     "estimate_costs",
     "estimate_selectivity",
     "estimate_skyline_size",

@@ -14,9 +14,8 @@ candidate count ``n`` (row count × System-R-style WHERE selectivity), the
 estimated maximal-set size ``s`` (the classical ``(ln n)^(d-1)/(d-1)!``
 skyline estimate for ``d`` preference dimensions, corrected for duplicate
 operand values via distinct counts), and per-operation constants calibrated
-against this repo's E5/E7 benchmarks on sqlite.  The constants are grouped
-in :class:`CostModel` so experiments can re-calibrate without touching the
-formulas.  Absolute numbers are deliberately rough — only the *crossover
+against this repo's E5/E7 benchmarks on sqlite, kept as module constants.
+Absolute numbers are deliberately rough — only the *crossover
 points* between strategies need to be right, and those are dominated by the
 quadratic anti-join versus the linear fetch.
 """
@@ -25,68 +24,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from repro.errors import PlanError
 from repro.sql import ast
 
-#: Strategies that evaluate the BMO set in Python after a pushdown.
-IN_MEMORY_STRATEGIES: tuple[str, ...] = ("bnl",)
-
-#: All selectable execution strategies, in tie-breaking order.
-STRATEGIES: tuple[str, ...] = ("rewrite",) + IN_MEMORY_STRATEGIES
-
 #: Session reuse: re-winnow the connection's cached winner base ∪ a
-#: bounded delta instead of rescanning.  It stays out of
-#: :data:`STRATEGIES` — it is only priceable when the session cache
-#: holds a provably refined entry, so generic "every strategy" loops must
-#: not force it.
+#: bounded delta instead of rescanning.  It is not among the strategies
+#: :func:`repro.plan.planner.plan_statement` prices — it is only
+#: priceable when the session cache holds a provably refined entry, so
+#: generic "every strategy" loops must not force it.
 SESSION_STRATEGY: str = "session"
-
-#: Every priceable strategy, in tie-breaking order — also the order of
-#: the ``cost:`` rows in EXPLAIN PREFERENCE.
-COST_ORDER: tuple[str, ...] = STRATEGIES + (SESSION_STRATEGY,)
 
 #: Assumed distinct count for preference dimensions whose operand is a
 #: computed expression (no column statistics available).
 _DEFAULT_DISTINCT = 64
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Per-operation cost constants, in seconds.
-
-    Calibrated against measured runs of the jobs/shop/cosima workloads and
-    the E5/E7 point distributions on sqlite: one anti-join probe in
-    sqlite's VM is ~50 ns, a dominance test through the compiled
-    comparator ~0.25 µs, moving one (8-column) row across the
-    sqlite→Python boundary and into an engine bundle ~3 µs, and one
-    closure-path presort key ~0.9 µs amortised per ``n·log n``.  Setup
-    constants capture the fixed overhead of, respectively, preparing a
-    host statement and standing up the in-memory engine for one query.
-    """
-
-    sql_probe: float = 0.05e-6
-    py_dominance: float = 0.25e-6
-    row_fetch: float = 3.0e-6
-    sort_key: float = 0.9e-6
-    sql_setup: float = 0.4e-3
-    py_setup: float = 1.3e-3
-    #: Rank-tuple comparison in the columnar skyline kernels — C-level
-    #: tuple arithmetic, cheaper than a compiled-closure dominance test
-    #: (calibrated against E9/E11: ~3x under py_dominance).
-    flat_dominance: float = 0.08e-6
-    #: Filling one rank-column cell in Python (one ``rank()``/``level()``
-    #: call inside a tight loop), per row and base preference.
-    py_rank: float = 0.9e-6
-    #: Evaluating one rank CASE/arithmetic expression in the host VM, per
-    #: row and base preference (SQL rank pushdown).
-    sql_rank: float = 0.12e-6
-    #: Shipping one extra (rank) column across the sqlite→Python boundary.
-    rank_fetch: float = 0.35e-6
-
-
-DEFAULT_COST_MODEL = CostModel()
+# Per-operation cost constants, in seconds, calibrated against measured
+# runs of the jobs/shop/cosima workloads and the E5/E7 point
+# distributions on sqlite: one anti-join probe in sqlite's VM is ~50 ns, a
+# dominance test through the compiled comparator ~0.25 µs, moving one
+# (8-column) row across the sqlite→Python boundary and into an engine
+# bundle ~3 µs, and one closure-path presort key ~0.9 µs amortised per
+# ``n·log n``.  The setup constants are the fixed overhead of preparing a
+# host statement and of standing up the in-memory engine for one query.
+SQL_PROBE = 0.05e-6
+PY_DOMINANCE = 0.25e-6
+ROW_FETCH = 3.0e-6
+SORT_KEY = 0.9e-6
+SQL_SETUP = 0.4e-3
+PY_SETUP = 1.3e-3
+#: Rank-tuple comparison in the columnar skyline kernels — C-level tuple
+#: arithmetic (calibrated against E9/E11: ~3x under PY_DOMINANCE).
+FLAT_DOMINANCE = 0.08e-6
+#: Filling one rank-column cell in Python, per row and base preference.
+PY_RANK = 0.9e-6
+#: Evaluating one rank expression in the host VM, per row and base
+#: preference (SQL rank pushdown).
+SQL_RANK = 0.12e-6
+#: Shipping one extra (rank) column across the sqlite→Python boundary.
+RANK_FETCH = 0.35e-6
 
 
 @dataclass(frozen=True)
@@ -223,140 +200,104 @@ def _column_operand(*operands: ast.Expr) -> str | None:
     return None
 
 
-def rank_source_costs(
-    candidates: float,
-    dimensions: int,
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> dict[str, float]:
-    """Seconds to materialise the rank columns, per source.
+def choose_rank_source(columnar: bool, sql_available: bool) -> str:
+    """How an in-memory strategy obtains its rank columns.
 
-    ``sql`` prices the pushdown: the host VM evaluates one rank
-    expression per base per row, and the extra columns ride the existing
-    row transfer; ``python`` prices the engine filling the same columns
-    with ``rank()`` calls.
-    """
-    n = max(1.0, float(candidates))
-    d = max(1, dimensions)
-    return {
-        "sql": (model.sql_rank + model.rank_fetch) * n * d,
-        "python": model.py_rank * n * d,
-    }
-
-
-def choose_rank_source(
-    candidates: float,
-    dimensions: int,
-    columnar: bool,
-    sql_available: bool,
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> str:
-    """Pick how an in-memory strategy obtains its rank columns.
-
-    ``"sql"`` — rank expressions pushed into the scan SELECT,
-    ``"python"`` — shared rank columns filled by the engine,
     ``"closure"`` — no rank columns (EXPLICIT or custom preference):
-    per-pair compiled/generic closures.
+    per-pair compiled/generic closures; ``"python"`` — some base has no
+    SQL rank form, so the engine fills shared rank columns; ``"sql"`` —
+    rank expressions pushed into the scan SELECT.  The pushdown costs
+    ``(SQL_RANK + RANK_FETCH)`` per cell against ``PY_RANK`` in Python,
+    so it wins whenever every base has one.
     """
     if not columnar:
         return "closure"
-    if not sql_available:
-        return "python"
-    costs = rank_source_costs(candidates, dimensions, model)
-    return "sql" if costs["sql"] <= costs["python"] else "python"
+    return "sql" if sql_available else "python"
 
 
-def estimate_costs(
-    candidates: float,
-    dimensions: int,
-    distinct_counts: Sequence[int | None] = (),
-    model: CostModel = DEFAULT_COST_MODEL,
-    include: Sequence[str] = STRATEGIES,
-    row_width: int | None = None,
-    columnar: bool = False,
-    rank_source: str | None = None,
-) -> dict[str, CostEstimate]:
-    """Price every strategy in ``include`` for the given input shape.
+@dataclass(frozen=True)
+class Shape:
+    """What pricing reads of one statement.
 
-    ``row_width`` (column count of the candidate table) scales the
-    sqlite→Python transfer cost of the in-memory strategies: the pushdown
-    materialises whole rows, so a 74-attribute profile costs an order of
-    magnitude more per row than a 7-attribute catalog entry, while the
-    host-side anti-join only ever ships the winners.
-
-    ``columnar`` marks a rank-based preference tree: the in-memory
-    strategies then price their comparisons at the columnar kernels'
-    C-level tuple rate (``flat_dominance``) instead of per-pair closure
-    calls, plus one explicit "rank columns" step whose cost depends on
-    ``rank_source`` (``"sql"`` pushdown vs ``"python"``, see
-    :func:`choose_rank_source`).
+    ``candidates`` estimates the rows that survive the WHERE,
+    ``distinct_counts`` the operand values of each of the ``dimensions``
+    base preferences, ``row_width`` is the candidate table's column count
+    (it scales the sqlite→Python transfer of the in-memory strategies: a
+    74-attribute profile costs an order of magnitude more per row than a
+    7-attribute catalog entry, while the host-side anti-join only ever
+    ships the winners).  A ``rank_source`` of ``"sql"`` or ``"python"``
+    marks a rank-based tree, whose comparisons run at the columnar
+    kernels' C-level tuple rate after one "rank columns" step from that
+    source (:func:`choose_rank_source`).
     """
-    n = max(1.0, float(candidates))
-    s = max(1.0, estimate_skyline_size(n, dimensions, distinct_counts))
+
+    candidates: float
+    dimensions: int
+    distinct_counts: Sequence[int | None] = ()
+    row_width: int | None = None
+    rank_source: str | None = None
+
+
+def _estimate(strategy: str, steps) -> CostEstimate:
+    steps = tuple(steps)
+    return CostEstimate(strategy, sum(seconds for _label, seconds in steps), steps)
+
+
+def rewrite_estimate(shape: Shape) -> CostEstimate:
+    """Price the ``NOT EXISTS`` anti-join: every candidate probes the
+    dominator copy; winners scan all n rows, losers stop at their first
+    dominator (expected position n/(s+1) with s winners spread
+    uniformly)."""
+    n = max(1.0, float(shape.candidates))
+    s = max(1.0, estimate_skyline_size(n, shape.dimensions, shape.distinct_counts))
+    probes = s * n + (n - s) * (n / (s + 1.0))
+    return _estimate(
+        "rewrite",
+        (
+            ("prepare host statement", SQL_SETUP),
+            ("host anti-join probes", SQL_PROBE * probes),
+            ("fetch winners", ROW_FETCH * s),
+        ),
+    )
+
+
+def bnl_estimate(shape: Shape) -> CostEstimate:
+    """Price the serial winnow: a window scan (grows with the skyline) or
+    presort + filter pass (the presort guarantees no later tuple
+    dominates an earlier one, so it overtakes once the skyline outgrows
+    the sort cost), whichever is cheaper.  Recalibrating against the
+    kernels that actually run belongs to the cost audit; until then this
+    holds every rewrite / in-memory crossover where the three-formula
+    model put it."""
+    n = max(1.0, float(shape.candidates))
+    s = max(1.0, estimate_skyline_size(n, shape.dimensions, shape.distinct_counts))
     log_n = math.log2(n) if n > 1.0 else 1.0
-    width_factor = max(1.0, (row_width or 8) / 8.0)
-    row_fetch = model.row_fetch * width_factor
-    dominance = model.flat_dominance if columnar else model.py_dominance
-    rank_step: tuple[str, float] | None = None
+    width_factor = max(1.0, (shape.row_width or 8) / 8.0)
+    columnar = shape.rank_source in ("sql", "python")
+    dominance = FLAT_DOMINANCE if columnar else PY_DOMINANCE
+    rank_step: tuple[tuple[str, float], ...] = ()
     if columnar:
-        source_costs = rank_source_costs(n, dimensions, model)
-        if rank_source == "sql":
-            rank_step = ("rank columns (sql pushdown)", source_costs["sql"])
-        else:
-            rank_step = ("rank columns (python)", source_costs["python"])
-    estimates: dict[str, CostEstimate] = {}
-
-    for strategy in include:
-        if strategy == "rewrite":
-            # Every candidate probes the dominator copy: winners scan all n
-            # rows, losers stop at their first dominator (expected position
-            # n/(s+1) with s winners spread uniformly).
-            probes = s * n + (n - s) * (n / (s + 1.0))
-            steps = (
-                ("prepare host statement", model.sql_setup),
-                ("host anti-join probes", model.sql_probe * probes),
-                ("fetch winners", model.row_fetch * s),
-            )
-        elif strategy == "bnl":
-            # One price for the serial winnow: a window scan (grows with
-            # the skyline) or presort + filter pass (the presort
-            # guarantees no later tuple dominates an earlier one, so it
-            # overtakes once the skyline outgrows the sort cost),
-            # whichever is cheaper.  Recalibrating against the kernels
-            # that actually run belongs to the cost audit; until then
-            # this holds every rewrite / in-memory crossover where the
-            # three-formula model put it.
-            sort_cost = (
-                model.flat_dominance if columnar else model.sort_key
-            ) * n * log_n
-            steps = (
-                ("engine setup", model.py_setup),
-                ("fetch candidates", row_fetch * n),
-                *((rank_step,) if rank_step else ()),
-                (
-                    "winnow",
-                    min(
-                        dominance * n * s * 0.35,
-                        sort_cost + dominance * n * s * 0.2,
-                    ),
-                ),
-            )
-        else:
-            raise PlanError(f"unknown strategy {strategy!r}")
-        estimates[strategy] = CostEstimate(
-            strategy=strategy,
-            seconds=sum(seconds for _label, seconds in steps),
-            steps=steps,
+        d = max(1, shape.dimensions)
+        rank_step = (
+            (("rank columns (sql pushdown)", (SQL_RANK + RANK_FETCH) * n * d),)
+            if shape.rank_source == "sql"
+            else (("rank columns (python)", PY_RANK * n * d),)
         )
-    return estimates
-
-
-def choose_strategy(estimates: Mapping[str, CostEstimate]) -> str:
-    """The cheapest strategy; ties break in :data:`COST_ORDER` order."""
-    if not estimates:
-        raise PlanError("no cost estimates to choose from")
-    return min(
-        estimates,
-        key=lambda name: (estimates[name].seconds, COST_ORDER.index(name)),
+    sort_cost = (FLAT_DOMINANCE if columnar else SORT_KEY) * n * log_n
+    return _estimate(
+        "bnl",
+        (
+            ("engine setup", PY_SETUP),
+            ("fetch candidates", ROW_FETCH * width_factor * n),
+            *rank_step,
+            (
+                "winnow",
+                min(
+                    dominance * n * s * 0.35,
+                    sort_cost + dominance * n * s * 0.2,
+                ),
+            ),
+        ),
     )
 
 
@@ -365,7 +306,6 @@ def semantic_pass_estimate(
     winners: float,
     sort_keys: int,
     scans: int,
-    model: CostModel = DEFAULT_COST_MODEL,
 ) -> CostEstimate:
     """Price a semantically rewritten ``rewrite`` plan.
 
@@ -378,26 +318,16 @@ def semantic_pass_estimate(
     """
     n = max(candidates, 1.0) if candidates else 0.0
     s = min(max(winners, 1.0), n) if candidates else 0.0
-    steps: list[tuple[str, float]] = [
-        ("prepare host statement", model.sql_setup)
-    ]
+    steps = [("prepare host statement", SQL_SETUP)]
     if sort_keys:
-        steps.append(
-            (
-                "host rank expressions",
-                model.sql_rank * n * sort_keys * max(scans, 1),
-            )
-        )
+        rank_cost = SQL_RANK * n * sort_keys * max(scans, 1)
+        steps.append(("host rank expressions", rank_cost))
         log_n = math.log2(n) if n > 1.0 else 1.0
-        steps.append(("host single-pass sort", model.sql_probe * n * log_n))
+        steps.append(("host single-pass sort", SQL_PROBE * n * log_n))
     else:
-        steps.append(("host scan", model.sql_probe * n))
-    steps.append(("fetch winners", model.row_fetch * s))
-    return CostEstimate(
-        strategy="rewrite",
-        seconds=sum(seconds for _label, seconds in steps),
-        steps=tuple(steps),
-    )
+        steps.append(("host scan", SQL_PROBE * n))
+    steps.append(("fetch winners", ROW_FETCH * s))
+    return _estimate("rewrite", steps)
 
 
 def session_reuse_estimate(
@@ -406,7 +336,6 @@ def session_reuse_estimate(
     table_rows: float,
     dimensions: int,
     distinct_counts: Sequence[int | None] = (),
-    model: CostModel = DEFAULT_COST_MODEL,
     delta_scan: bool = False,
     row_width: int | None = None,
 ) -> CostEstimate:
@@ -424,26 +353,16 @@ def session_reuse_estimate(
     pool = max(1.0, m + d_rows)
     s = max(1.0, estimate_skyline_size(pool, dimensions, distinct_counts))
     width_factor = max(1.0, (row_width or 8) / 8.0)
-    steps: list[tuple[str, float]] = [
-        ("reuse cached winners", 0.0),
-    ]
+    steps = [("reuse cached winners", 0.0)]
     if delta_scan:
         steps.append(
             (
                 "delta scan",
-                model.sql_setup
-                + model.sql_probe * max(1.0, float(table_rows))
-                + model.row_fetch * width_factor * d_rows,
+                SQL_SETUP
+                + SQL_PROBE * max(1.0, float(table_rows))
+                + ROW_FETCH * width_factor * d_rows,
             )
         )
-    steps.append(
-        (
-            "re-winnow winners ∪ delta",
-            model.py_setup + model.py_dominance * pool * s * 0.35,
-        )
-    )
-    return CostEstimate(
-        strategy=SESSION_STRATEGY,
-        seconds=sum(seconds for _label, seconds in steps),
-        steps=tuple(steps),
-    )
+    rewinnow = PY_SETUP + PY_DOMINANCE * pool * s * 0.35
+    steps.append(("re-winnow winners ∪ delta", rewinnow))
+    return _estimate(SESSION_STRATEGY, steps)

@@ -8,9 +8,9 @@ an indented text block, used by :meth:`repro.driver.Connection.explain`.
 
 from __future__ import annotations
 
+from repro.engine.bmo import Reuse, Scan
 from repro.engine.relation import Relation
-from repro.plan.cost import COST_ORDER, SESSION_STRATEGY
-from repro.plan.planner import Plan
+from repro.plan.planner import STRATEGY_TABLE, Plan
 
 #: Column names of the EXPLAIN PREFERENCE result relation.
 REPORT_COLUMNS = ("item", "detail")
@@ -19,16 +19,6 @@ _RANK_SOURCE_LABELS = {
     "sql": "sql — rank expressions pushed into the scan SELECT",
     "python": "python — engine fills shared rank columns once per query",
     "closure": "closure — per-pair comparisons (EXPLICIT/custom preference)",
-}
-
-_STRATEGY_LABELS = {
-    "passthrough": "pass-through (no PREFERRING clause)",
-    "rewrite": "NOT EXISTS rewrite on the host database",
-    "bnl": "in-memory winnow after hard-condition pushdown — sort-filter "
-    "on flat Pareto ranks, minimum-bucket scan on flat cascades, window "
-    "BNL otherwise",
-    "view": "materialized preference view scan",
-    "session": "session reuse — re-winnow cached winners ∪ bounded delta",
 }
 
 
@@ -43,7 +33,7 @@ def plan_relation(
 
     if source_sql is not None:
         add("statement", source_sql)
-    label = _STRATEGY_LABELS.get(plan.strategy, plan.strategy)
+    label = STRATEGY_TABLE[plan.strategy].label
     add("strategy", f"{plan.strategy} — {label}" + (" [forced]" if plan.forced else ""))
     if plan.view_name:
         add("materialized view", plan.view_name)
@@ -56,13 +46,13 @@ def plan_relation(
         add("constraints used", ", ".join(plan.semantic_constraints))
     if plan.session_match is not None:
         add("refinement relation", plan.session_match.relation)
-        if plan.strategy == SESSION_STRATEGY:
-            winners = len(plan.session_match.entry.winners)
-            detail = f"re-winnow {winners} cached winners"
-            detail += " ∪ delta" if plan.session_delta_sql else " (no delta scan)"
-            add("session reuse", detail)
-        if plan.session_delta_sql:
-            add("delta SQL", plan.session_delta_sql)
+    reuse = plan.stage(Reuse)
+    if reuse is not None:
+        detail = f"re-winnow {len(reuse.match.entry.winners)} cached winners"
+        detail += " ∪ delta" if reuse.delta_sql else " (no delta scan)"
+        add("session reuse", detail)
+        if reuse.delta_sql:
+            add("delta SQL", reuse.delta_sql)
     if plan.table:
         add("table", plan.table)
     if plan.join_tables:
@@ -78,16 +68,17 @@ def plan_relation(
                     for column, count in sorted(plan.statistics.distinct.items())
                 ),
             )
-    if plan.strategy != "passthrough":
+    if plan.stages:
         add("candidates (est)", f"{plan.candidate_estimate:.0f}")
         add("maximal set (est)", f"{plan.skyline_estimate:.0f}")
-    if plan.rank_source is not None and plan.uses_engine:
-        label = _RANK_SOURCE_LABELS.get(plan.rank_source, plan.rank_source)
-        if plan.rank_width:
-            label += f" ({plan.rank_width} rank columns)"
+    scan = plan.stage(Scan)
+    if scan is not None and plan.rank_source is not None:
+        label = _RANK_SOURCE_LABELS[plan.rank_source]
+        if scan.rank_width:
+            label += f" ({scan.rank_width} rank columns)"
         add("rank source", label)
         add("columnar", plan.columnar or "no")
-    for name in COST_ORDER:
+    for name in STRATEGY_TABLE:
         estimate = plan.estimates.get(name)
         if estimate is None:
             continue
@@ -97,10 +88,11 @@ def plan_relation(
     if chosen_cost is not None:
         for label_, seconds in chosen_cost.steps:
             add(f"step: {label_}", f"{seconds * 1000:.2f} ms")
-    if plan.rewritten_sql:
-        add("rewritten SQL", plan.rewritten_sql)
-    if plan.pushdown_sql:
-        add("pushdown SQL", plan.pushdown_sql)
+    rewritten_sql = plan.rewritten_sql
+    if rewritten_sql:
+        add("rewritten SQL", rewritten_sql)
+    if scan is not None:
+        add("pushdown SQL", scan.sql)
     for note in plan.notes:
         add("note", note)
     if cache_note is not None:

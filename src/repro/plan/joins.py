@@ -251,15 +251,17 @@ def join_memory_parts(
     aliases: dict[str, ast.Expr] = {}
     for item in select.items:
         if isinstance(item, ast.Star):
-            if item.table is None:
-                residual_items.append(ast.Star())
-                continue
-            source = scan.source_for(item.table)
-            for column in source.columns:
-                flat = scan.flat_names[(source.binding.lower(), column.lower())]
-                residual_items.append(
-                    ast.SelectItem(expr=ast.Column(name=flat), alias=flat)
-                )
+            # ``*`` and ``t.*`` name each column by its source column, as
+            # the host does, not by its flattened scan name.
+            sources = (
+                scan.sources if item.table is None else (scan.source_for(item.table),)
+            )
+            for source in sources:
+                for column in source.columns:
+                    flat = scan.flat_names[(source.binding.lower(), column.lower())]
+                    residual_items.append(
+                        ast.SelectItem(expr=ast.Column(name=flat), alias=column)
+                    )
             continue
         if item.alias:
             aliases.setdefault(item.alias.lower(), item.expr)

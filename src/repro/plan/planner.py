@@ -8,23 +8,24 @@ its skyline algorithms.  The paper notes that dedicated skyline algorithms
 the choice is made per query from cheap table statistics instead of a
 hardcoded string argument.
 
-:func:`plan_statement` produces a :class:`Plan` that fully describes one
-execution: the chosen strategy, the cost estimates of every candidate, the
-rewritten statement (always built — it is both the ``rewrite`` execution
-text and the EXPLAIN PREFERENCE exhibit, printed when first read) and, for
-in-memory strategies, the
-hard-condition *pushdown* query plus the *residual* preference block the
-engine evaluates over the fetched candidates.  That plan never depends on
-the session cache; :func:`with_session` prices the session strategy on
-top of it, per execution.
+:func:`plan_statement` produces a :class:`Plan`: the chosen strategy, the
+cost estimates of every candidate and the *stages* that execute it
+(:mod:`repro.engine.bmo`: a host statement, or a scan and a winnow).
+Each strategy is one entry of :data:`STRATEGY_TABLE`, whose ``build`` makes
+those stages; every plan is made through it, and a cached plan is rebound
+to new parameters by running its build again (:func:`rebind_plan`).
+What only EXPLAIN PREFERENCE shows is derived when it is read.  A plan
+never depends on the session cache; :func:`with_session` prices the
+session strategy on top of it, per execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.deadline import active_deadline
+from repro.engine.bmo import Host, Reuse, Scan, Winnow
 from repro.engine.columns import rank_shape
 from repro.errors import (
     CatalogError,
@@ -37,17 +38,14 @@ from repro.model.builder import NameResolver, build_preference
 from repro.model.preference import Preference
 from repro.model.quality import QUALITY_FUNCTIONS
 from repro.plan.cost import (
-    DEFAULT_COST_MODEL,
-    IN_MEMORY_STRATEGIES,
     SESSION_STRATEGY,
-    STRATEGIES,
     CostEstimate,
-    CostModel,
+    Shape,
+    bnl_estimate,
     choose_rank_source,
-    choose_strategy,
-    estimate_costs,
     estimate_selectivity,
     estimate_skyline_size,
+    rewrite_estimate,
     semantic_pass_estimate,
     session_reuse_estimate,
 )
@@ -63,7 +61,7 @@ from repro.plan.semantic import (
     SemanticRewrite,
     semantic_rewrite,
 )
-from repro.plan.session import SessionMatch
+from repro.plan.session import SessionMatch, conjoin
 from repro.plan.statistics import TableStatistics
 from repro.rewrite.levels import pushdown_rank_expressions
 from repro.rewrite.planner import Schema, rewrite_statement
@@ -96,95 +94,277 @@ class MaterializedView:
 #: Matcher signature: SELECT statement → matching view, or None.
 ViewMatcher = Callable[[ast.Select], MaterializedView | None]
 
-@dataclass
+
+@dataclass(frozen=True)
+class Decisions:
+    """What planning decided and found that no build recomputes: a forced
+    strategy, the semantic outcome, the view hit, the session judgment
+    (servable or not, for EXPLAIN), the notes, the scan shape (``table``:
+    one in-memory table or a view's backing table; ``join_tables``:
+    ``table AS binding (n rows)``), the estimates, the rank source priced
+    for the in-memory winnow (:func:`~repro.plan.cost.choose_rank_source`;
+    None when the statement cannot run in memory), and the rewriter's
+    statement, which only EXPLAIN shows unless the plan runs it."""
+
+    forced: bool = False
+    semantic: SemanticRewrite | None = None
+    view: MaterializedView | None = None
+    session: SessionMatch | None = None
+    notes: tuple[str, ...] = ()
+    table: str | None = None
+    join_tables: tuple[str, ...] = ()
+    candidates: float = 0.0
+    skyline: float = 0.0
+    dimensions: int = 0
+    rank_source: str | None = None
+    rewrite: ast.Statement | str | None = None
+
+
+def _staged(kind: type, name: str, default=None) -> property:
+    """A plan attribute read off its first stage of type ``kind``."""
+    return property(lambda plan: getattr(plan.stage(kind), name, default))
+
+
+def _decided(name: str) -> property:
+    """A plan attribute read off its :class:`Decisions`."""
+    return property(lambda plan: getattr(plan.decisions, name))
+
+
+@dataclass(frozen=True)
 class Plan:
-    """One fully-described execution of a preference statement."""
+    """One fully-described execution of a preference statement: its
+    ``stages`` (none for pass-through) run through
+    :func:`repro.engine.bmo.run`.  Plans are shared between pooled
+    threads through the plan cache, so they are never changed in place.
+    """
 
     statement: ast.Statement
-    strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'session' | 'view'
-    #: The host SQL of the ``rewrite`` strategy, read as ``rewritten_sql``.
-    #: The rewriter's statement is printed on first read: most plans run
-    #: another strategy and only EXPLAIN shows it.
-    rewritten: ast.Statement | str | None = None
-    pushdown_sql: str | None = None
-    residual: ast.Select | None = None
+    strategy: str  # a key of STRATEGY_TABLE
+    stages: tuple = ()
     estimates: dict[str, CostEstimate] = field(default_factory=dict)
     statistics: TableStatistics | None = None
-    table: str | None = None
-    candidate_estimate: float = 0.0
-    skyline_estimate: float = 0.0
-    dimensions: int = 0
-    preference_sql: str | None = None
-    notes: list[str] = field(default_factory=list)
-    forced: bool = False
-    #: Set when the query is answered from a materialized preference
-    #: view: the view's name and a human-readable description of how the
-    #: driver keeps the materialization fresh under DML.
-    view_name: str | None = None
-    view_maintenance: str | None = None
-    #: Columnar execution shape of the in-memory strategies: how the rank
-    #: columns are obtained (``'sql'`` pushdown / ``'python'`` /
-    #: ``'closure'`` fallback, None for host-only plans), how many rank
-    #: columns the pushdown scan appends, and the kernel the comparisons
-    #: run through (a human-readable label for EXPLAIN PREFERENCE).
-    rank_source: str | None = None
-    rank_width: int = 0
-    columnar: str | None = None
-    #: Join-aware plan shape: the joined base tables in FROM order
-    #: (display form ``table AS binding``, empty for single-table plans).
-    join_tables: tuple[str, ...] = ()
-    #: Semantic-optimization outcome (see :mod:`repro.plan.semantic`):
-    #: the fired rule's label and the integrity constraints — with
-    #: their declared/schema/observed provenance — that justified it.
-    semantic_rule: str | None = None
-    semantic_constraints: tuple[str, ...] = ()
-    #: Session-reuse judgment (see :mod:`repro.plan.session`), attached
-    #: by :func:`with_session` whenever the connection's session cache
-    #: held a related entry — servable or not, so EXPLAIN can surface the
-    #: refinement relation either way.  ``session_delta_sql`` is the
-    #: bounded delta scan of a chosen session plan (None when the old
-    #: candidate set contains the new one).
-    session_match: SessionMatch | None = None
-    session_delta_sql: str | None = None
-    #: Whether the ``rewrite`` strategy's anti-join reads only the rows
-    #: one pivot cannot beat (:mod:`repro.plan.pivot`); a rebind keeps it.
-    pivot: bool = False
+    decisions: Decisions = Decisions()
 
-    @property
-    def rewritten_sql(self) -> str | None:
-        # Cached plans are shared between threads: read the field once, so
-        # a concurrent first read can only store the same text again.
-        rewritten = self.rewritten
-        if isinstance(rewritten, ast.Node):
-            rewritten = self.rewritten = to_sql(rewritten)
-        return rewritten
-
-    @property
-    def uses_engine(self) -> bool:
-        """True when the strategy evaluates in-memory after a pushdown."""
-        return self.strategy in IN_MEMORY_STRATEGIES
-
-    @property
-    def prejoin_scan_sql(self) -> str | None:
-        # Always None, and not a field: ``benchmark/tracing.py`` still
-        # reads it; the ROADMAP's ``benchmark/``-only chores change
-        # removes it.
-        return None
+    def stage(self, kind: type):
+        """The first stage of type ``kind``, or None."""
+        return next((stage for stage in self.stages if isinstance(stage, kind)), None)
 
     @property
     def host_sql(self) -> str | None:
         """The first statement this plan sends to the host — the value
         ``Cursor.executed_sql`` gets.  None for pass-through and for a
         session hit without a delta scan (nothing goes to the host)."""
-        if self.strategy == "passthrough":
-            return None
-        if self.strategy == SESSION_STRATEGY:
-            return self.session_delta_sql
-        return self.pushdown_sql or self.rewritten_sql
+        return next((s.sql for s in self.stages if s.sql is not None), None)
 
     @property
-    def chosen_cost(self) -> CostEstimate | None:
-        return self.estimates.get(self.strategy)
+    def rewritten_sql(self) -> str | None:
+        """The host SQL of the ``rewrite`` strategy (EXPLAIN's exhibit
+        when another strategy runs)."""
+        host = self.stage(Host)
+        if host is not None:
+            return host.sql
+        rewrite = self.decisions.rewrite
+        return to_sql(rewrite) if isinstance(rewrite, ast.Node) else rewrite
+
+    @property
+    def preference_sql(self) -> str | None:
+        semantic, statement = self.decisions.semantic, self.statement
+        if semantic is not None:
+            return semantic.original_preference
+        select = statement.query if isinstance(statement, ast.Insert) else statement
+        term = getattr(select, "preferring", None)
+        return to_sql(term) if term is not None and self.stages else None
+
+    @property
+    def view_maintenance(self) -> str | None:
+        """How the driver keeps the answering view fresh under DML."""
+        view = self.decisions.view
+        if view is None or not view.maintainable:
+            return view and f"full recompute ({view.reason})"
+        return (
+            "incremental (insert dominance test, bounded re-derivation on "
+            "member deletes)"
+        )
+
+    # Read-only views of the stages and decisions.
+    pushdown_sql = _staged(Scan, "sql")
+    rank_width = _staged(Scan, "rank_width", 0)
+    residual = _staged(Winnow, "residual")
+    session_delta_sql = _staged(Reuse, "delta_sql")
+    pivot = _staged(Host, "pivot", False)
+    uses_engine = property(lambda plan: plan.stage(Scan) is not None)
+    forced = _decided("forced")
+    notes = _decided("notes")
+    table = _decided("table")
+    join_tables = _decided("join_tables")
+    candidate_estimate = _decided("candidates")
+    skyline_estimate = _decided("skyline")
+    dimensions = _decided("dimensions")
+    rank_source = _decided("rank_source")
+    session_match = _decided("session")
+    semantic_rule = property(
+        lambda plan: getattr(plan.decisions.semantic, "rule", None)
+    )
+    semantic_constraints = property(
+        lambda plan: getattr(plan.decisions.semantic, "constraints_used", ())
+    )
+    view_name = property(lambda plan: getattr(plan.decisions.view, "name", None))
+    columnar = property(  # the winnow's kernel, for EXPLAIN
+        lambda plan: plan.residual and _probe_ranks(plan.residual, None).label
+    )
+    chosen_cost = property(lambda plan: plan.estimates.get(plan.strategy))
+    #: Always None: ``benchmark/tracing.py`` still reads it.
+    prejoin_scan_sql = None
+
+
+@dataclass(frozen=True)
+class Build:
+    """What a strategy's build reads besides the statement.  Planning
+    hands it the ``rewritten`` statement, ``probe`` and ``join_scan`` it
+    already made; a rebind leaves them empty, to be made again, except a
+    probe without SQL ranks when the cached scan appends none."""
+
+    schema: Schema | None = None
+    resolver: NameResolver | None = None
+    statistics: TableStatistics | None = None
+    decisions: Decisions = Decisions()
+    rewritten: ast.Statement | None = None
+    probe: "_RankProbe | None" = None
+    join_scan: JoinScan | None = None
+
+
+def _build_rewrite(statement: ast.Statement, build: Build) -> tuple:
+    """One host statement: the semantic pass's single pass when it fired,
+    else the NOT EXISTS rewrite, behind the rank-CTE pivot
+    (:mod:`repro.plan.pivot`) on tables of at least
+    :data:`~repro.plan.pivot.PIVOT_MIN_ROWS` rows."""
+    semantic = build.decisions.semantic
+    if semantic is not None and semantic.single_pass_sql is not None:
+        return (Host(semantic.single_pass_sql),)
+    rewritten = build.rewritten
+    stats = build.statistics
+    if stats is not None and stats.row_count >= PIVOT_MIN_ROWS:
+        pivoted = rewrite_statement(
+            statement, schema=build.schema, resolver=build.resolver, pivot=True
+        )
+        if pivoted.pivot:
+            return (Host(to_sql(pivoted.statement), pivot=True),)
+        rewritten = rewritten or pivoted.statement
+    if rewritten is None:
+        rewritten = rewrite_statement(
+            statement, schema=build.schema, resolver=build.resolver
+        ).statement
+    return (Host(to_sql(rewritten)),)
+
+
+def _build_bnl(statement: ast.Statement, build: Build) -> tuple:
+    """A pushdown scan of the candidates (SQL rank columns appended when
+    every base has an SQL rank) and the in-memory winnow of the residual."""
+    probe = build.probe or _probe_ranks(statement, build.resolver)
+    if len(statement.sources) == 1 and isinstance(statement.sources[0], ast.TableRef):
+        sql, residual, width = in_memory_parts(
+            statement, build.resolver, probe.sql_exprs, probe.preference, build.schema
+        )
+    else:
+        # Planning proved the join scan; a rebind builds it again.
+        scan = build.join_scan or build_join_scan(statement, build.schema)[0]
+        sql, residual, width = join_memory_parts(
+            statement, scan, build.resolver, probe.sql_exprs, probe.preference
+        )
+    return (Scan(sql, width), Winnow(residual))
+
+
+def _build_session(statement: ast.Select, build: Build) -> tuple:
+    """The session cache's winner base plus the bounded delta rows,
+    re-winnowed by the query block filtered by any added grouping-column
+    conjuncts.  No pushdown scan runs, and rank columns (which only pay
+    off on large scans) are recomputed in Python over the small input."""
+    match = build.decisions.session
+    delta = match.delta_select
+    residual = _residual(statement, build.resolver)
+    return (
+        Reuse(match, to_sql(delta) if delta is not None else None),
+        Winnow(replace(residual, where=conjoin(match.added))),
+    )
+
+
+def _build_view(statement: ast.Statement, build: Build) -> tuple:
+    """A scan of the view's backing table.  It carries no bound
+    parameters: a parameterized text never equals a stored definition."""
+    table = quote_identifier(build.decisions.view.backing_table)
+    return (Host(f"SELECT * FROM {table}"),)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One way to execute a statement: its EXPLAIN ``label``, the
+    ``build`` of its stages and, for the strategies
+    :func:`plan_statement` prices, the ``price`` of a
+    :class:`~repro.plan.cost.Shape`; an ``in_memory`` strategy is
+    eligible only when the statement can run in memory.  The session and
+    view strategies have their own gates (:func:`with_session`, the view
+    matcher)."""
+
+    label: str
+    build: Callable[[ast.Statement, Build], tuple]
+    price: Callable[[Shape], CostEstimate] | None = None
+    in_memory: bool = False
+
+
+#: Every strategy by name, in tie-breaking order (also the order of the
+#: ``cost:`` rows in EXPLAIN PREFERENCE).
+STRATEGY_TABLE: dict[str, Strategy] = {
+    "rewrite": Strategy(
+        "NOT EXISTS rewrite on the host database", _build_rewrite, rewrite_estimate
+    ),
+    "bnl": Strategy(
+        "in-memory winnow after hard-condition pushdown — sort-filter on "
+        "flat Pareto ranks, minimum-bucket scan on flat cascades, window "
+        "BNL otherwise",
+        _build_bnl,
+        bnl_estimate,
+        in_memory=True,
+    ),
+    SESSION_STRATEGY: Strategy(
+        "session reuse — re-winnow cached winners ∪ bounded delta", _build_session
+    ),
+    "view": Strategy("materialized preference view scan", _build_view),
+    "passthrough": Strategy(
+        "pass-through (no PREFERRING clause)", lambda statement, build: ()
+    ),
+}
+
+#: The strategies :func:`plan_statement` prices and ``force`` accepts.
+STRATEGIES: tuple[str, ...] = tuple(
+    name for name, strategy in STRATEGY_TABLE.items() if strategy.price is not None
+)
+
+#: The priced strategies that evaluate the BMO set in Python after a pushdown.
+IN_MEMORY_STRATEGIES: tuple[str, ...] = tuple(
+    name for name in STRATEGIES if STRATEGY_TABLE[name].in_memory
+)
+
+
+def choose_strategy(estimates: Mapping[str, CostEstimate]) -> str:
+    """The cheapest strategy; ties break in :data:`STRATEGY_TABLE` order."""
+    if not estimates:
+        raise PlanError("no cost estimates to choose from")
+    order = list(STRATEGY_TABLE)
+    return min(estimates, key=lambda name: (estimates[name].seconds, order.index(name)))
+
+
+def estimate_costs(
+    candidates: float,
+    dimensions: int,
+    distinct_counts: Sequence[int | None] = (),
+    include: Sequence[str] = STRATEGIES,
+    row_width: int | None = None,
+    rank_source: str | None = None,
+) -> dict[str, CostEstimate]:
+    """Price every strategy in ``include`` for the given input shape
+    (:class:`~repro.plan.cost.Shape` says what each input means)."""
+    shape = Shape(candidates, dimensions, tuple(distinct_counts), row_width, rank_source)
+    return {name: STRATEGY_TABLE[name].price(shape) for name in include}
 
 
 def plan_statement(
@@ -192,7 +372,6 @@ def plan_statement(
     schema: Schema | None = None,
     resolver: NameResolver | None = None,
     statistics: StatisticsProvider | None = None,
-    model: CostModel = DEFAULT_COST_MODEL,
     force: str | None = None,
     views: ViewMatcher | None = None,
     constraints: ConstraintProvider | None = None,
@@ -240,7 +419,7 @@ def plan_statement(
         if semantic is not None:
             if semantic.select.preferring is None:
                 # Winnow eliminated entirely: nothing left to price.
-                return _winnow_free_plan(semantic, statistics, model)
+                return _winnow_free_plan(semantic, statistics)
             statement = semantic.select
 
     result = rewrite_statement(statement, schema=schema, resolver=resolver)
@@ -304,32 +483,22 @@ def plan_statement(
     candidates = max(1.0, row_count * selectivity) if row_count else 0.0
     distinct_counts = _distinct_counts(bases, lookup)
     skyline = estimate_skyline_size(candidates, dimensions, distinct_counts)
-    include = STRATEGIES if in_memory else ("rewrite",)
     probe = _probe_ranks(select, resolver) if in_memory else None
+    row_width = (
+        sum(len(source.columns) for source in join_scan.sources)
+        if join_scan is not None
+        else _row_width(table, schema)
+    )
     rank_source = (
-        choose_rank_source(
-            candidates,
-            dimensions,
-            probe.columnar,
-            probe.sql_exprs is not None,
-            model=model,
-        )
+        choose_rank_source(probe.columnar, probe.sql_exprs is not None)
         if probe is not None
         else None
     )
+    include = [
+        name for name in STRATEGIES if in_memory or name not in IN_MEMORY_STRATEGIES
+    ]
     estimates = estimate_costs(
-        candidates,
-        dimensions,
-        distinct_counts,
-        model=model,
-        include=include,
-        row_width=(
-            sum(len(source.columns) for source in join_scan.sources)
-            if join_scan is not None
-            else _row_width(table, schema)
-        ),
-        columnar=probe.columnar if probe is not None else False,
-        rank_source=rank_source,
+        candidates, dimensions, distinct_counts, include, row_width, rank_source
     )
     if semantic is not None and semantic.single_pass_sql is not None:
         # The semantic single pass takes over the 'rewrite' slot: its SQL
@@ -341,7 +510,6 @@ def plan_statement(
             1.0 if semantic.winners == "one" else skyline,
             semantic.sort_keys,
             semantic.scans,
-            model=model,
         )
 
     if force is not None:
@@ -349,7 +517,7 @@ def plan_statement(
             raise PlanError(
                 f"unknown strategy {force!r}; choose from {', '.join(STRATEGIES)}"
             )
-        if force in IN_MEMORY_STRATEGIES and not in_memory:
+        if force not in include:
             raise PlanError(
                 f"cannot force in-memory strategy {force!r}: {ineligible_reason}"
             )
@@ -357,78 +525,44 @@ def plan_statement(
     else:
         strategy = choose_strategy(estimates)
 
-    pivot = False
-    if (
-        strategy == "rewrite"
-        and stats is not None
-        and stats.row_count >= PIVOT_MIN_ROWS
-        and not isinstance(rewritten, str)
-    ):
-        pivoted = rewrite_statement(
-            statement, schema=schema, resolver=resolver, pivot=True
-        )
-        if pivoted.pivot:
-            rewritten, pivot = pivoted.statement, True
+    decided = Decisions(semantic=semantic)
+    context = Build(
+        schema, resolver, stats, decided, result.statement, probe, join_scan
+    )
+    stages = STRATEGY_TABLE[strategy].build(statement, context)
+    if isinstance(stages[0], Host):
+        # The plan keeps the text it runs, not the rewriter's tree.
+        rewritten = stages[0].sql
+        if stages[0].pivot:
             notes.append(
                 f"rank CTE pivot: {stats.row_count} table rows >= {PIVOT_MIN_ROWS}"
             )
-
-    join_tables: tuple[str, ...] = ()
-    if join_scan is not None:
-        join_tables = tuple(
-            _join_table_display(source, join_stats) for source in join_scan.sources
+    if semantic is not None and semantic.original_dimensions != dimensions:
+        notes.append(
+            "semantic reduction: PREFERRING " + to_sql(semantic.select.preferring)
         )
-
-    plan = Plan(
+    return Plan(
         statement=statement,
         strategy=strategy,
-        rewritten=rewritten,
+        stages=stages,
         estimates=estimates,
         statistics=stats,
-        table=table,
-        candidate_estimate=candidates,
-        skyline_estimate=skyline,
-        dimensions=dimensions,
-        preference_sql=to_sql(select.preferring),
-        notes=notes,
-        forced=force is not None,
-        rank_source=rank_source,
-        columnar=probe.label if probe is not None else None,
-        join_tables=join_tables,
-        pivot=pivot,
+        decisions=Decisions(
+            forced=force is not None,
+            semantic=semantic,
+            notes=tuple(notes),
+            table=table,
+            join_tables=tuple(
+                _join_table_display(source, join_stats)
+                for source in (join_scan.sources if join_scan is not None else ())
+            ),
+            candidates=candidates,
+            skyline=skyline,
+            dimensions=dimensions,
+            rank_source=rank_source,
+            rewrite=rewritten,
+        ),
     )
-    if semantic is not None:
-        plan.semantic_rule = semantic.rule
-        plan.semantic_constraints = semantic.constraints_used
-        plan.preference_sql = semantic.original_preference
-        if semantic.original_dimensions != dimensions:
-            plan.notes.append(
-                "semantic reduction: PREFERRING "
-                + to_sql(semantic.select.preferring)
-            )
-    rank_exprs = (
-        probe.sql_exprs
-        if probe is not None and rank_source == "sql"
-        else None
-    )
-    if plan.uses_engine:
-        if join_scan is not None:
-            plan.pushdown_sql, plan.residual, plan.rank_width = join_memory_parts(
-                select,
-                join_scan,
-                resolver,
-                rank_exprs=rank_exprs,
-                preference=probe.preference,
-            )
-        else:
-            plan.pushdown_sql, plan.residual, plan.rank_width = in_memory_parts(
-                select,
-                resolver,
-                rank_exprs=rank_exprs,
-                preference=probe.preference,
-                schema=schema,
-            )
-    return plan
 
 
 def with_session(
@@ -437,7 +571,6 @@ def with_session(
     match: SessionMatch,
     resolver: NameResolver | None = None,
     schema: Schema | None = None,
-    model: CostModel = DEFAULT_COST_MODEL,
 ) -> Plan:
     """Price answering ``select`` from the session cache on top of its
     base plan (:func:`plan_statement`'s result for the same statement).
@@ -452,19 +585,19 @@ def with_session(
 
     This is the one gate for session plans.  Only a single-table plan
     the engine can evaluate (``table`` set) is priced, and only when no
-    preference operand holds a CAST: the re-winnow computes its ranks in
-    Python, where the engine evaluates no CAST.  The caller passes
-    neither forced nor view plans, and re-plans a base whose semantic
-    pass fired without that pass first: the semantic statement no longer
-    lines up with the cached entry's canonical form.
+    preference operand holds a CAST, which the engine cannot evaluate.
+    The caller passes neither forced nor view plans, and re-plans a base
+    whose semantic pass fired without it first.
     """
+    decisions = replace(base.decisions, session=match)
+    attached = replace(base, decisions=decisions)
     if not match.servable or base.table is None or base.semantic_rule is not None:
-        return replace(base, session_match=match)
+        return attached
     bases = list(
         build_preference(normalize(select.preferring), resolver=resolver).iter_base()
     )
     if _casts_an_operand(bases):
-        return replace(base, session_match=match)
+        return attached
     row_count, lookup = _row_lookup(base.statistics, select)
     delta = 0.0
     if match.delta_where is not None:
@@ -476,28 +609,23 @@ def with_session(
         table_rows=row_count,
         dimensions=base.dimensions,
         distinct_counts=_distinct_counts(bases, lookup),
-        model=model,
         delta_scan=match.delta_where is not None,
         row_width=_row_width(base.table, schema),
     )
     if choose_strategy(estimates) != SESSION_STRATEGY:
-        return replace(base, estimates=estimates, session_match=match)
-    # The residual is the original query block over the cached winner
-    # base ∪ delta; no pushdown scan runs, and rank columns (which only
-    # pay off on large scans) are recomputed in Python over the small
-    # re-winnow input.
+        return replace(attached, estimates=estimates)
+    decisions = replace(
+        decisions,
+        notes=decisions.notes + ("answered from the session cache: " + match.relation,),
+    )
     return replace(
         base,
         strategy=SESSION_STRATEGY,
-        estimates=estimates,
-        session_match=match,
-        residual=_residual(select, resolver),
-        pushdown_sql=None,
-        rank_width=0,
-        session_delta_sql=(
-            to_sql(match.delta_select) if match.delta_select is not None else None
+        stages=STRATEGY_TABLE[SESSION_STRATEGY].build(
+            select, Build(schema, resolver, base.statistics, decisions)
         ),
-        notes=base.notes + ["answered from the session cache: " + match.relation],
+        estimates=estimates,
+        decisions=decisions,
     )
 
 
@@ -537,45 +665,43 @@ def _try_semantic(
 
 
 def _winnow_free_plan(
-    semantic: SemanticRewrite,
-    statistics: StatisticsProvider | None,
-    model: CostModel,
+    semantic: SemanticRewrite, statistics: StatisticsProvider | None
 ) -> Plan:
     """A plan whose winnow the constraints eliminated entirely.
 
     The statement left over is plain SQL; it executes through the
-    ``rewrite`` strategy (the host runs ``rewritten_sql`` verbatim).
+    ``rewrite`` strategy (the host runs the semantic pass's SQL verbatim).
     """
     select = semantic.select
     source = select.sources[0]
     assert isinstance(source, ast.TableRef)
     table = source.name.lower()
     stats: TableStatistics | None = None
-    notes: list[str] = []
+    notes: tuple[str, ...] = ()
     if statistics is not None:
         try:
             stats = statistics(table, ())
         except PlanError as error:
-            notes.append(f"statistics unavailable: {error}")
+            notes = (f"statistics unavailable: {error}",)
     row_count, lookup = _row_lookup(stats, select)
     selectivity = estimate_selectivity(select.where, lookup)
     candidates = max(1.0, row_count * selectivity) if row_count else 0.0
     winners = 1.0 if semantic.winners == "one" else candidates
-    estimate = semantic_pass_estimate(candidates, winners, 0, 1, model=model)
+    decisions = Decisions(
+        semantic=semantic,
+        notes=notes,
+        table=table,
+        candidates=candidates,
+        skyline=winners,
+        dimensions=semantic.original_dimensions,
+    )
     return Plan(
         statement=select,
         strategy="rewrite",
-        rewritten=semantic.single_pass_sql,
-        estimates={"rewrite": estimate},
+        stages=STRATEGY_TABLE["rewrite"].build(select, Build(decisions=decisions)),
+        estimates={"rewrite": semantic_pass_estimate(candidates, winners, 0, 1)},
         statistics=stats,
-        table=table,
-        candidate_estimate=candidates,
-        skyline_estimate=winners,
-        dimensions=semantic.original_dimensions,
-        preference_sql=semantic.original_preference,
-        notes=notes,
-        semantic_rule=semantic.rule,
-        semantic_constraints=semantic.constraints_used,
+        decisions=decisions,
     )
 
 
@@ -586,32 +712,26 @@ def _view_plan(
 ) -> Plan:
     """A plan that scans a materialized view's backing table."""
     stats: TableStatistics | None = None
-    row_count = 0.0
     if statistics is not None:
         try:
             stats = statistics(hit.backing_table, ())
-            row_count = float(stats.row_count)
         except PlanError:  # pragma: no cover - backing table just created
-            stats = None
-    maintenance = (
-        "incremental (insert dominance test, bounded re-derivation on "
-        "member deletes)"
-        if hit.maintainable
-        else f"full recompute ({hit.reason})"
+            pass
+    row_count = float(stats.row_count) if stats is not None else 0.0
+    decisions = Decisions(
+        view=hit,
+        notes=(f"answered from materialized preference view {hit.name!r}",),
+        table=hit.backing_table,
+        candidates=row_count,
+        skyline=row_count,
+        dimensions=len(ast.base_terms(statement.preferring)),
     )
     return Plan(
         statement=statement,
         strategy="view",
-        rewritten=f"SELECT * FROM {quote_identifier(hit.backing_table)}",
+        stages=STRATEGY_TABLE["view"].build(statement, Build(decisions=decisions)),
         statistics=stats,
-        table=hit.backing_table,
-        candidate_estimate=row_count,
-        skyline_estimate=row_count,
-        dimensions=len(ast.base_terms(statement.preferring)),
-        preference_sql=to_sql(statement.preferring),
-        notes=[f"answered from materialized preference view {hit.name!r}"],
-        view_name=hit.name,
-        view_maintenance=maintenance,
+        decisions=decisions,
     )
 
 
@@ -622,57 +742,18 @@ def rebind_plan(
     resolver: NameResolver | None = None,
 ) -> Plan:
     """Reuse a cached strategy decision for a freshly parameter-bound
-    statement, regenerating only the SQL texts (the rewrite embeds the
-    bound literals, so they are per-execution)."""
-    if plan.semantic_rule is not None:
-        # Semantic SQL depends on the constraint analysis, not just the
-        # bound literals; the driver re-plans instead of rebinding.
-        raise PlanError("semantic plans must be re-planned, not rebound")
-    if plan.strategy == SESSION_STRATEGY:
-        # A session plan is only valid against the exact cached entry it
-        # was matched with; the driver caches the base plan and prices
-        # the session per execution, so reaching here is a bug upstream.
-        raise PlanError("session-reuse plans must be re-planned, not rebound")
-    if plan.strategy == "passthrough":
-        return plan
-    if plan.strategy == "view":
-        # View scans carry no bound parameters (a parameterized text can
-        # never equal a stored definition); keep the scan as-is.
-        return replace(plan, statement=statement)
-    if plan.uses_engine:
-        select = statement.query if isinstance(statement, ast.Insert) else statement
-        rank_exprs = preference = None
-        if plan.rank_width:
-            # The rank expressions embed bound literals (AROUND targets,
-            # bucket values), so they are re-derived per execution.
-            probe = _probe_ranks(select, resolver)
-            rank_exprs, preference = probe.sql_exprs, probe.preference
-        if plan.join_tables:
-            scan, reason = build_join_scan(select, schema)
-            if scan is None:  # pragma: no cover - the cached plan proved it
-                raise PlanError(f"cannot rebind join plan: {reason}")
-            pushdown_sql, residual, rank_width = join_memory_parts(
-                select, scan, resolver, rank_exprs=rank_exprs, preference=preference
-            )
-        else:
-            pushdown_sql, residual, rank_width = in_memory_parts(
-                select,
-                resolver,
-                rank_exprs=rank_exprs,
-                preference=preference,
-                schema=schema,
-            )
-        return replace(
-            plan,
-            statement=statement,
-            pushdown_sql=pushdown_sql,
-            residual=residual,
-            rank_width=rank_width,
-        )
-    result = rewrite_statement(
-        statement, schema=schema, resolver=resolver, pivot=plan.pivot
-    )
-    return replace(plan, statement=statement, rewritten=result.statement)
+    statement: run the strategy's build again on it (the stages embed the
+    bound literals), without statistics look-ups or pricing.  Semantic
+    SQL depends on the constraint analysis of the bound literals, and a
+    session plan on the cached entry it was matched with, so both are
+    re-planned instead."""
+    if plan.semantic_rule is not None or plan.stage(Reuse) is not None:
+        kind = "semantic" if plan.semantic_rule is not None else "session-reuse"
+        raise PlanError(f"{kind} plans must be re-planned, not rebound")
+    probe = None if plan.rank_width else _RankProbe(None, False, None, None)
+    build = Build(schema, resolver, plan.statistics, plan.decisions, probe=probe)
+    stages = STRATEGY_TABLE[plan.strategy].build(statement, build)
+    return replace(plan, statement=statement, stages=stages)
 
 
 @dataclass(frozen=True)

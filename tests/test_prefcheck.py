@@ -116,6 +116,11 @@ class TestSingleSite:
         assert {(site.callee, site.caller) for site in SITES} == {
             ("plan_statement", "Connection._plan_statement"),
             ("session_reuse_estimate", "with_session"),
+            ("winnow_kernel", "bmo_filter"),
+            ("_build_rewrite", "STRATEGY_TABLE[...].build"),
+            ("_build_bnl", "STRATEGY_TABLE[...].build"),
+            ("_build_session", "STRATEGY_TABLE[...].build"),
+            ("_build_view", "STRATEGY_TABLE[...].build"),
         }
 
     def test_bad_fixture_flags_each_stray_call(self):
@@ -131,6 +136,19 @@ class TestSingleSite:
 
     def test_clean_fixture(self):
         assert analyze("clean/single_site").clean
+
+    def test_bad_fixture_flags_a_kernel_and_a_build_called_past_their_site(self):
+        report = analyze("bad/single_site_stages")
+        assert [(f.path.split("/")[-1], f.line) for f in report.findings] == [
+            ("incremental.py", 7),
+            ("planner.py", 12),
+        ]
+        assert "its one call site is bmo_filter" in report.findings[0].message
+        assert "called from rebind_plan" in report.findings[1].message
+
+    def test_clean_fixture_reaches_builds_through_the_table(self):
+        # The kernel's own module calls it freely.
+        assert analyze("clean/single_site_stages").clean
 
 
 class TestFaultRegistry:
@@ -185,6 +203,7 @@ class TestCommandLine:
             "bad/engine/bmo.py",
             "bad/server/replies.py",
             "bad/single_site",
+            "bad/single_site_stages",
             "registry_bad",
         ):
             result = run_cli(str(FIXTURES / fixture))

@@ -855,6 +855,33 @@ class TestQuotedIdentifiers:
             assert [column[0] for column in cursor.description] == ["x", "x", "x_y"]
             assert cursor.fetchall() == expected, strategy
 
+        # ``*`` and ``t.*`` over a join name each column by its source
+        # column, as sqlite does, not by the join scan's flattened name.
+        connection.execute("CREATE TABLE a (id INTEGER, x INTEGER, z INTEGER)")
+        connection.execute("CREATE TABLE b (id INTEGER, x INTEGER, y INTEGER)")
+        for table in ("a", "b"):
+            connection.cursor().executemany(
+                f"INSERT INTO {table} VALUES (?, ?, ?)",
+                [(i, (i * 7919) % 1000, (i * 104729) % 997) for i in range(3000)],
+            )
+        tail = " FROM a JOIN b ON a.id = b.id PREFERRING LOWEST(a.x) AND HIGHEST(b.y)"
+        for items, names in (
+            ("*", ["id", "x", "z", "id", "x", "y"]),
+            ("a.*, y", ["id", "x", "z", "y"]),
+        ):
+            raw = connection.raw.execute(f"SELECT {items}{tail.split(' PREFERRING')[0]}")
+            assert [column[0] for column in raw.description] == names
+            expected = sorted(
+                connection.execute(f"SELECT {items}{tail}", algorithm="rewrite").fetchall()
+            )
+            strategies = set()
+            for strategy in (None, "rewrite", "bnl"):
+                cursor = connection.execute(f"SELECT {items}{tail}", algorithm=strategy)
+                strategies.add(cursor.plan.strategy)
+                assert [column[0] for column in cursor.description] == names, strategy
+                assert sorted(cursor.fetchall()) == expected, strategy
+            assert strategies == {"rewrite", "bnl"}
+
     def test_the_printer_quotes_what_sqlite_would_misread(self):
         statement = parse_statement(
             'INSERT INTO "to" ("my col", "select") SELECT "my t".*, "order" AS "group" '

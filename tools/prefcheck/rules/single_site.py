@@ -1,12 +1,15 @@
 """Rule ``single-site``: a call the architecture allows in one place only.
 
 Some properties of the design are "exactly one place" properties: every
-preference statement is planned through one driver method, and the
-session strategy is priced by one function on top of a base plan.  Each
-such property is one entry of :data:`SITES`: the called name, the one
-function (``Class.method`` or ``function``) allowed to call it, and,
-optionally, a path fragment inside which calls are not checked (the
-callee's own package).
+preference statement is planned through one driver method, the session
+strategy is priced by one function on top of a base plan, the winnow
+kernel is chosen for one filter, and each strategy's build is reached
+only through the planner's ``STRATEGY_TABLE``.  Each such property is
+one entry of :data:`SITES`: the called name, the one function
+(``Class.method`` or ``function``) allowed to call it — or, for a callee
+only a table reaches, the table's call, which no function name matches —
+and, optionally, a path fragment inside which calls are not checked (the
+callee's own package or module).
 
 A call is ``name(...)`` or ``anything.name(...)``; references that are
 not calls (imports, re-exports) are not sites.
@@ -35,6 +38,10 @@ class Site:
 SITES = (
     Site(callee="plan_statement", caller="Connection._plan_statement", inside="repro/plan/"),
     Site(callee="session_reuse_estimate", caller="with_session"),
+    Site(callee="winnow_kernel", caller="bmo_filter", inside="repro/engine/algorithms.py"),
+) + tuple(
+    Site(callee=f"_build_{strategy}", caller="STRATEGY_TABLE[...].build")
+    for strategy in ("rewrite", "bnl", "session", "view")
 )
 
 _BY_CALLEE = {site.callee: site for site in SITES}
@@ -64,9 +71,11 @@ class SingleSiteRule(Rule):
     invariant = (
         "each registered callee is called from its one declared function: "
         "every PREFERRING statement is planned through "
-        "Connection._plan_statement, and the session is priced only by "
-        "with_session on top of a base plan (an 'exactly one place' "
-        "property kept by the analyzer instead of a grep in review)"
+        "Connection._plan_statement, the session is priced only by "
+        "with_session on top of a base plan, winnow_kernel is called only "
+        "by bmo_filter, and a strategy's build only through the "
+        "STRATEGY_TABLE (an 'exactly one place' property kept by the "
+        "analyzer instead of a grep in review)"
     )
 
     def run(self, contexts: Sequence[FileContext]) -> list[Finding]:
