@@ -31,8 +31,8 @@ Behaviour:
   intercepted (:func:`repro.sql.scan.dml_target` sees through leading
   comments and CTE prologues) and the materialization is maintained
   incrementally where the dominance structure allows it, by flagged full
-  recompute otherwise (:mod:`repro.engine.incremental`); a SELECT that
-  matches a view definition is answered from the backing table,
+  recompute otherwise (:mod:`repro.engine.incremental`); plain SQL reads
+  the backing table like any other table,
 * every statement that may change table contents bumps the *data version*,
   invalidating the per-connection statistics cache (and, per view, the
   backing table's statistics after maintenance writes).
@@ -432,19 +432,6 @@ class Connection:
             for name, counters in self.view_maintainer.stats.items()
         }
 
-    @property
-    def view_maintenance_mode(self) -> str:
-        """``auto`` (incremental where sound) or ``recompute`` (always full)."""
-        return self.view_maintainer.mode
-
-    @view_maintenance_mode.setter
-    def view_maintenance_mode(self, value: str) -> None:
-        if value not in ("auto", "recompute"):
-            raise DriverError(
-                "view_maintenance_mode must be 'auto' or 'recompute'"
-            )
-        self.view_maintainer.mode = value
-
     def refresh_preference_view(self, name: str) -> None:
         """Force a full recompute of one view's materialized rows."""
         self.view_maintainer.refresh(self.catalog.get_view(name))
@@ -621,27 +608,18 @@ class Connection:
             statement = statement.statement
         if params:
             statement = bind_parameters(statement, params)
-        return self._with_session(
-            self._plan_statement(statement, force, views=not params), statement
-        )
+        return self._with_session(self._plan_statement(statement, force), statement)
 
     def _plan_statement(
         self,
         statement: ast.Statement,
         force: str | None = None,
-        views: bool = True,
         semantic: bool = True,
     ) -> Plan:
         """The base plan of one parameter-bound statement: everything but
         the session cache, which :meth:`_with_session` prices on top.
-
-        ``views`` must be off for a parameterized execution, which must
-        never be answered from a view: the bound literals can make one
-        binding match the definition while the cached plan is reused for
-        others.  The view maintainer turns it off so a refresh always
-        computes from the base tables.  ``semantic`` off skips the
-        semantic pass.  (A forced strategy consults neither views nor
-        constraints.)
+        ``semantic`` off skips the semantic pass (as a forced strategy
+        does).
         """
         return plan_statement(
             statement,
@@ -649,7 +627,6 @@ class Connection:
             resolver=self.catalog.resolve,
             statistics=self.statistics.for_table,
             force=force,
-            views=self.view_maintainer.match if views else None,
             constraints=self.constraints if semantic else None,
         )
 
@@ -658,14 +635,13 @@ class Connection:
 
         Runs the session matcher once.  Matching is safe under parameters
         — it runs on the *bound* statement, so every binding is judged on
-        its own literal WHERE conjuncts.  Forced and view plans are never
-        turned into session plans, so they skip the matcher; a base whose
+        its own literal WHERE conjuncts.  A forced plan is never turned
+        into a session plan, so it skips the matcher; a base whose
         semantic pass fired is re-planned without it before a servable
         match is priced (:func:`~repro.plan.planner.with_session`).
         """
         if (
             plan.forced
-            or plan.view_name is not None
             or not isinstance(statement, ast.Select)
             or statement.preferring is None
         ):
@@ -674,7 +650,7 @@ class Connection:
         if match is None:
             return plan
         if match.servable and plan.semantic_rule is not None:
-            plan = self._plan_statement(statement, views=False, semantic=False)
+            plan = self._plan_statement(statement, semantic=False)
         return with_session(
             plan, statement, match, self.catalog.resolve, self.schema()
         )
@@ -933,7 +909,7 @@ class Cursor:
             # (parsing was still skipped on the stale-hit path).  The
             # cache keeps the base plan, which never depends on the
             # session cache's contents.
-            plan = connection._plan_statement(bound, algorithm, views=not params)
+            plan = connection._plan_statement(bound, algorithm)
             if use_cache:
                 self._remember(
                     sql,
@@ -1007,7 +983,7 @@ class Cursor:
         inner = statement.statement
         bound = bind_parameters(inner, params) if params else inner
         plan = connection._with_session(
-            connection._plan_statement(bound, algorithm, views=not params), bound
+            connection._plan_statement(bound, algorithm), bound
         )
         stats = connection.plan_cache_stats()
         cache_note = (

@@ -119,9 +119,9 @@ def bmo_filter(
 
 # ----------------------------------------------------------------------
 # The plan runner.  Each strategy's build (:mod:`repro.plan.planner`)
-# makes a plan's stages: ``rewrite`` and ``view`` one :class:`Host`,
-# ``bnl`` a :class:`Scan` and a :class:`Winnow`, ``session`` a
-# :class:`Reuse` and a :class:`Winnow`, pass-through none.
+# makes a plan's stages: ``rewrite`` one :class:`Host`, ``bnl`` a
+# :class:`Scan` and a :class:`Winnow`, ``session`` a :class:`Reuse` and
+# a :class:`Winnow`, pass-through none.
 
 
 @dataclass(frozen=True)

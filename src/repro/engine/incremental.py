@@ -34,7 +34,7 @@ handled as delete + insert via a rowid snapshot diff.
 Views whose shape defeats delta reasoning — projections that hide the
 dominance attributes, ``BUT ONLY`` thresholds that shift with the data,
 joins, sub-queries, LIMIT — fall back to full recompute, with the reason
-recorded in the catalog and surfaced through ``EXPLAIN PREFERENCE``.
+recorded in the catalog (``Connection.views()``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from repro.engine.bmo import run_plan, winnow
 from repro.engine.relation import Relation
 from repro.errors import CatalogError, DriverError, EvaluationError
 from repro.pdl.catalog import ViewEntry
-from repro.plan.planner import MaterializedView, in_memory_parts
+from repro.plan.planner import in_memory_parts
 from repro.sql import ast
 from repro.sql.printer import quote_identifier as _quote
 from repro.sql.printer import to_sql
@@ -172,15 +172,11 @@ class ViewMaintainer:
 
     def __init__(self, connection: "Connection"):
         self._connection = connection
-        #: ``auto`` maintains incrementally where sound; ``recompute``
-        #: forces a full recompute on every DML.
-        self.mode = "auto"
         #: Per-view counters: name → {strategy: count}.
         self.stats: dict[str, dict[str, int]] = {}
         #: Recent maintenance events, newest last (bounded).
         self.events: list[MaintenanceEvent] = []
         self._index: tuple[tuple, dict[str, tuple[ViewEntry, ...]]] | None = None
-        self._match_index: tuple[tuple, dict[str, ViewEntry]] | None = None
 
     # ------------------------------------------------------------------
     # Catalog-backed index
@@ -197,7 +193,7 @@ class ViewMaintainer:
         return row is not None
 
     def _catalog_state(self) -> tuple:
-        """Cache key for the view indexes.
+        """Cache key for the base-table index.
 
         The connection's own catalog version covers view DDL through this
         driver; ``PRAGMA data_version`` changes whenever *another*
@@ -243,26 +239,6 @@ class ViewMaintainer:
                     dependents.append(entry.name)
                     break
         return dependents
-
-    def match(self, select: ast.Select) -> MaterializedView | None:
-        """Planner hook: the view whose definition equals ``select``."""
-        version = self._catalog_state()
-        if self._match_index is None or self._match_index[0] != version:
-            index = {
-                to_sql(entry.query): entry for entry in self.entries()
-            }
-            self._match_index = (version, index)
-        index = self._match_index[1]
-        # Most connections define no view: skip printing the statement.
-        entry = index.get(to_sql(select)) if index else None
-        if entry is None:
-            return None
-        return MaterializedView(
-            name=entry.name,
-            backing_table=entry.backing_table,
-            maintainable=entry.maintainable,
-            reason=entry.reason,
-        )
 
     # ------------------------------------------------------------------
     # View lifecycle
@@ -333,11 +309,7 @@ class ViewMaintainer:
         views = self.views_on(table)
         if not views:
             return None
-        pending = PendingMaintenance(op=op, table=table, views=views)
-        if self.mode == "recompute":
-            pending.force_recompute = True
-            pending.recompute_reason = "maintenance mode pinned to recompute"
-            return pending
+        pending = PendingMaintenance(op, table, views)
         try:
             if op == "insert":
                 if conflict:
@@ -462,7 +434,7 @@ class ViewMaintainer:
         added: Sequence[tuple],
     ) -> None:
         """Maintain one view for a (removed, added) base-table delta."""
-        if not entry.maintainable or self.mode == "recompute":
+        if not entry.maintainable:
             self.refresh(entry)
             return
         if not removed and not added:
@@ -592,11 +564,10 @@ class ViewMaintainer:
     def _execute_select(self, select: ast.Select) -> Relation:
         """Plan and execute one SELECT the way the driver would.
 
-        Planning deliberately passes no view matcher, so a refresh can
-        never be (mis)answered from the view being refreshed, and prices
-        no session, so it always scans the base table.
+        Planning prices no session, so a refresh always scans the base
+        table.
         """
-        plan = self._connection._plan_statement(select, views=False)
+        plan = self._connection._plan_statement(select)
         return run_plan(self._raw.execute, plan)
 
     def _create_backing(self, backing_table: str, relation: Relation) -> None:

@@ -42,7 +42,6 @@ from repro.plan.joins import (
 from repro.plan.planner import (
     IN_MEMORY_STRATEGIES,
     STRATEGIES,
-    MaterializedView,
     Plan,
     choose_strategy,
     estimate_costs,
@@ -53,7 +52,6 @@ from repro.plan.planner import (
 from repro.plan.statistics import StatisticsCache, TableStatistics
 
 __all__ = [
-    "MaterializedView",
     "Plan",
     "plan_statement",
     "rebind_plan",

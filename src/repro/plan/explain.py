@@ -35,9 +35,6 @@ def plan_relation(
         add("statement", source_sql)
     label = STRATEGY_TABLE[plan.strategy].label
     add("strategy", f"{plan.strategy} — {label}" + (" [forced]" if plan.forced else ""))
-    if plan.view_name:
-        add("materialized view", plan.view_name)
-        add("maintenance", plan.view_maintenance)
     if plan.preference_sql:
         add("preference", plan.preference_sql)
         add("dimensions", plan.dimensions)

@@ -64,9 +64,14 @@ from repro.plan.semantic import (
 from repro.plan.session import SessionMatch, conjoin
 from repro.plan.statistics import TableStatistics
 from repro.rewrite.levels import pushdown_rank_expressions
-from repro.rewrite.planner import Schema, rewrite_statement
+from repro.rewrite.planner import (
+    RewriteResult,
+    Schema,
+    prepare_preference,
+    rewrite_statement,
+)
 from repro.sql import ast
-from repro.sql.printer import quote_identifier, to_sql
+from repro.sql.printer import to_sql
 
 #: Provider signature: (table, columns needing distinct counts) → stats.
 StatisticsProvider = Callable[[str, Sequence[str]], TableStatistics]
@@ -76,39 +81,18 @@ _DEFAULT_ROW_ESTIMATE = 1000
 
 
 @dataclass(frozen=True)
-class MaterializedView:
-    """A materialized preference view the planner may answer from.
-
-    Produced by the driver's view matcher
-    (:meth:`repro.engine.incremental.ViewMaintainer.match`); the planner
-    only needs the backing table to scan and the maintenance verdict for
-    the EXPLAIN PREFERENCE report.
-    """
-
-    name: str
-    backing_table: str
-    maintainable: bool
-    reason: str = ""
-
-
-#: Matcher signature: SELECT statement → matching view, or None.
-ViewMatcher = Callable[[ast.Select], MaterializedView | None]
-
-
-@dataclass(frozen=True)
 class Decisions:
     """What planning decided and found that no build recomputes: a forced
-    strategy, the semantic outcome, the view hit, the session judgment
-    (servable or not, for EXPLAIN), the notes, the scan shape (``table``:
-    one in-memory table or a view's backing table; ``join_tables``:
-    ``table AS binding (n rows)``), the estimates, the rank source priced
-    for the in-memory winnow (:func:`~repro.plan.cost.choose_rank_source`;
-    None when the statement cannot run in memory), and the rewriter's
-    statement, which only EXPLAIN shows unless the plan runs it."""
+    strategy, the semantic outcome, the session judgment (servable or
+    not, for EXPLAIN), the notes, the scan shape (``table``: one
+    in-memory table; ``join_tables``: ``table AS binding (n rows)``), the
+    estimates, the rank source priced for the in-memory winnow
+    (:func:`~repro.plan.cost.choose_rank_source`; None when the statement
+    cannot run in memory), and the rewriter's statement, which only
+    EXPLAIN shows unless the plan runs it."""
 
     forced: bool = False
     semantic: SemanticRewrite | None = None
-    view: MaterializedView | None = None
     session: SessionMatch | None = None
     notes: tuple[str, ...] = ()
     table: str | None = None
@@ -175,17 +159,6 @@ class Plan:
         term = getattr(select, "preferring", None)
         return to_sql(term) if term is not None and self.stages else None
 
-    @property
-    def view_maintenance(self) -> str | None:
-        """How the driver keeps the answering view fresh under DML."""
-        view = self.decisions.view
-        if view is None or not view.maintainable:
-            return view and f"full recompute ({view.reason})"
-        return (
-            "incremental (insert dominance test, bounded re-derivation on "
-            "member deletes)"
-        )
-
     # Read-only views of the stages and decisions.
     pushdown_sql = _staged(Scan, "sql")
     rank_width = _staged(Scan, "rank_width", 0)
@@ -208,7 +181,6 @@ class Plan:
     semantic_constraints = property(
         lambda plan: getattr(plan.decisions.semantic, "constraints_used", ())
     )
-    view_name = property(lambda plan: getattr(plan.decisions.view, "name", None))
     columnar = property(  # the winnow's kernel, for EXPLAIN
         lambda plan: plan.residual and _probe_ranks(plan.residual, None).label
     )
@@ -220,7 +192,7 @@ class Plan:
 @dataclass(frozen=True)
 class Build:
     """What a strategy's build reads besides the statement.  Planning
-    hands it the ``rewritten`` statement, ``probe`` and ``join_scan`` it
+    hands it the ``rewritten`` result, ``probe`` and ``join_scan`` it
     already made; a rebind leaves them empty, to be made again, except a
     probe without SQL ranks when the cached scan appends none."""
 
@@ -228,7 +200,7 @@ class Build:
     resolver: NameResolver | None = None
     statistics: TableStatistics | None = None
     decisions: Decisions = Decisions()
-    rewritten: ast.Statement | None = None
+    rewritten: RewriteResult | None = None
     probe: "_RankProbe | None" = None
     join_scan: JoinScan | None = None
 
@@ -241,20 +213,20 @@ def _build_rewrite(statement: ast.Statement, build: Build) -> tuple:
     semantic = build.decisions.semantic
     if semantic is not None and semantic.single_pass_sql is not None:
         return (Host(semantic.single_pass_sql),)
-    rewritten = build.rewritten
-    stats = build.statistics
-    if stats is not None and stats.row_count >= PIVOT_MIN_ROWS:
-        pivoted = rewrite_statement(
-            statement, schema=build.schema, resolver=build.resolver, pivot=True
-        )
-        if pivoted.pivot:
-            return (Host(to_sql(pivoted.statement), pivot=True),)
-        rewritten = rewritten or pivoted.statement
-    if rewritten is None:
-        rewritten = rewrite_statement(
-            statement, schema=build.schema, resolver=build.resolver
-        ).statement
-    return (Host(to_sql(rewritten)),)
+    rewritten = build.rewritten or rewrite_statement(
+        statement,
+        schema=build.schema,
+        resolver=build.resolver,
+        pivot=_wants_pivot(build.statistics),
+    )
+    return (Host(to_sql(rewritten.statement), pivot=rewritten.pivot),)
+
+
+def _wants_pivot(stats: TableStatistics | None) -> bool:
+    """Whether a rewrite asks for the rank-CTE pivot: only over a table
+    with statistics of at least :data:`~repro.plan.pivot.PIVOT_MIN_ROWS`
+    rows."""
+    return stats is not None and stats.row_count >= PIVOT_MIN_ROWS
 
 
 def _build_bnl(statement: ast.Statement, build: Build) -> tuple:
@@ -288,22 +260,14 @@ def _build_session(statement: ast.Select, build: Build) -> tuple:
     )
 
 
-def _build_view(statement: ast.Statement, build: Build) -> tuple:
-    """A scan of the view's backing table.  It carries no bound
-    parameters: a parameterized text never equals a stored definition."""
-    table = quote_identifier(build.decisions.view.backing_table)
-    return (Host(f"SELECT * FROM {table}"),)
-
-
 @dataclass(frozen=True)
 class Strategy:
     """One way to execute a statement: its EXPLAIN ``label``, the
     ``build`` of its stages and, for the strategies
     :func:`plan_statement` prices, the ``price`` of a
     :class:`~repro.plan.cost.Shape`; an ``in_memory`` strategy is
-    eligible only when the statement can run in memory.  The session and
-    view strategies have their own gates (:func:`with_session`, the view
-    matcher)."""
+    eligible only when the statement can run in memory.  The session
+    strategy has its own gate (:func:`with_session`)."""
 
     label: str
     build: Callable[[ast.Statement, Build], tuple]
@@ -328,7 +292,6 @@ STRATEGY_TABLE: dict[str, Strategy] = {
     SESSION_STRATEGY: Strategy(
         "session reuse — re-winnow cached winners ∪ bounded delta", _build_session
     ),
-    "view": Strategy("materialized preference view scan", _build_view),
     "passthrough": Strategy(
         "pass-through (no PREFERRING clause)", lambda statement, build: ()
     ),
@@ -373,19 +336,15 @@ def plan_statement(
     resolver: NameResolver | None = None,
     statistics: StatisticsProvider | None = None,
     force: str | None = None,
-    views: ViewMatcher | None = None,
     constraints: ConstraintProvider | None = None,
 ) -> Plan:
     """Plan one (parameter-bound) statement.
 
     ``force`` pins the strategy (benchmarks and differential tests);
     forcing an in-memory strategy on an ineligible statement raises
-    :class:`~repro.errors.PlanError`.  ``views`` lets the planner
-    answer a matching preference query from a materialized view's
-    backing table (skipped whenever a strategy is forced, so pinned
-    executions always compute from the base tables).  ``constraints``
-    enables the semantic-optimization pass (also skipped under
-    ``force``, so pinned executions evaluate the original preference).
+    :class:`~repro.errors.PlanError`.  ``constraints`` enables the
+    semantic-optimization pass (skipped under ``force``, so pinned
+    executions evaluate the original preference).
 
     The result is the *base* plan: it never consults the session cache,
     so it stays valid while the cache's contents change and the driver
@@ -397,16 +356,6 @@ def plan_statement(
         deadline.check()
     if isinstance(statement, ast.ExplainPreference):
         statement = statement.statement
-
-    if (
-        views is not None
-        and force is None
-        and isinstance(statement, ast.Select)
-        and statement.preferring is not None
-    ):
-        hit = views(statement)
-        if hit is not None:
-            return _view_plan(statement, hit, statistics)
 
     semantic: SemanticRewrite | None = None
     if (
@@ -422,16 +371,16 @@ def plan_statement(
                 return _winnow_free_plan(semantic, statistics)
             statement = semantic.select
 
-    result = rewrite_statement(statement, schema=schema, resolver=resolver)
-    if not result.rewritten:
-        return Plan(statement=statement, strategy="passthrough")
-
     select = statement.query if isinstance(statement, ast.Insert) else statement
-    preference = result.preference
+    if not isinstance(select, ast.Select) or select.preferring is None:
+        return Plan(statement=statement, strategy="passthrough")
+    # Pricing needs only the preference; the rewrite is built once, after
+    # the statistics decide its pivot.
+    prepared = prepare_preference(select, resolver)
+    preference = prepared[0]
     bases = list(preference.iter_base())
     dimensions = len(bases)
-    notes = list(result.notes)
-    rewritten: ast.Statement | str = result.statement
+    notes: list[str] = []
 
     table, join_scan, ineligible_reason = _scan_shape(
         statement, select, preference, schema
@@ -479,6 +428,11 @@ def plan_statement(
         if stats is None:
             notes.append(f"no statistics; assuming {_DEFAULT_ROW_ESTIMATE} rows")
 
+    result = rewrite_statement(
+        statement, schema, resolver, _wants_pivot(stats), prepared
+    )
+    notes[:0] = result.notes
+    rewritten: ast.Statement | str = result.statement
     selectivity = estimate_selectivity(predicate, lookup)
     candidates = max(1.0, row_count * selectivity) if row_count else 0.0
     distinct_counts = _distinct_counts(bases, lookup)
@@ -526,9 +480,7 @@ def plan_statement(
         strategy = choose_strategy(estimates)
 
     decided = Decisions(semantic=semantic)
-    context = Build(
-        schema, resolver, stats, decided, result.statement, probe, join_scan
-    )
+    context = Build(schema, resolver, stats, decided, result, probe, join_scan)
     stages = STRATEGY_TABLE[strategy].build(statement, context)
     if isinstance(stages[0], Host):
         # The plan keeps the text it runs, not the rewriter's tree.
@@ -586,7 +538,7 @@ def with_session(
     This is the one gate for session plans.  Only a single-table plan
     the engine can evaluate (``table`` set) is priced, and only when no
     preference operand holds a CAST, which the engine cannot evaluate.
-    The caller passes neither forced nor view plans, and re-plans a base
+    The caller passes no forced plan, and re-plans a base
     whose semantic pass fired without it first.
     """
     decisions = replace(base.decisions, session=match)
@@ -700,36 +652,6 @@ def _winnow_free_plan(
         strategy="rewrite",
         stages=STRATEGY_TABLE["rewrite"].build(select, Build(decisions=decisions)),
         estimates={"rewrite": semantic_pass_estimate(candidates, winners, 0, 1)},
-        statistics=stats,
-        decisions=decisions,
-    )
-
-
-def _view_plan(
-    statement: ast.Select,
-    hit: MaterializedView,
-    statistics: StatisticsProvider | None,
-) -> Plan:
-    """A plan that scans a materialized view's backing table."""
-    stats: TableStatistics | None = None
-    if statistics is not None:
-        try:
-            stats = statistics(hit.backing_table, ())
-        except PlanError:  # pragma: no cover - backing table just created
-            pass
-    row_count = float(stats.row_count) if stats is not None else 0.0
-    decisions = Decisions(
-        view=hit,
-        notes=(f"answered from materialized preference view {hit.name!r}",),
-        table=hit.backing_table,
-        candidates=row_count,
-        skyline=row_count,
-        dimensions=len(ast.base_terms(statement.preferring)),
-    )
-    return Plan(
-        statement=statement,
-        strategy="view",
-        stages=STRATEGY_TABLE["view"].build(statement, Build(decisions=decisions)),
         statistics=stats,
         decisions=decisions,
     )

@@ -75,7 +75,7 @@ schema every single-table source is taken to be a rowid table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import PreferenceConstructionError, RewriteError
@@ -127,14 +127,13 @@ def rewrite_statement(
     schema: Schema | None = None,
     resolver: NameResolver | None = None,
     pivot: bool = False,
+    prepared: tuple[Preference, list[str]] | None = None,
 ) -> RewriteResult:
     """Rewrite any statement; non-preference statements pass through."""
     if isinstance(statement, ast.Select):
-        return rewrite_select(statement, schema=schema, resolver=resolver, pivot=pivot)
+        return rewrite_select(statement, schema, resolver, pivot, prepared)
     if isinstance(statement, ast.Insert) and statement.query is not None:
-        inner = rewrite_select(
-            statement.query, schema=schema, resolver=resolver, pivot=pivot
-        )
+        inner = rewrite_select(statement.query, schema, resolver, pivot, prepared)
         if not inner.rewritten:
             return RewriteResult(statement=statement, rewritten=False)
         rewritten = ast.Insert(
@@ -157,15 +156,30 @@ def rewrite_select(
     schema: Schema | None = None,
     resolver: NameResolver | None = None,
     pivot: bool = False,
+    prepared: tuple[Preference, list[str]] | None = None,
 ) -> RewriteResult:
     """Rewrite one SELECT block.  Plain SQL queries pass through.
 
     ``pivot`` asks for the rank CTE's pivot filter; the rewrite takes it
-    where the CTE shape applies and every base preference has a rank."""
+    where the CTE shape applies and every base preference has a rank.
+    ``prepared`` is the block's :func:`prepare_preference` when the
+    caller has made it already."""
     if not select.is_preference_query:
         return RewriteResult(statement=select, rewritten=False)
     rewriter = _SelectRewriter(select, schema=schema, resolver=resolver)
-    return rewriter.run(pivot)
+    return rewriter.run(pivot, prepared)
+
+
+def prepare_preference(
+    select: ast.Select, resolver: NameResolver | None = None
+) -> tuple[Preference, list[str]]:
+    """A preference block's preference, built over its normalised term,
+    and the rewrite notes normalising made."""
+    term = normalize(select.preferring)
+    notes: list[str] = []
+    if term != select.preferring:
+        notes.append("preference term simplified by algebra laws")
+    return build_preference(term, resolver=resolver), notes
 
 
 class _SelectRewriter:
@@ -181,9 +195,10 @@ class _SelectRewriter:
         self._schema = {k.lower(): [c.lower() for c in v] for k, v in (schema or {}).items()}
         self._rowless = schema.rowless if isinstance(schema, HostSchema) else frozenset()
         self._resolver = resolver
-        self._notes: list[str] = []
 
-    def run(self, pivot: bool = False) -> RewriteResult:
+    def run(
+        self, pivot: bool = False, prepared: tuple[Preference, list[str]] | None = None
+    ) -> RewriteResult:
         select = self._select
         self._check_supported(select)
 
@@ -191,12 +206,8 @@ class _SelectRewriter:
         self._inner_alias = self._fresh_aliases("d")
         self._optimum_alias = self._fresh_aliases("m")
 
-        normalized_term = normalize(select.preferring)
-        if normalized_term != select.preferring:
-            self._notes.append("preference term simplified by algebra laws")
-            select = self._select = replace(select, preferring=normalized_term)
-
-        preference = build_preference(select.preferring, resolver=self._resolver)
+        preference, notes = prepared or prepare_preference(select, self._resolver)
+        self._notes = list(notes)
         self._preference = preference
         self._quality = QualityResolver(preference)
 

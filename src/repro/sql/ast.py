@@ -668,15 +668,6 @@ def walk_pref(term: PrefTerm) -> Iterator[Node]:
     return walk(term, PrefTerm)
 
 
-def base_terms(term: PrefTerm) -> list[PrefTerm]:
-    """All non-composite preference terms in ``term``, left to right."""
-    return [
-        node
-        for node in walk_pref(term)
-        if not isinstance(node, COMPOSITES)
-    ]
-
-
 def substitute(expr: Expr, mapping: dict[Expr, Expr]) -> Expr:
     """Return ``expr`` with every node found in ``mapping`` replaced.
 

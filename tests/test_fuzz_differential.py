@@ -237,9 +237,9 @@ def _assert_view_fresh(connection, view_query, context):
         assert materialized == fresh, (
             f"view diverges from {strategy} recompute after: {context}"
         )
-    # The planner must answer the matching query from the (fresh) view.
+    # The auto-planned definition query reads the base table and must
+    # agree with the maintained rows too.
     cursor = connection.execute(view_query)
-    assert cursor.plan is not None and cursor.plan.strategy == "view", context
     assert sorted(cursor.fetchall(), key=repr) == materialized, context
 
 

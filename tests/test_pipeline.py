@@ -3,10 +3,11 @@
 Every way the driver can turn a statement into rows — the host rewrite,
 the in-memory winnow (auto and pinned), the pinned winnow over a join
 scan, the rewrite's inline anti-join over a join with a WITHOUT ROWID
-table, the three session-served refinements, a view-served read, plain
-pass-through and ``INSERT … SELECT … PREFERRING`` — is crossed with every result surface (``*``, a column list,
-``ORDER BY … LIMIT/OFFSET``, ``DISTINCT``, GROUPING, BUT ONLY) and run
-untimed and under a generous deadline.  Each cell is checked twice: its
+table, the three session-served refinements, plain pass-through and
+``INSERT … SELECT … PREFERRING``, plus the auto winnow of a query a
+preference view was defined by — is crossed with every result surface
+(``*``, a column list, ``ORDER BY … LIMIT/OFFSET``, ``DISTINCT``,
+GROUPING, BUT ONLY) and run untimed and under a generous deadline.  Each cell is checked twice: its
 rows against the quadratic ``nested_loop`` oracle over a fresh
 connection's table, and the cursor contract (``plan.strategy``,
 ``was_rewritten``, ``executed_sql``, ``description``, ``rowcount``, the
@@ -17,7 +18,7 @@ captures one — the stored winner base).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -250,8 +251,10 @@ def _session_surface(surface: Surface) -> Cell:
 
 
 def _view(surface: Surface) -> Cell:
-    sql = _select(surface)
-    return Cell(sql, "view", prime=(f"CREATE PREFERENCE VIEW best AS {sql}",))
+    # A query equal to a view definition is planned like any other: the
+    # view's presence changes neither the strategy nor the rows.
+    base = _bnl_auto(surface)
+    return replace(base, prime=(f"CREATE PREFERENCE VIEW best AS {base.sql}",))
 
 
 def _passthrough(surface: Surface) -> Cell:

@@ -120,7 +120,6 @@ class TestSingleSite:
             ("_build_rewrite", "STRATEGY_TABLE[...].build"),
             ("_build_bnl", "STRATEGY_TABLE[...].build"),
             ("_build_session", "STRATEGY_TABLE[...].build"),
-            ("_build_view", "STRATEGY_TABLE[...].build"),
         }
 
     def test_bad_fixture_flags_each_stray_call(self):

@@ -5,15 +5,13 @@ PDL statements, catalog persistence, the CREATE-time maintainability
 analysis, the incremental maintenance engine (insert dominance test,
 bounded re-derivation, flagged recompute fallbacks), the driver's DML
 interception (including the leading-comment and CTE regression cases)
-and the planner's view-answering path with its EXPLAIN PREFERENCE rows.
+and the planning of a query whose text equals a view definition, which
+reads the base tables like any other query.
 """
-
-from unittest import mock
 
 import pytest
 
 import repro
-from repro.engine import incremental
 from repro.sql.scan import dml_target
 from repro.engine.incremental import analyze_view, validate_view
 from repro.errors import CatalogError, DriverError, ParseError
@@ -299,19 +297,6 @@ def test_unmaintainable_view_recomputes_with_flag():
     connection.close()
 
 
-def test_recompute_mode_pins_full_refresh():
-    connection = fresh_connection()
-    connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
-    connection.view_maintenance_mode = "recompute"
-    connection.execute("INSERT INTO items VALUES (0, 0, 'r')")
-    assert materialized(connection) == oracle(connection)
-    stats = connection.view_maintenance_stats()["best"]
-    assert "incremental" not in stats
-    with pytest.raises(DriverError):
-        connection.view_maintenance_mode = "sometimes"
-    connection.close()
-
-
 def test_refresh_preference_view_is_manual_recompute():
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
@@ -457,7 +442,7 @@ def test_rowid_changing_update_falls_back_to_recompute():
     connection.close()
 
 
-def test_parameterized_execution_never_reuses_a_view_plan():
+def test_parameterized_execution_matching_a_definition_rebinds_exactly():
     connection = fresh_connection()
     connection.execute(
         "CREATE PREFERENCE VIEW best AS "
@@ -465,9 +450,8 @@ def test_parameterized_execution_never_reuses_a_view_plan():
     )
     query = "SELECT * FROM items WHERE a <= ? PREFERRING HIGHEST(a)"
     # The first binding makes the bound text equal the view definition;
-    # a cached view scan must not leak into the second binding.
+    # the cached plan must still answer the second binding from its own.
     first = connection.execute(query, (2,))
-    assert first.plan.strategy != "view"
     assert sorted(first.fetchall()) == [(2, 8, "p")]
     second = connection.execute(query, (9,))
     assert sorted(second.fetchall()) == [(9, 1, "q")]
@@ -645,17 +629,32 @@ def test_maintenance_events_are_bounded():
 
 
 # ----------------------------------------------------------------------
-# Planning: answering from the view
+# Planning: a definition's text is planned like any other query
 
 
-def test_matching_query_is_answered_from_the_view():
+def _assert_base_answer(connection, query=VIEW_QUERY, params=(), algorithm=None):
+    """Run ``query`` and check it read the base table, not the view's
+    backing table, and returned the oracle's rows."""
+    cursor = connection.execute(query, params, algorithm=algorithm)
+    chosen = (algorithm,) if algorithm else ("rewrite", "bnl")
+    assert cursor.plan.strategy in chosen
+    assert cursor.executed_sql == cursor.plan.host_sql
+    assert '"best"' not in cursor.executed_sql
+    rows = sorted(cursor.fetchall(), key=repr)
+    expected = sorted(
+        connection.execute(query, params, algorithm="rewrite").fetchall(), key=repr
+    )
+    assert rows == expected
+    return rows
+
+
+def test_definition_query_is_planned_from_the_base_table():
+    """With the view present the definition's text is planned from the
+    base table, and its answer is the materialized rows."""
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
-    cursor = connection.execute(VIEW_QUERY)
-    assert cursor.plan.strategy == "view"
-    assert cursor.plan.view_name == "best"
-    assert cursor.executed_sql == 'SELECT * FROM "best"'
-    assert sorted(cursor.fetchall(), key=repr) == oracle(connection)
+    rows = _assert_base_answer(connection)
+    assert rows == materialized(connection) == oracle(connection)
     connection.close()
 
 
@@ -663,75 +662,83 @@ def test_forced_strategies_bypass_the_view():
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
     for strategy in ("rewrite", "bnl"):
-        cursor = connection.execute(VIEW_QUERY, algorithm=strategy)
-        assert cursor.plan.strategy == strategy
+        rows = _assert_base_answer(connection, algorithm=strategy)
+        assert rows == materialized(connection), strategy
     connection.close()
 
 
-def test_non_matching_and_parameterized_queries_miss_the_view():
+def test_non_matching_and_parameterized_queries_read_the_base_table():
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
-    cursor = connection.execute("SELECT * FROM items PREFERRING LOWEST(a)")
-    assert cursor.plan.strategy != "view"
-    cursor = connection.execute(
+    _assert_base_answer(connection, "SELECT * FROM items PREFERRING LOWEST(a)")
+    rows = _assert_base_answer(
+        connection,
         "SELECT * FROM items WHERE a < ? PREFERRING LOWEST(a) AND LOWEST(b)",
         (100,),
     )
-    assert cursor.plan.strategy != "view"
+    assert rows == materialized(connection)
     connection.close()
 
 
-def test_view_answers_stay_fresh_across_dml():
+def test_definition_answers_stay_fresh_across_dml():
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
     assert connection.execute(VIEW_QUERY).fetchall()  # prime the plan cache
     connection.execute("INSERT INTO items VALUES (0, 0, 'r')")
-    cursor = connection.execute(VIEW_QUERY)
-    assert cursor.plan.strategy == "view"
-    assert sorted(cursor.fetchall(), key=repr) == [(0, 0, "r")]
+    rows = _assert_base_answer(connection)
+    assert rows == materialized(connection) == [(0, 0, "r")]
     connection.close()
 
 
-def test_dropping_the_view_restores_normal_planning():
+def test_dropping_the_view_leaves_the_definition_answer_unchanged():
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
-    assert connection.execute(VIEW_QUERY).plan.strategy == "view"
+    before = _assert_base_answer(connection)
+    strategy = connection.execute(VIEW_QUERY).plan.strategy
     connection.execute("DROP PREFERENCE VIEW best")
-    cursor = connection.execute(VIEW_QUERY)
-    assert cursor.plan.strategy != "view"
-    assert sorted(cursor.fetchall(), key=repr) == oracle(connection)
+    assert _assert_base_answer(connection) == before == oracle(connection)
+    assert connection.execute(VIEW_QUERY).plan.strategy == strategy
     connection.close()
 
 
-def test_explain_preference_reports_view_hit_and_maintenance():
-    connection = fresh_connection()
-    connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
-    rows = dict(
-        connection.execute(f"EXPLAIN PREFERENCE {VIEW_QUERY}").fetchall()
-    )
-    assert rows["strategy"].startswith("view")
-    assert rows["materialized view"] == "best"
-    assert rows["maintenance"].startswith("incremental")
-
-    connection.execute("DROP PREFERENCE VIEW best")
+def test_explain_preference_reports_the_base_strategy():
+    """EXPLAIN PREFERENCE of a definition's text, maintainable or not,
+    reports the strategy that reads the base table and no view rows."""
     unmaintainable = (
         "SELECT * FROM items PREFERRING a AROUND 3 BUT ONLY DISTANCE(a) <= 2"
     )
-    connection.execute(f"CREATE PREFERENCE VIEW best AS {unmaintainable}")
-    rows = dict(
-        connection.execute(f"EXPLAIN PREFERENCE {unmaintainable}").fetchall()
-    )
-    assert rows["materialized view"] == "best"
-    assert rows["maintenance"].startswith("full recompute")
+    connection = fresh_connection()
+    for query in (VIEW_QUERY, unmaintainable):
+        connection.execute(f"CREATE PREFERENCE VIEW best AS {query}")
+        rows = dict(connection.execute(f"EXPLAIN PREFERENCE {query}").fetchall())
+        assert rows["strategy"].startswith(("rewrite", "bnl")), query
+        assert '"best"' not in rows["rewritten SQL"]
+        assert not {"materialized view", "maintenance"} & set(rows), query
+        connection.execute("DROP PREFERENCE VIEW best")
     connection.close()
 
 
-def test_explain_text_reports_the_view_scan():
+def test_explain_text_reports_the_base_strategy():
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
     report = connection.explain(VIEW_QUERY)
-    assert "view — materialized preference view scan" in report
-    assert "best" in report
+    strategy = connection.plan(VIEW_QUERY).strategy
+    assert f"{strategy} — " in report
+    assert "materialized" not in report and "best" not in report
+    connection.close()
+
+
+def test_planning_sends_no_view_lookup():
+    """Planning sends the host no ``PRAGMA data_version``: only DML
+    consults the view catalog."""
+    connection = fresh_connection()
+    connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
+    sent = []
+    connection.raw.set_trace_callback(sent.append)
+    for query in (VIEW_QUERY, "SELECT * FROM items PREFERRING HIGHEST(b)"):
+        assert connection.plan(query).stages
+    connection.raw.set_trace_callback(None)
+    assert not [sql for sql in sent if "data_version" in sql]
     connection.close()
 
 
@@ -742,18 +749,6 @@ def test_views_are_empty_on_a_fresh_database():
     assert connection.raw.execute(
         "SELECT name FROM sqlite_master WHERE name = 'prefsql_views'"
     ).fetchone() is None
-    connection.close()
-
-
-def test_matching_prints_no_statement_without_views():
-    connection = fresh_connection()
-    with mock.patch.object(incremental, "to_sql", wraps=incremental.to_sql) as printed:
-        connection.execute(VIEW_QUERY).fetchall()
-        assert printed.call_count == 0
-        connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
-        cursor = connection.execute(VIEW_QUERY)
-        assert printed.call_count > 0
-    assert cursor.plan.strategy == "view"
     connection.close()
 
 

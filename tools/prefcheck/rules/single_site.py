@@ -41,7 +41,7 @@ SITES = (
     Site(callee="winnow_kernel", caller="bmo_filter", inside="repro/engine/algorithms.py"),
 ) + tuple(
     Site(callee=f"_build_{strategy}", caller="STRATEGY_TABLE[...].build")
-    for strategy in ("rewrite", "bnl", "session", "view")
+    for strategy in ("rewrite", "bnl", "session")
 )
 
 _BY_CALLEE = {site.callee: site for site in SITES}
