@@ -16,7 +16,9 @@ Behaviour:
   parameter binding; no parsing unless the text mentions a hint word),
 * ``CREATE/DROP PREFERENCE [CONSTRAINT]`` maintain the persistent catalog
   and bump the *catalog version*, orphaning cached plans that resolved
-  named preferences,
+  named preferences; table DDL (pass-through ``CREATE/DROP/ALTER``,
+  ``executescript``, ``ROLLBACK``, preference views) bumps it too, so no
+  cached plan outlives the columns it was built on,
 * preference SELECT/INSERT statements are parsed, planned (or served from
   the LRU parse+plan cache keyed on statement text and catalog version),
   their parameters bound, and handed — whatever strategy the cost model
@@ -35,7 +37,11 @@ Behaviour:
   the backing table like any other table,
 * every statement that may change table contents bumps the *data version*,
   invalidating the per-connection statistics cache (and, per view, the
-  backing table's statistics after maintenance writes).
+  backing table's statistics after maintenance writes); each write's
+  ``rowcount`` is added to its target table's written-rows counter, and a
+  cached plan is re-planned only once the rows written to one of its
+  tables exceed :data:`~repro.plan.statistics.DRIFT_FRACTION` of the row
+  count it was priced on.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ from repro.sql.params import bind_parameters
 from repro.sql.parser import parse_statement
 from repro.sql.printer import quote_identifier as _quote
 from repro.sql.printer import to_sql
-from repro.sql.scan import dml_target, first_keyword
+from repro.sql.scan import DmlTarget, dml_target, first_keyword
 from repro.testing import faults
 
 #: Cheap detector for statements that *may* use Preference SQL constructs.
@@ -117,6 +123,14 @@ _DML_HINT = re.compile(
     r"\b(INSERT|UPDATE|DELETE|REPLACE|CREATE|DROP|ALTER)\b", re.IGNORECASE
 )
 
+#: :func:`~repro.sql.scan.dml_target` operations whose ``rowcount`` counts
+#: towards the target table's written rows (statistics drift).
+_ROW_WRITES = ("insert", "update", "delete")
+
+#: Leading keywords of the pass-through statements that change a table's
+#: schema, and so move the plan-cache key.
+_DDL_KEYWORDS = ("CREATE", "DROP", "ALTER")
+
 
 #: How many ``(original, executed)`` statement pairs
 #: :attr:`Connection.trace` remembers; older ones fall off the front, so a
@@ -132,16 +146,21 @@ class _CachedStatement:
     SQL (the pass-through path); ``plan`` is the base plan, never a
     session plan (the session is priced per execution on top of it);
     ``param_free`` records whether the cached plan's SQL texts can be
-    reused verbatim (no ``?`` markers bound into them); ``data_version``
-    is the connection's data version at planning time — a later DML means
-    the statistics the strategy was chosen on are stale, so the statement
-    is re-planned (parsing is still skipped).
+    reused verbatim (no ``?`` markers bound into them).
+
+    The entry outlives writes: its stages return the current data's
+    answer whatever the data.  A hit is re-planned (parsing is still
+    skipped, and the cache counts a miss) only when the plan is semantic
+    — its observed constraints are data-scoped — or when more than
+    :data:`~repro.plan.statistics.DRIFT_FRACTION` of a table's rows have
+    been written since the plan's statistics (``plan.decisions.sources``,
+    each stamped with the table's written-rows counter) were gathered.
+    DDL moves the catalog version, which is the cache key.
     """
 
     statement: ast.Statement | None
     plan: Plan | None
     param_free: bool
-    data_version: int = 0
 
 
 def connect(
@@ -214,9 +233,10 @@ class Connection:
 
         Attached connections read the shared write epoch instead of a
         private counter, so a write through *any* pooled sibling is
-        visible here — and therefore to the plan-cache staleness check,
-        the statistics cache and the session cache, whose entries are
-        all stamped with this version.  sqlite's own ``PRAGMA
+        visible here — and therefore to the statistics, constraint and
+        session caches, whose entries are all stamped with this version
+        (cached plans are not: they re-plan on statistics drift).
+        sqlite's own ``PRAGMA
         data_version`` cannot carry that signal: it never moves for a
         connection's *own* writes, and in-process sibling writes are
         exactly what a pooled server produces.
@@ -227,11 +247,12 @@ class Connection:
 
     @property
     def catalog_version(self) -> int:
-        """Bumped by CREATE/DROP PREFERENCE; part of the plan-cache key.
+        """Bumped by CREATE/DROP PREFERENCE and table DDL; the plan-cache
+        key, and the stamp of the schema cache.
 
         Attached connections delegate to the shared catalog epoch so a
-        catalog change on one pooled connection orphans every sibling's
-        cached plans.
+        catalog or schema change on one pooled connection orphans every
+        sibling's cached plans.
         """
         if self._shared is not None:
             return self._shared.catalog_epoch
@@ -246,15 +267,27 @@ class Connection:
         )
         self._catalog_version = self._catalog_high_water
 
-    def _note_transaction_statement(self, sql: str) -> None:
-        """Keep the committed catalog version honest under raw SQL.
+    def _note_schema_change(self) -> None:
+        """Orphan every cached plan and the schema cache after table DDL.
+
+        Legacy transaction control runs DDL outside a transaction and
+        commits it at once; then the new version is the committed one,
+        or a later :meth:`rollback` would restore a pre-DDL key.
+        """
+        self._bump_catalog_version()
+        if not self._raw.in_transaction:
+            self._committed_catalog_version = self.catalog_version
+
+    def _note_catalog_effect(self, sql: str) -> None:
+        """Keep the catalog version honest under raw SQL.
 
         ``COMMIT``/``END`` executed as pass-through SQL makes the current
         catalog durable just like :meth:`commit`; a raw ``ROLLBACK``
         reverts catalog writes without going through :meth:`rollback`, so
         cached plans from the aborted transaction are orphaned
         conservatively (no restore — we cannot know here which version
-        the transaction started from relative to the raw statement).
+        the transaction started from relative to the raw statement);
+        table DDL orphans them too (:meth:`_note_schema_change`).
         """
         keyword = first_keyword(sql)
         if keyword in ("COMMIT", "END"):
@@ -263,6 +296,8 @@ class Connection:
             self._note_data_change()
             self._bump_catalog_version()
             self._committed_catalog_version = self.catalog_version
+        elif keyword in _DDL_KEYWORDS:
+            self._note_schema_change()
 
     def _catalog_is_transactional(self) -> bool:
         """True when rollback() actually reverts catalog writes.
@@ -294,6 +329,7 @@ class Connection:
                     version=lambda: self.data_version,
                     entries=self._shared.statistics_entries,
                     lock=self._shared.statistics_lock,
+                    written=self._shared.written_rows,
                 )
             else:
                 self._statistics = StatisticsCache(
@@ -343,6 +379,9 @@ class Connection:
         return int(self._raw.execute("PRAGMA data_version").fetchone()[0])
 
     def _session_versions(self) -> tuple[int, int, int]:
+        """The stamp the session cache matches and stores under: read
+        once per execution, *before* it runs, so winners are never
+        stamped newer than a concurrent external write."""
         return (
             self.data_version,
             self._pragma_data_version(),
@@ -358,32 +397,45 @@ class Connection:
         except (CatalogError, PlanError, PreferenceConstructionError):
             return None
 
-    def _session_match(self, select: ast.Select) -> SessionMatch | None:
+    def _session_match(
+        self, select: ast.Select, versions: tuple[int, int, int] | None
+    ) -> SessionMatch | None:
         """The session cache's judgment on one (parameter-bound) preference
         SELECT, or None when no entry relates to it (reuse disabled,
-        nothing cached, or a reference that does not resolve)."""
+        nothing cached, or a reference that does not resolve).
+        ``versions`` is the execution's :meth:`_session_versions`, None to
+        read them here."""
         if not self._session_enabled or not self._session.entries:
             return None
         term = self._canonical_term(select.preferring)
         if term is None:
             return None
-        return self._session.match(select, term, self._session_versions())
+        return self._session.match(
+            select, term, versions or self._session_versions()
+        )
 
-    def _store_session(self, select: ast.Statement, winners: Relation) -> None:
-        """Cache one query's winner base for later refinement reuse."""
+    def _store_session(
+        self,
+        select: ast.Statement,
+        winners: Relation,
+        versions: tuple[int, int, int],
+    ) -> None:
+        """Cache one query's winner base for later refinement reuse,
+        stamped with the ``versions`` read before it ran."""
         if not isinstance(select, ast.Select) or select.preferring is None:
             return
         term = self._canonical_term(select.preferring)
         if term is None:
             return
+        data_version, pragma_version, catalog_version = versions
         self._session.store(
             SessionEntry(
                 select=select,
                 term=term,
                 winners=winners,
-                data_version=self.data_version,
-                pragma_version=self._pragma_data_version(),
-                catalog_version=self.catalog_version,
+                data_version=data_version,
+                pragma_version=pragma_version,
+                catalog_version=catalog_version,
                 text=to_sql(select),
             )
         )
@@ -437,17 +489,14 @@ class Connection:
         self.view_maintainer.refresh(self.catalog.get_view(name))
         self._note_data_change()
 
-    def _prepare_maintenance(self, sql: str, params: Sequence[object]):
+    def _prepare_maintenance(self, target: DmlTarget, params: Sequence[object]):
         """Pre-DML delta capture for view maintenance (None when inert).
 
         Callers filter on the :data:`_DML_HINT` over-approximation;
         :func:`~repro.sql.scan.dml_target` resolves the actual operation
-        and target table, seeing through leading comments and CTE
+        and ``target`` table, seeing through leading comments and CTE
         prologues so maintenance cannot be silently skipped.
         """
-        target = dml_target(sql)
-        if target is None:
-            return None
         maintainer = self.view_maintainer
         if target.op in ("drop_table", "alter_rename"):
             # Dropping or renaming a table out from under a view would
@@ -565,13 +614,13 @@ class Connection:
         usable rowid: views, WITHOUT ROWID tables and tables with a column
         named ``rowid``.
 
-        Cached per data version: the catalog scan plus one PRAGMA per
+        Cached per catalog version: the catalog scan plus one PRAGMA per
         table would otherwise run on every preference execution, dwarfing
-        what the plan cache saves.  DDL bumps the data version and
-        refreshes it.
+        what the plan cache saves.  DDL bumps the catalog version and
+        refreshes it; DML leaves it alone.
         """
         cached = self._schema_cache
-        if cached is not None and cached[0] == self.data_version:
+        if cached is not None and cached[0] == self.catalog_version:
             return cached[1]
         sources = self._raw.execute(
             "SELECT schema, name, type, wr FROM pragma_table_list "
@@ -592,7 +641,7 @@ class Connection:
                 or any(column.lower() == "rowid" for column in tables[name])
             )
         result = HostSchema(tables, [name for name, flag in rowless.items() if flag])
-        self._schema_cache = (self.data_version, result)
+        self._schema_cache = (self.catalog_version, result)
         return result
 
     def plan(
@@ -619,21 +668,35 @@ class Connection:
         """The base plan of one parameter-bound statement: everything but
         the session cache, which :meth:`_with_session` prices on top.
         ``semantic`` off skips the semantic pass (as a forced strategy
-        does).
+        does).  Named preferences are resolved once per plan: the
+        catalog cannot change while it is made.
         """
+        resolved: dict[str, ast.PrefTerm] = {}
+
+        def resolve(name: str) -> ast.PrefTerm:
+            if name not in resolved:
+                resolved[name] = self.catalog.resolve(name)
+            return resolved[name]
+
         return plan_statement(
             statement,
             schema=self.schema(),
-            resolver=self.catalog.resolve,
+            resolver=resolve,
             statistics=self.statistics.for_table,
             force=force,
             constraints=self.constraints if semantic else None,
         )
 
-    def _with_session(self, plan: Plan, statement: ast.Statement) -> Plan:
+    def _with_session(
+        self,
+        plan: Plan,
+        statement: ast.Statement,
+        versions: tuple[int, int, int] | None = None,
+    ) -> Plan:
         """Price the session cache on top of a base plan (cached or fresh).
 
-        Runs the session matcher once.  Matching is safe under parameters
+        Runs the session matcher once, under the execution's ``versions``
+        (None reads them).  Matching is safe under parameters
         — it runs on the *bound* statement, so every binding is judged on
         its own literal WHERE conjuncts.  A forced plan is never turned
         into a session plan, so it skips the matcher; a base whose
@@ -646,7 +709,7 @@ class Connection:
             or statement.preferring is None
         ):
             return plan
-        match = self._session_match(statement)
+        match = self._session_match(statement, versions)
         if match is None:
             return plan
         if match.servable and plan.semantic_rule is not None:
@@ -886,57 +949,71 @@ class Cursor:
             return self._execute_explain(statement, params, algorithm)
 
         bound = bind_parameters(statement, params) if params else statement
-        fresh = entry is not None and entry.data_version == connection.data_version
         plan: Plan | None = None
-        if entry is not None and entry.plan is not None and fresh:
+        if entry is not None and entry.plan is not None:
             plan = entry.plan
-            if params or not entry.param_free:
-                if plan.semantic_rule is not None:
-                    # Semantic SQL embeds the constraint analysis of the
-                    # originally bound literals; rebinding would clobber
-                    # it with the NOT EXISTS rewrite, so re-plan instead.
-                    plan = None
-                else:
-                    plan = rebind_plan(
-                        plan,
-                        bound,
-                        schema=connection.schema(),
-                        resolver=connection.catalog.resolve,
-                    )
+            # Semantic SQL embeds the constraint analysis of the bound
+            # literals and of data-scoped observed constraints; rebinding
+            # or reusing it could go wrong, so it is re-planned, as is a
+            # plan whose statistics drifted.  Any other plan's stages
+            # return the current data's answer: rebind and run it.
+            statistics = connection.statistics
+            if plan.semantic_rule is not None or any(
+                statistics.drifted(stats) for stats in plan.decisions.sources
+            ):
+                connection._plan_cache.replanned()
+                plan = None
+            elif params or not entry.param_free:
+                plan = rebind_plan(
+                    plan,
+                    bound,
+                    schema=connection.schema(),
+                    resolver=connection.catalog.resolve,
+                )
         if plan is None:
-            # First sighting, or the data version moved under a cached
-            # plan: re-plan so the strategy tracks the current statistics
-            # (parsing was still skipped on the stale-hit path).  The
-            # cache keeps the base plan, which never depends on the
+            # First sighting, or a stale hit (parsing was still skipped).
+            # The cache keeps the base plan, which never depends on the
             # session cache's contents.
             plan = connection._plan_statement(bound, algorithm)
             if use_cache:
                 self._remember(
                     sql,
                     _CachedStatement(
-                        statement=statement,
-                        plan=plan,
-                        param_free=not params,
-                        data_version=connection.data_version,
+                        statement=statement, plan=plan, param_free=not params
                     ),
                 )
         # The session answer depends only on the live match, so the
-        # session is priced per execution on top of the base plan.
-        plan = connection._with_session(plan, bound)
+        # session is priced per execution on top of the base plan, under
+        # versions read once, before the execution — when an entry may
+        # be matched, or an in-memory plan's winners stored.
+        versions = None
+        if (
+            use_cache
+            and connection._session_enabled
+            and isinstance(bound, ast.Select)
+            and (plan.uses_engine or connection.session_cache.entries)
+        ):
+            versions = connection._session_versions()
+        plan = connection._with_session(plan, bound, versions)
 
         if not plan.stages:
             return self._passthrough(sql, params)
-        return self._run(sql, bound, plan, capture=use_cache)
+        return self._run(sql, bound, plan, versions)
 
     def _run(
-        self, sql: str, bound: ast.Statement, plan: Plan, capture: bool
+        self,
+        sql: str,
+        bound: ast.Statement,
+        plan: Plan,
+        versions: tuple[int, int, int] | None,
     ) -> "Cursor":
         """Execute one planned statement through the plan runner.
 
-        ``capture`` — the execution came through the plan cache (no
-        pinned strategy) — lets the runner hand back the winner base for
-        the session cache when reuse is enabled.  A rewrite's rows stay
-        on this cursor's host cursor and are fetched lazily.
+        ``versions`` — the execution came through the plan cache (no
+        pinned strategy) with session reuse enabled — lets the runner
+        hand back the winner base for the session cache, stored under
+        them.  A rewrite's rows stay on this cursor's host cursor and are
+        fetched lazily.
         """
         connection = self._connection
         self.plan = plan
@@ -946,11 +1023,7 @@ class Cursor:
                 "insert", bound.table.lower(), None, ()
             )
         try:
-            outcome = run(
-                self._raw.execute,
-                plan,
-                capture=capture and connection._session_enabled,
-            )
+            outcome = run(self._raw.execute, plan, capture=versions is not None)
         except sqlite3.Error as error:
             raise DriverError(
                 f"host database rejected the {plan.strategy} strategy's "
@@ -958,12 +1031,15 @@ class Cursor:
             ) from error
         if isinstance(bound, ast.Insert):
             connection._note_data_change()
+            connection.statistics.note_written(bound.table, self._raw.rowcount)
             if pending is not None:
                 connection.view_maintainer.finish(
                     pending, rowcount=self._raw.rowcount
                 )
-        if outcome.winner_base is not None:
-            connection._store_session(plan.statement, outcome.winner_base)
+        if outcome.winner_base is not None and versions is not None:
+            connection._store_session(
+                plan.statement, outcome.winner_base, versions
+            )
         if plan.stage(Reuse) is not None:
             connection.session_cache.served += 1
         if outcome.relation is not None:
@@ -1014,9 +1090,10 @@ class Cursor:
         self.was_rewritten = False
         connection.trace.append((sql, sql))
         changes_data = _DML_HINT.search(sql) is not None
+        target = dml_target(sql) if changes_data else None
         pending = (
-            connection._prepare_maintenance(sql, () if batch else params)
-            if changes_data
+            connection._prepare_maintenance(target, () if batch else params)
+            if target is not None
             else None
         )
         try:
@@ -1042,9 +1119,15 @@ class Cursor:
             raise DriverError(message) from error
         if changes_data:
             connection._note_data_change()
+            if target is not None and target.op in _ROW_WRITES:
+                connection.statistics.note_written(
+                    target.table, self._raw.rowcount
+                )
+        # Before maintenance, whose writes may open a transaction: DDL that
+        # committed at once must become the committed catalog version.
+        connection._note_catalog_effect(sql)
         if pending is not None:
             connection.view_maintainer.finish(pending, rowcount=self._raw.rowcount)
-        connection._note_transaction_statement(sql)
         return self
 
     def executemany(self, sql: str, rows: Iterable[Sequence[object]]) -> "Cursor":
@@ -1079,16 +1162,17 @@ class Cursor:
             )
         self.plan = None
         self._result = None
+        connection = self._connection
         self._raw.executescript(script)
-        self._connection._note_data_change()
         # sqlite3's executescript implicitly COMMITs any pending
-        # transaction, so the current catalog state is durable now.
-        self._connection._committed_catalog_version = (
-            self._connection.catalog_version
-        )
+        # transaction, so the catalog state before the script is durable;
+        # the script itself may change any table's schema.
+        connection._committed_catalog_version = connection.catalog_version
+        connection._note_data_change()
+        connection._note_schema_change()
         # A script can touch any table in any way; every materialized
         # view is recomputed rather than trusting a delta.
-        self._connection.view_maintainer.refresh_all()
+        connection.view_maintainer.refresh_all()
         return self
 
     # ------------------------------------------------------------------

@@ -281,11 +281,13 @@ class ViewMaintainer:
             self._write_back(entry, relation.rows)
         except (sqlite3.Error, EvaluationError):
             # Backing schema drifted (e.g. ALTER TABLE on the base):
-            # rebuild the backing table from the fresh result.
+            # rebuild the backing table from the fresh result, which
+            # orphans plans cached over the old one.
             self._raw.execute(
                 f"DROP TABLE IF EXISTS {_quote(entry.backing_table)}"
             )
             self._create_backing(entry.backing_table, relation)
+            self._connection._note_schema_change()
         self._record(entry, strategy, removed=0, added=0, size=len(relation.rows))
 
     def refresh_all(self, strategy: str = "recompute") -> None:

@@ -6,10 +6,13 @@ statistics lookup and a full rewrite) are pure functions of the statement
 text and the planning environment, so the driver caches their outcome
 keyed on ``(statement text, version)`` where the version is any hashable
 snapshot of that environment — the driver uses its catalog version: a
-``CREATE/DROP PREFERENCE`` bumps it and naturally orphans every plan that
-might have resolved a named preference differently.  A rolled-back
-catalog change *restores* the previously committed version, so plans
-cached against it become servable again.
+``CREATE/DROP PREFERENCE`` or any table DDL bumps it and naturally
+orphans every plan that might have resolved a named preference or a
+table's columns differently.  A rolled-back catalog change *restores*
+the previously committed version, so plans cached against it become
+servable again.  Writes do not move the key: the driver re-plans a hit
+whose statistics drifted and reports it through :meth:`PlanCache.replanned`,
+so the counters say how often planning was saved, not merely parsing.
 
 The cache is deliberately tiny and dependency-free — an ``OrderedDict``
 in LRU discipline with hit/miss/eviction counters surfaced through
@@ -61,6 +64,9 @@ class PlanCache(Generic[Entry]):
         self._misses = 0
         #: guarded by _lock
         self._evictions = 0
+        #: Hits the caller re-planned, reported as misses.
+        #: guarded by _lock
+        self._replanned = 0
 
     def get(self, text: str, version: Hashable) -> Entry | None:
         key = (text, version)
@@ -72,6 +78,12 @@ class PlanCache(Generic[Entry]):
             self._entries.move_to_end(key)
             self._hits += 1
             return entry
+
+    def replanned(self) -> None:
+        """Count the last hit as a miss: the caller found the entry stale
+        and planned the statement again."""
+        with self._lock:
+            self._replanned += 1
 
     def put(self, text: str, version: Hashable, entry: Entry) -> None:
         key = (text, version)
@@ -90,8 +102,8 @@ class PlanCache(Generic[Entry]):
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
+                hits=self._hits - self._replanned,
+                misses=self._misses + self._replanned,
                 evictions=self._evictions,
                 size=len(self._entries),
                 maxsize=self._maxsize,

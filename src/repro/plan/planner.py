@@ -88,8 +88,10 @@ class Decisions:
     in-memory table; ``join_tables``: ``table AS binding (n rows)``), the
     estimates, the rank source priced for the in-memory winnow
     (:func:`~repro.plan.cost.choose_rank_source`; None when the statement
-    cannot run in memory), and the rewriter's statement, which only
-    EXPLAIN shows unless the plan runs it."""
+    cannot run in memory), the rewriter's statement, which only
+    EXPLAIN shows unless the plan runs it, and the ``sources``: the
+    statistics of every table the plan was priced on (each source of a
+    join), which the driver watches for drift."""
 
     forced: bool = False
     semantic: SemanticRewrite | None = None
@@ -102,6 +104,7 @@ class Decisions:
     dimensions: int = 0
     rank_source: str | None = None
     rewrite: ast.Statement | str | None = None
+    sources: tuple[TableStatistics, ...] = ()
 
 
 def _staged(kind: type, name: str, default=None) -> property:
@@ -513,6 +516,7 @@ def plan_statement(
             dimensions=dimensions,
             rank_source=rank_source,
             rewrite=rewritten,
+            sources=tuple(join_stats.values()) or ((stats,) if stats else ()),
         ),
     )
 
@@ -646,6 +650,7 @@ def _winnow_free_plan(
         candidates=candidates,
         skyline=winners,
         dimensions=semantic.original_dimensions,
+        sources=(stats,) if stats is not None else (),
     )
     return Plan(
         statement=select,

@@ -12,16 +12,21 @@ independent clients:
   for all of them.
 * **statistics store** — one table-statistics entry map shared by the
   per-connection :class:`~repro.plan.statistics.StatisticsCache`
-  instances; a table scanned for one session is known to all.
+  instances, and beside it the written-rows counter per table; a table
+  scanned for one session is known to all, and a sibling's writes count
+  towards every cached plan's statistics drift.
 * **write epochs** — explicit counters bumped by any attached connection
   that may have changed table contents (``data``) or the preference
-  catalog (``catalog``).  Attached connections report these epochs as
-  their ``data_version``/``catalog_version``, so every version-stamped
-  cache in the driver — cached plans, statistics entries, session winner
-  bases, the schema cache — goes stale the moment *any* pooled sibling
-  writes.  sqlite's ``PRAGMA data_version`` cannot provide this signal:
-  it never moves for a connection's own writes, and in-process sibling
-  writes are exactly what a pooled server produces.
+  catalog or table schema (``catalog``).  Attached connections report
+  these epochs as their ``data_version``/``catalog_version``.  The data
+  epoch retires statistics entries, observed constraints and session
+  winner bases the moment *any* pooled sibling writes; the catalog epoch
+  is the plan-cache key and stamps the schema cache, so DDL on one
+  sibling orphans every cached plan, while a cached plan outlives DML
+  until its statistics drift.  sqlite's ``PRAGMA data_version`` cannot
+  provide these signals: it never moves for a connection's own writes,
+  and in-process sibling writes are exactly what a pooled server
+  produces.
 """
 
 from __future__ import annotations
@@ -48,9 +53,11 @@ class SharedState:
         self._catalog_epoch = 0
         #: The cross-session parse+plan cache (internally locked).
         self.plan_cache: PlanCache = PlanCache(maxsize=plan_cache_size)
-        #: The cross-session statistics entry store and its lock, shared
-        #: by every attached connection's StatisticsCache.
+        #: The cross-session statistics entry store, written-rows
+        #: counter and their lock, shared by every attached connection's
+        #: StatisticsCache.
         self.statistics_entries: dict[str, tuple[int, TableStatistics]] = {}
+        self.written_rows: dict[str, int] = {}
         self.statistics_lock = threading.Lock()
         #: Recovery observability: named event counters bumped by the
         #: serving layer when a component self-heals (e.g. a pooled
@@ -85,8 +92,8 @@ class SharedState:
 
     @property
     def catalog_epoch(self) -> int:
-        """Moves on every CREATE/DROP PREFERENCE (and aborted catalog
-        transactions — cross-session rollback orphans conservatively)."""
+        """Moves on every CREATE/DROP PREFERENCE, table DDL and aborted
+        transaction (cross-session rollback orphans conservatively)."""
         # prefcheck: disable=lock-discipline -- same hot-path racy read as data_epoch, same checkout-handoff ordering
         return self._catalog_epoch
 

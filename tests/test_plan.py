@@ -204,7 +204,12 @@ class TestPlanCache:
         assert stats.size == 2
 
     def test_hits_on_repeated_parameterized_query(self, fixture_connection):
-        sql = "SELECT * FROM trips WHERE price <= ? PREFERRING duration AROUND 14"
+        # A Pareto preference: no semantic rule fires, so the cached plan
+        # is rebound, not re-planned (a semantic hit counts as a miss).
+        sql = (
+            "SELECT * FROM trips WHERE price <= ? "
+            "PREFERRING duration AROUND 14 AND LOWEST(price)"
+        )
         fixture_connection.clear_plan_cache()
         before = fixture_connection.plan_cache_stats()
         first = fixture_connection.execute(sql, (2000,)).fetchall()
@@ -288,8 +293,11 @@ class TestPlanCache:
     def test_rollback_of_drop_preference_restores_cached_plans(
         self, fixture_connection
     ):
+        # Pareto, so no semantic rule fires: the restored plan is served
+        # as it is (a semantic plan is re-planned on every hit).
         fixture_connection.execute(
-            "CREATE PREFERENCE cheap ON trips AS LOWEST(price)"
+            "CREATE PREFERENCE cheap ON trips AS "
+            "LOWEST(price) AND duration AROUND 14"
         )
         fixture_connection.commit()
         sql = "SELECT * FROM trips PREFERRING PREFERENCE cheap"

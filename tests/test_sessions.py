@@ -39,6 +39,7 @@ from repro.plan.session import (
     diff_conjuncts,
     split_conjuncts,
 )
+from repro.plan.statistics import DRIFT_FRACTION
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
@@ -865,29 +866,42 @@ class TestCacheTierInterplay:
         assert all(plan.strategy != SESSION_STRATEGY for plan in cached)
         assert all(plan.session_match is None for plan in cached)
 
-    def test_write_between_executions_replans_exactly_once(self, cars_connection):
+    def test_writes_replan_only_past_the_drift_bound(self, cars_connection):
         con = cars_connection
         refined = BASE_Q + " CASCADE make IN ('vw')"
         con.execute(BASE_Q).fetchall()
         con.execute(refined).fetchall()
-        con.execute("INSERT INTO cars VALUES (9004, 1, 1, 'diesel', 'vw')")
+        bound = int(DRIFT_FRACTION * 1200)  # the fixture's 1,200 cars
+        insert = "INSERT INTO cars VALUES (?, ?, ?, 'diesel', 'vw')"
+        # Rows that join the skyline, so the answer moves under the plans.
+        con.cursor().executemany(
+            insert, [(9000 + i, 1000 + i, 300000 - i) for i in range(bound)]
+        )
+        expected_below = sorted(
+            con.execute(refined, algorithm="rewrite").fetchall()
+        )
         with mock.patch.object(
             dbapi, "plan_statement", wraps=dbapi.plan_statement
         ) as planned:
+            # Exactly at the bound: both cached plans keep their strategy,
+            # and the refinement is served again from the fresh base.
             con.execute(BASE_Q).fetchall()
-            assert planned.call_count == 1
-            first = con.execute(refined)
-            first_rows = sorted(first.fetchall())
+            below = con.execute(refined)
+            below_rows = sorted(below.fetchall())
+            assert planned.call_count == 0
+            # One row past it: each statement re-plans once, then hits.
+            con.execute(insert, (9004, 1, 1))
+            for _round in range(2):
+                con.execute(BASE_Q).fetchall()
+                past = con.execute(refined)
+                past_rows = sorted(past.fetchall())
             assert planned.call_count == 2
-            second = con.execute(refined)
-            second_rows = sorted(second.fetchall())
-        # The write moved the data version under both cached plans: each
-        # statement re-plans once, and the refinement is served again.
-        assert planned.call_count == 2
-        assert first.plan.strategy == second.plan.strategy == SESSION_STRATEGY
+        assert below.plan.strategy == past.plan.strategy == SESSION_STRATEGY
+        assert (9000, 1000, 300000, "diesel", "vw") in expected_below
+        assert below_rows == expected_below
         expected = sorted(con.execute(refined, algorithm="rewrite").fetchall())
         assert (9004, 1, 1, "diesel", "vw") in expected
-        assert first_rows == second_rows == expected
+        assert past_rows == expected
 
     def test_pooled_sibling_serves_only_from_its_own_session_cache(self, tmp_path):
         from repro.server.shared import SharedState
