@@ -150,17 +150,48 @@ class _CachedStatement:
 
     The entry outlives writes: its stages return the current data's
     answer whatever the data.  A hit is re-planned (parsing is still
-    skipped, and the cache counts a miss) only when the plan is semantic
-    — its observed constraints are data-scoped — or when more than
+    skipped, and the cache counts a miss) when more than
     :data:`~repro.plan.statistics.DRIFT_FRACTION` of a table's rows have
-    been written since the plan's statistics (``plan.decisions.sources``,
-    each stamped with the table's written-rows counter) were gathered.
-    DDL moves the catalog version, which is the cache key.
+    been written since the plan's statistics (:attr:`Plan.sources`, each
+    stamped with the table's written-rows counter) were gathered, or
+    when a semantic plan would be rebound to parameters (its SQL embeds
+    the analysis of the bound literals).  ``data_scoped`` marks a plan
+    whose staleness the counters cannot watch — its semantic rewrite
+    relies on an observed constraint, or it read a source whose writes
+    are not counted (a SQL view) or gathered no statistics: it is
+    re-planned once the connection's data version has moved past
+    ``data_version``, its value at planning time.  DDL moves the catalog
+    version, which is the cache key.
     """
 
     statement: ast.Statement | None
     plan: Plan | None
     param_free: bool
+    data_scoped: bool = False
+    data_version: int = 0
+
+    def stale(self, connection: "Connection", rebinding: bool) -> bool:
+        """Whether this hit must be planned again before it runs."""
+        plan = self.plan
+        if rebinding and plan.semantic_rule is not None:
+            return True
+        if self.data_scoped:
+            return self.data_version != connection.data_version
+        statistics = connection.statistics
+        return any(statistics.drifted(stats) for stats in plan.sources)
+
+
+def _data_scoped(plan: Plan, schema: HostSchema) -> bool:
+    """Whether the written-rows counters cannot tell when ``plan`` goes
+    stale (see :class:`_CachedStatement`)."""
+    observed = any(
+        label.endswith("[observed]") for label in plan.semantic_constraints
+    )
+    return (
+        observed
+        or not plan.sources
+        or not all(schema.is_base_table(stats.table) for stats in plan.sources)
+    )
 
 
 def connect(
@@ -200,8 +231,9 @@ class Connection:
         self._data_version = 0
         self._catalog_version = 0
         #: Catalog version at the last commit — rollback restores it, so
-        #: plans cached against the committed catalog stay servable.
-        self._committed_catalog_version = 0
+        #: plans cached against the committed catalog stay servable; None
+        #: after table DDL, until the catalog is next durable.
+        self._committed_catalog_version: int | None = 0
         #: Highest catalog version ever issued; versions burnt inside an
         #: aborted transaction are never reissued for a different catalog.
         self._catalog_high_water = 0
@@ -270,34 +302,39 @@ class Connection:
     def _note_schema_change(self) -> None:
         """Orphan every cached plan and the schema cache after table DDL.
 
-        Legacy transaction control runs DDL outside a transaction and
-        commits it at once; then the new version is the committed one,
-        or a later :meth:`rollback` would restore a pre-DDL key.
+        Legacy transaction control commits DDL run outside a transaction
+        at once, so until the catalog is next durable
+        (:meth:`_note_durable`) a :meth:`rollback` cannot tell which DDL
+        it reverted: it orphans cached plans instead of restoring the
+        committed version.
         """
         self._bump_catalog_version()
+        self._committed_catalog_version = None
+
+    def _note_durable(self) -> None:
+        """With no transaction open, the current catalog is the committed
+        one — after ``COMMIT``/``END``, the ``RELEASE`` of the outermost
+        savepoint, or DDL that committed at once."""
         if not self._raw.in_transaction:
             self._committed_catalog_version = self.catalog_version
 
     def _note_catalog_effect(self, sql: str) -> None:
         """Keep the catalog version honest under raw SQL.
 
-        ``COMMIT``/``END`` executed as pass-through SQL makes the current
-        catalog durable just like :meth:`commit`; a raw ``ROLLBACK``
-        reverts catalog writes without going through :meth:`rollback`, so
-        cached plans from the aborted transaction are orphaned
-        conservatively (no restore — we cannot know here which version
-        the transaction started from relative to the raw statement);
-        table DDL orphans them too (:meth:`_note_schema_change`).
+        A raw ``ROLLBACK`` reverts catalog writes without going through
+        :meth:`rollback`, so cached plans from the aborted transaction
+        are orphaned conservatively (no restore — we cannot know here
+        which version the transaction started from relative to the raw
+        statement); table DDL orphans them too.  Whatever the statement,
+        a catalog it leaves outside a transaction is durable.
         """
         keyword = first_keyword(sql)
-        if keyword in ("COMMIT", "END"):
-            self._committed_catalog_version = self.catalog_version
-        elif keyword == "ROLLBACK":
+        if keyword == "ROLLBACK":
             self._note_data_change()
             self._bump_catalog_version()
-            self._committed_catalog_version = self.catalog_version
         elif keyword in _DDL_KEYWORDS:
             self._note_schema_change()
+        self._note_durable()
 
     def _catalog_is_transactional(self) -> bool:
         """True when rollback() actually reverts catalog writes.
@@ -582,14 +619,18 @@ class Connection:
             # could now describe a different catalog.
             self._bump_catalog_version()
             self._committed_catalog_version = self.catalog_version
-        elif self._catalog_is_transactional():
+        elif (
+            self._catalog_is_transactional()
+            and self._committed_catalog_version is not None
+        ):
             self._catalog_high_water = max(
                 self._catalog_high_water, self._catalog_version
             )
             self._catalog_version = self._committed_catalog_version
         else:
-            # Autocommit mode: the catalog kept every change, so cached
-            # plans must be orphaned, not restored.
+            # Autocommit mode, or table DDL since the last commit: the
+            # catalog may have kept a change, so cached plans must be
+            # orphaned, not restored.
             self._bump_catalog_version()
             self._committed_catalog_version = self.catalog_version
 
@@ -630,7 +671,9 @@ class Connection:
         ).fetchall()
         tables: dict[str, list[str]] = {}
         rowless: dict[str, bool] = {}
+        kinds: dict[str, str] = {}
         for schema, name, kind, without_rowid in sources:
+            kinds[name] = kind
             info = self._raw.execute(
                 f"PRAGMA {_quote(schema)}.table_info({_quote(name)})"
             ).fetchall()
@@ -640,7 +683,11 @@ class Connection:
                 or bool(without_rowid)
                 or any(column.lower() == "rowid" for column in tables[name])
             )
-        result = HostSchema(tables, [name for name, flag in rowless.items() if flag])
+        result = HostSchema(
+            tables,
+            [name for name, flag in rowless.items() if flag],
+            [name for name, kind in kinds.items() if kind == "view"],
+        )
         self._schema_cache = (self.catalog_version, result)
         return result
 
@@ -934,9 +981,12 @@ class Cursor:
         if catalog_statement is not None:
             apply, changes_tables = catalog_statement
             apply(connection, statement)
-            connection._bump_catalog_version()
             if changes_tables:
+                # A preference view's backing table is table DDL.
+                connection._note_schema_change()
                 connection._note_data_change()
+            else:
+                connection._bump_catalog_version()
             # A reused cursor must not keep describing its previous
             # statement's rows: a fresh host cursor has none.
             self._raw = connection.raw.cursor()
@@ -952,18 +1002,11 @@ class Cursor:
         plan: Plan | None = None
         if entry is not None and entry.plan is not None:
             plan = entry.plan
-            # Semantic SQL embeds the constraint analysis of the bound
-            # literals and of data-scoped observed constraints; rebinding
-            # or reusing it could go wrong, so it is re-planned, as is a
-            # plan whose statistics drifted.  Any other plan's stages
-            # return the current data's answer: rebind and run it.
-            statistics = connection.statistics
-            if plan.semantic_rule is not None or any(
-                statistics.drifted(stats) for stats in plan.decisions.sources
-            ):
+            rebinding = bool(params) or not entry.param_free
+            if entry.stale(connection, rebinding):
                 connection._plan_cache.replanned()
                 plan = None
-            elif params or not entry.param_free:
+            elif rebinding:
                 plan = rebind_plan(
                     plan,
                     bound,
@@ -974,12 +1017,17 @@ class Cursor:
             # First sighting, or a stale hit (parsing was still skipped).
             # The cache keeps the base plan, which never depends on the
             # session cache's contents.
+            data_version = connection.data_version
             plan = connection._plan_statement(bound, algorithm)
             if use_cache:
                 self._remember(
                     sql,
                     _CachedStatement(
-                        statement=statement, plan=plan, param_free=not params
+                        statement=statement,
+                        plan=plan,
+                        param_free=not params,
+                        data_scoped=_data_scoped(plan, connection.schema()),
+                        data_version=data_version,
                     ),
                 )
         # The session answer depends only on the live match, so the
@@ -1164,12 +1212,11 @@ class Cursor:
         self._result = None
         connection = self._connection
         self._raw.executescript(script)
-        # sqlite3's executescript implicitly COMMITs any pending
-        # transaction, so the catalog state before the script is durable;
-        # the script itself may change any table's schema.
-        connection._committed_catalog_version = connection.catalog_version
+        # The script may change any table's schema, and commits what it
+        # leaves outside a transaction.
         connection._note_data_change()
         connection._note_schema_change()
+        connection._note_durable()
         # A script can touch any table in any way; every materialized
         # view is recomputed rather than trusting a delta.
         connection.view_maintainer.refresh_all()

@@ -596,7 +596,9 @@ class ViewMaintainer:
             raise EvaluationError(
                 f"view {entry.name!r}: result width does not match backing table"
             )
-        self._raw.execute(f"DELETE FROM {_quote(entry.backing_table)}")
+        deleted = self._raw.execute(
+            f"DELETE FROM {_quote(entry.backing_table)}"
+        ).rowcount
         if rows:
             placeholders = ", ".join("?" for _ in range(width))
             self._raw.executemany(
@@ -604,7 +606,10 @@ class ViewMaintainer:
                 f"VALUES ({placeholders})",
                 rows,
             )
-        self._connection.statistics.invalidate(entry.backing_table)
+        statistics = self._connection.statistics
+        statistics.invalidate(entry.backing_table)
+        # Plans over the view watch its written-rows counter for drift.
+        statistics.note_written(entry.backing_table, deleted + len(rows))
 
     def _backing_columns(self, entry: ViewEntry) -> list[str]:
         info = self._raw.execute(

@@ -89,9 +89,8 @@ class Decisions:
     estimates, the rank source priced for the in-memory winnow
     (:func:`~repro.plan.cost.choose_rank_source`; None when the statement
     cannot run in memory), the rewriter's statement, which only
-    EXPLAIN shows unless the plan runs it, and the ``sources``: the
-    statistics of every table the plan was priced on (each source of a
-    join), which the driver watches for drift."""
+    EXPLAIN shows unless the plan runs it, and a join's statistics,
+    one entry per source (:attr:`Plan.sources`)."""
 
     forced: bool = False
     semantic: SemanticRewrite | None = None
@@ -104,7 +103,7 @@ class Decisions:
     dimensions: int = 0
     rank_source: str | None = None
     rewrite: ast.Statement | str | None = None
-    sources: tuple[TableStatistics, ...] = ()
+    join_statistics: tuple[TableStatistics, ...] = ()
 
 
 def _staged(kind: type, name: str, default=None) -> property:
@@ -188,6 +187,14 @@ class Plan:
         lambda plan: plan.residual and _probe_ranks(plan.residual, None).label
     )
     chosen_cost = property(lambda plan: plan.estimates.get(plan.strategy))
+
+    @property
+    def sources(self) -> tuple[TableStatistics, ...]:
+        """The statistics of every table the plan was priced on, which
+        the driver watches for drift; empty when none were gathered."""
+        if self.decisions.join_statistics:
+            return self.decisions.join_statistics
+        return (self.statistics,) if self.statistics is not None else ()
     #: Always None: ``benchmark/tracing.py`` still reads it.
     prejoin_scan_sql = None
 
@@ -516,7 +523,7 @@ def plan_statement(
             dimensions=dimensions,
             rank_source=rank_source,
             rewrite=rewritten,
-            sources=tuple(join_stats.values()) or ((stats,) if stats else ()),
+            join_statistics=tuple(join_stats.values()),
         ),
     )
 
@@ -650,7 +657,6 @@ def _winnow_free_plan(
         candidates=candidates,
         skyline=winners,
         dimensions=semantic.original_dimensions,
-        sources=(stats,) if stats is not None else (),
     )
     return Plan(
         statement=select,

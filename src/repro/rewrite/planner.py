@@ -103,11 +103,23 @@ class HostSchema(dict):
     """Table → column names read from the host catalog, plus ``rowless``:
     the (lowercased) sources whose ``rowid`` the rewrite cannot join back
     on — views, WITHOUT ROWID tables and tables with a column named
-    ``rowid``.  :meth:`repro.driver.dbapi.Connection.schema` builds it."""
+    ``rowid`` — and ``views``, the (lowercased) SQL views among them.
+    :meth:`repro.driver.dbapi.Connection.schema` builds it."""
 
-    def __init__(self, tables: Mapping[str, Sequence[str]], rowless: Iterable[str] = ()):
+    def __init__(
+        self,
+        tables: Mapping[str, Sequence[str]],
+        rowless: Iterable[str] = (),
+        views: Iterable[str] = (),
+    ):
         super().__init__(tables)
         self.rowless = frozenset(name.lower() for name in rowless)
+        self.views = frozenset(name.lower() for name in views)
+        self._names = frozenset(name.lower() for name in tables)
+
+    def is_base_table(self, name: str) -> bool:
+        """Whether ``name`` is a table (not a view) of the catalog."""
+        return name.lower() in self._names and name.lower() not in self.views
 
 
 @dataclass

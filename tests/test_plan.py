@@ -205,7 +205,8 @@ class TestPlanCache:
 
     def test_hits_on_repeated_parameterized_query(self, fixture_connection):
         # A Pareto preference: no semantic rule fires, so the cached plan
-        # is rebound, not re-planned (a semantic hit counts as a miss).
+        # is rebound, not re-planned (a semantic plan is re-planned for
+        # new parameters, and that hit counts as a miss).
         sql = (
             "SELECT * FROM trips WHERE price <= ? "
             "PREFERRING duration AROUND 14 AND LOWEST(price)"
@@ -268,6 +269,26 @@ class TestPlanCache:
         # bumped the data version, so the strategy is re-costed.
         assert connection.execute(sql).plan.strategy in IN_MEMORY_STRATEGIES
 
+    def test_data_change_over_a_view_triggers_replan(self, connection):
+        # Writes are counted against the base table, never the view the
+        # plan was priced on, so any write re-plans a plan over a view.
+        connection.execute("CREATE TABLE p (a REAL, b REAL, c REAL)")
+        connection.execute("CREATE VIEW pv AS SELECT * FROM p")
+        connection.cursor().executemany(
+            "INSERT INTO p VALUES (?, ?, ?)",
+            [((i * 7919) % 97 / 97, (i * 104729) % 89 / 89, i / 40) for i in range(40)],
+        )
+        sql = "SELECT * FROM pv PREFERRING LOWEST(a) AND LOWEST(b) AND LOWEST(c)"
+        assert connection.execute(sql).plan.strategy == "rewrite"
+        connection.cursor().executemany(
+            "INSERT INTO p VALUES (?, ?, ?)",
+            [
+                ((i * 7919) % 9973 / 9973, (i * 104729) % 9949 / 9949, i / 12000)
+                for i in range(12_000)
+            ],
+        )
+        assert connection.execute(sql).plan.strategy in IN_MEMORY_STRATEGIES
+
     @pytest.mark.parametrize(
         "undo",
         [None, "ROLLBACK", "rollback ;", "ROLLBACK;", "/* undo */ ROLLBACK"],
@@ -294,7 +315,8 @@ class TestPlanCache:
         self, fixture_connection
     ):
         # Pareto, so no semantic rule fires: the restored plan is served
-        # as it is (a semantic plan is re-planned on every hit).
+        # as it is (a semantic plan relying on an observed constraint is
+        # re-planned once the rollback moves the data version).
         fixture_connection.execute(
             "CREATE PREFERENCE cheap ON trips AS "
             "LOWEST(price) AND duration AROUND 14"

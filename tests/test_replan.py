@@ -212,12 +212,19 @@ def test_drop_table_then_create_view_replans(connection, pinned):
     assert (rows, columns) == _fresh(connection, SINGLE)
 
 
-def test_executescript_replans(connection, pinned):
+@pytest.mark.parametrize("open_transaction", [False, True], ids=["closed", "open"])
+def test_executescript_replans(connection, pinned, open_transaction):
     _table(connection, "t")
     connection.execute(SINGLE).fetchall()
-    connection.cursor().executescript(
-        "ALTER TABLE t ADD COLUMN extra TEXT; UPDATE t SET extra = 'e';"
-    )
+    script = "ALTER TABLE t ADD COLUMN extra TEXT; UPDATE t SET extra = 'e';"
+    if open_transaction:
+        # The ALTER committed, the transaction after it did not: the
+        # rollback must not restore the pre-script plan-cache key.
+        script += " BEGIN; INSERT INTO t (id, a, b) VALUES (99, 0, 99);"
+    connection.cursor().executescript(script)
+    assert connection.raw.in_transaction == open_transaction
+    if open_transaction:
+        connection.rollback()
     calls, rows, columns = _replans(connection, SINGLE)
     assert calls == 1
     assert columns[-1] == "extra"
@@ -243,26 +250,53 @@ def test_rolled_back_create_table_is_not_served(connection, pinned):
     assert rows == [(4, 1, "q")]
 
 
-@pytest.mark.parametrize("view", [False, True], ids=["plain", "view"])
-def test_autocommitted_ddl_survives_rollback(connection, pinned, view):
-    # Legacy transaction control: the ALTER commits at once, so the
-    # rollback after it must not restore the pre-ALTER plan-cache key —
-    # not even when the view maintenance it triggers opens a transaction.
+@pytest.mark.parametrize("mode", ["plain", "view", "savepoint"])
+def test_autocommitted_ddl_survives_rollback(connection, pinned, mode):
+    # Legacy transaction control: the ALTER commits at once — or with
+    # the RELEASE of the savepoint that opened the transaction around
+    # it — so the rollback after it must not restore the pre-ALTER
+    # plan-cache key, not even when the view maintenance it triggers
+    # opens a transaction.
     assert connection.raw.isolation_level is not None
     _table(connection, "t")
-    if view:
+    if mode == "view":
         connection.execute(
             "CREATE PREFERENCE VIEW best AS SELECT * FROM t PREFERRING LOWEST(b)"
         )
         connection.commit()
     connection.execute(SINGLE).fetchall()
+    if mode == "savepoint":
+        connection.execute("SAVEPOINT a")
+        assert connection.raw.in_transaction
     connection.execute("ALTER TABLE t ADD COLUMN extra TEXT DEFAULT 'e'")
-    assert connection.raw.in_transaction == view
+    if mode == "savepoint":
+        connection.execute("RELEASE a")
+    assert connection.raw.in_transaction == (mode == "view")
     connection.rollback()
     calls, rows, columns = _replans(connection, SINGLE)
     assert calls == 1
     assert columns[-1] == "extra"
     assert (rows, columns) == _fresh(connection, SINGLE)
+
+
+def test_raw_commit_makes_the_catalog_durable(connection, pinned):
+    # A pass-through COMMIT makes the redefined preference the committed
+    # catalog: a later rollback() restores its version, not the one the
+    # plan over the dropped definition was cached under.  Pareto, so no
+    # semantic rule fires (an observed one would re-plan after rollback).
+    _table(connection, "t")
+    sql = "SELECT * FROM t PREFERRING PREFERENCE p"
+    connection.execute("CREATE PREFERENCE p ON t AS LOWEST(a) AND HIGHEST(b)")
+    connection.commit()
+    connection.execute(sql).fetchall()
+    connection.execute("DROP PREFERENCE p")
+    connection.execute("CREATE PREFERENCE p ON t AS HIGHEST(a) AND LOWEST(b)")
+    connection.execute("COMMIT")
+    connection.execute(sql).fetchall()
+    connection.rollback()
+    calls, rows, columns = _replans(connection, sql)
+    assert calls == 0
+    assert (rows, columns) == _fresh(connection, sql)
 
 
 def test_sibling_ddl_orphans_the_shared_plan(tmp_path, pinned):
@@ -349,6 +383,52 @@ def test_pooled_written_rows_lose_no_update():
     assert shared.written_rows == {"t": 80_000}
     assert not caches[0].drifted(TableStatistics("t", 800_000, {}, written=0))
     assert caches[1].drifted(TableStatistics("t", 799_999, {}, written=0))
+
+
+@pytest.mark.parametrize("constraint", ["schema", "observed"])
+def test_semantic_plan_replans_only_when_its_constraints_may_move(
+    connection, constraint
+):
+    # LOWEST over an INTEGER PRIMARY KEY is proved a single-pass query
+    # from the schema alone; over a plain column, from observed data.
+    column = "a" if constraint == "schema" else "b"
+    connection.execute("CREATE TABLE s (a INTEGER PRIMARY KEY, b INTEGER)")
+    connection.cursor().executemany(
+        "INSERT INTO s VALUES (?, ?)", [(i, i % 7) for i in range(30)]
+    )
+    sql = f"SELECT * FROM s PREFERRING LOWEST({column})"
+    plan = connection.execute(sql).plan
+    assert plan.semantic_rule is not None
+    observed = [label for label in plan.semantic_constraints if "[observed]" in label]
+    assert bool(observed) == (constraint == "observed")
+    for _round in range(3):  # no write in between: served as cached
+        assert _replans(connection, sql)[0] == 0
+    before = connection.plan_cache_stats()
+    # One row, below the drift bound, that moves the answer.
+    connection.execute("INSERT INTO s VALUES (-1, -1)")
+    calls, rows, columns = _replans(connection, sql)
+    assert calls == (1 if observed else 0)
+    assert connection.plan_cache_stats().misses == before.misses + calls
+    assert rows == [(-1, -1)]
+    assert (rows, columns) == _fresh(connection, sql)
+
+
+def test_view_maintenance_counts_towards_drift(connection):
+    _table(connection, "t")
+    connection.execute(
+        "CREATE PREFERENCE VIEW best AS SELECT * FROM t "
+        "PREFERRING LOWEST(a) AND HIGHEST(b)"
+    )
+    sql = "SELECT * FROM best PREFERRING LOWEST(a) AND LOWEST(b)"
+    plan = connection.execute(sql).plan
+    assert plan.semantic_rule is None and [s.table for s in plan.sources] == ["best"]
+    assert _replans(connection, sql)[0] == 0
+    # Written to the base table only: the maintained view's rows change
+    # (and with them its counter), so its plan is priced again.
+    connection.execute("INSERT INTO t VALUES (100, -1, 99)")
+    calls, rows, columns = _replans(connection, sql)
+    assert calls == 1
+    assert (rows, columns) == _fresh(connection, sql)
 
 
 def test_dml_keeps_the_schema_cache(connection):
